@@ -1,0 +1,121 @@
+"""Byte-identity guard: CLI report bytes against recorded digests.
+
+``golden_outputs.json`` holds the exit code, byte count and SHA-256 of every
+``analyze`` (text and JSON, ``--all-p`` and each ``--p``), ``export`` and
+``verify`` report on the shipped specs and on two seeded random specs, over
+small grids.  Each report is checked on stdout; ``--out`` writes the same
+bytes, which is checked on every case whose spec is cheap to evaluate and on
+one case per command for the n = 5 spec.
+
+Only an intended, documented output change may rewrite the digests:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import hashlib
+import io
+import json
+import os
+import shutil
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from statcurv import cli
+
+HERE = Path(__file__).resolve().parent
+GOLDEN = HERE / "golden_outputs.json"
+
+# id -> (path the CLI is given, `examples --random` args or None, dimension, grid)
+SPECS = {
+    "s3": ("specs/s3.spec", None, 3, "4"),
+    "torus": ("specs/flat_torus.spec", None, 3, "3"),
+    "r4": ("random_seed5_n4.spec", ["--seed", "5", "--dimension", "4"], 4, "3"),
+    "r5": ("random_seed0_n5.spec", ["--seed", "0", "--dimension", "5"], 5, "3"),
+}
+# n = 5 reports take seconds each; --out is checked once per command there
+OUT_CHECKED_R5 = {"r5-analyze-all-json", "r5-export", "r5-verify-text"}
+
+
+def cases() -> dict[str, list[str]]:
+    out = {}
+    for sid, (path, _, n, grid) in SPECS.items():
+        for fmt in ("text", "json"):
+            out[f"{sid}-verify-{fmt}"] = ["verify", path, "--grid", grid, "--format", fmt]
+        out[f"{sid}-export"] = ["export", path, "--grid", grid]
+        for fmt in ("text", "json"):
+            tail = ["--grid", grid, "--format", fmt]
+            out[f"{sid}-analyze-all-{fmt}"] = ["analyze", path, "--all-p", *tail]
+            for p in range(1, n // 2 + 1):
+                out[f"{sid}-analyze-p{p}-{fmt}"] = ["analyze", path, "--p", str(p), *tail]
+    return out
+
+
+def make_workdir(root: Path) -> None:
+    """Shipped specs under specs/, random specs written by `examples --random`."""
+    (root / "specs").mkdir()
+    for path, random_args, _, _ in SPECS.values():
+        if random_args is None:
+            shutil.copy(HERE.parent / path, root / path)
+        else:
+            run_cli(["examples", "--random", *random_args, "--out", str(root / path)])
+
+
+def run_cli(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def digest(code: int, text: str) -> dict:
+    data = text.encode("utf-8")
+    return {"exit": code, "bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+
+
+CASES = cases()
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    make_workdir(root)
+    return root
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+def test_golden_covers_every_case(golden):
+    assert sorted(golden) == sorted(CASES)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_stdout_bytes(case, workdir, golden, monkeypatch):
+    monkeypatch.chdir(workdir)
+    assert digest(*run_cli(CASES[case])) == golden[case]
+
+
+@pytest.mark.parametrize(
+    "case", sorted(c for c in CASES if not c.startswith("r5-") or c in OUT_CHECKED_R5)
+)
+def test_out_file_bytes(case, workdir, golden, monkeypatch):
+    monkeypatch.chdir(workdir)
+    code, stdout = run_cli([*CASES[case], "--out", "report.out"])
+    assert stdout == ""
+    text = (workdir / "report.out").read_text(encoding="utf-8")
+    assert digest(code, text) == golden[case]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        make_workdir(Path(tmp))
+        os.chdir(tmp)
+        table = {case: digest(*run_cli(argv)) for case, argv in sorted(CASES.items())}
+    GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    sys.stdout.write(f"wrote {len(table)} digests to {GOLDEN}\n")
