@@ -26,10 +26,9 @@ from .errors import (
     StatcurvError,
     UnknownIdentifierError,
 )
-from .frames import adapted_frames_batch, orthonormal_completion
+from .frames import _completions, adapted_frames_batch
 from .generators import FAMILIES, GeneratorRecipe, generate, write_example_specs
-from .linalg import jacobi_eigh
-from .metric import load_spec_file
+from .metric import MetricSpec, load_spec_file
 from .stationary import (
     StationaryStructure,
     conformal_normalize,
@@ -50,6 +49,7 @@ _INPUT_ERRORS = (SpecFormatError, ExprSyntaxError, UnknownIdentifierError, OSErr
 @dataclass(frozen=True)
 class RunConfig:
     spec_path: str
+    spec: MetricSpec
     command: str
     grid: tuple[int, ...] | int
     p: int | None
@@ -80,10 +80,6 @@ def _emit(text: str, out: str | None) -> None:
     else:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-
-
-def _load_structure(path: str) -> StationaryStructure:
-    return StationaryStructure.from_spec(load_spec_file(path))
 
 
 def _normalized(structure: StationaryStructure, notes: list[str]) -> StationaryStructure:
@@ -125,7 +121,7 @@ _VERIFY_LINES = (
 
 def cmd_verify(config: RunConfig) -> int:
     tol = config.tolerances()
-    structure = _load_structure(config.spec_path)
+    structure = StationaryStructure.from_spec(config.spec)
     pts, shape = topology.build_grid(structure.spec, config.grid)
     if pts.shape[0] == 0:
         raise ValueError("empty grid")
@@ -143,14 +139,7 @@ def cmd_verify(config: RunConfig) -> int:
     for start in range(0, pts.shape[0], topology.CHUNK):
         chunk = pts[start : start + topology.CHUNK]
         data = structure_data(structure, chunk, tol)
-        frames = np.stack(
-            [
-                orthonormal_completion(
-                    structure, chunk[b], tol, require_unit=False, _data=data, _row=b
-                ).vectors
-                for b in range(chunk.shape[0])
-            ]
-        )
+        frames = _completions(data, tol, require_unit=False)
         conn = connection_residual_batch(data, frames)
         curv = curvature_residual_batch(data, frames)
         for i in range(4):
@@ -212,11 +201,6 @@ def cmd_verify(config: RunConfig) -> int:
 
 # --- analyze ------------------------------------------------------------------
 
-def _analyze_one(structure, grid, p, tol):
-    result = topology.grid_scan(structure, grid, p, tol)
-    return result
-
-
 def _strongest(results: list[topology.GridScanResult]) -> topology.GridScanResult:
     # contradictions are conclusive; otherwise the largest vanishing set wins
     contradictions = [r for r in results if r.verdict.contradiction]
@@ -231,10 +215,9 @@ def _strongest(results: list[topology.GridScanResult]) -> topology.GridScanResul
 def cmd_analyze(config: RunConfig) -> int:
     tol = config.tolerances()
     notes: list[str] = []
-    structure = _normalized(_load_structure(config.spec_path), notes)
-    n = structure.dimension
-    ps = list(topology.admissible_p(n)) if config.all_p else [config.p]
-    results = [_analyze_one(structure, config.grid, p, tol) for p in ps]
+    structure = _normalized(StationaryStructure.from_spec(config.spec), notes)
+    ps = list(topology.admissible_p(structure.dimension)) if config.all_p else [config.p]
+    results = topology.grid_scans(structure, config.grid, ps, tol)
     strongest = _strongest(results)
 
     if config.fmt == "json":
@@ -284,18 +267,15 @@ def cmd_analyze(config: RunConfig) -> int:
 def cmd_export(config: RunConfig) -> int:
     tol = config.tolerances()
     notes: list[str] = []
-    structure = _normalized(_load_structure(config.spec_path), notes)
+    structure = _normalized(StationaryStructure.from_spec(config.spec), notes)
     for note in notes:
         sys.stderr.write(note + "\n")
     pts, _ = topology.build_grid(structure.spec, config.grid)
     lines = []
     if pts.shape[0]:
-        ops = topology.scan_points(structure, pts, tol)
+        ops, eigen_stack = topology._spectra(structure, pts, tol)
         labels = [list(pair) for pair in ops[0].symmetrized.basis.labels()]
-        sym_stack = np.stack([op.symmetrized.entries for op in ops])
-        eigen_stack, _ = jacobi_eigh(0.5 * (sym_stack + sym_stack.swapaxes(1, 2)))
-        for b, op in enumerate(ops):
-            vals = eigen_stack[b]
+        for op, vals in zip(ops, eigen_stack):
             record = {
                 "schema_version": 1,
                 "point": [float(x) for x in op.frame.point],
@@ -383,7 +363,7 @@ def _config_from(args, minimum_grid: int) -> RunConfig:
     if args.command == "analyze" and not all_p and p is not None:
         if p not in topology.admissible_p(spec.dimension):
             raise ValueError(f"p = {p} outside 1..{spec.dimension // 2}")
-    return RunConfig(args.spec, args.command, grid, p, all_p, args.tol_scale, args.fmt, args.out)
+    return RunConfig(args.spec, spec, args.command, grid, p, all_p, args.tol_scale, args.fmt, args.out)
 
 
 def main(argv=None) -> int:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FrameError
-from .frames import OrthonormalFrame
+from .frames import OrthonormalFrame, adapted_frames_batch
 from .linalg import invert
 from .metric import RiemannTensor, frame_components_batch
 from .stationary import StationaryStructure, StructureData, structure_data
@@ -105,22 +105,23 @@ def _gather(rm_frame: np.ndarray, basis: Lambda2Basis) -> np.ndarray:
     return -rm_frame[..., vb, wb, va, wa]
 
 
-def assemble_operator(
-    rm_frame: np.ndarray,
-    frame_gram: np.ndarray,
-    basis: Lambda2Basis,
-    flavor: str,
-    f_values: tuple[float, ...] = (),
-) -> CurvatureOperatorMatrix:
-    """Operator matrix over ``basis`` from frame components of the 4-tensor."""
-    s = _gather(rm_frame, basis)
-    gram = lambda2_gram(basis, frame_gram)
-    entries = invert(gram) @ s
-    return CurvatureOperatorMatrix(basis, entries, flavor, f_values)
+def _operators(rm: np.ndarray, metric: np.ndarray, frames: np.ndarray, basis: Lambda2Basis):
+    """Operator matrices G^{-1} S (B, N, N) and the frame components of ``rm``.
+
+    ``rm`` (B,n,n,n,n) and ``metric`` (B,n,n) are coordinate data, ``frames``
+    (B,n,n) holds the frame vectors as rows.
+    """
+    rm_frame = frame_components_batch(rm, frames)
+    gram = np.einsum("bai,bij,bcj->bac", frames, metric, frames)
+    return invert(lambda2_gram(basis, gram)) @ _gather(rm_frame, basis), rm_frame
 
 
-def _frame_gram(metric: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    return vectors @ metric @ vectors.T
+def _point_operator(s, frame, tol, basis, flavor) -> CurvatureOperatorMatrix:
+    data = structure_data(s, frame.point, tol)
+    rm, metric = (data.rm_g, data.g) if flavor == "riemannian" else (data.rm_l, data.gl)
+    basis = basis or Lambda2Basis.standard(s.dimension)
+    entries, _ = _operators(rm, metric, np.asarray(frame.vectors, dtype=float)[None], basis)
+    return CurvatureOperatorMatrix(basis, entries[0], flavor, frame.f_values)
 
 
 def riemannian_curvature_operator(
@@ -130,11 +131,7 @@ def riemannian_curvature_operator(
     basis: Lambda2Basis | None = None,
 ) -> CurvatureOperatorMatrix:
     """Operator of the flipped Riemannian metric in a g-orthonormal frame."""
-    data = structure_data(s, frame.point, tol)
-    rm_frame = frame_components_batch(data.rm_g, frame.vectors[None])[0]
-    basis = basis or Lambda2Basis.standard(s.dimension)
-    gram = _frame_gram(data.g[0], frame.vectors)
-    return assemble_operator(rm_frame, gram, basis, "riemannian", frame.f_values)
+    return _point_operator(s, frame, tol, basis, "riemannian")
 
 
 def lorentzian_curvature_operator(
@@ -144,11 +141,7 @@ def lorentzian_curvature_operator(
     basis: Lambda2Basis | None = None,
 ) -> CurvatureOperatorMatrix:
     """Operator of g_L itself; generally non-symmetric, recorded for comparison."""
-    data = structure_data(s, frame.point, tol)
-    rm_frame = frame_components_batch(data.rm_l, frame.vectors[None])[0]
-    basis = basis or Lambda2Basis.standard(s.dimension)
-    gram = _frame_gram(data.gl[0], frame.vectors)
-    return assemble_operator(rm_frame, gram, basis, "lorentzian", frame.f_values)
+    return _point_operator(s, frame, tol, basis, "lorentzian")
 
 
 def _rotation_matrix(frame: OrthonormalFrame, n: int) -> np.ndarray:
@@ -245,14 +238,8 @@ def operators_from_data(
     n = s.dimension
     basis = Lambda2Basis.standard(n)
     stack = np.stack([f.vectors for f in frames])
-    rml_f = frame_components_batch(data.rm_l, stack)
-    rmg_f = frame_components_batch(data.rm_g, stack)
-    gram_g = np.einsum("bai,bij,bcj->bac", stack, data.g, stack)
-    gram_l = np.einsum("bai,bij,bcj->bac", stack, data.gl, stack)
-    s_g = _gather(rmg_f, basis)
-    s_l = _gather(rml_f, basis)
-    m_r = invert(lambda2_gram(basis, gram_g)) @ s_g
-    m_l = invert(lambda2_gram(basis, gram_l)) @ s_l
+    m_r, _ = _operators(data.rm_g, data.g, stack, basis)
+    m_l, rml_f = _operators(data.rm_l, data.gl, stack, basis)
     out = []
     for b, frame in enumerate(frames):
         sym = symmetrized_matrix(rml_f[b], frame, tol, basis)
@@ -267,8 +254,6 @@ def compute_point_operators(
     s: StationaryStructure, point, tol: Tolerances = DEFAULT
 ) -> PointOperators:
     """Adapted frame plus all three operators at one point."""
-    from .frames import adapted_frames_batch
-
     data = structure_data(s, point, tol)
     frames = adapted_frames_batch(s, data, tol)
     return operators_from_data(s, data, frames, tol)[0]

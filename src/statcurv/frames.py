@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EigenstructureError, FrameError
-from .linalg import invert, jacobi_eigh
-from .stationary import StationaryStructure, StructureData, structure_data
+from .linalg import jacobi_eigh
+from .stationary import StationaryStructure, StructureData, _nabla_t_frames, structure_data
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -95,13 +95,22 @@ def _validate_gram(e: np.ndarray, gl: np.ndarray, gtt: float, tol: Tolerances) -
         raise FrameError("completion frame failed the orthonormality check")
 
 
+def _completions(data: StructureData, tol: Tolerances, require_unit: bool = True) -> np.ndarray:
+    """Frames (B, n, n) {T, X_1..X_{n-1}} orthonormal for g and g_L, one per row of ``data``."""
+    if require_unit:
+        off = np.abs(data.gtt + 1.0) > tol.unit_timelike
+        if np.any(off):
+            gtt = float(data.gtt[np.argmax(off)])
+            raise FrameError(f"T is not unit at this point: g_L(T,T) = {gtt}")
+    out = np.empty(data.g.shape)
+    for b in range(out.shape[0]):
+        out[b] = _complete_spatial(data.g[b], data.t[b])
+        _validate_gram(out[b], data.gl[b], float(data.gtt[b]), tol)
+    return out
+
+
 def orthonormal_completion(
-    s: StationaryStructure,
-    point,
-    tol: Tolerances = DEFAULT,
-    require_unit: bool = True,
-    _data: StructureData | None = None,
-    _row: int = 0,
+    s: StationaryStructure, point, tol: Tolerances = DEFAULT, require_unit: bool = True
 ) -> OrthonormalFrame:
     """Frame {T, X_1..X_{n-1}} orthonormal for g and g_L simultaneously.
 
@@ -109,22 +118,12 @@ def orthonormal_completion(
     tolerance; identity verification on non-unit structures passes
     ``require_unit=False`` and keeps T at its own scale.
     """
-    data = _data if _data is not None else structure_data(s, point, tol, riemann=False)
-    b = _row
-    gtt = float(data.gtt[b])
-    if require_unit and abs(gtt + 1.0) > tol.unit_timelike:
-        raise FrameError(f"T is not unit at this point: g_L(T,T) = {gtt}")
-    e = _complete_spatial(data.g[b], data.t[b])
-    _validate_gram(e, data.gl[b], gtt, tol)
+    data = structure_data(s, point, tol, riemann=False)
     return OrthonormalFrame(
-        point=data.points[b].copy(), vectors=e, timelike_norm=gtt
+        point=data.points[0].copy(),
+        vectors=_completions(data, tol, require_unit)[0],
+        timelike_norm=float(data.gtt[0]),
     )
-
-
-def _frame_nabla(data: StructureData, b: int, e: np.ndarray) -> np.ndarray:
-    """A[j, i] = component of nab^L_{E_i} T along E_j, for one point."""
-    images = data.cov_t_l[b] @ e.T
-    return invert(e.T) @ images
 
 
 def _split_eigenvalues(vals: np.ndarray, tol: Tolerances):
@@ -134,7 +133,9 @@ def _split_eigenvalues(vals: np.ndarray, tol: Tolerances):
             f"positive eigenvalue {vals.max()} of the squared map "
             "(Killing or unit-length precondition broken)"
         )
-    zero_cut = max(tol.eigen_nonpositive, tol.cluster_rel * abs(float(vals[0])))
+    # the kernel cut is on f^2, so it is the square of the cut on |f| that the
+    # parallel-T fallback and the rotation-block residual use
+    zero_cut = max(tol.pairing**2, tol.cluster_rel * abs(float(vals[0])))
     clusters = []
     kernel = []
     for idx, lam in enumerate(vals):
@@ -181,13 +182,9 @@ def _pair_cluster(vecs: np.ndarray, spatial_nabla: np.ndarray):
     return pairs
 
 
-def _adapted_from_data(
-    s: StationaryStructure, data: StructureData, b: int, tol: Tolerances
-) -> OrthonormalFrame:
-    comp = orthonormal_completion(s, data.points[b], tol, _data=data, _row=b)
-    e = comp.vectors
+def _adapt(e: np.ndarray, a_frame: np.ndarray, tol: Tolerances):
+    """Rotation-block rows, pairing, fixed indices and squared-map spectrum from a completion."""
     n = e.shape[0]
-    a_frame = _frame_nabla(data, b, e)
     t_block = max(float(np.abs(a_frame[0, :]).max()), float(np.abs(a_frame[:, 0]).max()))
     if t_block > tol.pairing:
         raise EigenstructureError(
@@ -196,15 +193,7 @@ def _adapted_from_data(
     spatial = a_frame[1:, 1:]
     if float(np.abs(spatial).max(initial=0.0)) <= tol.pairing:
         # parallel T: defined fallback, every spatial direction fixed
-        return OrthonormalFrame(
-            point=comp.point,
-            vectors=e,
-            pairing=(),
-            fixed_indices=tuple(range(1, n)),
-            timelike_norm=comp.timelike_norm,
-            rotation_residual=float(np.abs(a_frame).max()),
-            nabla_sq_eigenvalues=tuple([0.0] * n),
-        )
+        return e, (), tuple(range(1, n)), tuple([0.0] * n)
     squared = spatial @ spatial
     asym = float(np.abs(squared - squared.T).max())
     if asym > tol.antisymmetry * max(1.0, float(np.abs(squared).max())):
@@ -234,37 +223,42 @@ def _adapted_from_data(
     for idx in kernel:
         fixed.append(len(rows))
         rows.append(vecs[:, idx] @ e[1:])
-    vectors = np.array(rows)
-
-    # rotation-block pattern residual on the final frame
-    a_final = _frame_nabla(data, b, vectors)
-    pattern = np.zeros((n, n))
-    for p in pairing:
-        pattern[p.j, p.i] = p.f
-        pattern[p.i, p.j] = -p.f
-    residual = float(np.abs(a_final - pattern).max())
-    if residual > tol.pairing:
-        raise FrameError(f"adapted frame residual {residual} above tolerance {tol.pairing}")
     eigs = sorted([float(v) for v in vals] + [0.0])
-    return OrthonormalFrame(
-        point=comp.point,
-        vectors=vectors,
-        pairing=tuple(pairing),
-        fixed_indices=tuple(fixed),
-        timelike_norm=comp.timelike_norm,
-        rotation_residual=residual,
-        nabla_sq_eigenvalues=tuple(eigs),
-    )
+    return np.array(rows), tuple(pairing), tuple(fixed), tuple(eigs)
 
 
 def adapted_frame(s: StationaryStructure, point, tol: Tolerances = DEFAULT) -> OrthonormalFrame:
     """Adapted frame at one point (T must be unit timelike Killing)."""
-    data = structure_data(s, point, tol, riemann=False)
-    return _adapted_from_data(s, data, 0, tol)
+    return adapted_frames_batch(s, structure_data(s, point, tol, riemann=False), tol)[0]
 
 
 def adapted_frames_batch(
     s: StationaryStructure, data: StructureData, tol: Tolerances = DEFAULT
 ) -> list[OrthonormalFrame]:
     """Adapted frames for every point of a precomputed StructureData."""
-    return [_adapted_from_data(s, data, b, tol) for b in range(data.points.shape[0])]
+    completions = _completions(data, tol)
+    a_completions = _nabla_t_frames(data.cov_t_l, completions)
+    parts = [_adapt(e, a, tol) for e, a in zip(completions, a_completions)]
+    # rotation-block pattern residual on the final frames
+    a_final = _nabla_t_frames(data.cov_t_l, np.stack([part[0] for part in parts]))
+    out = []
+    for b, (vectors, pairing, fixed, eigs) in enumerate(parts):
+        pattern = np.zeros(vectors.shape)
+        for p in pairing:
+            pattern[p.j, p.i] = p.f
+            pattern[p.i, p.j] = -p.f
+        residual = float(np.abs(a_final[b] - pattern).max())
+        if residual > tol.pairing:
+            raise FrameError(f"adapted frame residual {residual} above tolerance {tol.pairing}")
+        out.append(
+            OrthonormalFrame(
+                point=data.points[b].copy(),
+                vectors=vectors,
+                pairing=pairing,
+                fixed_indices=fixed,
+                timelike_norm=float(data.gtt[b]),
+                rotation_residual=residual,
+                nabla_sq_eigenvalues=eigs,
+            )
+        )
+    return out

@@ -393,7 +393,7 @@ def frame_components(tensor: RiemannTensor, frame_vectors) -> RiemannTensor:
     _, det = gauss_inverse(e)
     if abs(float(det)) < DEFAULT.near_singular:
         raise NearSingularError("rank-deficient frame")
-    comps = np.einsum("ai,bj,ck,dl,ijkl->abcd", e, e, e, e, tensor.comps)
+    comps = frame_components_batch(tensor.comps[None], e[None])[0]
     return RiemannTensor(tensor.point, "orthonormal", comps)
 
 

@@ -140,25 +140,31 @@ class StructureData:
     rm_g: np.ndarray | None = None
 
 
-def structure_data(
-    s: StationaryStructure, pts, tol: Tolerances = DEFAULT, riemann: bool = True
-) -> StructureData:
-    pts = np.asarray(pts, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
+def _t_jets(s: StationaryStructure, pts: np.ndarray, cache: dict) -> tuple[np.ndarray, np.ndarray]:
+    """T and its first derivatives, dt[b,i,k] = d_i T^k, from the shared jet cache."""
     batch, n = pts.shape
-    cache: dict = {}  # one jet cache for these points, shared across both metrics and T
-    gl, gl_inv, dgl, d2gl, _ = metric_batch(s.spec, pts, tol, cache)
-    g, g_inv, dg, d2g, _ = metric_batch(s.counterpart_spec, pts, tol, cache)
     t = np.zeros((batch, n))
     dt = np.zeros((batch, n, n))
     for k, expr in enumerate(s.t):
         val, grad, _ = eval_jet_batch(expr, pts, cache)
         t[:, k] = val
         dt[:, :, k] = grad
+    return t, dt
+
+
+def structure_data(
+    s: StationaryStructure, pts, tol: Tolerances = DEFAULT, riemann: bool = True
+) -> StructureData:
+    pts = np.asarray(pts, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[None, :]
+    cache: dict = {}  # one jet cache for these points, shared across both metrics and T
+    gl, gl_inv, dgl, d2gl, _ = metric_batch(s.spec, pts, tol, cache)
+    t, dt = _t_jets(s, pts, cache)
     gtt = np.einsum("bij,bi,bj->b", gl, t, t)
-    if np.any(gtt >= 0.0):
+    if np.any(gtt >= 0.0):  # checked before the flip, which divides by g_L(T,T)
         raise NonTimelikeError("g_L(T,T) >= 0 at a sampled point")
+    g, g_inv, dg, d2g, _ = metric_batch(s.counterpart_spec, pts, tol, cache)
     dgtt = np.einsum("bkij,bi,bj->bk", dgl, t, t) + 2.0 * np.einsum(
         "bij,bki,bj->bk", gl, dt, t
     )
@@ -173,19 +179,20 @@ def structure_data(
     )
 
 
+def _nabla_t_frames(cov_t_l: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    """A[b, j, i] = component of nab^L_{E_i} T along E_j, frames (B, n, n) as rows."""
+    e_t = frames.swapaxes(1, 2)
+    return invert(e_t) @ (cov_t_l @ e_t)
+
+
 # --- pointwise operations ----------------------------------------------------
 
 def killing_defect_batch(s: StationaryStructure, pts, tol: Tolerances = DEFAULT) -> np.ndarray:
     """max_ij |(Lie_T g_L)_ij| per point."""
     pts = np.asarray(pts, dtype=float)
-    gl, _, dgl, _, _ = metric_batch(s.spec, pts, tol)
-    batch, n = pts.shape
-    t = np.zeros((batch, n))
-    dt = np.zeros((batch, n, n))
-    for k, expr in enumerate(s.t):
-        val, grad, _ = eval_jet_batch(expr, pts)
-        t[:, k] = val
-        dt[:, :, k] = grad
+    cache: dict = {}
+    gl, _, dgl, _, _ = metric_batch(s.spec, pts, tol, cache)
+    t, dt = _t_jets(s, pts, cache)
     lie = (
         np.einsum("bk,bkij->bij", t, dgl)
         + np.einsum("bkj,bik->bij", gl, dt)
@@ -200,22 +207,13 @@ def killing_defect(s: StationaryStructure, point, tol: Tolerances = DEFAULT) -> 
 
 def riemannian_counterpart(s: StationaryStructure, point, tol: Tolerances = DEFAULT) -> np.ndarray:
     """Flipped metric evaluated at one point (positive-definite)."""
-    pts = np.asarray(point, dtype=float)[None, :]
-    gl, _, _, _, _ = metric_batch(s.spec, pts, tol)
-    t = np.array([[float(np.asarray(eval_jet_batch(e, pts)[0])[0]) for e in s.t]])
-    gtt = float(np.einsum("bij,bi,bj->b", gl, t, t)[0])
-    if gtt >= 0.0:
-        raise NonTimelikeError(f"g_L(T,T) = {gtt} is not negative at {pts[0].tolist()}")
-    t_flat = np.einsum("bij,bj->bi", gl, t)
-    return (gl - 2.0 * np.einsum("bi,bj->bij", t_flat, t_flat) / gtt)[0]
+    return structure_data(s, point, tol, riemann=False).g[0]
 
 
 def nabla_t_matrix(s: StationaryStructure, frame, tol: Tolerances = DEFAULT) -> np.ndarray:
     """A with A[j, i] = component of nab^L_{E_i} T along E_j (columns are images)."""
-    e = np.asarray(frame.vectors, dtype=float)
     data = structure_data(s, frame.point, tol, riemann=False)
-    images = np.einsum("ki,ai->ka", data.cov_t_l[0], e)  # column a = nab_{E_a} T coords
-    return invert(e.T) @ images
+    return _nabla_t_frames(data.cov_t_l, np.asarray(frame.vectors, dtype=float)[None])[0]
 
 
 # --- identity verification ---------------------------------------------------

@@ -98,15 +98,18 @@ def k_positivity(matrix, k: int, tol: Tolerances = DEFAULT) -> tuple[float, bool
     return total, total > tol.positivity
 
 
-def positivity_report(matrix, point, tol: Tolerances = DEFAULT) -> PositivityReport:
-    vals = _symmetric_eigenvalues(matrix, tol)
-    sums = np.cumsum(vals)
+def _report(point, vals: np.ndarray, sums: np.ndarray, tol: Tolerances) -> PositivityReport:
     return PositivityReport(
         tuple(float(x) for x in np.asarray(point)),
         tuple(float(v) for v in vals),
         tuple(float(v) for v in sums),
         tuple(bool(v > tol.positivity) for v in sums),
     )
+
+
+def positivity_report(matrix, point, tol: Tolerances = DEFAULT) -> PositivityReport:
+    vals = _symmetric_eigenvalues(matrix, tol)
+    return _report(point, vals, np.cumsum(vals), tol)
 
 
 def admissible_p(n: int) -> range:
@@ -171,44 +174,50 @@ def scan_points(
     return out
 
 
+def _spectra(
+    s: StationaryStructure, pts: np.ndarray, tol: Tolerances
+) -> tuple[list[PointOperators], np.ndarray]:
+    """Operators at each point and the ascending spectra of their symmetrized matrices."""
+    ops = scan_points(s, pts, tol)
+    vals, _ = jacobi_eigh(np.stack([op.symmetrized.entries for op in ops]))
+    return ops, vals
+
+
+def grid_scans(
+    s: StationaryStructure, grid_sizes, ps, tol: Tolerances = DEFAULT
+) -> list[GridScanResult]:
+    """One scan of the grid, one (n-p)-positivity result per p in ``ps``.
+
+    The operators, spectra and reports do not depend on p, so every result
+    shares them.
+    """
+    n = s.dimension
+    for p in ps:
+        if p not in admissible_p(n):
+            raise ValueError(f"p = {p} outside 1..floor(n/2) = {n // 2}")
+    pts, shape = build_grid(s.spec, grid_sizes)
+    if pts.shape[0] == 0:
+        raise ValueError("empty grid")
+    ops, vals = _spectra(s, pts, tol)
+    sums = np.cumsum(vals, axis=1)
+    reports = [_report(pts[b], vals[b], sums[b], tol) for b in range(pts.shape[0])]
+    residual = max(op.central_residual for op in ops)
+    results = []
+    for p in ps:
+        margins = sums[:, n - p - 1]
+        argmin = int(np.argmin(margins))
+        min_margin = float(margins[argmin]) + 0.0  # folds -0.0 into 0.0
+        verdict = betti_conclusions(n, p, bool(min_margin > tol.positivity))
+        argmin_point = tuple(float(x) for x in pts[argmin])
+        results.append(GridScanResult(verdict, shape, min_margin, argmin_point, residual, reports, ops))
+    return results
+
+
 def grid_scan(
     s: StationaryStructure, grid_sizes, p: int, tol: Tolerances = DEFAULT
 ) -> GridScanResult:
     """Adapted frame -> symmetrized matrix -> (n-p)-positivity over a grid."""
-    n = s.dimension
-    if p not in admissible_p(n):
-        raise ValueError(f"p = {p} outside 1..floor(n/2) = {n // 2}")
-    pts, shape = build_grid(s.spec, grid_sizes)
-    if pts.shape[0] == 0:
-        raise ValueError("empty grid")
-    ops = scan_points(s, pts, tol)
-    k = n - p
-    sym = np.stack([op.symmetrized.entries for op in ops])
-    vals, _ = jacobi_eigh(sym)
-    sums = np.cumsum(vals, axis=1)
-    margins = sums[:, k - 1]
-    argmin = int(np.argmin(margins))
-    min_margin = float(margins[argmin]) + 0.0  # folds -0.0 into 0.0
-    reports = [
-        PositivityReport(
-            tuple(float(x) for x in pts[b]),
-            tuple(float(v) for v in vals[b]),
-            tuple(float(v) for v in sums[b]),
-            tuple(bool(v > tol.positivity) for v in sums[b]),
-        )
-        for b in range(pts.shape[0])
-    ]
-    holds = bool(min_margin > tol.positivity)
-    verdict = betti_conclusions(n, p, holds)
-    return GridScanResult(
-        verdict=verdict,
-        grid_sizes=shape,
-        min_margin=min_margin,
-        argmin_point=tuple(float(x) for x in pts[argmin]),
-        max_identity_residual=max(op.central_residual for op in ops),
-        reports=reports,
-        operators=ops,
-    )
+    return grid_scans(s, grid_sizes, [p], tol)[0]
 
 
 def margin_quantiles(result: GridScanResult) -> dict[str, list[float]]:

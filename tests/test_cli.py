@@ -118,22 +118,24 @@ class TestAnalyze:
         )
         assert code == 0
         capsys.readouterr()
-        real_scan = topology.grid_scan
+        real_scans = topology.grid_scans
 
-        def forced_positive(structure, grid, p, tol=None):
-            result = real_scan(structure, grid, p, tol) if tol else real_scan(structure, grid, p)
-            verdict = topology.betti_conclusions(structure.dimension, p, True)
-            return topology.GridScanResult(
-                verdict,
-                result.grid_sizes,
-                1.0,
-                result.argmin_point,
-                result.max_identity_residual,
-                result.reports,
-                result.operators,
-            )
+        def forced_positive(structure, grid, ps, tol=None):
+            results = real_scans(structure, grid, ps, tol) if tol else real_scans(structure, grid, ps)
+            return [
+                topology.GridScanResult(
+                    topology.betti_conclusions(structure.dimension, r.verdict.p, True),
+                    r.grid_sizes,
+                    1.0,
+                    r.argmin_point,
+                    r.max_identity_residual,
+                    r.reports,
+                    r.operators,
+                )
+                for r in results
+            ]
 
-        monkeypatch.setattr(topology, "grid_scan", forced_positive)
+        monkeypatch.setattr(topology, "grid_scans", forced_positive)
         code, out, _ = run(capsys, "analyze", str(spec_path), "--p", "1", "--grid", "3")
         assert code == 0
         assert "contradiction" in out
@@ -173,6 +175,39 @@ class TestAnalyze:
         assert out_a.read_bytes() == out_b.read_bytes()
         payload = json.loads(out_a.read_text())
         assert payload["strongest"]["vanishing_betti"] == [1, 2]
+
+    def test_all_p_results_match_single_p(self, capsys, tmp_path):
+        spec_path = str(tmp_path / "four.spec")
+        cli.main(["examples", "--random", "--seed", "5", "--dimension", "4", "--out", spec_path])
+        capsys.readouterr()
+        _, out, _ = run(capsys, "analyze", spec_path, "--all-p", "--grid", "3", "--format", "json")
+        results = json.loads(out)["results"]
+        assert [r["p"] for r in results] == [1, 2]
+        for result in results:
+            p = str(result["p"])
+            _, out, _ = run(capsys, "analyze", spec_path, "--p", p, "--grid", "3", "--format", "json")
+            assert json.loads(out)["results"] == [result]
+
+    def test_all_p_scans_once(self, capsys, monkeypatch, tmp_path):
+        spec_path = str(tmp_path / "four.spec")
+        cli.main(["examples", "--random", "--seed", "5", "--dimension", "4", "--out", spec_path])
+        capsys.readouterr()
+        calls = {"scan_points": 0, "load_spec_file": 0}
+
+        def counting(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(topology, "scan_points")
+        counting(cli, "load_spec_file")
+        code, _, _ = run(capsys, "analyze", spec_path, "--all-p", "--grid", "2")
+        assert code in (0, 1)
+        assert calls == {"scan_points": 1, "load_spec_file": 1}
 
 
 class TestExport:

@@ -165,6 +165,16 @@ class TestAdaptedFrame:
 
 
 class TestEigenSplitting:
+    def test_small_rotation_is_paired(self):
+        # |f| = 2.7e-6: above the |f| cut tol.pairing, while f^2 = 7e-12 lies
+        # below eigen_nonpositive; the kernel cut on f^2 must be tol.pairing^2
+        structure = generate(battery_recipe(120))
+        point = sample_interior(structure.spec, 50, 120)[25]
+        frame = adapted_frame(structure, point)
+        assert len(frame.pairing) == 1
+        assert abs(frame.pairing[0].f) == pytest.approx(2.68e-6, rel=1e-2)
+        assert frame.rotation_residual <= DEFAULT.pairing
+
     def test_positive_eigenvalue_error(self):
         with pytest.raises(EigenstructureError, match="positive eigenvalue"):
             _split_eigenvalues(np.array([-1.0, 0.5]), DEFAULT)

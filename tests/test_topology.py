@@ -16,6 +16,7 @@ from statcurv.topology import (
     betti_conclusions,
     build_grid,
     grid_scan,
+    grid_scans,
     k_positivity,
     positivity_report,
     verdict_json_dict,
@@ -167,6 +168,16 @@ class TestGridScan:
         assert result.min_margin == pytest.approx(0.0, abs=1e-9)
         report = result.reports[0]
         assert np.abs(np.array(report.eigenvalues) - np.array([0.0] * 7 + [1.0] * 3)).max() < 1e-9
+
+    def test_grid_scans_match_grid_scan_per_p(self):
+        structure = s3_times_torus()
+        grid = [3, 2, 2, 2, 2]
+        both = grid_scans(structure, grid, [1, 2])
+        assert [r.verdict.p for r in both] == [1, 2]
+        assert both[0].operators is both[1].operators  # one scan serves every p
+        for result in both:
+            alone = grid_scan(structure, grid, result.verdict.p)
+            assert verdict_json_dict(result) == verdict_json_dict(alone)
 
     def test_refinement_stability(self, s3, flat_torus):
         for structure in (s3, flat_torus):
