@@ -19,13 +19,7 @@ import numpy as np
 
 from . import topology
 from .curvature_ops import operators_from_data
-from .errors import (
-    EvalDomainError,
-    ExprSyntaxError,
-    SpecFormatError,
-    StatcurvError,
-    UnknownIdentifierError,
-)
+from .errors import ExprSyntaxError, SpecFormatError, StatcurvError, UnknownIdentifierError
 from .frames import _completions, adapted_frames_batch
 from .generators import FAMILIES, GeneratorRecipe, generate, write_example_specs
 from .metric import MetricSpec, load_spec_file
@@ -50,7 +44,6 @@ _INPUT_ERRORS = (SpecFormatError, ExprSyntaxError, UnknownIdentifierError, OSErr
 class RunConfig:
     spec_path: str
     spec: MetricSpec
-    command: str
     grid: tuple[int, ...] | int
     p: int | None
     all_p: bool
@@ -125,40 +118,29 @@ def cmd_verify(config: RunConfig) -> int:
     pts, shape = topology.build_grid(structure.spec, config.grid)
     if pts.shape[0] == 0:
         raise ValueError("empty grid")
-    maxima = np.zeros(10)
-    argmax = [tuple(pts[0])] * 10
-
-    def record(idx, values, chunk):
-        b = int(np.argmax(values))
-        if values[b] > maxima[idx]:
-            maxima[idx] = float(values[b])
-            argmax[idx] = tuple(float(x) for x in chunk[b])
-
     notes: list[str] = []
     unit_structure = _normalized(structure, notes)
-    for start in range(0, pts.shape[0], topology.CHUNK):
-        chunk = pts[start : start + topology.CHUNK]
+
+    def residuals(chunk):
+        """Residual table (B, 10), one column per line of _VERIFY_LINES."""
         data = structure_data(structure, chunk, tol)
         frames = _completions(data, tol, require_unit=False)
-        conn = connection_residual_batch(data, frames)
-        curv = curvature_residual_batch(data, frames)
-        for i in range(4):
-            record(i, conn[:, i], chunk)
-        for i in range(3):
-            record(4 + i, curv[:, i], chunk)
-        if unit_structure is structure:
-            data_u, chunk_u = data, chunk
-        else:
-            data_u, chunk_u = structure_data(unit_structure, chunk, tol), chunk
+        data_u = data if unit_structure is structure else structure_data(unit_structure, chunk, tol)
         adapted = adapted_frames_batch(unit_structure, data_u, tol)
-        record(7, np.array([f.rotation_residual for f in adapted]), chunk_u)
-        record(
-            8,
-            np.array([max(0.0, max(f.nabla_sq_eigenvalues)) for f in adapted]),
-            chunk_u,
-        )
         ops = operators_from_data(unit_structure, data_u, adapted, tol)
-        record(9, np.array([o.central_residual for o in ops]), chunk_u)
+        return np.column_stack(
+            [
+                connection_residual_batch(data, frames),
+                curvature_residual_batch(data, frames),
+                [f.rotation_residual for f in adapted],
+                [max(0.0, max(f.nabla_sq_eigenvalues)) for f in adapted],
+                [o.central_residual for o in ops],
+            ]
+        )
+
+    table = np.concatenate(topology.chunked(pts, residuals))
+    maxima = table.max(axis=0)
+    argmax = [tuple(float(x) for x in pts[b]) for b in table.argmax(axis=0)]  # first occurrence
 
     lines = [f"statcurv verify: {config.spec_path}"]
     lines += notes
@@ -363,7 +345,7 @@ def _config_from(args, minimum_grid: int) -> RunConfig:
     if args.command == "analyze" and not all_p and p is not None:
         if p not in topology.admissible_p(spec.dimension):
             raise ValueError(f"p = {p} outside 1..{spec.dimension // 2}")
-    return RunConfig(args.spec, spec, args.command, grid, p, all_p, args.tol_scale, args.fmt, args.out)
+    return RunConfig(args.spec, spec, grid, p, all_p, args.tol_scale, args.fmt, args.out)
 
 
 def main(argv=None) -> int:
@@ -382,9 +364,6 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
-    except EvalDomainError as exc:
-        sys.stderr.write(f"numerical failure: {exc}\n")
-        return EXIT_NUMERICAL
     except StatcurvError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERICAL

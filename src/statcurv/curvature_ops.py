@@ -34,8 +34,6 @@ from .metric import RiemannTensor, frame_components_batch
 from .stationary import StationaryStructure, StructureData, structure_data
 from .tolerances import DEFAULT, Tolerances
 
-FLAVORS = ("riemannian", "lorentzian", "symmetrized")
-
 
 @dataclass(frozen=True)
 class Lambda2Basis:
@@ -144,25 +142,33 @@ def lorentzian_curvature_operator(
     return _point_operator(s, frame, tol, basis, "lorentzian")
 
 
-def _rotation_matrix(frame: OrthonormalFrame, n: int) -> np.ndarray:
-    """Omega[i, j] = g_L(nab^L_{X_i} T, X_j) implied by the adapted pairing."""
-    omega = np.zeros((n, n))
-    for p in frame.pairing:
-        omega[p.i, p.j] = p.f
-        omega[p.j, p.i] = -p.f
+def _rotation_blocks(frames: list[OrthonormalFrame], n: int, tol: Tolerances) -> np.ndarray:
+    """Omega (B, n, n), Omega[b, i, j] = g_L(nab^L_{X_i} T, X_j) implied by each adapted pairing."""
+    omega = np.zeros((len(frames), n, n))
+    for b, frame in enumerate(frames):
+        if not frame.is_adapted:
+            raise FrameError("symmetrized matrix requires a frame built by adapted_frame")
+        if frame.rotation_residual > tol.pairing:
+            raise FrameError(
+                f"frame not adapted: rotation-block residual {frame.rotation_residual} "
+                f"above tolerance {tol.pairing}"
+            )
+        for p in frame.pairing:
+            omega[b, p.i, p.j] = p.f
+            omega[b, p.j, p.i] = -p.f
     return omega
 
 
-def synthesize_riemannian_components(rm_l_frame: np.ndarray, frame: OrthonormalFrame) -> np.ndarray:
-    """Components of the flipped metric's 4-tensor from Lorentzian data + pairing.
+def _symmetrized(rm_l_frame: np.ndarray, omega: np.ndarray, basis: Lambda2Basis) -> np.ndarray:
+    """Symmetrized matrices (B, N, N) from Lorentzian frame components and rotation blocks.
 
-    Applies the curvature identities with unit T: sign flip on every
-    component touching T, the -2 f^2 correction on the diagonal (T, X_i)
-    block for paired i, and the rotation-block corrections on the purely
-    spatial components.
+    Synthesizes the flipped metric's 4-tensor with the curvature identities
+    for unit T: sign flip on every component touching T, the rotation-block
+    corrections on the purely spatial components, and the -2 Omega Omega^T
+    correction on the (T, X_i) blocks.  The synthesized tensor is one
+    (B, n, n, n, n) array, updated in place.
     """
-    n = rm_l_frame.shape[0]
-    omega = _rotation_matrix(frame, n)
+    n = omega.shape[-1]
     idx = np.arange(n)
     touch = (
         (idx[:, None, None, None] == 0)
@@ -171,18 +177,19 @@ def synthesize_riemannian_components(rm_l_frame: np.ndarray, frame: OrthonormalF
         | (idx[None, None, None, :] == 0)
     )
     # spatial corrections; vanish automatically on T-touching entries (row 0 of omega is 0)
-    corr = -2.0 * (
-        np.einsum("ad,bc->abcd", omega, omega)
-        - np.einsum("ac,bd->abcd", omega, omega)
-        - 2.0 * np.einsum("ab,cd->abcd", omega, omega)
-    )
-    synth = np.where(touch, -rm_l_frame, rm_l_frame) + corr
-    tt = -2.0 * omega @ omega.T
-    synth[0, 1:, 0, 1:] += tt[1:, 1:]
-    synth[1:, 0, 1:, 0] += tt[1:, 1:]
-    synth[0, 1:, 1:, 0] -= tt[1:, 1:]
-    synth[1:, 0, 0, 1:] -= tt[1:, 1:]
-    return synth
+    synth = np.einsum("xad,xbc->xabcd", omega, omega)
+    synth -= np.einsum("xac,xbd->xabcd", omega, omega)
+    synth -= 2.0 * np.einsum("xab,xcd->xabcd", omega, omega)
+    synth *= -2.0
+    np.add(synth, rm_l_frame, out=synth, where=~touch)
+    np.subtract(synth, rm_l_frame, out=synth, where=touch)
+    tt = (-2.0 * omega @ omega.swapaxes(1, 2))[:, 1:, 1:]
+    synth[:, 0, 1:, 0, 1:] += tt
+    synth[:, 1:, 0, 1:, 0] += tt
+    synth[:, 0, 1:, 1:, 0] -= tt
+    synth[:, 1:, 0, 0, 1:] -= tt
+    entries = _gather(synth, basis)
+    return 0.5 * (entries + entries.swapaxes(1, 2))  # symmetric up to rounding already
 
 
 def symmetrized_matrix(
@@ -198,18 +205,10 @@ def symmetrized_matrix(
     Riemannian operator whenever the frame really is adapted.
     """
     comps = rm_l.comps if isinstance(rm_l, RiemannTensor) else np.asarray(rm_l, dtype=float)
-    if not frame.is_adapted:
-        raise FrameError("symmetrized matrix requires a frame built by adapted_frame")
-    if frame.rotation_residual > tol.pairing:
-        raise FrameError(
-            f"frame not adapted: rotation-block residual {frame.rotation_residual} "
-            f"above tolerance {tol.pairing}"
-        )
     n = comps.shape[0]
-    synth = synthesize_riemannian_components(comps, frame)
+    omega = _rotation_blocks([frame], n, tol)
     basis = basis or Lambda2Basis.standard(n)
-    entries = _gather(synth, basis)
-    entries = 0.5 * (entries + entries.T)  # symmetric up to rounding already
+    entries = _symmetrized(comps[None], omega, basis)[0]
     return CurvatureOperatorMatrix(basis, entries, "symmetrized", frame.f_values)
 
 
@@ -240,14 +239,18 @@ def operators_from_data(
     stack = np.stack([f.vectors for f in frames])
     m_r, _ = _operators(data.rm_g, data.g, stack, basis)
     m_l, rml_f = _operators(data.rm_l, data.gl, stack, basis)
-    out = []
-    for b, frame in enumerate(frames):
-        sym = symmetrized_matrix(rml_f[b], frame, tol, basis)
-        riem = CurvatureOperatorMatrix(basis, m_r[b], "riemannian", frame.f_values)
-        lor = CurvatureOperatorMatrix(basis, m_l[b], "lorentzian", frame.f_values)
-        central = float(np.abs(sym.entries - riem.entries).max())
-        out.append(PointOperators(frame, riem, lor, sym, central))
-    return out
+    m_s = _symmetrized(rml_f, _rotation_blocks(frames, n, tol), basis)
+    central = np.abs(m_s - m_r).max(axis=(1, 2))
+    return [
+        PointOperators(
+            frame,
+            CurvatureOperatorMatrix(basis, m_r[b], "riemannian", frame.f_values),
+            CurvatureOperatorMatrix(basis, m_l[b], "lorentzian", frame.f_values),
+            CurvatureOperatorMatrix(basis, m_s[b], "symmetrized", frame.f_values),
+            float(central[b]),
+        )
+        for b, frame in enumerate(frames)
+    ]
 
 
 def compute_point_operators(

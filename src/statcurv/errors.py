@@ -71,6 +71,6 @@ class GridPointError(StatcurvError):
     """A per-point computation failed during a grid scan."""
 
     def __init__(self, point, cause):
-        super().__init__(f"failure at grid point {list(point)}: {cause}")
         self.point = tuple(float(x) for x in point)
         self.cause = cause
+        super().__init__(f"failure at grid point {list(self.point)}: {cause}")

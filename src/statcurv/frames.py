@@ -118,7 +118,7 @@ def orthonormal_completion(
     tolerance; identity verification on non-unit structures passes
     ``require_unit=False`` and keeps T at its own scale.
     """
-    data = structure_data(s, point, tol, riemann=False)
+    data = structure_data(s, point, tol)
     return OrthonormalFrame(
         point=data.points[0].copy(),
         vectors=_completions(data, tol, require_unit)[0],
@@ -229,7 +229,7 @@ def _adapt(e: np.ndarray, a_frame: np.ndarray, tol: Tolerances):
 
 def adapted_frame(s: StationaryStructure, point, tol: Tolerances = DEFAULT) -> OrthonormalFrame:
     """Adapted frame at one point (T must be unit timelike Killing)."""
-    return adapted_frames_batch(s, structure_data(s, point, tol, riemann=False), tol)[0]
+    return adapted_frames_batch(s, structure_data(s, point, tol), tol)[0]
 
 
 def adapted_frames_batch(

@@ -51,10 +51,6 @@ def invert(a: np.ndarray) -> np.ndarray:
     return gauss_inverse(a)[0]
 
 
-def determinant(a: np.ndarray) -> np.ndarray:
-    return gauss_inverse(a)[1]
-
-
 def jacobi_eigh(a: np.ndarray, max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of symmetric ``a`` (..., m, m) by cyclic Jacobi.
 

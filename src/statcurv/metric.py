@@ -62,16 +62,6 @@ class MetricSpec:
             grid[j][i] = e
         return tuple(tuple(row) for row in grid)
 
-    def component(self, i: int, j: int) -> Expression:
-        return self.expression_matrix[i][j]
-
-    def contains(self, point, margin: float | None = None) -> bool:
-        margin = self.margin if margin is None else margin
-        return all(
-            lo + margin <= x <= hi - margin
-            for x, (lo, hi) in zip(np.asarray(point, dtype=float), self.intervals)
-        )
-
     def interior_linspace(self, sizes) -> list[np.ndarray]:
         """Per-coordinate sample values, endpoints pulled in by the margin."""
         if isinstance(sizes, int):

@@ -120,15 +120,20 @@ class StructureData:
     """Everything the identity checks and operators need, batched over points.
 
     Index conventions: dg[b,k,i,j] = d_k g_ij; dt[b,i,k] = d_i T^k;
-    cov_*[b,k,i] = (nab_{d_i} T)^k; rm_*[b,i,j,k,l] lowered Riemann.
+    cov_*[b,k,i] = (nab_{d_i} T)^k; rm_*[b,i,j,k,l] lowered Riemann, each
+    built from the stored jets on first read.
     """
 
     points: np.ndarray
     gl: np.ndarray
     gl_inv: np.ndarray
+    dgl: np.ndarray
+    d2gl: np.ndarray
     gamma_l: np.ndarray
     g: np.ndarray
     g_inv: np.ndarray
+    dg: np.ndarray
+    d2g: np.ndarray
     gamma_g: np.ndarray
     t: np.ndarray
     dt: np.ndarray
@@ -136,8 +141,14 @@ class StructureData:
     dgtt: np.ndarray
     cov_t_l: np.ndarray
     cov_t_g: np.ndarray
-    rm_l: np.ndarray | None = None
-    rm_g: np.ndarray | None = None
+
+    @cached_property
+    def rm_l(self) -> np.ndarray:
+        return riemann_batch(self.gl, self.gl_inv, self.dgl, self.d2gl)
+
+    @cached_property
+    def rm_g(self) -> np.ndarray:
+        return riemann_batch(self.g, self.g_inv, self.dg, self.d2g)
 
 
 def _t_jets(s: StationaryStructure, pts: np.ndarray, cache: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -152,9 +163,7 @@ def _t_jets(s: StationaryStructure, pts: np.ndarray, cache: dict) -> tuple[np.nd
     return t, dt
 
 
-def structure_data(
-    s: StationaryStructure, pts, tol: Tolerances = DEFAULT, riemann: bool = True
-) -> StructureData:
+def structure_data(s: StationaryStructure, pts, tol: Tolerances = DEFAULT) -> StructureData:
     pts = np.asarray(pts, dtype=float)
     if pts.ndim == 1:
         pts = pts[None, :]
@@ -172,10 +181,8 @@ def structure_data(
     gamma_g = christoffel_batch(g_inv, dg)
     cov_l = dt.transpose(0, 2, 1) + np.einsum("bkim,bm->bki", gamma_l, t)
     cov_g = dt.transpose(0, 2, 1) + np.einsum("bkim,bm->bki", gamma_g, t)
-    rm_l = riemann_batch(gl, gl_inv, dgl, d2gl) if riemann else None
-    rm_g = riemann_batch(g, g_inv, dg, d2g) if riemann else None
     return StructureData(
-        pts, gl, gl_inv, gamma_l, g, g_inv, gamma_g, t, dt, gtt, dgtt, cov_l, cov_g, rm_l, rm_g
+        pts, gl, gl_inv, dgl, d2gl, gamma_l, g, g_inv, dg, d2g, gamma_g, t, dt, gtt, dgtt, cov_l, cov_g
     )
 
 
@@ -207,12 +214,12 @@ def killing_defect(s: StationaryStructure, point, tol: Tolerances = DEFAULT) -> 
 
 def riemannian_counterpart(s: StationaryStructure, point, tol: Tolerances = DEFAULT) -> np.ndarray:
     """Flipped metric evaluated at one point (positive-definite)."""
-    return structure_data(s, point, tol, riemann=False).g[0]
+    return structure_data(s, point, tol).g[0]
 
 
 def nabla_t_matrix(s: StationaryStructure, frame, tol: Tolerances = DEFAULT) -> np.ndarray:
     """A with A[j, i] = component of nab^L_{E_i} T along E_j (columns are images)."""
-    data = structure_data(s, frame.point, tol, riemann=False)
+    data = structure_data(s, frame.point, tol)
     return _nabla_t_frames(data.cov_t_l, np.asarray(frame.vectors, dtype=float)[None])[0]
 
 
@@ -307,7 +314,7 @@ def curvature_residual_batch(data: StructureData, frames: np.ndarray) -> np.ndar
 def verify_connection_relations(
     s: StationaryStructure, frame, tol: Tolerances = DEFAULT
 ) -> ConnectionReport:
-    data = structure_data(s, frame.point, tol, riemann=False)
+    data = structure_data(s, frame.point, tol)
     res = connection_residual_batch(data, np.asarray(frame.vectors, dtype=float)[None])
     return ConnectionReport(*(float(v) for v in res[0]))
 

@@ -66,12 +66,15 @@ class BettiVerdict:
 
 @dataclass(frozen=True)
 class GridScanResult:
+    """One p's verdict over a grid; ``points`` (B, n) and ascending ``eigenvalues`` (B, N) by row."""
+
     verdict: BettiVerdict
     grid_sizes: tuple[int, ...]
     min_margin: float
     argmin_point: tuple[float, ...]
     max_identity_residual: float
-    reports: list[PositivityReport]
+    points: np.ndarray
+    eigenvalues: np.ndarray
     operators: list[PointOperators]
 
 
@@ -98,18 +101,15 @@ def k_positivity(matrix, k: int, tol: Tolerances = DEFAULT) -> tuple[float, bool
     return total, total > tol.positivity
 
 
-def _report(point, vals: np.ndarray, sums: np.ndarray, tol: Tolerances) -> PositivityReport:
+def positivity_report(matrix, point, tol: Tolerances = DEFAULT) -> PositivityReport:
+    vals = _symmetric_eigenvalues(matrix, tol)
+    sums = np.cumsum(vals)
     return PositivityReport(
         tuple(float(x) for x in np.asarray(point)),
         tuple(float(v) for v in vals),
         tuple(float(v) for v in sums),
         tuple(bool(v > tol.positivity) for v in sums),
     )
-
-
-def positivity_report(matrix, point, tol: Tolerances = DEFAULT) -> PositivityReport:
-    vals = _symmetric_eigenvalues(matrix, tol)
-    return _report(point, vals, np.cumsum(vals), tol)
 
 
 def admissible_p(n: int) -> range:
@@ -147,31 +147,37 @@ def build_grid(spec, sizes) -> tuple[np.ndarray, tuple[int, ...]]:
     return pts, shape
 
 
-def scan_points(
-    s: StationaryStructure, pts: np.ndarray, tol: Tolerances = DEFAULT
-) -> list[PointOperators]:
-    """Adapted frames and all three operators at each point, in chunks.
+def chunked(pts: np.ndarray, step) -> list:
+    """``step`` applied to consecutive chunks of the points (B, n), one result per chunk.
 
-    Any failure is re-localized to the offending point and re-raised as
-    GridPointError with the coordinates attached.
+    A failure is re-localized to the first point that fails on its own and
+    re-raised as GridPointError with the coordinates attached.
     """
-    out: list[PointOperators] = []
+    out = []
     for start in range(0, pts.shape[0], CHUNK):
         chunk = pts[start : start + CHUNK]
         try:
-            data = structure_data(s, chunk, tol)
-            frames = adapted_frames_batch(s, data, tol)
-            out.extend(operators_from_data(s, data, frames, tol))
+            out.append(step(chunk))
         except StatcurvError:
-            for row in chunk:  # locate the failing point for the report
+            for row in chunk:
                 try:
-                    data = structure_data(s, row[None, :], tol)
-                    frames = adapted_frames_batch(s, data, tol)
-                    operators_from_data(s, data, frames, tol)
+                    step(row[None, :])
                 except StatcurvError as exc:
                     raise GridPointError(row, exc) from exc
             raise
     return out
+
+
+def scan_points(
+    s: StationaryStructure, pts: np.ndarray, tol: Tolerances = DEFAULT
+) -> list[PointOperators]:
+    """Adapted frames and all three operators at each point, in chunks."""
+
+    def step(chunk):
+        data = structure_data(s, chunk, tol)
+        return operators_from_data(s, data, adapted_frames_batch(s, data, tol), tol)
+
+    return [op for ops in chunked(pts, step) for op in ops]
 
 
 def _spectra(
@@ -188,8 +194,7 @@ def grid_scans(
 ) -> list[GridScanResult]:
     """One scan of the grid, one (n-p)-positivity result per p in ``ps``.
 
-    The operators, spectra and reports do not depend on p, so every result
-    shares them.
+    The operators and spectra do not depend on p, so every result shares them.
     """
     n = s.dimension
     for p in ps:
@@ -200,7 +205,6 @@ def grid_scans(
         raise ValueError("empty grid")
     ops, vals = _spectra(s, pts, tol)
     sums = np.cumsum(vals, axis=1)
-    reports = [_report(pts[b], vals[b], sums[b], tol) for b in range(pts.shape[0])]
     residual = max(op.central_residual for op in ops)
     results = []
     for p in ps:
@@ -209,7 +213,7 @@ def grid_scans(
         min_margin = float(margins[argmin]) + 0.0  # folds -0.0 into 0.0
         verdict = betti_conclusions(n, p, bool(min_margin > tol.positivity))
         argmin_point = tuple(float(x) for x in pts[argmin])
-        results.append(GridScanResult(verdict, shape, min_margin, argmin_point, residual, reports, ops))
+        results.append(GridScanResult(verdict, shape, min_margin, argmin_point, residual, pts, vals, ops))
     return results
 
 
@@ -223,9 +227,9 @@ def grid_scan(
 def margin_quantiles(result: GridScanResult) -> dict[str, list[float]]:
     """Grid quantiles (min/quartiles/max) of the margin and extreme eigenvalues."""
     k = result.verdict.dimension - result.verdict.p
-    margins = np.array([r.partial_sums[k - 1] for r in result.reports])
-    smallest = np.array([r.eigenvalues[0] for r in result.reports])
-    largest = np.array([r.eigenvalues[-1] for r in result.reports])
+    margins = np.cumsum(result.eigenvalues, axis=1)[:, k - 1]
+    smallest = result.eigenvalues[:, 0]
+    largest = result.eigenvalues[:, -1]
     qs = (0.0, 0.25, 0.5, 0.75, 1.0)
     return {
         "margin": [float(np.quantile(margins, q)) for q in qs],
@@ -241,7 +245,7 @@ def verdict_json_dict(result: GridScanResult) -> dict:
         "schema_version": 1,
         "dimension": v.dimension,
         "p": v.p,
-        "N": result.operators[0].symmetrized.size if result.operators else 0,
+        "N": result.eigenvalues.shape[1],
         "grid": list(result.grid_sizes),
         "min_margin": result.min_margin,
         "argmin_point": list(result.argmin_point),

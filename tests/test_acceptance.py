@@ -41,7 +41,7 @@ def s3_summary(s3):
 
 
 def test_criterion_1_s3_golden_values(s3_grid, tmp_path, capsys):
-    assert len(s3_grid.reports) == 20**3
+    assert s3_grid.points.shape == (20**3, 3)
     riem_err = max(
         float(np.abs(op.riemannian.entries - np.eye(3)).max()) for op in s3_grid.operators
     )

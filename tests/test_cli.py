@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, exit codes, report determinism, JSON round trips."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -69,6 +70,20 @@ class TestVerify:
         assert code == 3
         assert "FAIL" in out or "numerical failure" in err
 
+    def test_point_failure_names_the_point(self, capsys, tmp_path):
+        # the metric degenerates for x <= 0, first reached at the first grid point
+        degenerate = tmp_path / "degenerate.spec"
+        degenerate.write_text(
+            "[chart]\ncoords = t, x, y\nt = 0, 6.28\nx = -0.5, 2\ny = 0, 6.28\n"
+            '[metric]\ng_0_0 = "-1"\ng_1_1 = "1"\ng_2_2 = "x"\n'
+            "[signature]\nkind = lorentzian\n"
+            '[killing]\nT_0 = "1"\nT_1 = "0"\nT_2 = "0"\nunit = true\n'
+        )
+        code, out, err = run(capsys, "verify", str(degenerate), "--grid", "2,5,2")
+        assert code == 3
+        assert out == ""
+        assert "numerical failure: failure at grid point [0.001, -0.499, 0.001]: " in err
+
 
 class TestAnalyze:
     def test_s3_verdict(self, capsys):
@@ -123,14 +138,10 @@ class TestAnalyze:
         def forced_positive(structure, grid, ps, tol=None):
             results = real_scans(structure, grid, ps, tol) if tol else real_scans(structure, grid, ps)
             return [
-                topology.GridScanResult(
-                    topology.betti_conclusions(structure.dimension, r.verdict.p, True),
-                    r.grid_sizes,
-                    1.0,
-                    r.argmin_point,
-                    r.max_identity_residual,
-                    r.reports,
-                    r.operators,
+                dataclasses.replace(
+                    r,
+                    verdict=topology.betti_conclusions(structure.dimension, r.verdict.p, True),
+                    min_margin=1.0,
                 )
                 for r in results
             ]

@@ -8,15 +8,22 @@ from statcurv.curvature_ops import (
     compute_point_operators,
     lambda2_gram,
     lorentzian_curvature_operator,
+    operators_from_data,
     riemannian_curvature_operator,
     symmetrized_matrix,
 )
 from statcurv.errors import FrameError
-from statcurv.frames import FramePair, OrthonormalFrame, adapted_frame, orthonormal_completion
+from statcurv.frames import (
+    FramePair,
+    OrthonormalFrame,
+    adapted_frame,
+    adapted_frames_batch,
+    orthonormal_completion,
+)
 from statcurv.generators import battery_recipe, generate, s3_times_torus, two_pair_flat_rotations
 from statcurv.linalg import jacobi_eigh
-from statcurv.metric import load_spec
-from statcurv.stationary import StationaryStructure
+from statcurv.metric import frame_components_batch, load_spec
+from statcurv.stationary import StationaryStructure, structure_data
 
 from conftest import sample_interior
 
@@ -217,6 +224,46 @@ class TestSymmetrizedTemplates:
         assert got[i13, i13] == pytest.approx(0.0)  # diagonal of unpaired bivector
         assert got[i12, i12] == pytest.approx(-6 * fa * fa)
         assert got[i34, i34] == pytest.approx(-6 * fb * fb)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
+    def test_batched_synthesis_matches_pointwise_formula(self, seed):
+        # reference: the curvature identities applied one point at a time;
+        # the batched pass does the same arithmetic, so the bytes agree
+        structure = generate(battery_recipe(seed))
+        data = structure_data(structure, sample_interior(structure.spec, 8, seed))
+        frames = adapted_frames_batch(structure, data)
+        ops = operators_from_data(structure, data, frames)
+        rml = frame_components_batch(data.rm_l, np.stack([f.vectors for f in frames]))
+        n = structure.dimension
+        basis = Lambda2Basis.standard(n)
+        iv = np.array([p[0] for p in basis.pairs])
+        iw = np.array([p[1] for p in basis.pairs])
+        idx = np.arange(n)
+        touch = (
+            (idx[:, None, None, None] == 0)
+            | (idx[None, :, None, None] == 0)
+            | (idx[None, None, :, None] == 0)
+            | (idx[None, None, None, :] == 0)
+        )
+        for b, frame in enumerate(frames):
+            omega = np.zeros((n, n))
+            for p in frame.pairing:
+                omega[p.i, p.j] = p.f
+                omega[p.j, p.i] = -p.f
+            corr = -2.0 * (
+                np.einsum("ad,bc->abcd", omega, omega)
+                - np.einsum("ac,bd->abcd", omega, omega)
+                - 2.0 * np.einsum("ab,cd->abcd", omega, omega)
+            )
+            synth = np.where(touch, -rml[b], rml[b]) + corr
+            tt = -2.0 * omega @ omega.T
+            synth[0, 1:, 0, 1:] += tt[1:, 1:]
+            synth[1:, 0, 1:, 0] += tt[1:, 1:]
+            synth[0, 1:, 1:, 0] -= tt[1:, 1:]
+            synth[1:, 0, 0, 1:] -= tt[1:, 1:]
+            entries = -synth[iv[None, :], iw[None, :], iv[:, None], iw[:, None]]
+            expected = 0.5 * (entries + entries.T)
+            assert np.array_equal(ops[b].symmetrized.entries, expected)
 
     def test_requires_adapted_frame(self, s3):
         completion = orthonormal_completion(s3, [0.5, 1.0, 2.0])

@@ -23,7 +23,7 @@ from conftest import sample_interior
 
 
 def frame_gram(structure, frame):
-    data = structure_data(structure, frame.point, riemann=False)
+    data = structure_data(structure, frame.point)
     return frame.vectors @ data.gl[0] @ frame.vectors.T
 
 

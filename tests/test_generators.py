@@ -47,10 +47,10 @@ class TestFamilies:
     def test_squashed_sphere_needs_normalization(self):
         raw = generate(GeneratorRecipe(0, family="s3-squashed", squash=1.4, normalize=False))
         pts = sample_interior(raw.spec, 20, seed=2)
-        data = structure_data(raw, pts, riemann=False)
+        data = structure_data(raw, pts)
         assert np.abs(data.gtt + 1.0).max() > 1e-3  # genuinely non-unit
         normalized = generate(GeneratorRecipe(0, family="s3-squashed", squash=1.4))
-        data2 = structure_data(normalized, pts, riemann=False)
+        data2 = structure_data(normalized, pts)
         assert np.abs(data2.gtt + 1.0).max() < 1e-10
 
     def test_product_with_zero_flat_dims_reduces(self):
@@ -84,7 +84,7 @@ class TestGeneratedStructures:
         structure = generate(battery_recipe(seed))
         pts = sample_interior(structure.spec, 25, seed + 300)
         assert killing_defect_batch(structure, pts).max() < 1e-10
-        data = structure_data(structure, pts, riemann=False)
+        data = structure_data(structure, pts)
         assert np.all(data.gtt < 0)
         assert np.abs(data.gtt + 1.0).max() < 1e-10  # battery recipes normalize
 

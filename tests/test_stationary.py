@@ -135,7 +135,7 @@ class TestConformalNormalize:
         assert not raw.unit
         normalized = conformal_normalize(raw)
         pts = sample_interior(normalized.spec, 50, seed=seed + 10)
-        data = structure_data(normalized, pts, riemann=False)
+        data = structure_data(normalized, pts)
         assert np.abs(data.gtt + 1.0).max() < 1e-10
 
 
@@ -156,7 +156,7 @@ class TestNablaT:
         structure = generate(battery_recipe(seed))
         for point in sample_interior(structure.spec, 5, seed + 20):
             frame = orthonormal_completion(structure, point)
-            data = structure_data(structure, np.asarray(point)[None, :], riemann=False)
+            data = structure_data(structure, np.asarray(point)[None, :])
             x = frame.vectors[1:]
             images = np.einsum("ki,ai->ka", data.cov_t_l[0], x)
             skew = np.einsum("ka,kl,bl->ab", images, data.gl[0], x)

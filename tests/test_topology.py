@@ -151,7 +151,8 @@ class TestGridScan:
         assert result.min_margin == pytest.approx(2.0, abs=1e-9)
         assert result.verdict.vanishing == (1, 2)
         assert result.max_identity_residual < 1e-7
-        assert len(result.reports) == 6 * 4 * 4
+        assert result.points.shape == (6 * 4 * 4, 3)
+        assert result.eigenvalues.shape == (6 * 4 * 4, 3)
 
     def test_flat_torus_no_conclusion(self, flat_torus):
         result = grid_scan(flat_torus, [3, 3, 3], 1)
@@ -166,8 +167,7 @@ class TestGridScan:
         result = grid_scan(structure, [3, 2, 2, 2, 2], 1)
         assert not result.verdict.holds_everywhere
         assert result.min_margin == pytest.approx(0.0, abs=1e-9)
-        report = result.reports[0]
-        assert np.abs(np.array(report.eigenvalues) - np.array([0.0] * 7 + [1.0] * 3)).max() < 1e-9
+        assert np.abs(result.eigenvalues[0] - np.array([0.0] * 7 + [1.0] * 3)).max() < 1e-9
 
     def test_grid_scans_match_grid_scan_per_p(self):
         structure = s3_times_torus()
@@ -191,8 +191,8 @@ class TestGridScan:
         assert a.verdict == b.verdict
         assert a.min_margin == b.min_margin
         assert a.argmin_point == b.argmin_point
-        for ra, rb in zip(a.reports, b.reports):
-            assert ra == rb
+        assert np.array_equal(a.points, b.points)
+        assert np.array_equal(a.eigenvalues, b.eigenvalues)
 
     def test_point_failure_carries_coordinates(self):
         # the metric degenerates for x <= 0; the scan must name the point
@@ -207,6 +207,7 @@ class TestGridScan:
             grid_scan(structure, [2, 5, 2], 1)
         assert len(err.value.point) == 3
         assert err.value.point[1] < 0.0
+        assert str(err.value).startswith("failure at grid point [0.001, -0.499, 0.001]: ")
 
     def test_empty_grid_rejected(self, s3):
         with pytest.raises(ValueError, match="empty"):

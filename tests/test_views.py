@@ -7,11 +7,13 @@ the bytes of the matching row of one batched computation over all points.
 import numpy as np
 import pytest
 
+from statcurv import stationary
 from statcurv.curvature_ops import (
     compute_point_operators,
     lorentzian_curvature_operator,
     operators_from_data,
     riemannian_curvature_operator,
+    symmetrized_matrix,
 )
 from statcurv.frames import (
     _completions,
@@ -50,6 +52,28 @@ def test_point_operators_are_rows(batch):
         lor = lorentzian_curvature_operator(structure, frame)
         assert np.array_equal(riem.entries, op.riemannian.entries)
         assert np.array_equal(lor.entries, op.lorentzian.entries)
+
+
+def test_symmetrized_matrix_is_row(batch):
+    structure, _, data, frames = batch
+    ops = operators_from_data(structure, data, frames)
+    rml = frame_components_batch(data.rm_l, np.stack([f.vectors for f in frames]))
+    for b, (frame, op) in enumerate(zip(frames, ops)):
+        assert np.array_equal(symmetrized_matrix(rml[b], frame).entries, op.symmetrized.entries)
+
+
+def test_point_operator_builds_one_riemann_tensor(batch, monkeypatch):
+    structure, _, _, frames = batch
+    calls = []
+    real = stationary.riemann_batch
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(stationary, "riemann_batch", counted)
+    riemannian_curvature_operator(structure, frames[0])
+    assert len(calls) == 1
 
 
 def test_adapted_frame_and_point_operators_are_rows(batch):
