@@ -50,6 +50,10 @@ class NearSingularError(StatcurvError):
     """Matrix is numerically singular (|det| below threshold)."""
 
 
+class LinearAlgebraError(StatcurvError):
+    """A dense solver got non-finite input or did not converge."""
+
+
 class NonTimelikeError(StatcurvError):
     """g_L(T,T) is not negative where it has to be."""
 

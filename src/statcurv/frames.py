@@ -8,7 +8,7 @@ v with w = -nab^L_v T / |nab^L_v T| produces the rotation-block frame
     nab^L_{X_i} T = f X_{i+1},     nab^L_{X_{i+1}} T = -f X_i,     f < 0,
 
 with the kernel directions fixed (nab^L_{X_j} T = 0).  Construction is
-deterministic: cyclic-Jacobi eigenvectors with fixed signs, pairs sorted by
+deterministic: LAPACK eigenvectors with fixed signs, pairs sorted by
 |f| descending and assigned the lowest spatial indices, kernel last.
 """
 

@@ -299,10 +299,11 @@ def metric_fields(spec: MetricSpec, pts, cache: dict | None = None):
     return g, dg, d2g
 
 
-def check_signature(spec: MetricSpec, g: np.ndarray, det: np.ndarray, tol: Tolerances) -> None:
-    if np.any(np.abs(det) < tol.near_singular):
-        raise NearSingularError(f"|det g| below {tol.near_singular}")
+def check_signature(spec: MetricSpec, g: np.ndarray, tol: Tolerances) -> None:
     vals, _ = jacobi_eigh(g)
+    size = np.abs(vals)
+    if np.any(size.min(axis=-1) < tol.near_singular * size.max(axis=-1)):
+        raise NearSingularError(f"smallest |eigenvalue| of g below {tol.near_singular} times the largest")
     negatives = np.count_nonzero(vals < 0.0, axis=-1)
     expected = 1 if spec.signature == "lorentzian" else 0
     if np.any(negatives != expected):
@@ -317,7 +318,7 @@ def metric_batch(spec: MetricSpec, pts, tol: Tolerances = DEFAULT, cache: dict |
     require_interior(spec, pts)
     g, dg, d2g = metric_fields(spec, pts, cache)
     g_inv, det = gauss_inverse(g)
-    check_signature(spec, g, det, tol)
+    check_signature(spec, g, tol)
     return g, g_inv, dg, d2g, det
 
 

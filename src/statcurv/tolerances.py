@@ -1,7 +1,7 @@
 """Numerical tolerances, fixed globally and scaled by a single knob.
 
-Three base classes of tolerance (linear algebra 1e-10, identity residuals
-1e-8, oracle comparisons 1e-6) plus the finer thresholds derived from them.
+Two base classes of tolerance (identity residuals 1e-8, oracle comparisons
+1e-6) plus the finer thresholds derived from them.
 ``Tolerances.scaled`` multiplies everything by one factor; the CLI exposes
 it as ``--tol-scale`` restricted to [1e-2, 1e2].
 """
@@ -11,8 +11,6 @@ from dataclasses import dataclass, fields
 
 @dataclass(frozen=True)
 class Tolerances:
-    # linear algebra: g * g_inv deviation from identity, frame Gram deviation
-    linalg: float = 1e-10
     # identity residuals: Bianchi, operator symmetry
     identity: float = 1e-8
     # oracle comparisons: finite differences vs jets, curvature identity class
@@ -27,14 +25,13 @@ class Tolerances:
     eigen_error: float = 1e-6
     # relative gap that merges eigenvalues into one eigenspace
     cluster_rel: float = 1e-7
-    # |det| below this counts as singular
+    # singular: smallest |eigenvalue| of g below this times the largest
+    # (unchanged by g -> c^2 g); frame |det| below this
     near_singular: float = 1e-12
     # strict positivity margin for eigenvalue sums
     positivity: float = 1e-10
     # |g_L(T,T) + 1| allowed when a unit field is required
     unit_timelike: float = 1e-8
-    # flip applied twice must return the original metric to this accuracy
-    involution: float = 1e-12
 
     def scaled(self, factor: float) -> "Tolerances":
         if not (1e-2 <= factor <= 1e2):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -219,6 +220,21 @@ class TestAnalyze:
         code, _, _ = run(capsys, "analyze", spec_path, "--all-p", "--grid", "2")
         assert code in (0, 1)
         assert calls == {"scan_points": 1, "load_spec_file": 1}
+
+    @pytest.mark.parametrize("c", [1e-3, 1e-2, 0.1, 10.0, 1e3])
+    def test_homothety_keeps_verdict(self, capsys, tmp_path, c):
+        # g -> c^2 g and T -> T/c: T stays a unit Killing field, the operators
+        # scale by 1/c^2, and the verdict must not depend on the unit of length
+        text = (SPEC_DIR / "s3.spec").read_text()
+        text = re.sub(r'^(g_\d_\d) = "(.*)"$', rf'\1 = "{c * c!r}*(\2)"', text, flags=re.M)
+        text = re.sub(r'^(T_\d) = "(.*)"$', rf'\1 = "(\2)/{c!r}"', text, flags=re.M)
+        spec_path = tmp_path / "scaled.spec"
+        spec_path.write_text(text)
+        code, out, _ = run(capsys, "analyze", str(spec_path), "--all-p", "--grid", "4", "--format", "json")
+        assert code == 0
+        (result,) = json.loads(out)["results"]
+        assert result["vanishing_betti"] == [1, 2]
+        assert result["min_margin"] == pytest.approx(2.0 / c**2, rel=1e-6)
 
 
 class TestExport:

@@ -1,11 +1,11 @@
-"""Gauss-Jordan inversion and the cyclic Jacobi eigensolver vs numpy oracles."""
+"""Inversion and the symmetric eigensolver: conventions, batch invariance, loud failure."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from statcurv.errors import NearSingularError
+from statcurv.errors import LinearAlgebraError, NearSingularError
 from statcurv.linalg import gauss_inverse, invert, jacobi_eigh
 
 
@@ -46,6 +46,12 @@ def test_inverse_property(a):
     inv, det = gauss_inverse(a)
     assert np.abs(a @ inv - np.eye(4)).max() < 1e-10
     assert det == pytest.approx(np.linalg.det(a), rel=1e-9)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_inverse_non_finite_raises(bad):
+    with pytest.raises(LinearAlgebraError):
+        gauss_inverse(np.array([[1.0, bad], [0.0, 1.0]]))
 
 
 def test_determinant_of_permutation():
@@ -100,3 +106,21 @@ class TestJacobi:
         a = a + a.swapaxes(1, 2)
         vals, _ = jacobi_eigh(a)
         assert np.all(np.diff(vals, axis=1) >= 0)
+
+    def test_batch_invariant(self):
+        # a matrix's bytes do not depend on its batch neighbours, whatever their scale
+        rng = np.random.default_rng(17)
+        big = rng.normal(size=(6, 6))
+        big = 1e8 * (big + big.T)
+        for scale in np.logspace(-8, 0, 50):
+            a = rng.normal(size=(6, 6))
+            a = scale * (a + a.T)
+            alone = jacobi_eigh(a)
+            batched = jacobi_eigh(np.stack([a, big]))
+            assert alone[0].tobytes() == batched[0][0].tobytes()
+            assert alone[1].tobytes() == batched[1][0].tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_raises(self, bad):
+        with pytest.raises(LinearAlgebraError):
+            jacobi_eigh(np.array([[1.0, bad], [bad, 1.0]]))
