@@ -38,7 +38,7 @@ def invert(a: np.ndarray) -> np.ndarray:
 
 
 def jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of symmetric ``a`` (..., m, m).
+    """Eigendecomposition of symmetric ``a`` (..., m, m); only its lower triangle is read.
 
     Returns (eigenvalues ascending, eigenvectors as columns).  Each
     eigenvector's sign is fixed by making its largest-magnitude component
