@@ -1,6 +1,6 @@
 """Dense linear algebra for small matrices (n <= 28 on the Lambda^2 side).
 
-Thin wrappers over ``numpy.linalg`` (LAPACK).  Both accept a leading batch
+Thin wrappers over ``numpy.linalg`` (LAPACK).  All accept a leading batch
 dimension; each matrix is factored on its own, so its result does not depend
 on the other matrices in the batch.  Non-finite input and LAPACK failures
 raise instead of returning numbers.
@@ -26,15 +26,21 @@ def gauss_inverse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Raises NearSingularError if LAPACK finds an exactly singular matrix;
     callers apply their own |det| thresholds.
     """
+    return invert(a), determinant(a)
+
+
+def invert(a: np.ndarray) -> np.ndarray:
+    """Inverse of ``a`` (..., m, m); one LAPACK factorization per matrix, no determinant."""
     a = _finite(a)
     try:
-        return np.linalg.inv(a), np.linalg.det(a)
+        return np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
         raise NearSingularError(f"singular matrix: {exc}") from exc
 
 
-def invert(a: np.ndarray) -> np.ndarray:
-    return gauss_inverse(a)[0]
+def determinant(a: np.ndarray) -> np.ndarray:
+    """Determinant of ``a`` (..., m, m), without an inverse."""
+    return np.linalg.det(_finite(a))
 
 
 def jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ChartDomainError, EvalDomainError, NearSingularError, SpecFormatError, SignatureError
 from .expr import Expression, eval_jet_batch, parse_expression
-from .linalg import gauss_inverse, jacobi_eigh
+from .linalg import determinant, invert, jacobi_eigh
 from .tolerances import DEFAULT, Tolerances
 
 SIGNATURES = ("riemannian", "lorentzian")
@@ -313,19 +313,19 @@ def check_signature(spec: MetricSpec, g: np.ndarray, tol: Tolerances) -> None:
 
 
 def metric_batch(spec: MetricSpec, pts, tol: Tolerances = DEFAULT, cache: dict | None = None):
-    """Validated batched metric data: (g, g_inv, dg, d2g, det)."""
+    """Validated batched metric data: (g, g_inv, dg, d2g)."""
     pts = np.asarray(pts, dtype=float)
     require_interior(spec, pts)
     g, dg, d2g = metric_fields(spec, pts, cache)
-    g_inv, det = gauss_inverse(g)
+    g_inv = invert(g)
     check_signature(spec, g, tol)
-    return g, g_inv, dg, d2g, det
+    return g, g_inv, dg, d2g
 
 
 def metric_at(spec: MetricSpec, point, tol: Tolerances = DEFAULT) -> MetricAtPoint:
     point = np.asarray(point, dtype=float)
-    g, g_inv, dg, d2g, det = metric_batch(spec, point[None, :], tol)
-    return MetricAtPoint(point, g[0], g_inv[0], dg[0], d2g[0], float(det[0]))
+    g, g_inv, dg, d2g = metric_batch(spec, point[None, :], tol)
+    return MetricAtPoint(point, g[0], g_inv[0], dg[0], d2g[0], float(determinant(g[0])))
 
 
 def _sym_derivative(dg: np.ndarray) -> np.ndarray:
@@ -368,21 +368,32 @@ def riemann_batch(g, g_inv, dg, d2g) -> np.ndarray:
 def riemann_coordinate(spec: MetricSpec, point, tol: Tolerances = DEFAULT) -> RiemannTensor:
     """Curvature 4-tensor in coordinates under the sign convention above."""
     point = np.asarray(point, dtype=float)
-    g, g_inv, dg, d2g, _ = metric_batch(spec, point[None, :], tol)
+    g, g_inv, dg, d2g = metric_batch(spec, point[None, :], tol)
     comps = riemann_batch(g, g_inv, dg, d2g)[0]
     return RiemannTensor(point, "coordinate", comps)
 
 
 def frame_components_batch(comps: np.ndarray, frames: np.ndarray) -> np.ndarray:
-    """Contract coordinate components (B,n,n,n,n) against frames (B,n,n) (rows = vectors)."""
-    return np.einsum("bai,bcj,bdk,bel,bijkl->bacde", frames, frames, frames, frames, comps)
+    """Contract coordinate components (B,n,n,n,n) against frames (B,n,n) (rows = vectors).
+
+    out[b,a,c,d,e] = E[b,a,i] E[b,c,j] E[b,d,k] E[b,e,l] comps[b,i,j,k,l], taken
+    one frame index at a time as four batched matrix products, O(B n^5) in
+    all.  Both inputs are made C-contiguous first, so the bytes of a row do
+    not depend on the memory layout of the arguments or on the rest of the batch.
+    """
+    comps = np.ascontiguousarray(comps, dtype=float)
+    frames = np.ascontiguousarray(frames, dtype=float)
+    b, n = frames.shape[:2]
+    t = comps.reshape(b, n**3, n) @ frames.swapaxes(1, 2)  # [b, ijk, e]
+    t = frames[:, None] @ t.reshape(b, n * n, n, n)  # [b, ij, d, e]
+    t = frames[:, None] @ t.reshape(b, n, n, n * n)  # [b, i, c, de]
+    return (frames @ t.reshape(b, n, n**3)).reshape(b, n, n, n, n)  # [b, a, cde]
 
 
 def frame_components(tensor: RiemannTensor, frame_vectors) -> RiemannTensor:
     """Push a coordinate tensor to frame components; frame rows are the vectors."""
     e = np.asarray(frame_vectors, dtype=float)
-    _, det = gauss_inverse(e)
-    if abs(float(det)) < DEFAULT.near_singular:
+    if abs(float(determinant(e))) < DEFAULT.near_singular:
         raise NearSingularError("rank-deficient frame")
     comps = frame_components_batch(tensor.comps[None], e[None])[0]
     return RiemannTensor(tensor.point, "orthonormal", comps)

@@ -12,14 +12,9 @@ from .linalg import invert
 from .metric import MetricSpec, RiemannTensor, christoffel_batch
 
 
-def fd_gradient_hessian(e: Expression, point, step: float = 1e-4):
-    """Central finite differences of an expression at one point."""
-    point = np.asarray(point, dtype=float)
+def _central_differences(value, point: np.ndarray, step: float):
+    """Gradient and Hessian by central differences with one step, error O(step^2)."""
     n = point.size
-
-    def value(p):
-        return float(eval_values(e, p[None, :])[0])
-
     grad = np.zeros(n)
     hess = np.zeros((n, n))
     f0 = value(point)
@@ -42,7 +37,25 @@ def fd_gradient_hessian(e: Expression, point, step: float = 1e-4):
                 + value(point - ei - ej)
             ) / (4 * step**2)
             hess[i, j] = hess[j, i] = mixed
-    return f0, grad, hess
+    return grad, hess
+
+
+def fd_gradient_hessian(e: Expression, point, step: float = 1e-3):
+    """Richardson-extrapolated central differences of an expression at one point.
+
+    Each central difference D(h) has error c h^2 + O(h^4), so
+    (4 D(h/2) - D(h)) / 3 cancels the h^2 term.  A plain difference with a
+    step small enough to hide the h^2 term would instead lose digits to
+    rounding, most of all in the Hessian.
+    """
+    point = np.asarray(point, dtype=float)
+
+    def value(p):
+        return float(eval_values(e, p[None, :])[0])
+
+    grad_h, hess_h = _central_differences(value, point, step)
+    grad_half, hess_half = _central_differences(value, point, step / 2)
+    return value(point), (4 * grad_half - grad_h) / 3, (4 * hess_half - hess_h) / 3
 
 
 def _metric_values(spec: MetricSpec, pts: np.ndarray) -> np.ndarray:

@@ -168,12 +168,12 @@ def structure_data(s: StationaryStructure, pts, tol: Tolerances = DEFAULT) -> St
     if pts.ndim == 1:
         pts = pts[None, :]
     cache: dict = {}  # one jet cache for these points, shared across both metrics and T
-    gl, gl_inv, dgl, d2gl, _ = metric_batch(s.spec, pts, tol, cache)
+    gl, gl_inv, dgl, d2gl = metric_batch(s.spec, pts, tol, cache)
     t, dt = _t_jets(s, pts, cache)
     gtt = np.einsum("bij,bi,bj->b", gl, t, t)
     if np.any(gtt >= 0.0):  # checked before the flip, which divides by g_L(T,T)
         raise NonTimelikeError("g_L(T,T) >= 0 at a sampled point")
-    g, g_inv, dg, d2g, _ = metric_batch(s.counterpart_spec, pts, tol, cache)
+    g, g_inv, dg, d2g = metric_batch(s.counterpart_spec, pts, tol, cache)
     dgtt = np.einsum("bkij,bi,bj->bk", dgl, t, t) + 2.0 * np.einsum(
         "bij,bki,bj->bk", gl, dt, t
     )
@@ -198,7 +198,7 @@ def killing_defect_batch(s: StationaryStructure, pts, tol: Tolerances = DEFAULT)
     """max_ij |(Lie_T g_L)_ij| per point."""
     pts = np.asarray(pts, dtype=float)
     cache: dict = {}
-    gl, _, dgl, _, _ = metric_batch(s.spec, pts, tol, cache)
+    gl, _, dgl, _ = metric_batch(s.spec, pts, tol, cache)
     t, dt = _t_jets(s, pts, cache)
     lie = (
         np.einsum("bk,bkij->bij", t, dgl)

@@ -20,10 +20,22 @@ from statcurv.frames import (
     adapted_frames_batch,
     orthonormal_completion,
 )
-from statcurv.generators import battery_recipe, generate, s3_times_torus, two_pair_flat_rotations
+from statcurv.generators import (
+    GeneratorRecipe,
+    battery_recipe,
+    generate,
+    s3_times_torus,
+    two_pair_flat_rotations,
+)
 from statcurv.linalg import jacobi_eigh
 from statcurv.metric import frame_components_batch, load_spec
-from statcurv.stationary import StationaryStructure, structure_data
+from statcurv.stationary import (
+    StationaryStructure,
+    connection_residual_batch,
+    curvature_residual_batch,
+    structure_data,
+)
+from statcurv.tolerances import DEFAULT
 
 from conftest import sample_interior
 
@@ -328,6 +340,23 @@ class TestCentralIdentity:
         for point in sample_interior(structure.spec, 4, seed + 200):
             ops = compute_point_operators(structure, point)
             assert ops.central_residual < 1e-7
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_high_dimensional_pipeline(self, n):
+        # the battery stops at n = 5; this runs frames -> operators at the top
+        # of the supported range, Lambda^2 up to 28 x 28
+        families = [("warped-rotational", 0), ("product-with-flat", 1), ("product-with-flat", 2)]
+        for family, flat_dims in families:
+            for seed in (0, 1):
+                structure = generate(GeneratorRecipe(seed, n, family, flat_dims))
+                data = structure_data(structure, sample_interior(structure.spec, 5, seed))
+                frames = adapted_frames_batch(structure, data)
+                stack = np.stack([f.vectors for f in frames])
+                ops = operators_from_data(structure, data, frames)
+                assert connection_residual_batch(data, stack).max() <= DEFAULT.pairing
+                assert curvature_residual_batch(data, stack).max() <= DEFAULT.oracle
+                assert max(op.central_residual for op in ops) <= DEFAULT.pairing
+                assert all(op.riemannian.size == n * (n - 1) // 2 for op in ops)
 
     def test_s3_flavor_difference_is_documented_correction(self, s3):
         # symmetrized minus lorentzian at f = -1: diag(+2, +2, -6)

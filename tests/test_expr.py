@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from statcurv.errors import EvalDomainError, ExprSyntaxError, UnknownIdentifierError
 from statcurv.expr import (
@@ -216,7 +216,16 @@ def expressions(coords=("t", "u")):
     return st.recursive(_leaf(coords), _combine, max_leaves=12)
 
 
+def _steep_example():
+    # sin(((2+t)*(2+t)+0.5)^2) at the origin: f''' is about 1.3e4 there, so a plain
+    # central difference with step 1e-4 misses the gradient 36 cos(20.25) by 3.6e-6
+    coords = ("t", "u")
+    base = Expression.constant(2.0, coords) + Expression.coordinate(0, coords)
+    return Expression(Call("sin", (base * base + 0.5).pow_int(2).root), coords)
+
+
 @given(expressions(), st.floats(min_value=-1.3, max_value=1.3), st.floats(min_value=-1.3, max_value=1.3))
+@example(_steep_example(), 0.0, 0.0)
 def test_jets_match_finite_differences(expr, x, y):
     point = [x, y]
     jv = eval_jet(expr, point)

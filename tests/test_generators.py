@@ -39,8 +39,8 @@ class TestFamilies:
         assert structure.spec.coords == s3.spec.coords
         assert structure.spec.intervals == s3.spec.intervals
         pts = sample_interior(s3.spec, 25, seed=1)
-        ours, _, _, _, _ = metric_batch(structure.spec, pts)
-        shipped, _, _, _, _ = metric_batch(s3.spec, pts)
+        ours, _, _, _ = metric_batch(structure.spec, pts)
+        shipped, _, _, _ = metric_batch(s3.spec, pts)
         assert np.abs(ours - shipped).max() < 1e-12
         assert [e.unparse() for e in structure.t] == ["0", "1", "1"]
 
@@ -62,7 +62,7 @@ class TestFamilies:
         structure = generate(GeneratorRecipe(4, 5, "product-with-flat", flat_dims=2, normalize=False))
         assert structure.spec.coords[-2:] == ("x1", "x2")
         pts = sample_interior(structure.spec, 5, seed=3)
-        g, _, dg, _, _ = metric_batch(structure.spec, pts)
+        g, _, dg, _ = metric_batch(structure.spec, pts)
         assert np.abs(dg[:, :, 3:, 3:]).max() == 0.0  # flat block is constant
 
     def test_unknown_family_rejected(self):

@@ -12,6 +12,7 @@ from statcurv.metric import (
     christoffel,
     christoffel_batch,
     frame_components,
+    frame_components_batch,
     load_spec,
     load_spec_file,
     metric_at,
@@ -149,7 +150,7 @@ class TestMetricAt:
 
     def test_symmetry_of_derivatives(self, s3):
         pts = sample_interior(s3.spec, 5, seed=2)
-        _, _, dg, d2g, _ = metric_batch(s3.spec, pts)
+        _, _, dg, d2g = metric_batch(s3.spec, pts)
         assert np.array_equal(dg, dg.swapaxes(2, 3))
         assert np.array_equal(d2g, d2g.swapaxes(1, 2))
         assert np.array_equal(d2g, d2g.swapaxes(3, 4))
@@ -176,7 +177,7 @@ class TestChristoffel:
         structure = generate(battery_recipe(seed))
         pts = sample_interior(structure.spec, 8, seed)
         for spec in (structure.spec, structure.counterpart_spec):
-            _, g_inv, dg, _, _ = metric_batch(spec, pts)
+            _, g_inv, dg, _ = metric_batch(spec, pts)
             gamma = christoffel_batch(g_inv, dg)
             for b in (0, 3, 7):
                 fd = fd_christoffel_oracle(spec, pts[b])
@@ -235,7 +236,7 @@ class TestRiemann:
         structure = generate(battery_recipe(seed))
         pts = sample_interior(structure.spec, 10, seed + 50)
         for spec in (structure.spec, structure.counterpart_spec):
-            g, g_inv, dg, d2g, _ = metric_batch(spec, pts)
+            g, g_inv, dg, d2g = metric_batch(spec, pts)
             rm = riemann_batch(g, g_inv, dg, d2g)
             res = riemann_residuals(rm)
             assert res["antisymmetry_first_pair"] < 1e-9
@@ -284,6 +285,29 @@ class TestFrameComponents:
         assert comps[1, 2, 1, 2] == pytest.approx(-7.0, abs=1e-9)
         assert abs(comps[0, 1, 0, 2]) < 1e-10
 
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_staged_contraction_matches_five_operand_formula(self, n):
+        # the unordered five-operand einsum is the defining formula, O(n^8)
+        rng = np.random.default_rng(n)
+        comps = rng.standard_normal((4, n, n, n, n))
+        frames = rng.standard_normal((4, n, n))
+        reference = np.einsum("bai,bcj,bdk,bel,bijkl->bacde", frames, frames, frames, frames, comps)
+        staged = frame_components_batch(comps, frames)
+        assert staged.shape == reference.shape
+        assert np.abs(staged - reference).max() <= 1e-13 * np.abs(reference).max()
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_staged_contraction_is_batch_invariant(self, n):
+        rng = np.random.default_rng(10 + n)
+        comps = rng.standard_normal((2, n, n, n, n))
+        frames = rng.standard_normal((2, n, n))
+        comps[1] *= 1e8
+        frames[1] *= 1e8
+        batch = frame_components_batch(comps, frames)
+        for b in range(2):
+            alone = frame_components_batch(comps[b : b + 1], frames[b : b + 1])[0]
+            assert np.array_equal(alone, batch[b])
+
     def test_rank_deficient_frame_rejected(self, s3):
         rm = riemann_coordinate(s3.spec, [0.7, 1.0, 2.0])
         bad = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
@@ -325,6 +349,6 @@ def test_signature_check_never_passes_wrong_pattern(seed, tag):
 def test_metric_fields_match_fd_everywhere(seed, t):
     structure = generate(battery_recipe(seed % 6))
     point = np.array([t] + [1.0] * (structure.dimension - 1))
-    _, _, dg, _, _ = metric_batch(structure.spec, point[None, :])
+    _, _, dg, _ = metric_batch(structure.spec, point[None, :])
     fd = fd_metric_derivative(structure.spec, point[None, :])
     assert np.abs(fd - dg).max() < 1e-6

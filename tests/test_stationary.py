@@ -71,13 +71,13 @@ class TestFlip:
     def test_flip_is_involution(self, s3):
         double = flip_spec(s3.counterpart_spec, s3.t)
         pts = sample_interior(s3.spec, 30, seed=4)
-        g_orig, _, _, _, _ = metric_batch(s3.spec, pts)
-        g_back, _, _, _, _ = metric_batch(double, pts)
+        g_orig, _, _, _ = metric_batch(s3.spec, pts)
+        g_back, _, _, _ = metric_batch(double, pts)
         assert np.abs(g_orig - g_back).max() < 1e-12
 
     def test_counterpart_positive_definite(self, s3):
         pts = sample_interior(s3.spec, 10, seed=5)
-        g, _, _, _, _ = metric_batch(s3.counterpart_spec, pts)  # signature check inside
+        g, _, _, _ = metric_batch(s3.counterpart_spec, pts)  # signature check inside
         assert np.all(np.linalg.eigvalsh(g) > 0)
 
     def test_non_timelike_rejected(self):
@@ -106,8 +106,8 @@ class TestConformalNormalize:
     def test_unit_input_unchanged_pointwise(self, s3):
         normalized = conformal_normalize(s3)
         pts = sample_interior(s3.spec, 20, seed=6)
-        before, _, _, _, _ = metric_batch(s3.spec, pts)
-        after, _, _, _, _ = metric_batch(normalized.spec, pts)
+        before, _, _, _ = metric_batch(s3.spec, pts)
+        after, _, _, _ = metric_batch(normalized.spec, pts)
         assert np.abs(before - after).max() < 1e-12
 
     def test_constant_rescaling_cancels(self, s3):
@@ -125,8 +125,8 @@ class TestConformalNormalize:
             False,
         )
         pts = sample_interior(s3.spec, 10, seed=7)
-        a, _, _, _, _ = metric_batch(conformal_normalize(scaled).spec, pts)
-        b, _, _, _, _ = metric_batch(conformal_normalize(s3).spec, pts)
+        a, _, _, _ = metric_batch(conformal_normalize(scaled).spec, pts)
+        b, _, _, _ = metric_batch(conformal_normalize(s3).spec, pts)
         assert np.abs(a - b).max() < 1e-12
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
