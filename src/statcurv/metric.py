@@ -378,11 +378,8 @@ def frame_components_batch(comps: np.ndarray, frames: np.ndarray) -> np.ndarray:
 
     out[b,a,c,d,e] = E[b,a,i] E[b,c,j] E[b,d,k] E[b,e,l] comps[b,i,j,k,l], taken
     one frame index at a time as four batched matrix products, O(B n^5) in
-    all.  Both inputs are made C-contiguous first, so the bytes of a row do
-    not depend on the memory layout of the arguments or on the rest of the batch.
+    all (the unordered five-operand form is O(B n^8)).
     """
-    comps = np.ascontiguousarray(comps, dtype=float)
-    frames = np.ascontiguousarray(frames, dtype=float)
     b, n = frames.shape[:2]
     t = comps.reshape(b, n**3, n) @ frames.swapaxes(1, 2)  # [b, ijk, e]
     t = frames[:, None] @ t.reshape(b, n * n, n, n)  # [b, ij, d, e]
