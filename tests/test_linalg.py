@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from statcurv.errors import LinearAlgebraError, NearSingularError
-from statcurv.linalg import gauss_inverse, invert, jacobi_eigh
+from statcurv.linalg import determinant, gauss_inverse, invert, jacobi_eigh
 
 
 def test_inverse_identity():
@@ -52,6 +52,12 @@ def test_inverse_property(a):
 def test_inverse_non_finite_raises(bad):
     with pytest.raises(LinearAlgebraError):
         gauss_inverse(np.array([[1.0, bad], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_determinant_non_finite_raises(bad):
+    with pytest.raises(LinearAlgebraError):
+        determinant(np.array([[1.0, bad], [0.0, 1.0]]))
 
 
 def test_determinant_of_permutation():
