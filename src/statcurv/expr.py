@@ -16,8 +16,10 @@ sqrt/exp/log.  Angles are raw radians.
 
 Evaluation propagates (value, gradient, hessian) triples forward through
 the tree, so first and second derivatives are exact up to rounding; finite
-differences exist only as a test oracle.  Trees are immutable after parse
-and evaluation is pure, so expressions are safe to share across threads.
+differences exist only as a test oracle.  Nodes are immutable and
+evaluation is pure, so expressions are safe to share across threads.  The
+parser hash-conses nodes, so a parsed expression is a DAG in which each
+structurally distinct subexpression is one object.
 """
 
 from __future__ import annotations
@@ -151,11 +153,30 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, text: str, coords):
+    """Recursive-descent parser that builds every node through ``table``.
+
+    ``table`` hash-conses nodes (Filliatre & Conchon, "Type-Safe Modular
+    Hash-Consing", 2006): structurally equal subexpressions come back as one
+    object, so the id-keyed jet cache evaluates each of them once.  A key is
+    the node class plus the id() of each child; leaves key on their own
+    value, and Num on its float bits so that 0.0 and -0.0 stay apart.  The
+    table holds every node it hands out, so those ids stay valid while it
+    lives.
+    """
+
+    def __init__(self, text: str, coords, table: dict):
         self.text = text
         self.coords = tuple(coords)
         self.tokens = _tokenize(text)
         self.i = 0
+        self.table = table
+
+    def binary(self, cls, left: Node, right: Node) -> Node:
+        key = (cls, id(left), id(right))
+        node = self.table.get(key)
+        if node is None:
+            node = self.table[key] = cls(left, right)
+        return node
 
     def peek(self):
         return self.tokens[self.i]
@@ -185,7 +206,7 @@ class _Parser:
         while self.peek()[0] == "op" and self.peek()[1] in "+-":
             op = self.advance()[1]
             rhs = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
+            node = self.binary(Add if op == "+" else Sub, node, rhs)
         return node
 
     def term(self) -> Node:
@@ -193,21 +214,31 @@ class _Parser:
         while self.peek()[0] == "op" and self.peek()[1] in "*/":
             op = self.advance()[1]
             rhs = self.factor()
-            node = Mul(node, rhs) if op == "*" else Div(node, rhs)
+            node = self.binary(Mul if op == "*" else Div, node, rhs)
         return node
 
     def factor(self) -> Node:
         tok = self.peek()
         if tok[0] == "op" and tok[1] == "-":
             self.advance()
-            return Neg(self.factor())
+            arg = self.factor()
+            key = (Neg, id(arg))
+            node = self.table.get(key)
+            if node is None:
+                node = self.table[key] = Neg(arg)
+            return node
         return self.power()
 
     def power(self) -> Node:
         node = self.atom()
         while self.peek()[0] == "op" and self.peek()[1] == "^":
             self.advance()
-            node = Pow(node, self.exponent())
+            exponent = self.exponent()
+            key = (Pow, id(node), exponent)
+            hit = self.table.get(key)
+            if hit is None:
+                hit = self.table[key] = Pow(node, exponent)
+            node = hit
         return node
 
     def exponent(self) -> int:
@@ -230,16 +261,29 @@ class _Parser:
     def atom(self) -> Node:
         tok = self.advance()
         if tok[0] == "num":
-            return Num(float(tok[1]))
+            value = float(tok[1])
+            key = (Num, value.hex())
+            node = self.table.get(key)
+            if node is None:
+                node = self.table[key] = Num(value)
+            return node
         if tok[0] == "name":
             name = tok[1]
             if name in FUNCTIONS:
                 self.expect_op("(")
                 arg = self.expr()
                 self.expect_op(")")
-                return Call(name, arg)
+                key = (Call, name, id(arg))
+                node = self.table.get(key)
+                if node is None:
+                    node = self.table[key] = Call(name, arg)
+                return node
             if name in self.coords:
-                return Var(name, self.coords.index(name))
+                key = (Var, name)
+                node = self.table.get(key)
+                if node is None:
+                    node = self.table[key] = Var(name, self.coords.index(name))
+                return node
             raise UnknownIdentifierError(name, _byte_offset(self.text, tok[2]))
         if tok[0] == "op" and tok[1] == "(":
             node = self.expr()
@@ -606,14 +650,23 @@ class Expression:
 
 
 def parse_expression(text: str, coords) -> Expression:
-    """Parse ``text`` into an Expression over the named chart coordinates."""
+    """Parse ``text`` into an Expression over the named chart coordinates.
+
+    Equal subexpressions within ``text`` are built as one shared node.
+    """
+    return _parse_interned(text, coords, {})
+
+
+def _parse_interned(text: str, coords, table: dict) -> Expression:
+    """parse_expression through a node table shared with other texts over the
+    same coords, so equal subexpressions across those texts are one object."""
     if not text or not text.strip():
         raise ExprSyntaxError("empty expression", 0)
     coords = tuple(coords)
     for name in coords:
         if name in FUNCTIONS or not _NAME_RE.match(name):
             raise ValueError(f"invalid coordinate name '{name}'")
-    return Expression(_Parser(text, coords).parse(), coords)
+    return Expression(_Parser(text, coords, table).parse(), coords)
 
 
 def eval_jet(e: Expression, point) -> JetValue:

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ChartDomainError, EvalDomainError, NearSingularError, SpecFormatError, SignatureError
-from .expr import Expression, eval_jet_batch, parse_expression
+from .expr import Expression, _parse_interned, eval_jet_batch
 from .linalg import determinant, invert, jacobi_eigh
 from .tolerances import DEFAULT, Tolerances
 
@@ -104,7 +104,6 @@ class MetricAtPoint:
     g_inv: np.ndarray
     dg: np.ndarray
     d2g: np.ndarray
-    det: float
 
 
 @dataclass(frozen=True)
@@ -217,6 +216,9 @@ def load_spec(data) -> MetricSpec:
     if kind not in SIGNATURES:
         raise SpecFormatError(f"invalid signature tag '{kind}'")
 
+    # One node table for every g_i_j and T_i: equal subexpressions anywhere in
+    # the file become one object, which the id-keyed jet cache evaluates once.
+    nodes: dict = {}
     raw_entries: dict[tuple[int, int], Expression] = {}
     for key, value, lineno in sections["metric"]:
         m = re.match(r"g_(\d+)_(\d+)\Z", key)
@@ -225,10 +227,10 @@ def load_spec(data) -> MetricSpec:
         i, j = int(m.group(1)), int(m.group(2))
         if i >= n or j >= n:
             raise SpecFormatError(f"line {lineno}: index out of range in '{key}' (dimension {n})")
-        expr = parse_expression(_unquote(value, lineno), coords)
+        expr = _parse_interned(_unquote(value, lineno), coords, nodes)
         lo, hi = min(i, j), max(i, j)
         if (lo, hi) in raw_entries:
-            if raw_entries[(lo, hi)].root != expr.root:
+            if raw_entries[(lo, hi)].root is not expr.root:
                 raise SpecFormatError(
                     f"line {lineno}: g_{i}_{j} conflicts with its symmetric partner"
                 )
@@ -244,7 +246,7 @@ def load_spec(data) -> MetricSpec:
         if set(km) != {f"T_{i}" for i in range(n)} | {"unit"}:
             raise SpecFormatError(f"[killing] must define T_0..T_{n-1} and 'unit'")
         comps = tuple(
-            parse_expression(_unquote(*km[f"T_{i}"]), coords) for i in range(n)
+            _parse_interned(_unquote(*km[f"T_{i}"]), coords, nodes) for i in range(n)
         )
         unit_text = km["unit"][0]
         if unit_text not in ("true", "false"):
@@ -325,7 +327,7 @@ def metric_batch(spec: MetricSpec, pts, tol: Tolerances = DEFAULT, cache: dict |
 def metric_at(spec: MetricSpec, point, tol: Tolerances = DEFAULT) -> MetricAtPoint:
     point = np.asarray(point, dtype=float)
     g, g_inv, dg, d2g = metric_batch(spec, point[None, :], tol)
-    return MetricAtPoint(point, g[0], g_inv[0], dg[0], d2g[0], float(determinant(g[0])))
+    return MetricAtPoint(point, g[0], g_inv[0], dg[0], d2g[0])
 
 
 def _sym_derivative(dg: np.ndarray) -> np.ndarray:

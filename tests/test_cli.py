@@ -2,7 +2,12 @@
 
 import dataclasses
 import json
+import os
 import re
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -235,6 +240,32 @@ class TestAnalyze:
         (result,) = json.loads(out)["results"]
         assert result["vanishing_betti"] == [1, 2]
         assert result["min_margin"] == pytest.approx(2.0 / c**2, rel=1e-6)
+
+    def test_n6_spec_fits_in_one_gib(self, capsys, tmp_path):
+        # a file-loaded n = 6 spec holds ~90k node objects but ~200 distinct
+        # ones; analyzing it must not run out of a 1 GiB address space
+        spec_path = str(tmp_path / "six.spec")
+        cli.main(["examples", "--random", "--seed", "3", "--dimension", "6", "--out", spec_path])
+        capsys.readouterr()
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "statcurv.cli", "analyze", spec_path, "--all-p", "--grid", "3"],
+            env=env,
+            capture_output=True,
+            preexec_fn=cap_address_space,
+            timeout=300,
+        )
+        # exit 1 is also what an uncaught MemoryError gives, so the report
+        # must be complete and stderr empty
+        assert proc.returncode in (0, 1), proc.stderr.decode()[-2000:]
+        assert proc.stderr == b""
+        assert b"max central-identity residual" in proc.stdout
 
 
 class TestExport:

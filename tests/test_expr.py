@@ -78,6 +78,18 @@ class TestParsing:
         with pytest.raises(ExprSyntaxError):
             parse_expression("sin t", ("t",))
 
+    def test_equal_subexpressions_are_one_object(self):
+        text = "sin(t)^2*(1-2*sin(t)^2)+t^2+t^3-cos(theta1)/cos(theta2)+2*t"
+        e = parse_expression(text, COORDS)
+        assert e.unparse() == text  # nothing unequal was merged
+        product = e.root.left.left.left.left  # sin(t)^2*(1-2*sin(t)^2)
+        sin_sq = product.left
+        assert product.right.right.right is sin_sq
+        assert e.root.right.right is sin_sq.base.arg  # the t of 2*t
+        assert e.root.left.left.right.base is sin_sq.base.arg  # the t of t^3
+        # each call has its own node table; nothing is shared between calls
+        assert parse_expression(text, COORDS).root is not e.root
+
     def test_coordinate_shadowing_function_rejected(self):
         with pytest.raises(ValueError):
             parse_expression("1", ("sin", "t"))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from statcurv.generators import (
     FLAT_TORUS_SPEC_TEXT,
@@ -11,6 +12,7 @@ from statcurv.generators import (
     generate,
     write_example_specs,
 )
+from statcurv.expr import eval_jet_batch
 from statcurv.metric import load_spec, metric_batch
 from statcurv.stationary import killing_defect_batch, structure_data
 
@@ -114,3 +116,21 @@ class TestShippedFiles:
         assert entries[(1, 1)] == "sin(t)^2*(1-2*sin(t)^2)"
         assert entries[(1, 2)] == "-2*sin(t)^2*cos(t)^2"
         assert entries[(2, 2)] == "cos(t)^2*(1-2*cos(t)^2)"
+
+
+@given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(min_value=3, max_value=5))
+def test_text_round_trip_keeps_jet_bytes(seed, dimension):
+    # a generated structure shares subtrees through composition, its reload
+    # through the parser's node table; the jets must not see the difference
+    structure = generate(GeneratorRecipe(seed, dimension))
+    reloaded = load_spec(structure.spec.to_text())
+    pts = sample_interior(structure.spec, 3, seed)
+    generated = [e for _, _, e in structure.spec.entries] + list(structure.t)
+    loaded = [e for _, _, e in reloaded.entries] + list(reloaded.killing.components)
+    assert len(loaded) == len(generated)
+    cache_generated: dict = {}
+    cache_loaded: dict = {}
+    for e, f in zip(generated, loaded):
+        want = eval_jet_batch(e, pts, cache_generated)
+        got = eval_jet_batch(f, pts, cache_loaded)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]

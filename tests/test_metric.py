@@ -1,5 +1,6 @@
 """Metric spec files, coordinate evaluation, Christoffels, Riemann tensor."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from statcurv.errors import ChartDomainError, NearSingularError, SignatureError, SpecFormatError
-from statcurv.generators import battery_recipe, generate
+from statcurv.expr import Expression, eval_jet_batch
+from statcurv.generators import GeneratorRecipe, battery_recipe, generate
 from statcurv.metric import (
     christoffel,
     christoffel_batch,
@@ -107,6 +109,47 @@ class TestLoadSpec:
         again = load_spec(spec.to_text())
         assert again == spec
         assert again.to_text() == spec.to_text()
+
+    def test_loading_shares_nodes_maximally(self, tmp_path):
+        # to_text writes the shared graph out as trees (the seed-0 n = 5 file
+        # spells out ~36k nodes); loading must fold them back into one object
+        # per distinct subexpression without changing any jet byte
+        path = tmp_path / "five.spec"
+        path.write_text(generate(GeneratorRecipe(0, 5)).spec.to_text())
+        spec = load_spec_file(path)
+        assert spec.to_text() == path.read_text()  # nothing unequal was merged
+        exprs = [e for _, _, e in spec.entries] + list(spec.killing.components)
+
+        canon: dict[int, int] = {}  # id(node) -> structural class
+        classes: dict[tuple, int] = {}
+
+        def classify(node):
+            if id(node) not in canon:
+                fields = []
+                for field in dataclasses.fields(node):
+                    value = getattr(node, field.name)
+                    fields.append(classify(value) if dataclasses.is_dataclass(value) else value)
+                key = (type(node).__name__, *fields)
+                canon[id(node)] = classes.setdefault(key, len(classes))
+            return canon[id(node)]
+
+        for e in exprs:
+            classify(e.root)
+        assert len(canon) == len(classes)  # no two reachable objects are equal
+
+        def unshare(node):
+            return type(node)(*(
+                unshare(v) if dataclasses.is_dataclass(v) else v
+                for v in (getattr(node, f.name) for f in dataclasses.fields(node))
+            ))
+
+        pts = sample_interior(spec, 4, seed=0)
+        shared_cache: dict = {}
+        for e in exprs:
+            tree = Expression(unshare(e.root), e.coords)
+            got = eval_jet_batch(e, pts, shared_cache)
+            want = eval_jet_batch(tree, pts, {})
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 class TestMetricAt:
