@@ -2,7 +2,7 @@
 
 Exit codes: 0 success (a conclusive verdict counts), 1 the analysis ran but
 positivity failed so no conclusion follows, 2 input error (files, formats,
-arguments), 3 numerical invariant failure.
+arguments), 3 numerical invariant failure or running out of memory.
 
 All reports are deterministic: fixed-width text with stable ordering, JSON
 with sorted keys and repr floats, grid points enumerated in row-major order.
@@ -128,13 +128,14 @@ def cmd_verify(config: RunConfig) -> int:
         data_u = data if unit_structure is structure else structure_data(unit_structure, chunk, tol)
         adapted = adapted_frames_batch(unit_structure, data_u, tol)
         ops = operators_from_data(unit_structure, data_u, adapted, tol)
+        top = adapted.nabla_sq_eigenvalues.max(axis=1)
         return np.column_stack(
             [
                 connection_residual_batch(data, frames),
                 curvature_residual_batch(data, frames),
-                [f.rotation_residual for f in adapted],
-                [max(0.0, max(f.nabla_sq_eigenvalues)) for f in adapted],
-                [o.central_residual for o in ops],
+                adapted.rotation_residual,
+                np.where(top > 0.0, top, 0.0),
+                ops.central,
             ]
         )
 
@@ -256,7 +257,7 @@ def cmd_export(config: RunConfig) -> int:
     lines = []
     if pts.shape[0]:
         ops, eigen_stack = topology._spectra(structure, pts, tol)
-        labels = [list(pair) for pair in ops[0].symmetrized.basis.labels()]
+        labels = [list(pair) for pair in ops.basis.labels()]
         for op, vals in zip(ops, eigen_stack):
             record = {
                 "schema_version": 1,
@@ -366,6 +367,10 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except StatcurvError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
+        return EXIT_NUMERICAL
+    except MemoryError:
+        # uncaught, Python would exit 1, which reads as "positivity failed"
+        sys.stderr.write("resource failure: out of memory\n")
         return EXIT_NUMERICAL
 
 

@@ -23,12 +23,13 @@ for general n derives their analogue.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FrameError
-from .frames import OrthonormalFrame, adapted_frames_batch
+from .frames import FrameBatch, OrthonormalFrame, adapted_frames_batch, rotation_blocks
 from .linalg import invert
 from .metric import RiemannTensor, frame_components_batch
 from .stationary import StationaryStructure, StructureData, structure_data
@@ -142,21 +143,19 @@ def lorentzian_curvature_operator(
     return _point_operator(s, frame, tol, basis, "lorentzian")
 
 
-def _rotation_blocks(frames: list[OrthonormalFrame], n: int, tol: Tolerances) -> np.ndarray:
+def _check_residual(residual: float, tol: Tolerances) -> None:
+    if residual > tol.pairing:
+        raise FrameError(
+            f"frame not adapted: rotation-block residual {residual} above tolerance {tol.pairing}"
+        )
+
+
+def _rotation_blocks(frames: FrameBatch, tol: Tolerances) -> np.ndarray:
     """Omega (B, n, n), Omega[b, i, j] = g_L(nab^L_{X_i} T, X_j) implied by each adapted pairing."""
-    omega = np.zeros((len(frames), n, n))
-    for b, frame in enumerate(frames):
-        if not frame.is_adapted:
-            raise FrameError("symmetrized matrix requires a frame built by adapted_frame")
-        if frame.rotation_residual > tol.pairing:
-            raise FrameError(
-                f"frame not adapted: rotation-block residual {frame.rotation_residual} "
-                f"above tolerance {tol.pairing}"
-            )
-        for p in frame.pairing:
-            omega[b, p.i, p.j] = p.f
-            omega[b, p.j, p.i] = -p.f
-    return omega
+    above = frames.rotation_residual > tol.pairing
+    if np.any(above):
+        _check_residual(float(frames.rotation_residual[np.argmax(above)]), tol)
+    return rotation_blocks(frames.f, frames.pair_count, frames.vectors.shape[1])
 
 
 def _symmetrized(rm_l_frame: np.ndarray, omega: np.ndarray, basis: Lambda2Basis) -> np.ndarray:
@@ -206,13 +205,19 @@ def symmetrized_matrix(
     """
     comps = rm_l.comps if isinstance(rm_l, RiemannTensor) else np.asarray(rm_l, dtype=float)
     n = comps.shape[0]
-    omega = _rotation_blocks([frame], n, tol)
+    if not frame.is_adapted:
+        raise FrameError("symmetrized matrix requires a frame built by adapted_frame")
+    _check_residual(frame.rotation_residual, tol)
+    omega = np.zeros((1, n, n))
+    for p in frame.pairing:
+        omega[0, p.i, p.j] = p.f
+        omega[0, p.j, p.i] = -p.f
     basis = basis or Lambda2Basis.standard(n)
     entries = _symmetrized(comps[None], omega, basis)[0]
     return CurvatureOperatorMatrix(basis, entries, "symmetrized", frame.f_values)
 
 
-# --- per-point pipeline -------------------------------------------------------
+# --- batched pipeline --------------------------------------------------------
 
 @dataclass(frozen=True)
 class PointOperators:
@@ -227,30 +232,59 @@ class PointOperators:
         return self.frame.f_values
 
 
+@dataclass(frozen=True, eq=False)
+class OperatorBatch(Sequence):
+    """The three operators at B points as arrays; ``batch[b]`` is the PointOperators of row b.
+
+    ``m_r``, ``m_l`` and ``m_s`` (B, N, N) are the Riemannian, Lorentzian and
+    symmetrized matrices, ``central`` (B,) the central-identity residuals.
+    """
+
+    frames: FrameBatch
+    basis: Lambda2Basis
+    m_r: np.ndarray
+    m_l: np.ndarray
+    m_s: np.ndarray
+    central: np.ndarray
+
+    def __len__(self) -> int:
+        return self.central.shape[0]
+
+    def __getitem__(self, b: int) -> PointOperators:
+        frame = self.frames[b]
+        f = frame.f_values
+        return PointOperators(
+            frame,
+            CurvatureOperatorMatrix(self.basis, self.m_r[b], "riemannian", f),
+            CurvatureOperatorMatrix(self.basis, self.m_l[b], "lorentzian", f),
+            CurvatureOperatorMatrix(self.basis, self.m_s[b], "symmetrized", f),
+            float(self.central[b]),
+        )
+
+    @staticmethod
+    def concat(parts: list[OperatorBatch]) -> OperatorBatch:
+        """One batch holding the rows of ``parts`` in order."""
+        if len(parts) == 1:
+            return parts[0]
+        keys = ("m_r", "m_l", "m_s", "central")
+        arrays = (np.concatenate([getattr(p, k) for p in parts]) for k in keys)
+        return OperatorBatch(FrameBatch.concat([p.frames for p in parts]), parts[0].basis, *arrays)
+
+
 def operators_from_data(
     s: StationaryStructure,
     data: StructureData,
-    frames: list[OrthonormalFrame],
+    frames: FrameBatch,
     tol: Tolerances = DEFAULT,
-) -> list[PointOperators]:
+) -> OperatorBatch:
     """Assemble all three operators per point from precomputed batched data."""
     n = s.dimension
     basis = Lambda2Basis.standard(n)
-    stack = np.stack([f.vectors for f in frames])
-    m_r, _ = _operators(data.rm_g, data.g, stack, basis)
-    m_l, rml_f = _operators(data.rm_l, data.gl, stack, basis)
-    m_s = _symmetrized(rml_f, _rotation_blocks(frames, n, tol), basis)
+    m_r, _ = _operators(data.rm_g, data.g, frames.vectors, basis)
+    m_l, rml_f = _operators(data.rm_l, data.gl, frames.vectors, basis)
+    m_s = _symmetrized(rml_f, _rotation_blocks(frames, tol), basis)
     central = np.abs(m_s - m_r).max(axis=(1, 2))
-    return [
-        PointOperators(
-            frame,
-            CurvatureOperatorMatrix(basis, m_r[b], "riemannian", frame.f_values),
-            CurvatureOperatorMatrix(basis, m_l[b], "lorentzian", frame.f_values),
-            CurvatureOperatorMatrix(basis, m_s[b], "symmetrized", frame.f_values),
-            float(central[b]),
-        )
-        for b, frame in enumerate(frames)
-    ]
+    return OperatorBatch(frames, basis, m_r, m_l, m_s, central)
 
 
 def compute_point_operators(

@@ -10,11 +10,16 @@ v with w = -nab^L_v T / |nab^L_v T| produces the rotation-block frame
 with the kernel directions fixed (nab^L_{X_j} T = 0).  Construction is
 deterministic: LAPACK eigenvectors with fixed signs, pairs sorted by
 |f| descending and assigned the lowest spatial indices, kernel last.
+
+Every point of a batch goes through the same array operations, in the
+operation order of a single-point construction, so a frame does not depend
+on the batch it was built in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -64,49 +69,120 @@ class OrthonormalFrame:
         return self.rotation_residual is not None
 
 
-def _complete_spatial(g: np.ndarray, t_vec: np.ndarray) -> np.ndarray:
-    """Gram-Schmidt against g: rows T, then unit spatial vectors from the axes."""
-    n = t_vec.size
-    basis = [np.asarray(t_vec, dtype=float)]
-    norms = [float(basis[0] @ g @ basis[0])]
-    for axis in range(n):
-        if len(basis) == n:
-            break
-        cand = np.zeros(n)
-        cand[axis] = 1.0
-        for vec, nrm in zip(basis, norms):
-            cand = cand - (float(cand @ g @ vec) / nrm) * vec
-        norm_sq = float(cand @ g @ cand)
-        if norm_sq <= 1e-24 * float(g[axis, axis]):
-            continue  # axis already spanned
-        cand /= np.sqrt(norm_sq)
-        basis.append(cand)
-        norms.append(1.0)
-    if len(basis) < n:
-        raise FrameError("rank-deficient seed basis: could not complete the frame")
-    return np.array(basis)
+@dataclass(frozen=True, eq=False)
+class FrameBatch(Sequence):
+    """Adapted frames at B points as arrays; ``batch[b]`` is the OrthonormalFrame of row b.
+
+    Row b pairs (X_1, X_2), (X_3, X_4), ... with ``f[b, :pair_count[b]]``
+    (|f| descending, zero past the pair count) and fixes the spatial rows
+    after the last pair.
+    """
+
+    points: np.ndarray  # (B, n)
+    vectors: np.ndarray  # (B, n, n), frame vectors as rows
+    f: np.ndarray  # (B, (n - 1) // 2)
+    pair_count: np.ndarray  # (B,)
+    rotation_residual: np.ndarray  # (B,)
+    nabla_sq_eigenvalues: np.ndarray  # (B, n), ascending
+    timelike_norm: np.ndarray  # (B,)
+
+    def __len__(self) -> int:
+        return self.vectors.shape[0]
+
+    def __getitem__(self, b: int) -> OrthonormalFrame:
+        k = int(self.pair_count[b])
+        return OrthonormalFrame(
+            point=self.points[b],
+            vectors=self.vectors[b],
+            pairing=tuple(
+                FramePair(2 * t + 1, 2 * t + 2, f) for t, f in enumerate(self.f[b, :k].tolist())
+            ),
+            fixed_indices=tuple(range(2 * k + 1, self.vectors.shape[1])),
+            timelike_norm=float(self.timelike_norm[b]),
+            rotation_residual=float(self.rotation_residual[b]),
+            nabla_sq_eigenvalues=tuple(self.nabla_sq_eigenvalues[b].tolist()),
+        )
+
+    @staticmethod
+    def concat(parts: list[FrameBatch]) -> FrameBatch:
+        """One batch holding the rows of ``parts`` in order."""
+        if len(parts) == 1:
+            return parts[0]
+        return FrameBatch(
+            *(np.concatenate([getattr(p, x.name) for p in parts]) for x in fields(FrameBatch))
+        )
 
 
-def _validate_gram(e: np.ndarray, gl: np.ndarray, gtt: float, tol: Tolerances) -> None:
-    gram = e @ gl @ e.T
-    expected = np.eye(e.shape[0])
-    expected[0, 0] = gtt
-    if float(np.abs(gram - expected).max()) > tol.antisymmetry * max(1.0, abs(gtt)):
-        raise FrameError("completion frame failed the orthonormality check")
+def rotation_blocks(f: np.ndarray, pair_count: np.ndarray, n: int) -> np.ndarray:
+    """Omega (B, n, n), Omega[b, i, j] = g_L(nab^L_{X_i} T, X_j) of the standard pairing."""
+    omega = np.zeros((f.shape[0], n, n))
+    for t in range(f.shape[1]):
+        paired = t < pair_count
+        omega[:, 2 * t + 1, 2 * t + 2] = np.where(paired, f[:, t], 0.0)
+        omega[:, 2 * t + 2, 2 * t + 1] = np.where(paired, -f[:, t], 0.0)
+    return omega
+
+
+# Row-wise products spelled as stacked matmuls: each row then goes through the
+# same BLAS call, on the same memory layout, as the one-point expression in
+# the docstring, so batched results equal single-point ones bit for bit.
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[r] @ b[r]`` for every row r of (B, m) arrays."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _form(a: np.ndarray, m: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[r] @ m[r] @ b[r]`` for every row r."""
+    return _dot((a[:, None, :] @ m)[:, 0], b)
+
+
+def _project_off(x: np.ndarray, basis: np.ndarray, count: np.ndarray, coef) -> np.ndarray:
+    """x[r] - coef(x, j)[r] * basis[r, j] for j = 0, 1, ... below count[r], in order."""
+    for j in range(int(count.max(initial=0))):
+        x = np.where((j < count)[:, None], x - coef(x, j)[:, None] * basis[:, j], x)
+    return x
 
 
 def _completions(data: StructureData, tol: Tolerances, require_unit: bool = True) -> np.ndarray:
-    """Frames (B, n, n) {T, X_1..X_{n-1}} orthonormal for g and g_L, one per row of ``data``."""
+    """Frames (B, n, n) {T, X_1..X_{n-1}} orthonormal for g and g_L, one per row of ``data``.
+
+    Modified Gram-Schmidt against g over the whole batch: rows T, then unit
+    spatial vectors from the coordinate axes, skipping an axis already
+    spanned; the loop runs over the axes, never over the points.
+    """
     if require_unit:
         off = np.abs(data.gtt + 1.0) > tol.unit_timelike
         if np.any(off):
             gtt = float(data.gtt[np.argmax(off)])
             raise FrameError(f"T is not unit at this point: g_L(T,T) = {gtt}")
-    out = np.empty(data.g.shape)
-    for b in range(out.shape[0]):
-        out[b] = _complete_spatial(data.g[b], data.t[b])
-        _validate_gram(out[b], data.gl[b], float(data.gtt[b]), tol)
-    return out
+    g, t = data.g, data.t
+    batch, n = t.shape
+    basis = np.zeros((batch, n, n))
+    basis[:, 0] = t
+    norms = np.ones((batch, n))
+    norms[:, 0] = _form(t, g, t)
+    count = np.ones(batch, dtype=int)  # rows accepted so far
+    for axis in range(n):
+        if np.all(count == n):
+            break
+        cand = np.zeros((batch, n))
+        cand[:, axis] = 1.0
+        cand = _project_off(cand, basis, count, lambda x, j: _form(x, g, basis[:, j]) / norms[:, j])
+        norm_sq = _form(cand, g, cand)
+        accept = (count < n) & ~(norm_sq <= 1e-24 * g[:, axis, axis])
+        cand = cand / np.sqrt(np.where(accept, norm_sq, 1.0))[:, None]
+        rows = np.flatnonzero(accept)
+        basis[rows, count[rows]] = cand[rows]
+        count += accept
+    if np.any(count < n):
+        raise FrameError("rank-deficient seed basis: could not complete the frame")
+    expected = np.tile(np.eye(n), (batch, 1, 1))
+    expected[:, 0, 0] = data.gtt
+    off = np.abs(basis @ data.gl @ basis.swapaxes(1, 2) - expected).max(axis=(1, 2))
+    if np.any(off > tol.antisymmetry * np.maximum(1.0, np.abs(data.gtt))):
+        raise FrameError("completion frame failed the orthonormality check")
+    return basis
 
 
 def orthonormal_completion(
@@ -126,105 +202,125 @@ def orthonormal_completion(
     )
 
 
-def _split_eigenvalues(vals: np.ndarray, tol: Tolerances):
-    """Partition ascending eigenvalues into negative clusters and the kernel."""
-    if np.any(vals > tol.eigen_error):
+def _cluster_starts(vals: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel mask and cluster-start flags (B, m) of ascending squared-map spectra (B, m).
+
+    The kernel is a suffix; the rest is an ascending prefix of negative
+    eigenvalues, and a cluster starts wherever the gap to the previous value
+    exceeds ``cluster_rel`` times that value.
+    """
+    positive = np.any(vals > tol.eigen_error, axis=1)
+    if np.any(positive):
         raise EigenstructureError(
-            f"positive eigenvalue {vals.max()} of the squared map "
+            f"positive eigenvalue {float(vals[np.argmax(positive)].max())} of the squared map "
             "(Killing or unit-length precondition broken)"
         )
     # the kernel cut is on f^2, so it is the square of the cut on |f| that the
     # parallel-T fallback and the rotation-block residual use
-    zero_cut = max(tol.pairing**2, tol.cluster_rel * abs(float(vals[0])))
-    clusters = []
-    kernel = []
-    for idx, lam in enumerate(vals):
-        if lam >= -zero_cut:
-            kernel.append(idx)
-        elif clusters and abs(lam - vals[clusters[-1][-1]]) <= tol.cluster_rel * abs(
-            vals[clusters[-1][-1]]
-        ):
-            clusters[-1].append(idx)
-        else:
-            clusters.append([idx])
-    return clusters, kernel
+    zero_cut = np.maximum(tol.pairing**2, tol.cluster_rel * np.abs(vals[:, :1]))
+    kernel = vals >= -zero_cut
+    starts = np.ones(vals.shape, dtype=bool)
+    starts[:, 1:] = np.abs(vals[:, 1:] - vals[:, :-1]) > tol.cluster_rel * np.abs(vals[:, :-1])
+    return kernel, starts & ~kernel
 
 
-def _pair_cluster(vecs: np.ndarray, spatial_nabla: np.ndarray):
-    """Deterministic rotation-block pairing inside one eigenspace."""
-    dim = vecs.shape[1]
-    chosen: list[np.ndarray] = []
-    pairs = []
-    for idx in range(dim):
-        if len(chosen) == dim:
-            break
-        v = vecs[:, idx].copy()
-        for c in chosen:
-            v -= (c @ v) * c
-        nrm = float(np.sqrt(v @ v))
-        if nrm < 0.5:
-            continue
-        v /= nrm
-        u = spatial_nabla @ v
-        nrm_u = float(np.sqrt(u @ u))
-        if nrm_u == 0.0:
-            raise EigenstructureError("vanishing image inside a nonzero eigenspace")
-        f = -nrm_u
-        w = -u / nrm_u
-        for c in chosen:
-            w -= (c @ w) * c
-        w -= (v @ w) * v
-        w /= float(np.sqrt(w @ w))
-        chosen += [v, w]
-        pairs.append((v, w, f))
-    if 2 * len(pairs) != dim:
-        raise EigenstructureError("failed to exhaust an eigenspace by pairs")
-    return pairs
+def _split_eigenvalues(vals: np.ndarray, tol: Tolerances):
+    """Index lists of the negative clusters and of the kernel of one ascending spectrum."""
+    kernel, starts = _cluster_starts(np.asarray(vals, dtype=float)[None], tol)
+    ids = np.cumsum(starts[0])
+    clusters = [np.flatnonzero(~kernel[0] & (ids == c)).tolist() for c in range(1, ids[-1] + 1)]
+    return clusters, np.flatnonzero(kernel[0]).tolist()
 
 
-def _adapt(e: np.ndarray, a_frame: np.ndarray, tol: Tolerances):
-    """Rotation-block rows, pairing, fixed indices and squared-map spectrum from a completion."""
-    n = e.shape[0]
-    t_block = max(float(np.abs(a_frame[0, :]).max()), float(np.abs(a_frame[:, 0]).max()))
-    if t_block > tol.pairing:
+def _pair_clusters(vecs: np.ndarray, spatial: np.ndarray, kernel, starts):
+    """Rotation-block pairs of every point: v, w (B, P, m), f (B, P) and pair counts (B,).
+
+    Inside each eigenspace the eigenvectors are taken in order.  Each is
+    projected off the vectors already chosen in its eigenspace and skipped
+    when less than half of it is left; otherwise it becomes v and is paired
+    with w = -nab^L_v T / |nab^L_v T|, made orthogonal to the chosen vectors
+    and to v.  Pairs come out in eigenspace order.
+    """
+    batch, m, _ = vecs.shape
+    ids = np.cumsum(starts, axis=1)
+    sizes = ((ids[:, :, None] == ids[:, None, :]) & ~kernel[:, None, :]).sum(axis=2)
+    odd = np.any(starts & (sizes % 2 == 1), axis=1)
+    if np.any(odd):
+        b = np.argmax(odd)
         raise EigenstructureError(
-            f"nab T does not annihilate the T direction (residual {t_block})"
-        )
-    spatial = a_frame[1:, 1:]
-    if float(np.abs(spatial).max(initial=0.0)) <= tol.pairing:
-        # parallel T: defined fallback, every spatial direction fixed
-        return e, (), tuple(range(1, n)), tuple([0.0] * n)
-    squared = spatial @ spatial
-    asym = float(np.abs(squared - squared.T).max())
-    if asym > tol.antisymmetry * max(1.0, float(np.abs(squared).max())):
-        raise EigenstructureError(
-            f"squared map is not self-adjoint (residual {asym}); "
-            "Killing or unit-length precondition broken"
-        )
-    vals, vecs = jacobi_eigh(0.5 * (squared + squared.T))
-    clusters, kernel = _split_eigenvalues(vals, tol)
-    if any(len(c) % 2 for c in clusters):
-        sizes = [len(c) for c in clusters]
-        raise EigenstructureError(
-            f"odd-dimensional nonzero eigenspace (cluster sizes {sizes}); "
+            f"odd-dimensional nonzero eigenspace (cluster sizes {sizes[b][starts[b]].tolist()}); "
             "eigenvalue clustering failed"
         )
-    pairs = []
-    for cluster in clusters:
-        pairs.extend(_pair_cluster(vecs[:, cluster], spatial))
-    pairs.sort(key=lambda p: -abs(p[2]))  # |f| descending; stable
-    rows = [e[0]]
-    pairing = []
-    for v, w, f in pairs:
-        pairing.append(FramePair(len(rows), len(rows) + 1, float(f)))
-        rows.append(v @ e[1:])
-        rows.append(w @ e[1:])
-    fixed = []
-    for idx in kernel:
-        fixed.append(len(rows))
-        rows.append(vecs[:, idx] @ e[1:])
-    eigs = sorted([float(v) for v in vals] + [0.0])
-    return np.array(rows), tuple(pairing), tuple(fixed), tuple(eigs)
+    chosen = np.zeros((batch, m, m))  # rows: the vectors chosen in the current eigenspace
+    taken = np.zeros(batch, dtype=int)
+    v_out, w_out = np.zeros((2, batch, m // 2, m))
+    f_out = np.zeros((batch, m // 2))
+    count = np.zeros(batch, dtype=int)
+    for i in range(m):
+        taken[starts[:, i]] = 0
+        live = ~kernel[:, i] & (taken < sizes[:, i])
+        if not np.any(live):
+            continue
+        within = np.where(live, taken, 0)
+        along = lambda x, c: _dot(chosen[:, c], x)
+        # a contiguous copy: a strided column would take another dot kernel
+        v = _project_off(vecs[:, :, i].copy(), chosen, within, along)
+        nrm = np.sqrt(_dot(v, v))
+        live &= nrm >= 0.5
+        v = v / np.where(live, nrm, 1.0)[:, None]
+        u = (spatial @ v[:, :, None])[:, :, 0]
+        nrm_u = np.sqrt(_dot(u, u))
+        if np.any(live & (nrm_u == 0.0)):
+            raise EigenstructureError("vanishing image inside a nonzero eigenspace")
+        w = _project_off(-u / np.where(live, nrm_u, 1.0)[:, None], chosen, within, along)
+        w = w - _dot(v, w)[:, None] * v
+        w = w / np.sqrt(np.where(live, _dot(w, w), 1.0))[:, None]
+        rows = np.flatnonzero(live)
+        chosen[rows, taken[rows]], chosen[rows, taken[rows] + 1] = v[rows], w[rows]
+        slot = count[rows]
+        v_out[rows, slot], w_out[rows, slot], f_out[rows, slot] = v[rows], w[rows], -nrm_u[rows]
+        taken[rows] += 2
+        count[rows] += 1
+    if np.any(2 * count != (~kernel).sum(axis=1)):
+        raise EigenstructureError("failed to exhaust an eigenspace by pairs")
+    return v_out, w_out, f_out, count
+
+
+def _adapt(e: np.ndarray, a: np.ndarray, tol: Tolerances):
+    """Rotation-block rows, f values, pair counts and squared-map spectra of non-parallel points.
+
+    ``e`` (B, n, n) are completions and ``a`` (B, n, n) the components of
+    nab^L T in them.
+    """
+    batch, n, _ = e.shape
+    spatial = a[:, 1:, 1:]
+    squared = spatial @ spatial
+    asym = np.abs(squared - squared.swapaxes(1, 2)).max(axis=(1, 2))
+    skew = asym > tol.antisymmetry * np.maximum(1.0, np.abs(squared).max(axis=(1, 2)))
+    if np.any(skew):
+        raise EigenstructureError(
+            f"squared map is not self-adjoint (residual {float(asym[np.argmax(skew)])}); "
+            "Killing or unit-length precondition broken"
+        )
+    vals, vecs = jacobi_eigh(0.5 * (squared + squared.swapaxes(1, 2)))
+    v, w, f, count = _pair_clusters(vecs, spatial, *_cluster_starts(vals, tol))
+    # |f| descending; stable, so equal |f| keep their eigenspace order
+    slots = np.arange(f.shape[1])
+    order = np.argsort(np.where(slots < count[:, None], -np.abs(f), np.inf), axis=1, kind="stable")
+    v, w = (np.take_along_axis(x, order[:, :, None], axis=1) for x in (v, w))
+    f = np.take_along_axis(f, order, axis=1)
+    # rows: T, the pairs in order, then the kernel eigenvectors; kernel
+    # eigenvector i lands on row i + 1 because the pairs fill rows 1..2k
+    rows = np.empty((batch, n, n))
+    rows[:, 0] = e[:, 0]
+    for i in range(n - 1):
+        src = vecs[:, :, i]
+        if i // 2 < f.shape[1]:
+            src = np.where((i < 2 * count)[:, None], (v if i % 2 == 0 else w)[:, i // 2], src)
+        rows[:, i + 1] = (src[:, None, :] @ e[:, 1:])[:, 0]
+    # the T direction contributes an exact zero, placed as a stable sort places it
+    eigs = np.sort(np.concatenate([vals, np.zeros((batch, 1))], axis=1), axis=1, kind="stable")
+    return rows, f, count, eigs
 
 
 def adapted_frame(s: StationaryStructure, point, tol: Tolerances = DEFAULT) -> OrthonormalFrame:
@@ -234,31 +330,32 @@ def adapted_frame(s: StationaryStructure, point, tol: Tolerances = DEFAULT) -> O
 
 def adapted_frames_batch(
     s: StationaryStructure, data: StructureData, tol: Tolerances = DEFAULT
-) -> list[OrthonormalFrame]:
-    """Adapted frames for every point of a precomputed StructureData."""
+) -> FrameBatch:
+    """Adapted frames for every point of a precomputed StructureData.
+
+    Each check raises for the first point that fails it, with that point's
+    own numbers in the message.
+    """
     completions = _completions(data, tol)
-    a_completions = _nabla_t_frames(data.cov_t_l, completions)
-    parts = [_adapt(e, a, tol) for e, a in zip(completions, a_completions)]
+    batch, n = data.points.shape
+    a = _nabla_t_frames(data.cov_t_l, completions)
+    t_block = np.maximum(np.abs(a[:, 0, :]).max(axis=1), np.abs(a[:, :, 0]).max(axis=1))
+    if np.any(t_block > tol.pairing):
+        worst = float(t_block[np.argmax(t_block > tol.pairing)])
+        raise EigenstructureError(f"nab T does not annihilate the T direction (residual {worst})")
+    # parallel T: defined fallback, every spatial direction fixed, spectrum zero
+    moving = np.flatnonzero(np.abs(a[:, 1:, 1:]).max(axis=(1, 2)) > tol.pairing)
+    vectors = completions.copy()
+    f = np.zeros((batch, (n - 1) // 2))
+    count = np.zeros(batch, dtype=int)
+    eigs = np.zeros((batch, n))
+    if moving.size:
+        parts = _adapt(completions[moving], a[moving], tol)
+        vectors[moving], f[moving], count[moving], eigs[moving] = parts
     # rotation-block pattern residual on the final frames
-    a_final = _nabla_t_frames(data.cov_t_l, np.stack([part[0] for part in parts]))
-    out = []
-    for b, (vectors, pairing, fixed, eigs) in enumerate(parts):
-        pattern = np.zeros(vectors.shape)
-        for p in pairing:
-            pattern[p.j, p.i] = p.f
-            pattern[p.i, p.j] = -p.f
-        residual = float(np.abs(a_final[b] - pattern).max())
-        if residual > tol.pairing:
-            raise FrameError(f"adapted frame residual {residual} above tolerance {tol.pairing}")
-        out.append(
-            OrthonormalFrame(
-                point=data.points[b].copy(),
-                vectors=vectors,
-                pairing=pairing,
-                fixed_indices=fixed,
-                timelike_norm=float(data.gtt[b]),
-                rotation_residual=residual,
-                nabla_sq_eigenvalues=eigs,
-            )
-        )
-    return out
+    pattern = rotation_blocks(f, count, n).swapaxes(1, 2)
+    residual = np.abs(_nabla_t_frames(data.cov_t_l, vectors) - pattern).max(axis=(1, 2))
+    if np.any(residual > tol.pairing):
+        worst = float(residual[np.argmax(residual > tol.pairing)])
+        raise FrameError(f"adapted frame residual {worst} above tolerance {tol.pairing}")
+    return FrameBatch(data.points.copy(), vectors, f, count, residual, eigs, data.gtt.copy())

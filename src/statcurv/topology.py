@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature_ops import CurvatureOperatorMatrix, PointOperators, operators_from_data
+from .curvature_ops import CurvatureOperatorMatrix, OperatorBatch, operators_from_data
 from .errors import GridPointError, StatcurvError
 from .frames import adapted_frames_batch
 from .linalg import jacobi_eigh
@@ -75,7 +75,7 @@ class GridScanResult:
     max_identity_residual: float
     points: np.ndarray
     eigenvalues: np.ndarray
-    operators: list[PointOperators]
+    operators: OperatorBatch
 
 
 def _symmetric_eigenvalues(matrix, tol: Tolerances) -> np.ndarray:
@@ -170,22 +170,22 @@ def chunked(pts: np.ndarray, step) -> list:
 
 def scan_points(
     s: StationaryStructure, pts: np.ndarray, tol: Tolerances = DEFAULT
-) -> list[PointOperators]:
+) -> OperatorBatch:
     """Adapted frames and all three operators at each point, in chunks."""
 
     def step(chunk):
         data = structure_data(s, chunk, tol)
         return operators_from_data(s, data, adapted_frames_batch(s, data, tol), tol)
 
-    return [op for ops in chunked(pts, step) for op in ops]
+    return OperatorBatch.concat(chunked(pts, step))
 
 
 def _spectra(
     s: StationaryStructure, pts: np.ndarray, tol: Tolerances
-) -> tuple[list[PointOperators], np.ndarray]:
+) -> tuple[OperatorBatch, np.ndarray]:
     """Operators at each point and the ascending spectra of their symmetrized matrices."""
     ops = scan_points(s, pts, tol)
-    vals, _ = jacobi_eigh(np.stack([op.symmetrized.entries for op in ops]))
+    vals, _ = jacobi_eigh(ops.m_s)
     return ops, vals
 
 
@@ -205,7 +205,7 @@ def grid_scans(
         raise ValueError("empty grid")
     ops, vals = _spectra(s, pts, tol)
     sums = np.cumsum(vals, axis=1)
-    residual = max(op.central_residual for op in ops)
+    residual = float(ops.central.max())
     results = []
     for p in ps:
         margins = sums[:, n - p - 1]

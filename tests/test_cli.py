@@ -340,6 +340,39 @@ class TestExamples:
         assert "positive" in out
 
 
+@pytest.mark.parametrize("which", ["s3", "random4"])
+def test_reports_do_not_depend_on_chunk_size(capsys, monkeypatch, tmp_path, which):
+    # chunk boundaries must not reach any byte: 1 puts every point in its own
+    # chunk, 7 leaves a short last chunk, 2048 holds the whole grid
+    if which == "s3":
+        spec, grid = S3, "4"
+    else:
+        spec, grid = str(tmp_path / "four.spec"), "2"
+        cli.main(["examples", "--random", "--seed", "5", "--dimension", "4", "--out", spec])
+        capsys.readouterr()
+    reports = []
+    for chunk in (1, 7, 2048):
+        monkeypatch.setattr(topology, "CHUNK", chunk)
+        export = run(capsys, "export", spec, "--grid", grid)
+        verify = run(capsys, "verify", spec, "--grid", grid, "--format", "json")
+        reports.append((export, verify))
+    assert reports[0][0][1] and reports[0][1][1]
+    assert reports[1] == reports[0]
+    assert reports[2] == reports[0]
+
+
+def test_out_of_memory_exits_3(capsys, monkeypatch):
+    # an uncaught MemoryError would exit 1, the code for "positivity failed"
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(topology, "grid_scans", exhausted)
+    code, out, err = run(capsys, "analyze", S3, "--p", "1", "--grid", "2")
+    assert code == 3
+    assert out == ""
+    assert err == "resource failure: out of memory\n"
+
+
 def test_grid_parsing_errors(capsys):
     code, _, err = run(capsys, "analyze", S3, "--p", "1", "--grid", "4,4")
     assert code == 2

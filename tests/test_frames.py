@@ -8,16 +8,25 @@ import pytest
 
 from statcurv.errors import EigenstructureError, FrameError
 from statcurv.frames import (
-    _pair_cluster,
+    FramePair,
+    _cluster_starts,
+    _pair_clusters,
     _split_eigenvalues,
     adapted_frame,
     adapted_frames_batch,
     orthonormal_completion,
 )
 from statcurv.generators import battery_recipe, generate, s3_times_torus, two_pair_flat_rotations
+from statcurv.linalg import jacobi_eigh
 from statcurv.metric import load_spec
-from statcurv.stationary import StationaryStructure, conformal_normalize, structure_data
+from statcurv.stationary import (
+    StationaryStructure,
+    _nabla_t_frames,
+    conformal_normalize,
+    structure_data,
+)
 from statcurv.tolerances import DEFAULT
+from statcurv.topology import build_grid
 
 from conftest import sample_interior
 
@@ -143,9 +152,11 @@ class TestAdaptedFrame:
         import statcurv.frames as frames_mod
 
         def bad_split(vals, tol):
-            return [[0]], list(range(1, len(vals)))
+            kernel = np.ones(vals.shape, dtype=bool)
+            kernel[:, 0] = False  # one cluster [0], the rest kernel
+            return kernel, ~kernel
 
-        monkeypatch.setattr(frames_mod, "_split_eigenvalues", bad_split)
+        monkeypatch.setattr(frames_mod, "_cluster_starts", bad_split)
         with pytest.raises(EigenstructureError, match="odd-dimensional"):
             adapted_frame(s3, [0.7, 1.0, 2.0])
 
@@ -203,9 +214,245 @@ class TestEigenSplitting:
         spatial[1, 0], spatial[0, 1] = f, -f
         spatial[3, 2], spatial[2, 3] = f, -f
         vecs = np.eye(4)
-        pairs = _pair_cluster(vecs, spatial)
-        assert len(pairs) == 2
-        basis = np.array([v for pair in pairs for v in pair[:2]])
+        kernel = np.zeros((1, 4), dtype=bool)
+        starts = np.array([[True, False, False, False]])
+        v, w, f_values, count = _pair_clusters(vecs[None], spatial[None], kernel, starts)
+        assert count.tolist() == [2]
+        basis = np.concatenate([v[0], w[0]])
         gram = basis @ basis.T
         assert np.abs(gram - np.eye(4)).max() < 1e-12
-        assert all(p[2] == pytest.approx(-f) for p in pairs)
+        assert f_values[0] == pytest.approx([-f, -f])
+
+
+# --- per-point reference ------------------------------------------------------
+# The single-point construction the batched pass replaced, kept as the
+# reference (its error checks become asserts): the batched pass does the same
+# arithmetic in the same order, so every frame must agree with it byte for
+# byte.
+
+
+def _reference_complete(g, t_vec):
+    n = t_vec.size
+    basis = [np.asarray(t_vec, dtype=float)]
+    norms = [float(basis[0] @ g @ basis[0])]
+    for axis in range(n):
+        if len(basis) == n:
+            break
+        cand = np.zeros(n)
+        cand[axis] = 1.0
+        for vec, nrm in zip(basis, norms):
+            cand = cand - (float(cand @ g @ vec) / nrm) * vec
+        norm_sq = float(cand @ g @ cand)
+        if norm_sq <= 1e-24 * float(g[axis, axis]):
+            continue
+        cand /= np.sqrt(norm_sq)
+        basis.append(cand)
+        norms.append(1.0)
+    assert len(basis) == n
+    return np.array(basis)
+
+
+def _pair_cluster(vecs, spatial_nabla):
+    dim = vecs.shape[1]
+    chosen = []
+    pairs = []
+    for idx in range(dim):
+        if len(chosen) == dim:
+            break
+        v = vecs[:, idx].copy()
+        for c in chosen:
+            v -= (c @ v) * c
+        nrm = float(np.sqrt(v @ v))
+        if nrm < 0.5:
+            continue
+        v /= nrm
+        u = spatial_nabla @ v
+        nrm_u = float(np.sqrt(u @ u))
+        assert nrm_u != 0.0
+        f = -nrm_u
+        w = -u / nrm_u
+        for c in chosen:
+            w -= (c @ w) * c
+        w -= (v @ w) * v
+        w /= float(np.sqrt(w @ w))
+        chosen += [v, w]
+        pairs.append((v, w, f))
+    assert 2 * len(pairs) == dim
+    return pairs
+
+
+def _reference_split(vals, tol):
+    assert not np.any(vals > tol.eigen_error)
+    zero_cut = max(tol.pairing**2, tol.cluster_rel * abs(float(vals[0])))
+    clusters = []
+    kernel = []
+    for idx, lam in enumerate(vals):
+        if lam >= -zero_cut:
+            kernel.append(idx)
+        elif clusters and abs(lam - vals[clusters[-1][-1]]) <= tol.cluster_rel * abs(
+            vals[clusters[-1][-1]]
+        ):
+            clusters[-1].append(idx)
+        else:
+            clusters.append([idx])
+    return clusters, kernel
+
+
+def _reference_adapt(e, a_frame, tol):
+    n = e.shape[0]
+    spatial = a_frame[1:, 1:]
+    if float(np.abs(spatial).max(initial=0.0)) <= tol.pairing:
+        return e, (), tuple(range(1, n)), tuple([0.0] * n)
+    squared = spatial @ spatial
+    vals, vecs = jacobi_eigh(0.5 * (squared + squared.T))
+    clusters, kernel = _reference_split(vals, tol)
+    pairs = []
+    for cluster in clusters:
+        pairs.extend(_pair_cluster(vecs[:, cluster], spatial))
+    pairs.sort(key=lambda p: -abs(p[2]))
+    rows = [e[0]]
+    pairing = []
+    for v, w, f in pairs:
+        pairing.append(FramePair(len(rows), len(rows) + 1, float(f)))
+        rows.append(v @ e[1:])
+        rows.append(w @ e[1:])
+    fixed = []
+    for idx in kernel:
+        fixed.append(len(rows))
+        rows.append(vecs[:, idx] @ e[1:])
+    eigs = sorted([float(v) for v in vals] + [0.0])
+    return np.array(rows), tuple(pairing), tuple(fixed), tuple(eigs)
+
+
+def _reference_frames(data, tol=DEFAULT):
+    """(vectors, pairing, fixed indices, spectrum, rotation residual) per point."""
+    completions = np.stack(
+        [_reference_complete(g, t) for g, t in zip(data.g, data.t)]
+    )
+    a = _nabla_t_frames(data.cov_t_l, completions)
+    parts = [_reference_adapt(e, a_b, tol) for e, a_b in zip(completions, a)]
+    a_final = _nabla_t_frames(data.cov_t_l, np.stack([part[0] for part in parts]))
+    out = []
+    for b, (vectors, pairing, fixed, eigs) in enumerate(parts):
+        pattern = np.zeros(vectors.shape)
+        for p in pairing:
+            pattern[p.j, p.i] = p.f
+            pattern[p.i, p.j] = -p.f
+        out.append((vectors, pairing, fixed, eigs, float(np.abs(a_final[b] - pattern).max())))
+    return out
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+def assert_matches_reference(frames, data, label=""):
+    reference = _reference_frames(data)
+    assert len(frames) == len(reference)
+    for b, (frame, (vectors, pairing, fixed, eigs, residual)) in enumerate(zip(frames, reference)):
+        where = f"{label} point {b}"
+        assert frame.vectors.tobytes() == vectors.tobytes(), where
+        assert [(p.i, p.j) for p in frame.pairing] == [(p.i, p.j) for p in pairing], where
+        assert _bits(frame.f_values) == _bits(p.f for p in pairing), where
+        assert frame.fixed_indices == fixed, where
+        assert _bits(frame.nabla_sq_eigenvalues) == _bits(eigs), where
+        assert _bits([frame.rotation_residual]) == _bits([residual]), where
+
+
+def _flat_five_torus():
+    text = (
+        "[chart]\ncoords = t, a, b, c, d\n"
+        + "".join(f"{x} = 0, 6.28\n" for x in "tabcd")
+        + "margin = 0.001\n[metric]\n"
+        + 'g_0_0 = "-1"\n'
+        + "".join(f'g_{i}_{i} = "1"\n' for i in range(1, 5))
+        + "[signature]\nkind = lorentzian\n[killing]\n"
+        + 'T_0 = "1"\n'
+        + "".join(f'T_{i} = "0"\n' for i in range(1, 5))
+        + "unit = true\n"
+    )
+    return StationaryStructure.from_spec(load_spec(text))
+
+
+def _synthetic(spatial_maps):
+    """Flat 5-torus data whose nab^L T has the given spatial blocks (B, 4, 4).
+
+    The completion of the flat torus is the identity frame, so each map is
+    exactly the spatial block the adapted construction sees.
+    """
+    structure = _flat_five_torus()
+    pts = np.tile([1.0, 1.0, 2.0, 3.0, 4.0], (len(spatial_maps), 1))
+    data = structure_data(structure, pts)
+    cov = np.zeros((len(spatial_maps), 5, 5))
+    cov[:, 1:, 1:] = spatial_maps
+    return structure, replace(data, cov_t_l=cov)
+
+
+def _two_blocks(fa, fb, seed):
+    blocks = np.zeros((4, 4))
+    blocks[1, 0], blocks[0, 1] = fa, -fa
+    blocks[3, 2], blocks[2, 3] = fb, -fb
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(4, 4)))
+    return q @ blocks @ q.T
+
+
+class TestBatchedFramesMatchPerPoint:
+    def test_s3(self, s3):
+        pts, _ = build_grid(s3.spec, 6)
+        data = structure_data(s3, pts)
+        assert_matches_reference(adapted_frames_batch(s3, data), data, "s3")
+
+    def test_flat_torus(self, flat_torus):
+        data = structure_data(flat_torus, sample_interior(flat_torus.spec, 5, 1))
+        frames = adapted_frames_batch(flat_torus, data)
+        assert all(f.fixed_indices == (1, 2) for f in frames)  # the parallel-T fallback
+        assert_matches_reference(frames, data, "flat torus")
+
+    @pytest.mark.parametrize("make", [two_pair_flat_rotations, s3_times_torus])
+    def test_generator_examples(self, make):
+        structure = make()
+        data = structure_data(structure, sample_interior(structure.spec, 12, 3))
+        assert_matches_reference(adapted_frames_batch(structure, data), data, make.__name__)
+
+    def test_battery(self):
+        for seed in range(100):
+            structure = generate(battery_recipe(seed))
+            data = structure_data(structure, sample_interior(structure.spec, 8, seed))
+            assert_matches_reference(adapted_frames_batch(structure, data), data, f"seed {seed}")
+
+    def test_four_dimensional_eigenspace_beside_generic_rows(self):
+        # row 1 has one 4-dimensional eigenspace, so its second eigenvector
+        # is projected off the first pair; its neighbours (two distinct
+        # blocks, parallel T) must not notice, and every row must equal the
+        # same row built alone
+        maps = np.stack([_two_blocks(0.9, 0.4, 0), _two_blocks(0.75, 0.75, 1), np.zeros((4, 4))])
+        structure, data = _synthetic(maps)
+        frames = adapted_frames_batch(structure, data)
+        assert_matches_reference(frames, data, "synthetic")
+        assert [len(f.pairing) for f in frames] == [2, 2, 0]
+        assert frames[1].f_values == pytest.approx([-0.75, -0.75])
+        for b in range(len(maps)):
+            alone = adapted_frames_batch(*_synthetic(maps[b : b + 1]))[0]
+            assert alone.vectors.tobytes() == frames[b].vectors.tobytes()
+            assert alone.pairing == frames[b].pairing
+            assert _bits(alone.nabla_sq_eigenvalues) == _bits(frames[b].nabla_sq_eigenvalues)
+            assert _bits([alone.rotation_residual]) == _bits([frames[b].rotation_residual])
+
+
+class TestBatchedErrors:
+    def test_positive_eigenvalue_names_its_own_point(self):
+        # the first failing row's largest eigenvalue, never the batch-wide one
+        vals = np.array([[-1.0, -1.0], [-1.0, 5e-6], [-1.0, 0.25]])
+        with pytest.raises(EigenstructureError, match=r"positive eigenvalue 5e-06 of"):
+            _cluster_starts(vals, DEFAULT)
+
+    def test_batch_reports_first_failing_point(self):
+        # symmetric spatial maps square to positive eigenvalues: 1e-4 at row 1
+        # and 1.0 at row 2; row 0 is a valid rotation
+        maps = np.stack([_two_blocks(0.9, 0.4, 0), np.diag([0.01] * 4), np.eye(4)])
+        with pytest.raises(EigenstructureError) as batch_error:
+            adapted_frames_batch(*_synthetic(maps))
+        with pytest.raises(EigenstructureError) as alone_error:
+            adapted_frames_batch(*_synthetic(maps[1:2]))
+        assert str(batch_error.value) == str(alone_error.value)
+        assert "positive eigenvalue 0.0001" in str(batch_error.value)
