@@ -116,10 +116,10 @@ class FrameBatch(Sequence):
 def rotation_blocks(f: np.ndarray, pair_count: np.ndarray, n: int) -> np.ndarray:
     """Omega (B, n, n), Omega[b, i, j] = g_L(nab^L_{X_i} T, X_j) of the standard pairing."""
     omega = np.zeros((f.shape[0], n, n))
-    for t in range(f.shape[1]):
-        paired = t < pair_count
-        omega[:, 2 * t + 1, 2 * t + 2] = np.where(paired, f[:, t], 0.0)
-        omega[:, 2 * t + 2, 2 * t + 1] = np.where(paired, -f[:, t], 0.0)
+    t = np.arange(f.shape[1])
+    paired = t < pair_count[:, None]
+    omega[:, 2 * t + 1, 2 * t + 2] = np.where(paired, f, 0.0)
+    omega[:, 2 * t + 2, 2 * t + 1] = np.where(paired, -f, 0.0)
     return omega
 
 
