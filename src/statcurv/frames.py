@@ -256,13 +256,13 @@ def _pair_clusters(vecs: np.ndarray, spatial: np.ndarray, kernel, starts):
     v_out, w_out = np.zeros((2, batch, m // 2, m))
     f_out = np.zeros((batch, m // 2))
     count = np.zeros(batch, dtype=int)
+    along = lambda x, c: _dot(chosen[:, c], x)
     for i in range(m):
         taken[starts[:, i]] = 0
         live = ~kernel[:, i] & (taken < sizes[:, i])
         if not np.any(live):
             continue
         within = np.where(live, taken, 0)
-        along = lambda x, c: _dot(chosen[:, c], x)
         # a contiguous copy: a strided column would take another dot kernel
         v = _project_off(vecs[:, :, i].copy(), chosen, within, along)
         nrm = np.sqrt(_dot(v, v))
@@ -341,8 +341,8 @@ def adapted_frames_batch(
     a = _nabla_t_frames(data.cov_t_l, completions)
     t_block = np.maximum(np.abs(a[:, 0, :]).max(axis=1), np.abs(a[:, :, 0]).max(axis=1))
     if np.any(t_block > tol.pairing):
-        worst = float(t_block[np.argmax(t_block > tol.pairing)])
-        raise EigenstructureError(f"nab T does not annihilate the T direction (residual {worst})")
+        first = float(t_block[np.argmax(t_block > tol.pairing)])
+        raise EigenstructureError(f"nab T does not annihilate the T direction (residual {first})")
     # parallel T: defined fallback, every spatial direction fixed, spectrum zero
     moving = np.flatnonzero(np.abs(a[:, 1:, 1:]).max(axis=(1, 2)) > tol.pairing)
     vectors = completions.copy()
@@ -356,6 +356,6 @@ def adapted_frames_batch(
     pattern = rotation_blocks(f, count, n).swapaxes(1, 2)
     residual = np.abs(_nabla_t_frames(data.cov_t_l, vectors) - pattern).max(axis=(1, 2))
     if np.any(residual > tol.pairing):
-        worst = float(residual[np.argmax(residual > tol.pairing)])
-        raise FrameError(f"adapted frame residual {worst} above tolerance {tol.pairing}")
+        first = float(residual[np.argmax(residual > tol.pairing)])
+        raise FrameError(f"adapted frame residual {first} above tolerance {tol.pairing}")
     return FrameBatch(data.points.copy(), vectors, f, count, residual, eigs, data.gtt.copy())
