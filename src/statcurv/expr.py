@@ -465,68 +465,6 @@ def _eval_jet_uncached(node: Node, pts: np.ndarray, cache: dict | None) -> _Jet:
     raise AssertionError(f"unhandled node {node!r}")
 
 
-def _eval_value(node: Node, pts: np.ndarray, cache: dict | None = None) -> np.ndarray:
-    if cache is not None:
-        hit = cache.get(id(node))
-        if hit is not None:
-            return hit[1]
-    value = _eval_value_uncached(node, pts, cache)
-    if cache is not None:
-        cache[id(node)] = (node, value)
-    return value
-
-
-def _eval_value_uncached(node: Node, pts: np.ndarray, cache: dict | None) -> np.ndarray:
-    if isinstance(node, Num):
-        return np.full(pts.shape[0], node.value)
-    if isinstance(node, Var):
-        return pts[:, node.index].copy()
-    if isinstance(node, Neg):
-        return -_eval_value(node.arg, pts, cache)
-    if isinstance(node, Add):
-        return _eval_value(node.left, pts, cache) + _eval_value(node.right, pts, cache)
-    if isinstance(node, Sub):
-        return _eval_value(node.left, pts, cache) - _eval_value(node.right, pts, cache)
-    if isinstance(node, Mul):
-        return _eval_value(node.left, pts, cache) * _eval_value(node.right, pts, cache)
-    if isinstance(node, Div):
-        den = _eval_value(node.right, pts, cache)
-        if np.any(den == 0.0):
-            raise EvalDomainError("division by zero", _unparse(node))
-        return _eval_value(node.left, pts, cache) / den
-    if isinstance(node, Pow):
-        base = _eval_value(node.base, pts, cache)
-        if node.exponent < 0 and np.any(base == 0.0):
-            raise EvalDomainError("zero raised to a negative power", _unparse(node))
-        return base**node.exponent
-    if isinstance(node, Call):
-        u = _eval_value(node.arg, pts, cache)
-        if node.func == "sin":
-            return np.sin(u)
-        if node.func == "cos":
-            return np.cos(u)
-        if node.func == "tan":
-            if np.any(np.cos(u) == 0.0):
-                raise EvalDomainError("tan at a pole", _unparse(node))
-            return np.tan(u)
-        if node.func == "cot":
-            s = np.sin(u)
-            if np.any(s == 0.0):
-                raise EvalDomainError("cot at a pole", _unparse(node))
-            return np.cos(u) / s
-        if node.func == "exp":
-            return np.exp(u)
-        if node.func == "log":
-            if np.any(u <= 0.0):
-                raise EvalDomainError("log of a nonpositive value", _unparse(node))
-            return np.log(u)
-        if node.func == "sqrt":
-            if np.any(u < 0.0):
-                raise EvalDomainError("sqrt of a negative value", _unparse(node))
-            return np.sqrt(u)
-    raise AssertionError(f"unhandled node {node!r}")
-
-
 # --- public types ----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -687,8 +625,3 @@ def eval_jet_batch(
     pts = np.asarray(pts, dtype=float)
     jet = _eval_jet(e.root, pts, cache)
     return jet.val, jet.grad, jet.hess
-
-
-def eval_values(e: Expression, pts, cache: dict | None = None) -> np.ndarray:
-    """Values only (no derivatives); the cheap path for finite-difference oracles."""
-    return _eval_value(e.root, np.asarray(pts, dtype=float), cache)

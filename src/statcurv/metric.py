@@ -12,6 +12,12 @@ Curvature sign convention, used everywhere downstream:
 
 so the round 3-sphere has Rm(X,Y,X,Y) = -1 in an orthonormal frame and its
 curvature operator (assembled with a minus sign in curvature_ops) is +I.
+
+In coordinates the lowered tensor is built from the first-kind symbols
+Gamma_{m,ij} = 1/2 (d_i g_jm + d_j g_im - d_m g_ij) and Gamma^m_ij = g^{mk} Gamma_{k,ij}:
+
+    Rm_ijkl = 1/2 (d_i d_k g_jl - d_i d_l g_jk - d_j d_k g_il + d_j d_l g_ik)
+              + Gamma_{m,jl} Gamma^m_ik - Gamma_{m,il} Gamma^m_jk
 """
 
 from __future__ import annotations
@@ -330,14 +336,15 @@ def metric_at(spec: MetricSpec, point, tol: Tolerances = DEFAULT) -> MetricAtPoi
     return MetricAtPoint(point, g[0], g_inv[0], dg[0], d2g[0])
 
 
-def _sym_derivative(dg: np.ndarray) -> np.ndarray:
-    # sym[b,i,j,l] = d_i g_jl + d_j g_il - d_l g_ij   (dg[b,k,i,j] = d_k g_ij)
-    return dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
+def _first_kind(dg: np.ndarray) -> np.ndarray:
+    """First-kind symbols Gamma_{m,ij} as [b,m,i,j], from dg[b,k,i,j] = d_k g_ij."""
+    return 0.5 * (dg.transpose(0, 3, 1, 2) + dg.transpose(0, 2, 3, 1) - dg)
 
 
 def christoffel_batch(g_inv: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    """Levi-Civita symbols Gamma[b,k,i,j] = 1/2 g^{kl}(d_i g_jl + d_j g_il - d_l g_ij)."""
-    return 0.5 * np.einsum("bkl,bijl->bkij", g_inv, _sym_derivative(dg))
+    """Levi-Civita symbols Gamma[b,k,i,j] = g^{km} Gamma_{m,ij}, one batched matmul."""
+    b, n = dg.shape[:2]
+    return (g_inv @ _first_kind(dg).reshape(b, n, n * n)).reshape(b, n, n, n)
 
 
 def christoffel(m: MetricAtPoint) -> np.ndarray:
@@ -345,33 +352,31 @@ def christoffel(m: MetricAtPoint) -> np.ndarray:
     return christoffel_batch(m.g_inv[None], m.dg[None])[0]
 
 
-def riemann_batch(g, g_inv, dg, d2g) -> np.ndarray:
-    """Lowered Riemann tensor Rm[b,i,j,k,l] = g(R(d_i,d_j)d_k, d_l)."""
-    gamma = christoffel_batch(g_inv, dg)
-    sym = _sym_derivative(dg)
-    # dsym[b,m,i,j,l] = d_m(d_i g_jl + d_j g_il - d_l g_ij), d2g[b,m,k,i,j] = d_m d_k g_ij
-    dsym = d2g + d2g.transpose(0, 1, 3, 2, 4) - d2g.transpose(0, 1, 3, 4, 2)
-    dg_inv = -np.einsum("bka,bmac,bcl->bmkl", g_inv, dg, g_inv)
-    dgamma = 0.5 * (
-        np.einsum("bmkl,bijl->bmkij", dg_inv, sym)
-        + np.einsum("bkl,bmijl->bmkij", g_inv, dsym)
-    )
-    # dgamma[b,m,k,i,j] = d_m Gamma^k_ij; then
-    # up[b,l,i,j,k] = d_i Gamma^l_jk - d_j Gamma^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik
-    up = (
-        np.einsum("biljk->blijk", dgamma)
-        - np.einsum("bjlik->blijk", dgamma)
-        + np.einsum("blim,bmjk->blijk", gamma, gamma)
-        - np.einsum("bljm,bmik->blijk", gamma, gamma)
-    )
-    return np.einsum("blm,bmijk->bijkl", g, up)
+def riemann_batch(gamma: np.ndarray, dg: np.ndarray, d2g: np.ndarray) -> np.ndarray:
+    """Lowered Riemann tensor Rm[b,i,j,k,l] = g(R(d_i,d_j)d_k, d_l) from gamma = christoffel_batch.
+
+    Rm_ijkl = 1/2 (d_i d_k g_jl - d_i d_l g_jk - d_j d_k g_il + d_j d_l g_ik)
+              + Gamma_{m,jl} Gamma^m_ik - Gamma_{m,il} Gamma^m_jk
+
+    Differentiating the lowered symbols needs no derivative of g^-1 and no
+    final lowering by g.  Rm_ijkl = S_ijkl - S_jikl, where
+    S_ijkl = 1/2 (d_i d_k g_jl - d_i d_l g_jk) + Gamma^m_ik Gamma_{m,jl} is built
+    in the [b,i,k,j,l] layout of the one batched product Q[b,ik,jl] =
+    Gamma^m_ik Gamma_{m,jl}, in which the second-derivative part is d2g minus
+    d2g with k and l swapped.
+    """
+    b, n = dg.shape[:2]
+    s = gamma.reshape(b, n, n * n).swapaxes(1, 2) @ _first_kind(dg).reshape(b, n, n * n)
+    # rebinding s frees Q as S is built; d2g[b,i,k,j,l] = d_i d_k g_jl
+    s = s.reshape(b, n, n, n, n) + 0.5 * (d2g - d2g.swapaxes(2, 4))
+    return s.transpose(0, 1, 3, 2, 4) - s.transpose(0, 3, 1, 2, 4)
 
 
 def riemann_coordinate(spec: MetricSpec, point, tol: Tolerances = DEFAULT) -> RiemannTensor:
     """Curvature 4-tensor in coordinates under the sign convention above."""
     point = np.asarray(point, dtype=float)
-    g, g_inv, dg, d2g = metric_batch(spec, point[None, :], tol)
-    comps = riemann_batch(g, g_inv, dg, d2g)[0]
+    _, g_inv, dg, d2g = metric_batch(spec, point[None, :], tol)
+    comps = riemann_batch(christoffel_batch(g_inv, dg), dg, d2g)[0]
     return RiemannTensor(point, "coordinate", comps)
 
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .expr import Expression, eval_values
+from .expr import Expression, eval_jet_batch
 from .linalg import invert
 from .metric import MetricSpec, RiemannTensor, christoffel_batch
 
@@ -51,7 +51,7 @@ def fd_gradient_hessian(e: Expression, point, step: float = 1e-3):
     point = np.asarray(point, dtype=float)
 
     def value(p):
-        return float(eval_values(e, p[None, :])[0])
+        return float(eval_jet_batch(e, p[None, :])[0][0])
 
     grad_h, hess_h = _central_differences(value, point, step)
     grad_half, hess_half = _central_differences(value, point, step / 2)
@@ -63,7 +63,7 @@ def _metric_values(spec: MetricSpec, pts: np.ndarray) -> np.ndarray:
     cache: dict = {}
     g = np.zeros((pts.shape[0], n, n))
     for i, j, expr in spec.entries:
-        val = eval_values(expr, pts, cache)
+        val = eval_jet_batch(expr, pts, cache)[0]
         g[:, i, j] = val
         if i != j:
             g[:, j, i] = val

@@ -121,7 +121,7 @@ class StructureData:
 
     Index conventions: dg[b,k,i,j] = d_k g_ij; dt[b,i,k] = d_i T^k;
     cov_*[b,k,i] = (nab_{d_i} T)^k; rm_*[b,i,j,k,l] lowered Riemann, each
-    built from the stored jets on first read.
+    built on first read from the stored jets and Christoffel symbols.
     """
 
     points: np.ndarray
@@ -144,11 +144,11 @@ class StructureData:
 
     @cached_property
     def rm_l(self) -> np.ndarray:
-        return riemann_batch(self.gl, self.gl_inv, self.dgl, self.d2gl)
+        return riemann_batch(self.gamma_l, self.dgl, self.d2gl)
 
     @cached_property
     def rm_g(self) -> np.ndarray:
-        return riemann_batch(self.g, self.g_inv, self.dg, self.d2g)
+        return riemann_batch(self.gamma_g, self.dg, self.d2g)
 
 
 def _t_jets(s: StationaryStructure, pts: np.ndarray, cache: dict) -> tuple[np.ndarray, np.ndarray]:

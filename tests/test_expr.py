@@ -17,7 +17,6 @@ from statcurv.expr import (
     Var,
     eval_jet,
     eval_jet_batch,
-    eval_values,
     parse_expression,
 )
 from statcurv.oracles import fd_gradient_hessian
@@ -157,11 +156,6 @@ class TestJets:
             assert np.array_equal(grads[b], jv.gradient)
             assert np.array_equal(hesses[b], jv.hessian)
 
-    def test_values_only_path(self):
-        e = parse_expression("t^2+theta1", COORDS)
-        out = eval_values(e, np.array([[2.0, 1.0, 0.0], [3.0, -1.0, 0.0]]))
-        assert out.tolist() == [5.0, 8.0]
-
 
 class TestDomainErrors:
     @pytest.mark.parametrize(
@@ -172,12 +166,19 @@ class TestDomainErrors:
             ("sqrt(t)", [-2.0]),
             ("1/t", [0.0]),
             ("t^-1", [0.0]),
+            ("sqrt(t)", [0.0]),
         ],
     )
     def test_domain_error(self, text, point):
         with pytest.raises(EvalDomainError) as err:
             eval_jet(parse_expression(text, ("t",)), point)
         assert err.value.subexpression
+
+    def test_oracle_refuses_what_jets_refuse(self):
+        # the finite-difference oracle evaluates through the jet path, so a
+        # stencil that touches sqrt(0) fails as the program would
+        with pytest.raises(EvalDomainError, match="sqrt"):
+            fd_gradient_hessian(parse_expression("sqrt(t)", ("t",)), [1e-3], step=1e-3)
 
     def test_error_names_the_subexpression(self):
         e = parse_expression("1+log(t-5)", ("t",))

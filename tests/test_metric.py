@@ -2,12 +2,14 @@
 
 import dataclasses
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from statcurv.errors import ChartDomainError, NearSingularError, SignatureError, SpecFormatError
+from statcurv import expr as ex
 from statcurv.expr import Expression, eval_jet_batch
 from statcurv.generators import GeneratorRecipe, battery_recipe, generate
 from statcurv.metric import (
@@ -25,8 +27,149 @@ from statcurv.metric import (
 )
 from statcurv.oracles import constant_curvature_oracle, fd_christoffel_oracle, fd_metric_derivative
 from statcurv.stationary import StationaryStructure, structure_data
+from statcurv.topology import scan_points
 
 from conftest import SPEC_DIR, sample_interior
+
+
+def einsum_riemann(g, g_inv, dg, d2g):
+    """The second-kind reference formula: differentiate Gamma^k_ij through
+    d(g^-1) = -g^-1 dg g^-1, then lower with g.  Rm[b,i,j,k,l] = g(R(d_i,d_j)d_k, d_l)."""
+    sym = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)  # [b,i,j,l]
+    gamma = 0.5 * np.einsum("bkl,bijl->bkij", g_inv, sym)
+    # dsym[b,m,i,j,l] = d_m(d_i g_jl + d_j g_il - d_l g_ij), d2g[b,m,k,i,j] = d_m d_k g_ij
+    dsym = d2g + d2g.transpose(0, 1, 3, 2, 4) - d2g.transpose(0, 1, 3, 4, 2)
+    dg_inv = -np.einsum("bka,bmac,bcl->bmkl", g_inv, dg, g_inv)
+    dgamma = 0.5 * (
+        np.einsum("bmkl,bijl->bmkij", dg_inv, sym) + np.einsum("bkl,bmijl->bmkij", g_inv, dsym)
+    )
+    # up[b,l,i,j,k] = d_i Gamma^l_jk - d_j Gamma^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik
+    up = (
+        np.einsum("biljk->blijk", dgamma)
+        - np.einsum("bjlik->blijk", dgamma)
+        + np.einsum("blim,bmjk->blijk", gamma, gamma)
+        - np.einsum("bljm,bmik->blijk", gamma, gamma)
+    )
+    return np.einsum("blm,bmijk->bijkl", g, up)
+
+
+def first_kind_riemann(spec, pts):
+    _, g_inv, dg, d2g = metric_batch(spec, pts)
+    return riemann_batch(christoffel_batch(g_inv, dg), dg, d2g)
+
+
+def assert_close_per_point(rm, ref, rel):
+    for b in range(ref.shape[0]):
+        assert np.abs(rm[b] - ref[b]).max() <= rel * np.abs(ref[b]).max(), f"point {b}"
+
+
+def random_jets(rng, batch, n):
+    """Well-conditioned symmetric g with jets of the right symmetries (not integrable)."""
+    a = rng.standard_normal((batch, n, n))
+    g = a @ a.swapaxes(1, 2) + n * np.eye(n)
+    dg = rng.standard_normal((batch, n, n, n))
+    dg = dg + dg.swapaxes(2, 3)
+    d2g = rng.standard_normal((batch, n, n, n, n))
+    d2g = d2g + d2g.swapaxes(1, 2)
+    d2g = d2g + d2g.swapaxes(3, 4)
+    return g, np.linalg.inv(g), dg, d2g
+
+
+# --- exact oracle: sympy derivatives, second-kind algebra in 50-digit mpmath --
+
+def _to_sympy(root, symbols):
+    sympy = pytest.importorskip("sympy")
+    funcs = {
+        "sin": sympy.sin, "cos": sympy.cos, "tan": sympy.tan, "cot": sympy.cot,
+        "exp": sympy.exp, "log": sympy.log, "sqrt": sympy.sqrt,
+    }
+    memo: dict = {}
+
+    def conv(node):
+        if id(node) not in memo:
+            if isinstance(node, ex.Num):
+                out = sympy.Rational(node.value)  # the exact binary value
+            elif isinstance(node, ex.Var):
+                out = symbols[node.index]
+            elif isinstance(node, ex.Neg):
+                out = -conv(node.arg)
+            elif isinstance(node, ex.Add):
+                out = conv(node.left) + conv(node.right)
+            elif isinstance(node, ex.Sub):
+                out = conv(node.left) - conv(node.right)
+            elif isinstance(node, ex.Mul):
+                out = conv(node.left) * conv(node.right)
+            elif isinstance(node, ex.Div):
+                out = conv(node.left) / conv(node.right)
+            elif isinstance(node, ex.Pow):
+                out = conv(node.base) ** node.exponent
+            else:
+                out = funcs[node.func](conv(node.arg))
+            memo[id(node)] = out
+        return memo[id(node)]
+
+    return conv(root)
+
+
+def _second_kind_riemann(mpmath, g, dg, d2g):
+    """Textbook Rm_ijkl = g_lp R^p_ijk from mpf arrays g[i,j], dg[k,i,j] = d_k g_ij and
+    d2g[m,k,i,j] = d_m d_k g_ij, differentiating Gamma^k_ij through d(g^-1)."""
+    n = g.shape[0]
+    rn = range(n)
+
+    def table(rank, entry):
+        out = np.empty((n,) * rank, dtype=object)
+        for idx in product(rn, repeat=rank):
+            out[idx] = entry(*idx)
+        return out
+
+    inv = mpmath.inverse(mpmath.matrix(g.tolist()))
+    gi = table(2, lambda k, l: inv[k, l])
+    dgi = table(3, lambda m, k, l: -sum(gi[k, a] * dg[m, a, c] * gi[c, l] for a in rn for c in rn))
+    sym = table(3, lambda i, j, l: dg[i, j, l] + dg[j, i, l] - dg[l, i, j])
+    dsym = table(4, lambda m, i, j, l: d2g[m, i, j, l] + d2g[m, j, i, l] - d2g[m, l, i, j])
+    gam = table(3, lambda k, i, j: sum(gi[k, l] * sym[i, j, l] for l in rn) / 2)
+    dgam = table(  # dgam[m,k,i,j] = d_m Gamma^k_ij
+        4,
+        lambda m, k, i, j: sum(
+            dgi[m, k, l] * sym[i, j, l] + gi[k, l] * dsym[m, i, j, l] for l in rn
+        ) / 2,
+    )
+    up = table(  # R^p_ijk = d_i Gamma^p_jk - d_j Gamma^p_ik + G^p_im G^m_jk - G^p_jm G^m_ik
+        4,
+        lambda p, i, j, k: dgam[i, p, j, k]
+        - dgam[j, p, i, k]
+        + sum(gam[p, i, m] * gam[m, j, k] - gam[p, j, m] * gam[m, i, k] for m in rn),
+    )
+    return table(4, lambda i, j, k, l: sum(g[l, p] * up[p, i, j, k] for p in rn)).astype(float)
+
+
+def exact_riemann(spec, pts):
+    """Rm at each point from sympy's exact g, dg, d2g and 50-digit second-kind algebra."""
+    sympy = pytest.importorskip("sympy")
+    mpmath = pytest.importorskip("mpmath")
+    n = spec.dimension
+    xs = sympy.symbols(f"x0:{n}")
+    jets = []
+    for i, j, e in spec.entries:
+        s = _to_sympy(e.root, xs)
+        ds = [sympy.diff(s, x) for x in xs]
+        d2s = [[sympy.diff(d, x) for x in xs] for d in ds]
+        jets.append((i, j, sympy.lambdify(xs, [s, ds, d2s], modules="mpmath")))
+    out = np.zeros((len(pts), n, n, n, n))
+    with mpmath.workdps(50):
+        for b, point in enumerate(pts):
+            g = np.full((n, n), mpmath.mpf(0), dtype=object)
+            dg = np.full((n, n, n), mpmath.mpf(0), dtype=object)
+            d2g = np.full((n, n, n, n), mpmath.mpf(0), dtype=object)
+            for i, j, f in jets:
+                value, grad, hess = f(*(mpmath.mpf(float(x)) for x in point))
+                for p, q in {(i, j), (j, i)}:
+                    g[p, q] = value
+                    dg[:, p, q] = grad
+                    d2g[:, :, p, q] = hess
+            out[b] = _second_kind_riemann(mpmath, g, dg, d2g)
+    return out
 
 
 class TestLoadSpec:
@@ -279,13 +422,71 @@ class TestRiemann:
         structure = generate(battery_recipe(seed))
         pts = sample_interior(structure.spec, 10, seed + 50)
         for spec in (structure.spec, structure.counterpart_spec):
-            g, g_inv, dg, d2g = metric_batch(spec, pts)
-            rm = riemann_batch(g, g_inv, dg, d2g)
+            _, g_inv, dg, d2g = metric_batch(spec, pts)
+            rm = riemann_batch(christoffel_batch(g_inv, dg), dg, d2g)
             res = riemann_residuals(rm)
             assert res["antisymmetry_first_pair"] < 1e-9
             assert res["antisymmetry_second_pair"] < 1e-9
             assert res["pair_symmetry"] < 1e-9
             assert res["first_bianchi"] < 1e-8
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_matches_einsum_reference_on_random_jets(self, n):
+        g, g_inv, dg, d2g = random_jets(np.random.default_rng(20 + n), 6, n)
+        rm = riemann_batch(christoffel_batch(g_inv, dg), dg, d2g)
+        assert_close_per_point(rm, einsum_riemann(g, g_inv, dg, d2g), 1e-13)
+
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3, 4])
+    def test_matches_einsum_reference_on_structures(self, s3, seed):
+        structure = s3 if seed is None else generate(battery_recipe(seed))
+        pts = sample_interior(structure.spec, 12, 70 if seed is None else seed)
+        if seed is None:  # the chart ends, where cot t and tan t blow up
+            pts[:2, 0] = [1e-3, math.pi / 2 - 1e-3]
+        for spec in (structure.spec, structure.counterpart_spec):
+            g, g_inv, dg, d2g = metric_batch(spec, pts)
+            rm = riemann_batch(christoffel_batch(g_inv, dg), dg, d2g)
+            assert_close_per_point(rm, einsum_riemann(g, g_inv, dg, d2g), 1e-13)
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_riemann_is_batch_invariant(self, n):
+        _, g_inv, dg, d2g = random_jets(np.random.default_rng(30 + n), 2, n)
+        gamma = christoffel_batch(g_inv, dg)
+        gamma[1] *= 1e8
+        dg[1] *= 1e8
+        d2g[1] *= 1e8
+        batch = riemann_batch(gamma, dg, d2g)
+        for b in range(2):
+            alone = riemann_batch(gamma[b : b + 1], dg[b : b + 1], d2g[b : b + 1])[0]
+            assert np.array_equal(alone, batch[b])
+
+    @pytest.mark.parametrize("flipped", [False, True])
+    def test_s3_matches_exact_symbolic_oracle(self, s3, flipped):
+        spec = s3.counterpart_spec if flipped else s3.spec
+        pts = np.array([[1e-3, 0.3, 0.4], [0.7, 1.0, 2.0], [math.pi / 2 - 1e-3, 6.0, 6.0]])
+        assert_close_per_point(first_kind_riemann(spec, pts), exact_riemann(spec, pts), 1e-12)
+
+    def test_flat_torus_matches_exact_symbolic_oracle(self, flat_torus):
+        spec, pts = flat_torus.spec, np.array([[0.5, 1.0, 2.0]])
+        assert_close_per_point(first_kind_riemann(spec, pts), exact_riemann(spec, pts), 1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_battery_matches_exact_symbolic_oracle(self, seed):
+        # g_L only: the flipped metric of seed 0 takes sympy about 25 s,
+        # longer than the rest of the suite
+        spec = generate(battery_recipe(seed)).spec
+        pts = sample_interior(spec, 3, seed + 90)
+        assert_close_per_point(first_kind_riemann(spec, pts), exact_riemann(spec, pts), 1e-12)
+
+    def test_s3_operators_stay_identity_toward_chart_ends(self, s3):
+        # the flipped S3 is the round sphere, so both the Riemannian and the
+        # symmetrized operator are I; frame vectors grow like 1/sin t and
+        # 1/cos t toward the chart ends and amplify any rounding in Rm
+        steps = np.geomspace(1e-3, 0.5, 40)
+        for ts in (steps, math.pi / 2 - steps):
+            pts = np.stack([ts, np.full(40, 1.0), np.full(40, 2.0)], axis=1)
+            ops = scan_points(s3, pts)
+            assert np.abs(ops.m_r - np.eye(3)).max() <= 1e-9
+            assert np.abs(ops.m_s - np.eye(3)).max() <= 1e-9
 
     def test_s3_invariants_near_margin(self, s3):
         # cot/tan factors degenerate toward the chart ends; the margin keeps
