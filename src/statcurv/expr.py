@@ -9,17 +9,22 @@ Grammar (see also README):
     exponent := ['-'] INTEGER | '(' exponent ')'
     atom   := NUMBER | NAME | NAME '(' expr ')' | '(' expr ')'
 
-Functions: sin, cos, tan, cot, exp, log, sqrt.  Power binds tighter than
-unary minus (``-t^2`` is ``-(t^2)``) and chains left-associatively.
-Exponents must be integer literals; fractional powers are written with
-sqrt/exp/log.  Angles are raw radians.
+NUMBER and INTEGER are ASCII digits.  Functions: sin, cos, tan, cot, exp,
+log, sqrt.  Power binds tighter than unary minus (``-t^2`` is ``-(t^2)``)
+and chains left-associatively.  Exponents must be integer literals;
+fractional powers are written with sqrt/exp/log.  Angles are raw radians.
 
 Evaluation propagates (value, gradient, hessian) triples forward through
 the tree, so first and second derivatives are exact up to rounding; finite
 differences exist only as a test oracle.  Nodes are immutable and
 evaluation is pure, so expressions are safe to share across threads.  The
 parser hash-conses nodes, so a parsed expression is a DAG in which each
-structurally distinct subexpression is one object.
+structurally distinct subexpression is one object.  Its node table also maps
+the text of each parenthesized group (of 16 characters or more) to the node
+it parsed to, so a group that repeats verbatim is parsed once and later
+copies are skipped: the text of a group parses to the same structure
+wherever it stands, and the table holds one object per structure, so a
+skipped copy yields the very node a full parse would build.
 """
 
 from __future__ import annotations
@@ -118,7 +123,7 @@ def _const_value(node: Node):
 # --- tokenizer / parser ----------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"\s*(?:(?P<num>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<op>[-+*/^()]))"
 )
@@ -130,26 +135,31 @@ def _byte_offset(text: str, pos: int) -> int:
     return len(text[:pos].encode("utf-8"))
 
 
+def _scan(text: str, pos: int):
+    """The token at ``pos`` (after whitespace) and the offset just past it."""
+    m = _TOKEN_RE.match(text, pos)
+    if m is None:
+        stripped = text[pos:].lstrip()
+        if stripped:
+            bad = len(text) - len(stripped)
+            raise ExprSyntaxError(f"unexpected character '{text[bad]}'", _byte_offset(text, bad))
+        return ("eof", "", len(text)), len(text)
+    kind = m.lastgroup
+    return (kind, m.group(kind), m.start(kind)), m.end()
+
+
 def _tokenize(text: str):
     tokens = []
     pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            bad = len(text) - len(stripped)
-            raise ExprSyntaxError(f"unexpected character '{text[bad]}'", _byte_offset(text, bad))
-        if m.lastgroup == "num":
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    tokens.append(("eof", "", len(text)))
-    return tokens
+    while True:
+        tok, pos = _scan(text, pos)
+        tokens.append(tok)
+        if tok[0] == "eof":
+            return tokens
+
+
+# characters from a group's '(' that key the table entry listing its text
+_GROUP_PREFIX = 16
 
 
 class _Parser:
@@ -162,14 +172,25 @@ class _Parser:
     value, and Num on its float bits so that 0.0 and -0.0 stay apart.  The
     table holds every node it hands out, so those ids stay valid while it
     lives.
+
+    The same table also maps the text of each parenthesized group of at
+    least ``_GROUP_PREFIX`` characters, from its ``(`` to the ``)`` that
+    closed its parse, to the node it parsed to: the entry under the first
+    ``_GROUP_PREFIX`` characters lists each such (text, node) pair.  A string
+    key never equals a node key, which is a tuple.  When a listed text recurs
+    at a ``(``, the parser jumps past it and returns its node.  That is
+    exact: parsing a group reads nothing beyond its ``)``, so the same text
+    parses to the same structure wherever it stands, and the table holds one
+    object per structure, the very node a full parse would have built.
+    Tokens are scanned lazily, so a skipped group costs no tokenizing.
+    Exponent parentheses (``t^(2)``) are not groups.
     """
 
     def __init__(self, text: str, coords, table: dict):
         self.text = text
         self.coords = tuple(coords)
-        self.tokens = _tokenize(text)
-        self.i = 0
         self.table = table
+        self.tok, self.pos = _scan(text, 0)
 
     def binary(self, cls, left: Node, right: Node) -> Node:
         key = (cls, id(left), id(right))
@@ -179,11 +200,11 @@ class _Parser:
         return node
 
     def peek(self):
-        return self.tokens[self.i]
+        return self.tok
 
     def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
+        tok = self.tok
+        self.tok, self.pos = _scan(self.text, self.pos)
         return tok
 
     def error(self, message, tok):
@@ -193,12 +214,28 @@ class _Parser:
         tok = self.advance()
         if tok[0] != "op" or tok[1] != op:
             self.error(f"expected '{op}', found '{tok[1] or 'end of input'}'", tok)
+        return tok
 
     def parse(self) -> Node:
         node = self.expr()
         tok = self.peek()
         if tok[0] != "eof":
             self.error(f"trailing input '{tok[1]}'", tok)
+        return node
+
+    def group(self, open_tok) -> Node:
+        """The ``expr ')'`` after ``open_tok``, a '(' already consumed."""
+        start = open_tok[2]
+        text = self.text
+        prefix = text[start : start + _GROUP_PREFIX]
+        for key, node in self.table.get(prefix, ()):
+            if text.startswith(key, start):
+                self.tok, self.pos = _scan(text, start + len(key))
+                return node
+        node = self.expr()
+        end = self.expect_op(")")[2] + 1
+        if end - start >= _GROUP_PREFIX:  # a shorter one is a few tokens to parse again
+            self.table.setdefault(prefix, []).append((text[start:end], node))
         return node
 
     def expr(self) -> Node:
@@ -270,9 +307,7 @@ class _Parser:
         if tok[0] == "name":
             name = tok[1]
             if name in FUNCTIONS:
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
+                arg = self.group(self.expect_op("("))
                 key = (Call, name, id(arg))
                 node = self.table.get(key)
                 if node is None:
@@ -286,9 +321,7 @@ class _Parser:
                 return node
             raise UnknownIdentifierError(name, _byte_offset(self.text, tok[2]))
         if tok[0] == "op" and tok[1] == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
+            return self.group(tok)
         self.error(f"unexpected '{tok[1] or 'end of input'}'", tok)
 
 
@@ -597,14 +630,27 @@ def parse_expression(text: str, coords) -> Expression:
 
 def _parse_interned(text: str, coords, table: dict) -> Expression:
     """parse_expression through a node table shared with other texts over the
-    same coords, so equal subexpressions across those texts are one object."""
+    same coords, so equal subexpressions across those texts are one object.
+
+    The table also maps the text of each parenthesized group of 16 or more
+    characters to its node, so a group repeated anywhere in those texts is
+    parsed once; skipping a repeat is exact because its text parses to the
+    same structure, which the table holds as one object (see ``_Parser``)."""
     if not text or not text.strip():
         raise ExprSyntaxError("empty expression", 0)
     coords = tuple(coords)
     for name in coords:
         if name in FUNCTIONS or not _NAME_RE.match(name):
             raise ValueError(f"invalid coordinate name '{name}'")
-    return Expression(_Parser(text, coords, table).parse(), coords)
+    try:
+        root = _Parser(text, coords, table).parse()
+    except (ExprSyntaxError, UnknownIdentifierError):
+        # the scan is lazy, but a bad character anywhere in the text still
+        # outranks an earlier syntax error, as when all of it was tokenized
+        # before parsing
+        _tokenize(text)
+        raise
+    return Expression(root, coords)
 
 
 def eval_jet(e: Expression, point) -> JetValue:

@@ -1,16 +1,23 @@
 """Expression parsing and order-2 jet evaluation."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from statcurv import expr as ex
+from statcurv import metric
 from statcurv.errors import EvalDomainError, ExprSyntaxError, UnknownIdentifierError
 from statcurv.expr import (
+    FUNCTIONS,
+    Add,
     Call,
+    Div,
     Expression,
     Mul,
+    Neg,
     Num,
     Pow,
     Sub,
@@ -19,7 +26,10 @@ from statcurv.expr import (
     eval_jet_batch,
     parse_expression,
 )
+from statcurv.generators import GeneratorRecipe, generate
 from statcurv.oracles import fd_gradient_hessian
+
+from conftest import SPEC_DIR
 
 COORDS = ("t", "theta1", "theta2")
 
@@ -72,6 +82,22 @@ class TestParsing:
         with pytest.raises(ExprSyntaxError):
             parse_expression("t^t", ("t",))
         assert eval_jet(parse_expression("t^-2", ("t",)), [2.0]).value == 0.25
+
+    @pytest.mark.parametrize(
+        "text, char, offset",
+        [
+            ("\u0661\u0662", "\u0661", 0),  # Arabic-Indic 12
+            ("t+\uff11", "\uff11", 2),  # fullwidth 1
+            ("1\u0662", "\u0662", 1),
+            ("t^\u0662", "\u0662", 2),
+        ],
+    )
+    def test_numbers_are_ascii_digits(self, text, char, offset):
+        # float() reads any Unicode digit, so the tokenizer must not
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_expression(text, ("t",))
+        assert str(err.value) == f"unexpected character '{char}' (byte offset {offset})"
+        assert err.value.offset == offset
 
     def test_function_requires_parenthesis(self):
         with pytest.raises(ExprSyntaxError):
@@ -296,3 +322,273 @@ class TestComposition:
         t = Expression.coordinate(0, ("t",))
         e = Expression.constant(2.0, ("t",)) * 3.0 - t
         assert parse_expression(e.unparse(), ("t",)).root == e.root
+
+
+# --- token-list reference parser ----------------------------------------------
+# The parser the group-skipping one replaced, kept as the reference: it
+# tokenizes the whole text up front and parses every token.  The current
+# parser must build the same DAG, node for node and with the same sharing,
+# and fail with the same error at the same offset.
+
+
+class _ReferenceParser:
+    def __init__(self, text: str, coords, table: dict):
+        self.text = text
+        self.coords = tuple(coords)
+        self.tokens = ex._tokenize(text)
+        self.i = 0
+        self.table = table
+
+    def binary(self, cls, left, right):
+        key = (cls, id(left), id(right))
+        node = self.table.get(key)
+        if node is None:
+            node = self.table[key] = cls(left, right)
+        return node
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def advance(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def error(self, message, tok):
+        raise ExprSyntaxError(message, ex._byte_offset(self.text, tok[2]))
+
+    def expect_op(self, op):
+        tok = self.advance()
+        if tok[0] != "op" or tok[1] != op:
+            self.error(f"expected '{op}', found '{tok[1] or 'end of input'}'", tok)
+
+    def parse(self):
+        node = self.expr()
+        tok = self.peek()
+        if tok[0] != "eof":
+            self.error(f"trailing input '{tok[1]}'", tok)
+        return node
+
+    def expr(self):
+        node = self.term()
+        while self.peek()[0] == "op" and self.peek()[1] in "+-":
+            op = self.advance()[1]
+            rhs = self.term()
+            node = self.binary(Add if op == "+" else Sub, node, rhs)
+        return node
+
+    def term(self):
+        node = self.factor()
+        while self.peek()[0] == "op" and self.peek()[1] in "*/":
+            op = self.advance()[1]
+            rhs = self.factor()
+            node = self.binary(Mul if op == "*" else Div, node, rhs)
+        return node
+
+    def factor(self):
+        tok = self.peek()
+        if tok[0] == "op" and tok[1] == "-":
+            self.advance()
+            arg = self.factor()
+            key = (Neg, id(arg))
+            node = self.table.get(key)
+            if node is None:
+                node = self.table[key] = Neg(arg)
+            return node
+        return self.power()
+
+    def power(self):
+        node = self.atom()
+        while self.peek()[0] == "op" and self.peek()[1] == "^":
+            self.advance()
+            exponent = self.exponent()
+            key = (Pow, id(node), exponent)
+            hit = self.table.get(key)
+            if hit is None:
+                hit = self.table[key] = Pow(node, exponent)
+            node = hit
+        return node
+
+    def exponent(self) -> int:
+        tok = self.peek()
+        if tok[0] == "op" and tok[1] == "(":
+            self.advance()
+            value = self.exponent()
+            self.expect_op(")")
+            return value
+        sign = 1
+        if tok[0] == "op" and tok[1] == "-":
+            self.advance()
+            sign = -1
+            tok = self.peek()
+        if tok[0] != "num" or any(c in tok[1] for c in ".eE"):
+            self.error("exponent must be an integer literal", tok)
+        self.advance()
+        return sign * int(tok[1])
+
+    def atom(self):
+        tok = self.advance()
+        if tok[0] == "num":
+            value = float(tok[1])
+            key = (Num, value.hex())
+            node = self.table.get(key)
+            if node is None:
+                node = self.table[key] = Num(value)
+            return node
+        if tok[0] == "name":
+            name = tok[1]
+            if name in FUNCTIONS:
+                self.expect_op("(")
+                arg = self.expr()
+                self.expect_op(")")
+                key = (Call, name, id(arg))
+                node = self.table.get(key)
+                if node is None:
+                    node = self.table[key] = Call(name, arg)
+                return node
+            if name in self.coords:
+                key = (Var, name)
+                node = self.table.get(key)
+                if node is None:
+                    node = self.table[key] = Var(name, self.coords.index(name))
+                return node
+            raise UnknownIdentifierError(name, ex._byte_offset(self.text, tok[2]))
+        if tok[0] == "op" and tok[1] == "(":
+            node = self.expr()
+            self.expect_op(")")
+            return node
+        self.error(f"unexpected '{tok[1] or 'end of input'}'", tok)
+
+
+def _reference_parse(text, coords, table):
+    """``expr._parse_interned`` through the reference parser."""
+    if not text or not text.strip():
+        raise ExprSyntaxError("empty expression", 0)
+    return Expression(_ReferenceParser(text, coords, table).parse(), tuple(coords))
+
+
+def _dag_shape(roots):
+    """Each distinct object reachable from ``roots`` once, in first-visit
+    order, with its children replaced by their visit numbers: two forests
+    have equal shapes exactly when they are equal node for node and share
+    the same subexpressions."""
+    visit: dict[int, int] = {}
+    rows = []
+
+    def walk(node):
+        if id(node) not in visit:
+            fields = tuple(
+                walk(v) if dataclasses.is_dataclass(v) else v
+                for v in (getattr(node, f.name) for f in dataclasses.fields(node))
+            )
+            # Num compares by float bits so that 0.0 and -0.0 stay apart
+            if isinstance(node, Num):
+                fields = (node.value.hex(),)
+            visit[id(node)] = len(rows)
+            rows.append((type(node).__name__, *fields))
+        return visit[id(node)]
+
+    return [walk(root) for root in roots], rows
+
+
+def _spec_roots(spec):
+    roots = [e.root for _, _, e in spec.entries]
+    if spec.killing is not None:
+        roots += [e.root for e in spec.killing.components]
+    return roots
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["s3.spec", "flat_torus.spec", *[(3, dimension) for dimension in range(3, 9)], (0, 5)],
+    ids=str,
+)
+def test_spec_dag_matches_reference(source, monkeypatch):
+    # source: a shipped spec, or (seed, dimension) of an `examples --random` one
+    if isinstance(source, str):
+        text = (SPEC_DIR / source).read_text()
+    else:
+        text = generate(GeneratorRecipe(*source)).spec.to_text()
+    spec = metric.load_spec(text)
+    monkeypatch.setattr(metric, "_parse_interned", _reference_parse)
+    reference = metric.load_spec(text)
+    assert _dag_shape(_spec_roots(spec)) == _dag_shape(_spec_roots(reference))
+
+
+def test_repeated_groups_are_not_rescanned(monkeypatch):
+    text = "(sin(t)*cos(t)+1)*(sin(t)*cos(t)+1)-sin((sin(t)*cos(t)+1))"
+    scanned = []
+    scan = ex._scan
+
+    def counting(text, pos):
+        scanned.append(pos)
+        return scan(text, pos)
+
+    monkeypatch.setattr(ex, "_scan", counting)
+    e = parse_expression(text, ("t",))
+    group = e.root.left.left
+    assert e.root.left.right is group and e.root.right.arg is group
+    # the first copy is scanned token by token; of the 13 tokens of each
+    # repeat only the '(' and the one after it are
+    assert len(scanned) == len(ex._tokenize(text)) - 2 * 11
+    assert e.unparse() == "(sin(t)*cos(t)+1)*(sin(t)*cos(t)+1)-sin(sin(t)*cos(t)+1)"
+
+
+@given(expressions())
+def test_repeated_subtree_is_one_object(expr):
+    a = expr.unparse()
+    text = f"({a})*({a})+sin({a})"
+    e = parse_expression(text, expr.coords)
+    assert _dag_shape([e.root]) == _dag_shape([_reference_parse(text, expr.coords, {}).root])
+    assert e.root.left.left is e.root.left.right is e.root.right.arg
+    assert e.root.right.arg == expr.root
+    again = parse_expression(e.unparse(), expr.coords)
+    assert _dag_shape([again.root]) == _dag_shape([e.root])
+    assert again.unparse() == e.unparse()
+
+
+GROUP = "(sin(t)*cos(t)+1)"  # long enough to be looked up, not parsed, when repeated
+
+
+@pytest.mark.parametrize(
+    "prior, text",
+    [
+        ("", "t+)*$"),  # a bad character after an earlier syntax error
+        ("", "sin t $"),
+        ("", "(t+1)*(t+1)*$"),
+        ("", f"{GROUP}*{GROUP}*$"),
+        ("", "((t)"),
+        ("", "t)"),
+        ("", ")(t"),
+        ("", "(t+1)*(t+1"),
+        ("", f"{GROUP}*{GROUP[:-1]}"),
+        ("", f"{GROUP}*({GROUP}"),
+        ("", f"{GROUP})"),
+        ("", "()"),
+        ("", "sin t"),
+        ("", "sin()"),
+        ("", "t^(2"),
+        ("", "t^(2)(t)"),
+        ("", "t +"),
+        ("", "sin(t"),
+        ("", "   "),
+        ("", f"{GROUP}*{GROUP[:-1]}+q)"),  # unknown name in a copy that shares the first's start
+        ("", f"{GROUP}*({GROUP}+q)"),
+        ("", f"{GROUP}*{GROUP}*q"),
+        (f"{GROUP}*t", f"{GROUP}+{GROUP}^2*$"),  # first copy parsed in an earlier text
+        (f"{GROUP}*t", f"{GROUP[:-1]}+q)"),
+        (f"{GROUP}*t", f"{GROUP} {GROUP}"),
+    ],
+)
+def test_errors_match_reference(prior, text):
+    def outcome(parse):
+        table: dict = {}
+        if prior:
+            parse(prior, ("t",), table)
+        try:
+            parse(text, ("t",), table)
+        except (ExprSyntaxError, UnknownIdentifierError) as err:
+            return type(err), str(err), err.offset
+        raise AssertionError(f"{text!r} parsed")
+
+    assert outcome(ex._parse_interned) == outcome(_reference_parse)
