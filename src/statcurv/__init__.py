@@ -12,7 +12,7 @@ from .frames import OrthonormalFrame, adapted_frame, orthonormal_completion
 from .curvature_ops import CurvatureOperatorMatrix, Lambda2Basis
 from .curvature_ops import lorentzian_curvature_operator, riemannian_curvature_operator
 from .curvature_ops import symmetrized_matrix
-from .topology import BettiVerdict, PositivityReport, betti_conclusions, grid_scan, k_positivity
+from .topology import BettiVerdict, betti_conclusions, grid_scan, k_positivity
 from .generators import GeneratorRecipe, generate
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "riemannian_curvature_operator",
     "symmetrized_matrix",
     "BettiVerdict",
-    "PositivityReport",
     "betti_conclusions",
     "grid_scan",
     "k_positivity",

@@ -18,10 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import topology
-from .curvature_ops import operators_from_data
+from .curvature_ops import operators_at, operators_from_data
 from .errors import ExprSyntaxError, SpecFormatError, StatcurvError, UnknownIdentifierError
 from .frames import _completions, adapted_frames_batch
 from .generators import FAMILIES, GeneratorRecipe, generate, write_example_specs
+from .linalg import jacobi_eigh
 from .metric import MetricSpec, load_spec_file
 from .stationary import (
     StationaryStructure,
@@ -254,25 +255,36 @@ def cmd_export(config: RunConfig) -> int:
     for note in notes:
         sys.stderr.write(note + "\n")
     pts, _ = topology.build_grid(structure.spec, config.grid)
-    lines = []
-    if pts.shape[0]:
-        ops, eigen_stack = topology._spectra(structure, pts, tol)
+
+    def records(chunk):
+        """The chunk's JSON lines, one per point."""
+        ops = operators_at(structure, chunk, tol)
+        frames = ops.frames
+        vals, _ = jacobi_eigh(ops.m_s)
+        asymmetry = np.abs(ops.m_l - ops.m_l.swapaxes(1, 2)).max(axis=(1, 2))
         labels = [list(pair) for pair in ops.basis.labels()]
-        for op, vals in zip(ops, eigen_stack):
-            record = {
-                "schema_version": 1,
-                "point": [float(x) for x in op.frame.point],
-                "basis": labels,
-                "f_values": [float(f) for f in op.f_values],
-                "riemannian": op.riemannian.entries.tolist(),
-                "lorentzian": op.lorentzian.entries.tolist(),
-                "symmetrized": op.symmetrized.entries.tolist(),
-                "eigenvalues": [float(v) for v in vals],
-                "lorentzian_asymmetry": op.lorentzian.asymmetry(),
-                "central_residual": op.central_residual,
-            }
-            lines.append(json.dumps(record, sort_keys=True))
-    _emit("".join(line + "\n" for line in lines), config.out)
+        return "".join(
+            json.dumps(
+                {
+                    "schema_version": 1,
+                    "point": frames.points[b].tolist(),
+                    "basis": labels,
+                    "f_values": frames.f[b, : frames.pair_count[b]].tolist(),
+                    "riemannian": ops.m_r[b].tolist(),
+                    "lorentzian": ops.m_l[b].tolist(),
+                    "symmetrized": ops.m_s[b].tolist(),
+                    "eigenvalues": vals[b].tolist(),
+                    "lorentzian_asymmetry": float(asymmetry[b]),
+                    "central_residual": float(ops.central[b]),
+                },
+                sort_keys=True,
+            )
+            + "\n"
+            for b in range(len(ops))
+        )
+
+    # every chunk is built before anything is written, so a failure emits nothing
+    _emit("".join(topology.chunked(pts, records)), config.out)
     return EXIT_OK
 
 

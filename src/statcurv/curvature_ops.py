@@ -261,15 +261,6 @@ class OperatorBatch(Sequence):
             float(self.central[b]),
         )
 
-    @staticmethod
-    def concat(parts: list[OperatorBatch]) -> OperatorBatch:
-        """One batch holding the rows of ``parts`` in order."""
-        if len(parts) == 1:
-            return parts[0]
-        keys = ("m_r", "m_l", "m_s", "central")
-        arrays = (np.concatenate([getattr(p, k) for p in parts]) for k in keys)
-        return OperatorBatch(FrameBatch.concat([p.frames for p in parts]), parts[0].basis, *arrays)
-
 
 def operators_from_data(
     s: StationaryStructure,
@@ -287,10 +278,14 @@ def operators_from_data(
     return OperatorBatch(frames, basis, m_r, m_l, m_s, central)
 
 
+def operators_at(s: StationaryStructure, pts, tol: Tolerances = DEFAULT) -> OperatorBatch:
+    """Adapted frames and all three operators at each point of ``pts`` (B, n), as one batch."""
+    data = structure_data(s, pts, tol)
+    return operators_from_data(s, data, adapted_frames_batch(s, data, tol), tol)
+
+
 def compute_point_operators(
     s: StationaryStructure, point, tol: Tolerances = DEFAULT
 ) -> PointOperators:
     """Adapted frame plus all three operators at one point."""
-    data = structure_data(s, point, tol)
-    frames = adapted_frames_batch(s, data, tol)
-    return operators_from_data(s, data, frames, tol)[0]
+    return operators_at(s, point, tol)[0]

@@ -457,21 +457,19 @@ def _jet_call(func: str, jet: _Jet, where: Node) -> _Jet:
     raise AssertionError(f"unhandled function {func}")
 
 
-def _eval_jet(node: Node, pts: np.ndarray, cache: dict | None = None) -> _Jet:
+def _eval_jet(node: Node, pts: np.ndarray, cache: dict) -> _Jet:
     # Composed expressions (metric flips, conformal rescaling) share subtree
     # objects; caching per object identity makes those shared scalars
     # evaluate once per batch instead of once per occurrence.
-    if cache is not None:
-        hit = cache.get(id(node))
-        if hit is not None:
-            return hit[1]
+    hit = cache.get(id(node))
+    if hit is not None:
+        return hit[1]
     jet = _eval_jet_uncached(node, pts, cache)
-    if cache is not None:
-        cache[id(node)] = (node, jet)  # keep the node alive while its id is a key
+    cache[id(node)] = (node, jet)  # keep the node alive while its id is a key
     return jet
 
 
-def _eval_jet_uncached(node: Node, pts: np.ndarray, cache: dict | None) -> _Jet:
+def _eval_jet_uncached(node: Node, pts: np.ndarray, cache: dict) -> _Jet:
     batch, n = pts.shape
     if isinstance(node, Num):
         return _Jet(
@@ -656,7 +654,7 @@ def _parse_interned(text: str, coords, table: dict) -> Expression:
 def eval_jet(e: Expression, point) -> JetValue:
     """Exact value/gradient/hessian of ``e`` at a single point."""
     pts = np.asarray(point, dtype=float).reshape(1, len(e.coords))
-    jet = _eval_jet(e.root, pts)
+    jet = _eval_jet(e.root, pts, {})
     return JetValue(float(jet.val[0]), jet.grad[0], jet.hess[0])
 
 
@@ -666,8 +664,9 @@ def eval_jet_batch(
     """Batched jets; ``pts`` has shape (B, n).  Returns (B,), (B,n), (B,n,n).
 
     Passing one ``cache`` dict across several calls at the same points lets
-    expressions that share subtree objects evaluate those only once.
+    expressions that share subtree objects evaluate those only once; without
+    one, the call uses a cache of its own.
     """
     pts = np.asarray(pts, dtype=float)
-    jet = _eval_jet(e.root, pts, cache)
+    jet = _eval_jet(e.root, pts, {} if cache is None else cache)
     return jet.val, jet.grad, jet.hess

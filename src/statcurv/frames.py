@@ -19,7 +19,7 @@ on the batch it was built in.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,15 +101,6 @@ class FrameBatch(Sequence):
             timelike_norm=float(self.timelike_norm[b]),
             rotation_residual=float(self.rotation_residual[b]),
             nabla_sq_eigenvalues=tuple(self.nabla_sq_eigenvalues[b].tolist()),
-        )
-
-    @staticmethod
-    def concat(parts: list[FrameBatch]) -> FrameBatch:
-        """One batch holding the rows of ``parts`` in order."""
-        if len(parts) == 1:
-            return parts[0]
-        return FrameBatch(
-            *(np.concatenate([getattr(p, x.name) for p in parts]) for x in fields(FrameBatch))
         )
 
 
@@ -222,14 +213,6 @@ def _cluster_starts(vals: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.n
     starts = np.ones(vals.shape, dtype=bool)
     starts[:, 1:] = np.abs(vals[:, 1:] - vals[:, :-1]) > tol.cluster_rel * np.abs(vals[:, :-1])
     return kernel, starts & ~kernel
-
-
-def _split_eigenvalues(vals: np.ndarray, tol: Tolerances):
-    """Index lists of the negative clusters and of the kernel of one ascending spectrum."""
-    kernel, starts = _cluster_starts(np.asarray(vals, dtype=float)[None], tol)
-    ids = np.cumsum(starts[0])
-    clusters = [np.flatnonzero(~kernel[0] & (ids == c)).tolist() for c in range(1, ids[-1] + 1)]
-    return clusters, np.flatnonzero(kernel[0]).tolist()
 
 
 def _pair_clusters(vecs: np.ndarray, spatial: np.ndarray, kernel, starts):

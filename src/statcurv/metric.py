@@ -22,6 +22,7 @@ Gamma_{m,ij} = 1/2 (d_i g_jm + d_j g_im - d_m g_ij) and Gamma^m_ij = g^{mk} Gamm
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -165,9 +166,12 @@ def _unquote(value: str, lineno: int) -> str:
 
 def _parse_float(value: str, lineno: int) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
-        raise SpecFormatError(f"line {lineno}: expected a number, found '{value}'") from None
+        number = math.nan
+    if not (value.isascii() and math.isfinite(number)):
+        raise SpecFormatError(f"line {lineno}: expected a finite number, found '{value}'")
+    return number
 
 
 def load_spec(data) -> MetricSpec:
@@ -227,7 +231,7 @@ def load_spec(data) -> MetricSpec:
     nodes: dict = {}
     raw_entries: dict[tuple[int, int], Expression] = {}
     for key, value, lineno in sections["metric"]:
-        m = re.match(r"g_(\d+)_(\d+)\Z", key)
+        m = re.match(r"g_([0-9]+)_([0-9]+)\Z", key)
         if not m:
             raise SpecFormatError(f"line {lineno}: metric keys look like g_i_j, found '{key}'")
         i, j = int(m.group(1)), int(m.group(2))
@@ -273,8 +277,9 @@ def require_interior(spec: MetricSpec, pts: np.ndarray) -> None:
     lo = np.array([iv[0] for iv in spec.intervals]) + spec.margin
     hi = np.array([iv[1] for iv in spec.intervals]) - spec.margin
     slack = 1e-12
-    if np.any(pts < lo - slack) or np.any(pts > hi + slack):
-        bad = pts[np.any((pts < lo - slack) | (pts > hi + slack), axis=1)][0]
+    outside = ~np.all((pts >= lo - slack) & (pts <= hi + slack), axis=-1)  # NaN is outside
+    if np.any(outside):
+        bad = pts[outside][0]
         raise ChartDomainError(
             f"point {bad.tolist()} is not interior to the chart by the margin {spec.margin}"
         )

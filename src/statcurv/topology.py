@@ -23,11 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature_ops import CurvatureOperatorMatrix, OperatorBatch, operators_from_data
+from .curvature_ops import CurvatureOperatorMatrix, operators_at
 from .errors import GridPointError, StatcurvError
-from .frames import adapted_frames_batch
 from .linalg import jacobi_eigh
-from .stationary import StationaryStructure, structure_data
+from .stationary import StationaryStructure
 from .tolerances import DEFAULT, Tolerances
 
 CHUNK = 2048
@@ -41,16 +40,6 @@ REASON_PARITY = (
     "input not realizable as a closed stationary spacetime / numerical "
     "hypothesis violated: chi(M) = 0 forces a negative middle Betti number"
 )
-
-
-@dataclass(frozen=True)
-class PositivityReport:
-    """Ascending eigenvalues with their partial sums and per-k positivity."""
-
-    point: tuple[float, ...]
-    eigenvalues: tuple[float, ...]
-    partial_sums: tuple[float, ...]
-    k_positive: tuple[bool, ...]
 
 
 @dataclass(frozen=True)
@@ -75,10 +64,10 @@ class GridScanResult:
     max_identity_residual: float
     points: np.ndarray
     eigenvalues: np.ndarray
-    operators: OperatorBatch
 
 
-def _symmetric_eigenvalues(matrix, tol: Tolerances) -> np.ndarray:
+def k_positivity(matrix, k: int, tol: Tolerances = DEFAULT) -> tuple[float, bool]:
+    """Sum of the k smallest eigenvalues and whether it is strictly positive."""
     if isinstance(matrix, CurvatureOperatorMatrix):
         if matrix.flavor == "lorentzian":
             raise ValueError("k-positivity is undefined for the non-symmetric lorentzian flavor")
@@ -89,27 +78,10 @@ def _symmetric_eigenvalues(matrix, tol: Tolerances) -> np.ndarray:
     if float(np.abs(entries - entries.T).max()) > tol.identity * scale:
         raise ValueError("k-positivity requires a symmetric matrix")
     vals, _ = jacobi_eigh(0.5 * (entries + entries.T))
-    return vals
-
-
-def k_positivity(matrix, k: int, tol: Tolerances = DEFAULT) -> tuple[float, bool]:
-    """Sum of the k smallest eigenvalues and whether it is strictly positive."""
-    vals = _symmetric_eigenvalues(matrix, tol)
     if not 1 <= k <= vals.size:
         raise ValueError(f"k = {k} outside 1..{vals.size}")
     total = float(vals[:k].sum())
     return total, total > tol.positivity
-
-
-def positivity_report(matrix, point, tol: Tolerances = DEFAULT) -> PositivityReport:
-    vals = _symmetric_eigenvalues(matrix, tol)
-    sums = np.cumsum(vals)
-    return PositivityReport(
-        tuple(float(x) for x in np.asarray(point)),
-        tuple(float(v) for v in vals),
-        tuple(float(v) for v in sums),
-        tuple(bool(v > tol.positivity) for v in sums),
-    )
 
 
 def admissible_p(n: int) -> range:
@@ -170,23 +142,19 @@ def chunked(pts: np.ndarray, step) -> list:
 
 def scan_points(
     s: StationaryStructure, pts: np.ndarray, tol: Tolerances = DEFAULT
-) -> OperatorBatch:
-    """Adapted frames and all three operators at each point, in chunks."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending spectra (B, N) of the symmetrized matrices and central-identity residuals (B,).
+
+    Each chunk's operators are reduced to these two arrays before the next
+    chunk is built.
+    """
 
     def step(chunk):
-        data = structure_data(s, chunk, tol)
-        return operators_from_data(s, data, adapted_frames_batch(s, data, tol), tol)
+        ops = operators_at(s, chunk, tol)
+        return jacobi_eigh(ops.m_s)[0], ops.central
 
-    return OperatorBatch.concat(chunked(pts, step))
-
-
-def _spectra(
-    s: StationaryStructure, pts: np.ndarray, tol: Tolerances
-) -> tuple[OperatorBatch, np.ndarray]:
-    """Operators at each point and the ascending spectra of their symmetrized matrices."""
-    ops = scan_points(s, pts, tol)
-    vals, _ = jacobi_eigh(ops.m_s)
-    return ops, vals
+    vals, central = zip(*chunked(pts, step))
+    return np.concatenate(vals), np.concatenate(central)
 
 
 def grid_scans(
@@ -194,7 +162,7 @@ def grid_scans(
 ) -> list[GridScanResult]:
     """One scan of the grid, one (n-p)-positivity result per p in ``ps``.
 
-    The operators and spectra do not depend on p, so every result shares them.
+    The spectra do not depend on p, so every result shares them.
     """
     n = s.dimension
     for p in ps:
@@ -203,9 +171,9 @@ def grid_scans(
     pts, shape = build_grid(s.spec, grid_sizes)
     if pts.shape[0] == 0:
         raise ValueError("empty grid")
-    ops, vals = _spectra(s, pts, tol)
+    vals, central = scan_points(s, pts, tol)
     sums = np.cumsum(vals, axis=1)
-    residual = float(ops.central.max())
+    residual = float(central.max())
     results = []
     for p in ps:
         margins = sums[:, n - p - 1]
@@ -213,7 +181,7 @@ def grid_scans(
         min_margin = float(margins[argmin]) + 0.0  # folds -0.0 into 0.0
         verdict = betti_conclusions(n, p, bool(min_margin > tol.positivity))
         argmin_point = tuple(float(x) for x in pts[argmin])
-        results.append(GridScanResult(verdict, shape, min_margin, argmin_point, residual, pts, vals, ops))
+        results.append(GridScanResult(verdict, shape, min_margin, argmin_point, residual, pts, vals))
     return results
 
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from statcurv import cli
+from statcurv.curvature_ops import operators_at
 from statcurv.generators import two_pair_flat_rotations
 from statcurv.metric import riemann_residuals
 from statcurv.stationary import structure_data
@@ -36,17 +37,23 @@ def s3_grid(s3):
 
 
 @pytest.fixture(scope="module")
+def s3_grid_ops(s3, s3_grid):
+    """The operators at the points of ``s3_grid``."""
+    return operators_at(s3, s3_grid.points)
+
+
+@pytest.fixture(scope="module")
 def s3_summary(s3):
     return summarize_structure(s3, seed=1729)
 
 
-def test_criterion_1_s3_golden_values(s3_grid, tmp_path, capsys):
+def test_criterion_1_s3_golden_values(s3_grid, s3_grid_ops, tmp_path, capsys):
     assert s3_grid.points.shape == (20**3, 3)
     riem_err = max(
-        float(np.abs(op.riemannian.entries - np.eye(3)).max()) for op in s3_grid.operators
+        float(np.abs(op.riemannian.entries - np.eye(3)).max()) for op in s3_grid_ops
     )
     assert riem_err < 1e-6
-    for op in s3_grid.operators:
+    for op in s3_grid_ops:
         assert len(op.frame.pairing) == 1
         assert abs(op.frame.pairing[0].f - (-1.0)) < 1e-8
         eigs = np.array(op.frame.nabla_sq_eigenvalues)
@@ -134,7 +141,7 @@ def test_criterion_5_adapted_frame_structure(battery, s3_summary):
     )
 
 
-def test_criterion_6_tensor_sanity(battery, s3_summary, s3_grid):
+def test_criterion_6_tensor_sanity(battery, s3_summary, s3_grid_ops):
     for entry in [s3_summary, *battery]:
         res = entry.riemann_invariants
         assert res["antisymmetry_first_pair"] < 1e-8
@@ -143,7 +150,7 @@ def test_criterion_6_tensor_sanity(battery, s3_summary, s3_grid):
         assert res["first_bianchi"] < 1e-8
         assert entry.ginv_residual < 1e-10
         assert entry.operator_symmetry < 1e-8
-    assert max(op.riemannian.asymmetry() for op in s3_grid.operators) < 1e-8
+    assert max(op.riemannian.asymmetry() for op in s3_grid_ops) < 1e-8
     print(
         "ACCEPTANCE 6: PASS — Riemann symmetries and Bianchi < 1e-8, operator "
         "symmetry < 1e-8, g*g_inv residual < 1e-10 on every evaluation"
@@ -184,7 +191,7 @@ def test_criterion_7_verdict_logic():
 
 def test_criterion_8_degenerate_paths(flat_torus):
     result = grid_scan(flat_torus, [4, 4, 4], 1)
-    for op in result.operators:
+    for op in operators_at(flat_torus, result.points):
         assert np.abs(op.symmetrized.entries).max() == 0.0
         assert op.frame.pairing == ()
         assert op.frame.fixed_indices == (1, 2)

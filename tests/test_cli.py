@@ -355,8 +355,9 @@ def test_reports_do_not_depend_on_chunk_size(capsys, monkeypatch, tmp_path, whic
         monkeypatch.setattr(topology, "CHUNK", chunk)
         export = run(capsys, "export", spec, "--grid", grid)
         verify = run(capsys, "verify", spec, "--grid", grid, "--format", "json")
-        reports.append((export, verify))
-    assert reports[0][0][1] and reports[0][1][1]
+        analyze = run(capsys, "analyze", spec, "--all-p", "--grid", grid, "--format", "json")
+        reports.append((export, verify, analyze))
+    assert all(report[1] for report in reports[0])
     assert reports[1] == reports[0]
     assert reports[2] == reports[0]
 
@@ -371,6 +372,27 @@ def test_out_of_memory_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "resource failure: out of memory\n"
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("margin = 0.001", "margin = nan"),
+        ("margin = 0.001", "margin = 0.00\u0661"),
+        ("x = 0, 6.283185307179586", "x = 0, inf"),
+        ("x = 0, 6.283185307179586", "x = 0, 1e400"),
+        ('g_2_2 = "1"', 'g_\u0662_\u0662 = "1"'),
+    ],
+)
+def test_spec_numbers_and_keys_must_be_finite_ascii(capsys, tmp_path, old, new):
+    text = Path(TORUS).read_text(encoding="utf-8")
+    assert old in text
+    bad = tmp_path / "bad.spec"
+    bad.write_text(text.replace(old, new), encoding="utf-8")
+    code, out, err = run(capsys, "analyze", str(bad), "--p", "1", "--grid", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error")
 
 
 def test_grid_parsing_errors(capsys):

@@ -11,7 +11,6 @@ from statcurv.frames import (
     FramePair,
     _cluster_starts,
     _pair_clusters,
-    _split_eigenvalues,
     adapted_frame,
     adapted_frames_batch,
     orthonormal_completion,
@@ -188,24 +187,25 @@ class TestEigenSplitting:
 
     def test_positive_eigenvalue_error(self):
         with pytest.raises(EigenstructureError, match="positive eigenvalue"):
-            _split_eigenvalues(np.array([-1.0, 0.5]), DEFAULT)
+            _cluster_starts(np.array([[-1.0, 0.5]]), DEFAULT)
 
     def test_small_positive_folded_into_kernel(self):
-        clusters, kernel = _split_eigenvalues(np.array([-1.0, 1e-12]), DEFAULT)
-        assert clusters == [[0]]
-        assert kernel == [1]
+        kernel, starts = _cluster_starts(np.array([[-1.0, 1e-12]]), DEFAULT)
+        assert kernel.tolist() == [[False, True]]
+        assert starts.tolist() == [[True, False]]
 
     def test_clustering_merges_close_values(self):
         vals = np.array([-2.0 - 1e-9, -2.0, -1.0, 0.0])
-        clusters, kernel = _split_eigenvalues(vals, DEFAULT)
-        assert clusters == [[0, 1], [2]]
-        assert kernel == [3]
+        kernel, starts = _cluster_starts(vals[None], DEFAULT)
+        assert kernel.tolist() == [[False, False, False, True]]
+        assert starts.tolist() == [[True, False, True, False]]  # clusters {0, 1} and {2}
 
     def test_odd_eigenspace_detected(self, s3):
         # synthetic spatial map whose square has a 1-dimensional eigenspace
         vals = np.array([-1.0, -0.25, 0.0])
-        clusters, _ = _split_eigenvalues(vals, DEFAULT)
-        assert [len(c) for c in clusters] == [1, 1]
+        kernel, starts = _cluster_starts(vals[None], DEFAULT)
+        assert starts.tolist() == [[True, True, False]]  # two clusters of one
+        assert kernel.tolist() == [[False, False, True]]
 
     def test_pairing_spans_four_dimensional_eigenspace(self):
         # two rotation blocks with equal speed: one 4-dimensional eigenspace

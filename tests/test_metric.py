@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from statcurv.curvature_ops import operators_at
 from statcurv.errors import ChartDomainError, NearSingularError, SignatureError, SpecFormatError
 from statcurv import expr as ex
 from statcurv.expr import Expression, eval_jet_batch
@@ -27,7 +28,6 @@ from statcurv.metric import (
 )
 from statcurv.oracles import constant_curvature_oracle, fd_christoffel_oracle, fd_metric_derivative
 from statcurv.stationary import StationaryStructure, structure_data
-from statcurv.topology import scan_points
 
 from conftest import SPEC_DIR, sample_interior
 
@@ -314,6 +314,8 @@ class TestMetricAt:
             metric_at(s3.spec, [0.0, 1.0, 1.0])
         with pytest.raises(ChartDomainError):
             metric_at(s3.spec, [math.pi / 2, 1.0, 1.0])
+        with pytest.raises(ChartDomainError):
+            metric_at(s3.spec, [math.nan, 1.0, 1.0])
 
     def test_signature_enforced(self):
         # flat torus metric declared riemannian must be refused
@@ -484,7 +486,7 @@ class TestRiemann:
         steps = np.geomspace(1e-3, 0.5, 40)
         for ts in (steps, math.pi / 2 - steps):
             pts = np.stack([ts, np.full(40, 1.0), np.full(40, 2.0)], axis=1)
-            ops = scan_points(s3, pts)
+            ops = operators_at(s3, pts)
             assert np.abs(ops.m_r - np.eye(3)).max() <= 1e-9
             assert np.abs(ops.m_s - np.eye(3)).max() <= 1e-9
 
