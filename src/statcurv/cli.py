@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 
@@ -56,9 +57,15 @@ class RunConfig:
         return DEFAULT.scaled(self.tol_scale)
 
 
+def ascii_int(text: str) -> int:
+    """An integer written as ASCII digits with an optional minus sign, nothing else."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"expected an integer of ASCII digits, found '{text}'")
+    return int(text)
+
+
 def _parse_grid(text: str, dimension: int, minimum: int) -> list[int]:
-    parts = [p.strip() for p in text.split(",")]
-    sizes = [int(p) for p in parts]
+    sizes = [ascii_int(p.strip()) for p in text.split(",")]
     if len(sizes) == 1:
         sizes = sizes * dimension
     if len(sizes) != dimension:
@@ -333,17 +340,17 @@ def build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("analyze", help="positivity scan and Betti verdict")
     common(pa)
     group = pa.add_mutually_exclusive_group(required=True)
-    group.add_argument("--p", type=int, default=None, help="test (n-p)-positivity")
+    group.add_argument("--p", type=ascii_int, default=None, help="test (n-p)-positivity")
     group.add_argument("--all-p", action="store_true", help="scan every admissible p")
     pe = sub.add_parser("export", help="per-point matrices, eigenvalues, f-values as JSON lines")
     common(pe)
     px = sub.add_parser("examples", help="write example spec files")
     px.add_argument("--dir", default="specs", help="directory for the shipped examples")
     px.add_argument("--random", action="store_true", help="generate a random structure instead")
-    px.add_argument("--seed", type=int, default=None)
-    px.add_argument("--dimension", type=int, default=3)
+    px.add_argument("--seed", type=ascii_int, default=None)
+    px.add_argument("--dimension", type=ascii_int, default=3)
     px.add_argument("--family", choices=FAMILIES, default="warped-rotational")
-    px.add_argument("--flat-dims", type=int, default=0)
+    px.add_argument("--flat-dims", type=ascii_int, default=0)
     px.add_argument("--out", default=None, help="output path for the random spec")
     return parser
 

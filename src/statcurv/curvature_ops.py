@@ -15,10 +15,10 @@ for a Lorentzian orthonormal frame the mixed pairs (T, X_i) carry Gram -1,
 which is what makes the Lorentzian operator generally non-symmetric.
 
 The symmetrized flavor rebuilds the Riemannian operator purely from
-Lorentzian data: it substitutes the adapted frame's rotation blocks into the
-curvature identity corrections (unit T), which for n = 3 and n = 4
-reproduces the explicit matrices with +2f^2 / -6f^2 diagonal corrections and
-for general n derives their analogue.
+Lorentzian data: it gathers the Rm_g that ``stationary.flipped_curvature``
+predicts from Rm_L and the adapted frame's rotation blocks (unit T), which
+for n = 3 and n = 4 reproduces the explicit matrices with +2f^2 / -6f^2
+diagonal corrections and for general n derives their analogue.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .errors import FrameError
 from .frames import FrameBatch, OrthonormalFrame, adapted_frames_batch, rotation_blocks
 from .linalg import invert
 from .metric import RiemannTensor, frame_components_batch
-from .stationary import StationaryStructure, StructureData, structure_data
+from .stationary import StationaryStructure, StructureData, flipped_curvature, structure_data
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -159,35 +159,8 @@ def _rotation_blocks(frames: FrameBatch, tol: Tolerances) -> np.ndarray:
 
 
 def _symmetrized(rm_l_frame: np.ndarray, omega: np.ndarray, basis: Lambda2Basis) -> np.ndarray:
-    """Symmetrized matrices (B, N, N) from Lorentzian frame components and rotation blocks.
-
-    Synthesizes the flipped metric's 4-tensor with the curvature identities
-    for unit T: sign flip on every component touching T, the rotation-block
-    corrections on the purely spatial components, and the -2 Omega Omega^T
-    correction on the (T, X_i) blocks.  The synthesized tensor is one
-    (B, n, n, n, n) array, updated in place.
-    """
-    n = omega.shape[-1]
-    idx = np.arange(n)
-    touch = (
-        (idx[:, None, None, None] == 0)
-        | (idx[None, :, None, None] == 0)
-        | (idx[None, None, :, None] == 0)
-        | (idx[None, None, None, :] == 0)
-    )
-    # spatial corrections; vanish automatically on T-touching entries (row 0 of omega is 0)
-    synth = np.einsum("xad,xbc->xabcd", omega, omega)
-    synth -= np.einsum("xac,xbd->xabcd", omega, omega)
-    synth -= 2.0 * np.einsum("xab,xcd->xabcd", omega, omega)
-    synth *= -2.0
-    np.add(synth, rm_l_frame, out=synth, where=~touch)
-    np.subtract(synth, rm_l_frame, out=synth, where=touch)
-    tt = (-2.0 * omega @ omega.swapaxes(1, 2))[:, 1:, 1:]
-    synth[:, 0, 1:, 0, 1:] += tt
-    synth[:, 1:, 0, 1:, 0] += tt
-    synth[:, 0, 1:, 1:, 0] -= tt
-    synth[:, 1:, 0, 0, 1:] -= tt
-    entries = _gather(synth, basis)
+    """Symmetrized matrices (B, N, N) of the Rm_g that ``flipped_curvature`` predicts for unit T."""
+    entries = _gather(flipped_curvature(rm_l_frame, omega, -1.0), basis)
     return 0.5 * (entries + entries.swapaxes(1, 2))  # symmetric up to rounding already
 
 

@@ -5,11 +5,11 @@ Given a Lorentzian metric with a timelike Killing field T, the flip
     g = g_L - 2 (T_flat (x) T_flat) / g_L(T,T),        T_flat = g_L(T, .)
 
 produces a Riemannian metric sharing T as a Killing field; applied twice it
-returns g_L.  The two Levi-Civita connections and curvature tensors are
-related by four connection identities and three curvature identity classes;
-``verify_connection_relations`` / ``verify_curvature_relations`` evaluate
-both sides of each from independently computed coordinate Christoffels and
-Riemann tensors of g and g_L.
+returns g_L.  Four connection identities relate the two Levi-Civita
+connections; they are checked from the coordinate Christoffels of g and g_L.
+The three curvature identity classes are written once, in
+``flipped_curvature``: ``curvature_residual_batch`` checks its prediction
+against Rm_g, and ``curvature_ops`` builds the symmetrized operator from it.
 
 Frame-level quantities never require differentiating frame fields: the
 identities below only involve connection *differences* (where the frame
@@ -113,13 +113,41 @@ def conformal_normalize(s: StationaryStructure) -> StationaryStructure:
     return StationaryStructure(spec, s.t, True)
 
 
+def flipped_curvature(rm_l_frame: np.ndarray, omega: np.ndarray, gtt) -> np.ndarray:
+    """Frame components (B, n, n, n, n) of Rm_g that the flip's curvature identities predict.
+
+    Frames are {T, X_1..X_{n-1}}, the X_i orthonormal for g and g_L; ``gtt``
+    is g_L(T,T) (scalar or (B,)) and w = ``omega`` holds g_L(nab^L_{X_i} T, X_j)
+    at [b, i, j], row and column 0 zero.  For T of any length, every component
+    touching T changes sign and
+
+        Rm_g(T,X,T,Y) = -Rm_L(T,X,T,Y) - 2 (w w^T)_XY,
+        Rm_g(X,Y,Z,W) = Rm_L(X,Y,Z,W) + (2/gtt) (w_XW w_YZ - w_XZ w_YW - 2 w_XY w_ZW).
+    """
+    spatial = np.zeros(omega.shape[-1:] * 4, dtype=bool)
+    spatial[1:, 1:, 1:, 1:] = True
+    # spatial corrections; vanish on T-touching entries (row 0 of omega is 0)
+    synth = np.einsum("xad,xbc->xabcd", omega, omega)
+    synth -= np.einsum("xac,xbd->xabcd", omega, omega)
+    synth -= 2.0 * np.einsum("xab,xcd->xabcd", omega, omega)
+    synth *= (2.0 / np.asarray(gtt))[..., None, None, None, None]
+    np.add(synth, rm_l_frame, out=synth, where=spatial)
+    np.subtract(synth, rm_l_frame, out=synth, where=~spatial)
+    tt = (-2.0 * omega @ omega.swapaxes(1, 2))[:, 1:, 1:]
+    synth[:, 0, 1:, 0, 1:] += tt
+    synth[:, 1:, 0, 1:, 0] += tt
+    synth[:, 0, 1:, 1:, 0] -= tt
+    synth[:, 1:, 0, 0, 1:] -= tt
+    return synth
+
+
 # --- batched geometric data --------------------------------------------------
 
 @dataclass(frozen=True)
 class StructureData:
     """Everything the identity checks and operators need, batched over points.
 
-    Index conventions: dg[b,k,i,j] = d_k g_ij; dt[b,i,k] = d_i T^k;
+    Index conventions: dg[b,k,i,j] = d_k g_ij; dgtt[b,k] = d_k g_L(T,T);
     cov_*[b,k,i] = (nab_{d_i} T)^k; rm_*[b,i,j,k,l] lowered Riemann, each
     built on first read from the stored jets and Christoffel symbols.
     """
@@ -136,7 +164,6 @@ class StructureData:
     d2g: np.ndarray
     gamma_g: np.ndarray
     t: np.ndarray
-    dt: np.ndarray
     gtt: np.ndarray
     dgtt: np.ndarray
     cov_t_l: np.ndarray
@@ -182,7 +209,7 @@ def structure_data(s: StationaryStructure, pts, tol: Tolerances = DEFAULT) -> St
     cov_l = dt.transpose(0, 2, 1) + np.einsum("bkim,bm->bki", gamma_l, t)
     cov_g = dt.transpose(0, 2, 1) + np.einsum("bkim,bm->bki", gamma_g, t)
     return StructureData(
-        pts, gl, gl_inv, dgl, d2gl, gamma_l, g, g_inv, dg, d2g, gamma_g, t, dt, gtt, dgtt, cov_l, cov_g
+        pts, gl, gl_inv, dgl, d2gl, gamma_l, g, g_inv, dg, d2g, gamma_g, t, gtt, dgtt, cov_l, cov_g
     )
 
 
@@ -284,31 +311,23 @@ def connection_residual_batch(data: StructureData, frames: np.ndarray) -> np.nda
 
 
 def curvature_residual_batch(data: StructureData, frames: np.ndarray) -> np.ndarray:
-    """Residuals (B, 3) of the curvature identity classes for per-point frames."""
+    """Residuals (B, 3) of the curvature identity classes for per-point frames.
+
+    Class-wise max of |Rm_g - flipped_curvature| over (X,Y,T,Z), (T,X,T,Y) and (X,Y,Z,W).
+    """
     rml = frame_components_batch(data.rm_l, frames)
     rmg = frame_components_batch(data.rm_g, frames)
-    x = frames[:, 1:, :]
-    u_l = np.einsum("bki,bai->bka", data.cov_t_l, x)  # column a = nab^L_{X_a} T coords
-    omega = np.einsum("bka,bkl,bcl->bac", u_l, data.gl, x)
-    ip = np.einsum("bka,bkl,blc->bac", u_l, data.gl, u_l)
-    sgrad = np.einsum("bai,bi->ba", x, data.dgtt)
-    gtt = data.gtt
-    res1 = np.abs(rmg[:, 1:, 1:, 0, 1:] + rml[:, 1:, 1:, 0, 1:]).max(axis=(1, 2, 3))
-    target = (
-        -rml[:, 0, 1:, 0, 1:]
-        - 2.0 * ip
-        + sgrad[:, :, None] * sgrad[:, None, :] / (2.0 * gtt[:, None, None])
+    omega = frames @ data.cov_t_l.swapaxes(1, 2) @ data.gl @ frames.swapaxes(1, 2)
+    omega[:, 0] = omega[:, :, 0] = 0.0
+    res = np.abs(rmg - flipped_curvature(rml, omega, data.gtt))
+    return np.stack(
+        [
+            res[:, 1:, 1:, 0, 1:].max(axis=(1, 2, 3)),
+            res[:, 0, 1:, 0, 1:].max(axis=(1, 2)),
+            res[:, 1:, 1:, 1:, 1:].max(axis=(1, 2, 3, 4)),
+        ],
+        axis=1,
     )
-    res2 = np.abs(rmg[:, 0, 1:, 0, 1:] - target).max(axis=(1, 2))
-    corr = (2.0 / gtt)[:, None, None, None, None] * (
-        np.einsum("bil,bjk->bijkl", omega, omega)
-        - np.einsum("bik,bjl->bijkl", omega, omega)
-        - 2.0 * np.einsum("bij,bkl->bijkl", omega, omega)
-    )
-    res3 = np.abs(rmg[:, 1:, 1:, 1:, 1:] - rml[:, 1:, 1:, 1:, 1:] - corr).max(
-        axis=(1, 2, 3, 4)
-    )
-    return np.stack([res1, res2, res3], axis=1)
 
 
 def verify_connection_relations(

@@ -16,7 +16,6 @@ from statcurv.curvature_ops import operators_from_data
 from statcurv.frames import adapted_frames_batch
 from statcurv.generators import battery_recipe, generate
 from statcurv.metric import christoffel_batch, load_spec_file, riemann_residuals
-from statcurv.oracles import fd_metric_derivative
 from statcurv.stationary import (
     StationaryStructure,
     connection_residual_batch,
@@ -24,6 +23,8 @@ from statcurv.stationary import (
     killing_defect_batch,
     structure_data,
 )
+
+from oracles import fd_metric_derivative
 
 settings.register_profile(
     "suite", max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]

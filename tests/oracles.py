@@ -1,15 +1,15 @@
 """Independent brute-force oracles backing derived test values.
 
-These exist only for tests; production code paths never import this module.
+Test-only: nothing under ``src/statcurv`` imports this module.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .expr import Expression, eval_jet_batch
-from .linalg import invert
-from .metric import MetricSpec, RiemannTensor, christoffel_batch
+from statcurv.expr import Expression, eval_jet_batch
+from statcurv.linalg import invert
+from statcurv.metric import MetricSpec, RiemannTensor, christoffel_batch
 
 
 def _central_differences(value, point: np.ndarray, step: float):

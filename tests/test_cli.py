@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from statcurv import cli, topology
+from statcurv import cli, curvature_ops, stationary, topology
+from statcurv.generators import battery_recipe, generate
 
 from conftest import SPEC_DIR
 
@@ -75,6 +76,32 @@ class TestVerify:
         code, out, err = run(capsys, "verify", path, "--grid", "3")
         assert code == 3
         assert "FAIL" in out or "numerical failure" in err
+
+    def test_checks_the_synthesis_analyze_uses(self, capsys, monkeypatch):
+        # rotation blocks 0.1% too large, in the one synthesis that both the
+        # curvature rows and the symmetrized operator call
+        real = stationary.flipped_curvature
+
+        def skewed(rm_l_frame, omega, gtt):
+            return real(rm_l_frame, 1.001 * omega, gtt)
+
+        monkeypatch.setattr(stationary, "flipped_curvature", skewed)
+        monkeypatch.setattr(curvature_ops, "flipped_curvature", skewed)
+        code, out, _ = run(capsys, "verify", S3, "--grid", "4", "--format", "json")
+        assert code == 3
+        failed = {row["identity"] for row in json.loads(out)["identities"] if row["status"] == "FAIL"}
+        assert failed == {"curvature_timelike", "curvature_spatial", "operator_central_identity"}
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_non_unit_spec_passes(self, capsys, tmp_path, seed):
+        # the curvature rows then see g_L(T,T) != -1, the operators its normalization
+        structure = generate(dataclasses.replace(battery_recipe(seed), normalize=False))
+        spec_path = tmp_path / "raw.spec"
+        spec_path.write_text(structure.spec.to_text())
+        code, out, _ = run(capsys, "verify", str(spec_path), "--grid", "3")
+        assert code == 0
+        assert "conformally normalized" in out
+        assert out.count("PASS") == 10
 
     def test_point_failure_names_the_point(self, capsys, tmp_path):
         # the metric degenerates for x <= 0, first reached at the first grid point
@@ -393,6 +420,30 @@ def test_spec_numbers_and_keys_must_be_finite_ascii(capsys, tmp_path, old, new):
     assert code == 2
     assert out == ""
     assert err.startswith("input error")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", S3, "--p", "\u0661", "--grid", "3"],
+        ["analyze", S3, "--p", "1", "--grid", "\u0663"],
+        ["analyze", S3, "--p", "1", "--grid", "1_0"],
+        ["verify", S3, "--grid", "3,3,\u0663"],
+        ["examples", "--random", "--seed", "\u0663"],
+        ["examples", "--random", "--seed", "1_0"],
+        ["examples", "--random", "--seed", "3", "--dimension", "\u0663"],
+        ["examples", "--random", "--seed", "3", "--flat-dims", "\u0660"],
+    ],
+)
+def test_cli_integers_must_be_ascii(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)  # where `examples --random` would write its spec
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects bad option values itself
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_grid_parsing_errors(capsys):

@@ -27,9 +27,9 @@ from statcurv.expr import (
     parse_expression,
 )
 from statcurv.generators import GeneratorRecipe, generate
-from statcurv.oracles import fd_gradient_hessian
 
 from conftest import SPEC_DIR
+from oracles import fd_gradient_hessian
 
 COORDS = ("t", "theta1", "theta2")
 

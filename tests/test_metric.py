@@ -26,10 +26,10 @@ from statcurv.metric import (
     riemann_coordinate,
     riemann_residuals,
 )
-from statcurv.oracles import constant_curvature_oracle, fd_christoffel_oracle, fd_metric_derivative
 from statcurv.stationary import StationaryStructure, structure_data
 
 from conftest import SPEC_DIR, sample_interior
+from oracles import constant_curvature_oracle, fd_christoffel_oracle, fd_metric_derivative
 
 
 def einsum_riemann(g, g_inv, dg, d2g):

@@ -9,11 +9,12 @@ import pytest
 from statcurv.errors import NonTimelikeError, SpecFormatError
 from statcurv.frames import orthonormal_completion
 from statcurv.generators import battery_recipe, generate
-from statcurv.metric import load_spec, metric_batch
+from statcurv.metric import frame_components_batch, load_spec, metric_batch
 from statcurv.stationary import (
     StationaryStructure,
     conformal_normalize,
     flip_spec,
+    flipped_curvature,
     killing_defect,
     nabla_t_matrix,
     riemannian_counterpart,
@@ -206,8 +207,6 @@ class TestCurvatureRelations:
         # spatial identity at f = -1: the correction moves -7 to -1, i.e. the
         # operator entries 7 and 1 of the worked example
         data = structure_data(s3, np.asarray(point)[None, :])
-        from statcurv.metric import frame_components_batch
-
         rml = frame_components_batch(data.rm_l, frame.vectors[None])[0]
         rmg = frame_components_batch(data.rm_g, frame.vectors[None])[0]
         assert -rml[1, 2, 1, 2] == pytest.approx(7.0, abs=1e-9)
@@ -227,3 +226,25 @@ class TestCurvatureRelations:
         for point in sample_interior(raw.spec, 4, seed=70):
             frame = orthonormal_completion(raw, point, require_unit=False)
             assert verify_curvature_relations(raw, frame).max() < 1e-6
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_timelike_class_needs_no_derivative_of_gtt(self, seed):
+        # reference: -Rm_L(T,X,T,Y) - 2 g_L(nab_X T, nab_Y T) + X(gtt) Y(gtt) / (2 gtt),
+        # whose last term the T-part of g_L(nab_X T, nab_Y T) cancels
+        raw = generate(replace(battery_recipe(seed), normalize=False))
+        assert raw.dimension == 3 + seed
+        pts = sample_interior(raw.spec, 20, seed + 80)
+        data = structure_data(raw, pts)
+        frames = np.stack([orthonormal_completion(raw, p, require_unit=False).vectors for p in pts])
+        rml = frame_components_batch(data.rm_l, frames)
+        x = frames[:, 1:]
+        u = np.einsum("bki,bai->bka", data.cov_t_l, x)  # column a: nab^L_{X_a} T
+        ip = np.einsum("bka,bkl,blc->bac", u, data.gl, u)
+        sgrad = np.einsum("bai,bi->ba", x, data.dgtt)
+        drop = sgrad[:, :, None] * sgrad[:, None, :] / (2.0 * data.gtt[:, None, None])
+        reference = -rml[:, 0, 1:, 0, 1:] - 2.0 * ip + drop
+        omega = np.zeros(frames.shape)
+        omega[:, 1:, 1:] = np.einsum("bka,bkl,bcl->bac", u, data.gl, x)
+        got = flipped_curvature(rml, omega, data.gtt)[:, 0, 1:, 0, 1:]
+        assert np.abs(drop).max() > 0.1  # the cancelled term is not negligible
+        assert np.abs(got - reference).max() < 1e-13 * max(1.0, np.abs(reference).max())
