@@ -16,15 +16,17 @@ fractional powers are written with sqrt/exp/log.  Angles are raw radians.
 
 Evaluation propagates (value, gradient, hessian) triples forward through
 the tree, so first and second derivatives are exact up to rounding; finite
-differences exist only as a test oracle.  Nodes are immutable and
-evaluation is pure, so expressions are safe to share across threads.  The
-parser hash-conses nodes, so a parsed expression is a DAG in which each
-structurally distinct subexpression is one object.  Its node table also maps
-the text of each parenthesized group (of 16 characters or more) to the node
-it parsed to, so a group that repeats verbatim is parsed once and later
-copies are skipped: the text of a group parses to the same structure
-wherever it stands, and the table holds one object per structure, so a
-skipped copy yields the very node a full parse would build.
+differences exist only as a test oracle.  Each jet lives on its support,
+the coordinates its node depends on: its gradient and Hessian hold only
+those entries, and a constant carries no derivatives at all.  Nodes are
+immutable and evaluation is pure, so expressions are safe to share across
+threads.  The parser hash-conses nodes, so a parsed expression is a DAG in
+which each structurally distinct subexpression is one object.  Its node
+table also maps the text of each parenthesized group (of 16 characters or
+more) to the node it parsed to, so a group that repeats verbatim is parsed
+once and later copies are skipped: the text of a group parses to the same
+structure wherever it stands, and the table holds one object per structure,
+so a skipped copy yields the very node a full parse would build.
 """
 
 from __future__ import annotations
@@ -355,64 +357,142 @@ def _unparse(node: Node, parent_prec: int = 0) -> str:
 # --- jets ------------------------------------------------------------------
 
 class _Jet:
-    """Batched (value, gradient, hessian) triple; shapes (B,), (B,n), (B,n,n).
+    """Batched (value, gradient, hessian) triple on the jet's support.
+
+    ``sup`` is the sorted tuple of the k coordinate indices the node depends
+    on; ``val`` has shape (B,), ``grad`` (B,k) and ``hess`` (B,k,k) over
+    those coordinates.  Every derivative outside the support is an exact
+    zero and is not stored, and a constant (``sup == ()``) carries no
+    derivative arrays at all: ``grad`` and ``hess`` are None.  This is the
+    sparse forward mode of Griewank & Walther (*Evaluating Derivatives*, 2nd
+    ed., 2008).  A constant operand takes a scaled or pass-through path; two
+    operands on different supports are first widened to the sorted union, so
+    every stored entry is computed by the same floating-point operations, in
+    the same order, as in a jet that spans all n coordinates; the skipped
+    terms are exact zeros at finite values, so at most the sign of a zero
+    result differs.  The pass-through paths share arrays between jets, so
+    no jet array is ever written in place.
 
     Hessians stay exactly symmetric: every constructive term is either a
     symmetric input, a scalar multiple of one, or an outer product a (x) b
     added to its transpose (IEEE addition is commutative entrywise).
     """
 
-    __slots__ = ("val", "grad", "hess")
+    __slots__ = ("sup", "val", "grad", "hess")
 
-    def __init__(self, val, grad, hess):
+    def __init__(self, sup, val, grad=None, hess=None):
+        self.sup = sup
         self.val = val
         self.grad = grad
         self.hess = hess
 
+    def widened(self, sup):
+        """(grad, hess) on ``sup``, a sorted superset of this support."""
+        if sup == self.sup:
+            return self.grad, self.hess
+        batch, k = len(self.val), len(sup)
+        grad = np.zeros((batch, k))
+        hess = np.zeros((batch, k, k))
+        if self.sup:
+            pos = np.array([sup.index(i) for i in self.sup])
+            grad[:, pos] = self.grad
+            hess[:, pos[:, None], pos] = self.hess
+        return grad, hess
+
+    def scatter(self, grad_out, hess_out=None):
+        """Write the derivatives into the support's entries of ``grad_out``
+        (B,n) and ``hess_out`` (B,n,n); entries off the support are not
+        touched."""
+        if self.sup:
+            sup = np.array(self.sup)
+            grad_out[:, sup] = self.grad
+            if hess_out is not None:
+                hess_out[:, sup[:, None], sup] = self.hess
+
+    def _scaled(self, val, c):
+        """Value ``val`` and this jet's derivatives times ``c``."""
+        if not self.sup:
+            return _Jet((), val)
+        return _Jet(self.sup, val, c[:, None] * self.grad, c[:, None, None] * self.hess)
+
     def __add__(self, other):
-        return _Jet(self.val + other.val, self.grad + other.grad, self.hess + other.hess)
+        val = self.val + other.val
+        if not other.sup:
+            return _Jet(self.sup, val, self.grad, self.hess)
+        if not self.sup:
+            return _Jet(other.sup, val, other.grad, other.hess)
+        sup, ga, ha, gb, hb = _common(self, other)
+        return _Jet(sup, val, ga + gb, ha + hb)
 
     def __sub__(self, other):
-        return _Jet(self.val - other.val, self.grad - other.grad, self.hess - other.hess)
+        val = self.val - other.val
+        if not other.sup:
+            return _Jet(self.sup, val, self.grad, self.hess)
+        if not self.sup:
+            return _Jet(other.sup, val, -other.grad, -other.hess)
+        sup, ga, ha, gb, hb = _common(self, other)
+        return _Jet(sup, val, ga - gb, ha - hb)
 
     def __neg__(self):
-        return _Jet(-self.val, -self.grad, -self.hess)
+        if not self.sup:
+            return _Jet((), -self.val)
+        return _Jet(self.sup, -self.val, -self.grad, -self.hess)
 
     def __mul__(self, other):
         val = self.val * other.val
-        grad = self.val[:, None] * other.grad + other.val[:, None] * self.grad
-        cross = self.grad[:, :, None] * other.grad[:, None, :]
+        if not other.sup:
+            return self._scaled(val, other.val)
+        if not self.sup:
+            return other._scaled(val, self.val)
+        sup, ga, ha, gb, hb = _common(self, other)
+        grad = self.val[:, None] * gb + other.val[:, None] * ga
+        cross = ga[:, :, None] * gb[:, None, :]
         hess = (
-            self.val[:, None, None] * other.hess
-            + other.val[:, None, None] * self.hess
+            self.val[:, None, None] * hb
+            + other.val[:, None, None] * ha
             + cross
             + np.swapaxes(cross, 1, 2)
         )
-        return _Jet(val, grad, hess)
+        return _Jet(sup, val, grad, hess)
 
     def divide(self, other, where):
         if np.any(other.val == 0.0):
             raise EvalDomainError("division by zero", _unparse(where))
         val = self.val / other.val
-        grad = (self.grad - val[:, None] * other.grad) / other.val[:, None]
-        cross = grad[:, :, None] * other.grad[:, None, :]
+        if not other.sup:
+            if not self.sup:
+                return _Jet((), val)
+            grad = self.grad / other.val[:, None]
+            return _Jet(self.sup, val, grad, self.hess / other.val[:, None, None])
+        sup, ga, ha, gb, hb = _common(self, other)  # a constant numerator widens to zeros
+        grad = (ga - val[:, None] * gb) / other.val[:, None]
+        cross = grad[:, :, None] * gb[:, None, :]
         hess = (
-            self.hess - val[:, None, None] * other.hess - cross - np.swapaxes(cross, 1, 2)
+            ha - val[:, None, None] * hb - cross - np.swapaxes(cross, 1, 2)
         ) / other.val[:, None, None]
-        return _Jet(val, grad, hess)
+        return _Jet(sup, val, grad, hess)
 
     def chain(self, val, d1, d2):
         """Apply a scalar function with value `val` and derivatives d1, d2 at self.val."""
+        if not self.sup:
+            return _Jet((), val)
         grad = d1[:, None] * self.grad
         outer = self.grad[:, :, None] * self.grad[:, None, :]
         hess = d1[:, None, None] * self.hess + d2[:, None, None] * outer
-        return _Jet(val, grad, hess)
+        return _Jet(self.sup, val, grad, hess)
+
+
+def _common(a: _Jet, b: _Jet):
+    """The sorted union of two supports and both jets' (grad, hess) on it."""
+    if a.sup == b.sup:
+        return a.sup, a.grad, a.hess, b.grad, b.hess
+    sup = tuple(sorted(set(a.sup) | set(b.sup)))
+    return (sup, *a.widened(sup), *b.widened(sup))
 
 
 def _jet_pow(jet: _Jet, k: int, where: Node) -> _Jet:
     if k == 0:
-        one = np.ones_like(jet.val)
-        return _Jet(one, np.zeros_like(jet.grad), np.zeros_like(jet.hess))
+        return _Jet((), np.ones_like(jet.val))
     if k < 0 and np.any(jet.val == 0.0):
         raise EvalDomainError("zero raised to a negative power", _unparse(where))
     u = jet.val
@@ -470,15 +550,13 @@ def _eval_jet(node: Node, pts: np.ndarray, cache: dict) -> _Jet:
 
 
 def _eval_jet_uncached(node: Node, pts: np.ndarray, cache: dict) -> _Jet:
-    batch, n = pts.shape
+    batch = len(pts)
     if isinstance(node, Num):
-        return _Jet(
-            np.full(batch, node.value), np.zeros((batch, n)), np.zeros((batch, n, n))
-        )
+        return _Jet((), np.full(batch, node.value))
     if isinstance(node, Var):
-        grad = np.zeros((batch, n))
-        grad[:, node.index] = 1.0
-        return _Jet(pts[:, node.index].copy(), grad, np.zeros((batch, n, n)))
+        return _Jet(
+            (node.index,), pts[:, node.index].copy(), np.ones((batch, 1)), np.zeros((batch, 1, 1))
+        )
     if isinstance(node, Neg):
         return -_eval_jet(node.arg, pts, cache)
     if isinstance(node, Add):
@@ -654,14 +732,15 @@ def _parse_interned(text: str, coords, table: dict) -> Expression:
 def eval_jet(e: Expression, point) -> JetValue:
     """Exact value/gradient/hessian of ``e`` at a single point."""
     pts = np.asarray(point, dtype=float).reshape(1, len(e.coords))
-    jet = _eval_jet(e.root, pts, {})
-    return JetValue(float(jet.val[0]), jet.grad[0], jet.hess[0])
+    val, grad, hess = eval_jet_batch(e, pts)
+    return JetValue(float(val[0]), grad[0], hess[0])
 
 
 def eval_jet_batch(
     e: Expression, pts, cache: dict | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched jets; ``pts`` has shape (B, n).  Returns (B,), (B,n), (B,n,n).
+    """Batched jets; ``pts`` has shape (B, n).  Returns (B,), (B,n), (B,n,n),
+    scattered once from the jet's support (zeros elsewhere).
 
     Passing one ``cache`` dict across several calls at the same points lets
     expressions that share subtree objects evaluate those only once; without
@@ -669,4 +748,4 @@ def eval_jet_batch(
     """
     pts = np.asarray(pts, dtype=float)
     jet = _eval_jet(e.root, pts, {} if cache is None else cache)
-    return jet.val, jet.grad, jet.hess
+    return (jet.val, *jet.widened(tuple(range(pts.shape[1]))))

@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ChartDomainError, EvalDomainError, NearSingularError, SpecFormatError, SignatureError
-from .expr import Expression, _parse_interned, eval_jet_batch
+from .expr import Expression, _eval_jet, _parse_interned
 from .linalg import determinant, invert, jacobi_eigh
 from .tolerances import DEFAULT, Tolerances
 
@@ -290,7 +290,9 @@ def metric_fields(spec: MetricSpec, pts, cache: dict | None = None):
 
     ``cache`` is a jet cache valid for exactly these points; sharing one
     across the component loop (and with the flipped metric) evaluates
-    common subexpressions once.
+    common subexpressions once.  Each entry's jet lives on the coordinates
+    the entry depends on (see ``expr._Jet``), and only that block of
+    ``dg`` and ``d2g`` is written; the rest stay zero.
     """
     pts = np.asarray(pts, dtype=float)
     batch, n = pts.shape
@@ -299,14 +301,10 @@ def metric_fields(spec: MetricSpec, pts, cache: dict | None = None):
     dg = np.zeros((batch, n, n, n))
     d2g = np.zeros((batch, n, n, n, n))
     for i, j, expr in spec.entries:
-        val, grad, hess = eval_jet_batch(expr, pts, cache)
-        g[:, i, j] = val
-        dg[:, :, i, j] = grad
-        d2g[:, :, :, i, j] = hess
-        if i != j:
-            g[:, j, i] = val
-            dg[:, :, j, i] = grad
-            d2g[:, :, :, j, i] = hess
+        jet = _eval_jet(expr.root, pts, cache)
+        for a, b in {(i, j), (j, i)}:
+            g[:, a, b] = jet.val
+            jet.scatter(dg[:, :, a, b], d2g[:, :, :, a, b])
     if not np.all(np.isfinite(g)) or not np.all(np.isfinite(dg)) or not np.all(np.isfinite(d2g)):
         raise EvalDomainError("non-finite metric component", "metric evaluation")
     return g, dg, d2g

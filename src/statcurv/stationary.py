@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NonTimelikeError, SpecFormatError
-from .expr import Expression, eval_jet_batch
+from .expr import Expression, _eval_jet
 from .linalg import invert
 from .metric import (
     KillingField,
@@ -184,9 +184,9 @@ def _t_jets(s: StationaryStructure, pts: np.ndarray, cache: dict) -> tuple[np.nd
     t = np.zeros((batch, n))
     dt = np.zeros((batch, n, n))
     for k, expr in enumerate(s.t):
-        val, grad, _ = eval_jet_batch(expr, pts, cache)
-        t[:, k] = val
-        dt[:, :, k] = grad
+        jet = _eval_jet(expr.root, pts, cache)
+        t[:, k] = jet.val
+        jet.scatter(dt[:, :, k])
     return t, dt
 
 

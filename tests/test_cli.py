@@ -58,22 +58,17 @@ class TestVerify:
         assert payload["passed"] is True
         assert len(payload["identities"]) == 10
 
-    def test_failure_exits_3(self, capsys):
-        # impossible tolerance scale makes residual thresholds unreachable?
-        # no: scale >= 1e-2 keeps them passing; instead verify a spec whose
-        # killing data is wrong, which breaks the identities
-        import textwrap
-
-        bad = (
+    def test_failure_exits_3(self, capsys, tmp_path):
+        # a spec whose killing data is wrong (g_1_1 depends on t, so T = d/dt
+        # is not Killing) breaks the identities
+        path = tmp_path / "not_killing.spec"
+        path.write_text(
             "[chart]\ncoords = t, x, y\nt = 0, 6.28\nx = 0, 6.28\ny = 0, 6.28\n"
             '[metric]\ng_0_0 = "-1"\ng_1_1 = "1+t"\ng_2_2 = "1"\n'
             "[signature]\nkind = lorentzian\n"
             '[killing]\nT_0 = "1"\nT_1 = "0"\nT_2 = "0"\nunit = true\n'
         )
-        path = "/tmp/statcurv_not_killing.spec"
-        with open(path, "w") as fh:
-            fh.write(textwrap.dedent(bad))
-        code, out, err = run(capsys, "verify", path, "--grid", "3")
+        code, out, err = run(capsys, "verify", str(path), "--grid", "3")
         assert code == 3
         assert "FAIL" in out or "numerical failure" in err
 

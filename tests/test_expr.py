@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from statcurv import expr as ex
-from statcurv import metric
+from statcurv import generators, metric, stationary
 from statcurv.errors import EvalDomainError, ExprSyntaxError, UnknownIdentifierError
 from statcurv.expr import (
     FUNCTIONS,
@@ -28,7 +28,7 @@ from statcurv.expr import (
 )
 from statcurv.generators import GeneratorRecipe, generate
 
-from conftest import SPEC_DIR
+from conftest import SPEC_DIR, sample_interior
 from oracles import fd_gradient_hessian
 
 COORDS = ("t", "theta1", "theta2")
@@ -592,3 +592,326 @@ def test_errors_match_reference(prior, text):
         raise AssertionError(f"{text!r} parsed")
 
     assert outcome(ex._parse_interned) == outcome(_reference_parse)
+
+
+# --- dense reference jets -----------------------------------------------------
+# The jets the support-restricted ones replaced, and the metric and T loops
+# that wrote them whole, kept as the reference: every jet carries a full
+# (B,n) gradient and (B,n,n) Hessian, constants included.
+# The production jets must give the same numbers (an exact zero may differ in
+# sign) and raise the same EvalDomainError on the same inputs.
+
+
+class _DenseReferenceJet:
+    __slots__ = ("val", "grad", "hess")
+
+    def __init__(self, val, grad, hess):
+        self.val = val
+        self.grad = grad
+        self.hess = hess
+
+    def __add__(self, other):
+        return _DenseReferenceJet(self.val + other.val, self.grad + other.grad, self.hess + other.hess)
+
+    def __sub__(self, other):
+        return _DenseReferenceJet(self.val - other.val, self.grad - other.grad, self.hess - other.hess)
+
+    def __neg__(self):
+        return _DenseReferenceJet(-self.val, -self.grad, -self.hess)
+
+    def __mul__(self, other):
+        val = self.val * other.val
+        grad = self.val[:, None] * other.grad + other.val[:, None] * self.grad
+        cross = self.grad[:, :, None] * other.grad[:, None, :]
+        hess = (
+            self.val[:, None, None] * other.hess
+            + other.val[:, None, None] * self.hess
+            + cross
+            + np.swapaxes(cross, 1, 2)
+        )
+        return _DenseReferenceJet(val, grad, hess)
+
+    def divide(self, other, where):
+        if np.any(other.val == 0.0):
+            raise EvalDomainError("division by zero", ex._unparse(where))
+        val = self.val / other.val
+        grad = (self.grad - val[:, None] * other.grad) / other.val[:, None]
+        cross = grad[:, :, None] * other.grad[:, None, :]
+        hess = (
+            self.hess - val[:, None, None] * other.hess - cross - np.swapaxes(cross, 1, 2)
+        ) / other.val[:, None, None]
+        return _DenseReferenceJet(val, grad, hess)
+
+    def chain(self, val, d1, d2):
+        grad = d1[:, None] * self.grad
+        outer = self.grad[:, :, None] * self.grad[:, None, :]
+        hess = d1[:, None, None] * self.hess + d2[:, None, None] * outer
+        return _DenseReferenceJet(val, grad, hess)
+
+
+def _reference_pow(jet, k, where):
+    if k == 0:
+        one = np.ones_like(jet.val)
+        return _DenseReferenceJet(one, np.zeros_like(jet.grad), np.zeros_like(jet.hess))
+    if k < 0 and np.any(jet.val == 0.0):
+        raise EvalDomainError("zero raised to a negative power", ex._unparse(where))
+    u = jet.val
+    val = u**k
+    d1 = k * u ** (k - 1)
+    d2 = (k * (k - 1)) * u ** (k - 2) if k != 1 else np.zeros_like(u)
+    return jet.chain(val, d1, d2)
+
+
+def _reference_call(func, jet, where):
+    u = jet.val
+    if func == "sin":
+        return jet.chain(np.sin(u), np.cos(u), -np.sin(u))
+    if func == "cos":
+        return jet.chain(np.cos(u), -np.sin(u), -np.cos(u))
+    if func == "tan":
+        c = np.cos(u)
+        if np.any(c == 0.0):
+            raise EvalDomainError("tan at a pole", ex._unparse(where))
+        t = np.tan(u)
+        sec2 = 1.0 + t * t
+        return jet.chain(t, sec2, 2.0 * t * sec2)
+    if func == "cot":
+        s = np.sin(u)
+        if np.any(s == 0.0):
+            raise EvalDomainError("cot at a pole", ex._unparse(where))
+        ct = np.cos(u) / s
+        csc2 = 1.0 + ct * ct
+        return jet.chain(ct, -csc2, 2.0 * ct * csc2)
+    if func == "exp":
+        e = np.exp(u)
+        return jet.chain(e, e, e)
+    if func == "log":
+        if np.any(u <= 0.0):
+            raise EvalDomainError("log of a nonpositive value", ex._unparse(where))
+        return jet.chain(np.log(u), 1.0 / u, -1.0 / (u * u))
+    if func == "sqrt":
+        if np.any(u <= 0.0):
+            raise EvalDomainError("sqrt of a nonpositive value", ex._unparse(where))
+        r = np.sqrt(u)
+        return jet.chain(r, 0.5 / r, -0.25 / (u * r))
+    raise AssertionError(f"unhandled function {func}")
+
+
+def _reference_eval(node, pts, cache):
+    hit = cache.get(id(node))
+    if hit is not None:
+        return hit[1]
+    batch, n = pts.shape
+    if isinstance(node, Num):
+        jet = _DenseReferenceJet(
+            np.full(batch, node.value), np.zeros((batch, n)), np.zeros((batch, n, n))
+        )
+    elif isinstance(node, Var):
+        grad = np.zeros((batch, n))
+        grad[:, node.index] = 1.0
+        jet = _DenseReferenceJet(pts[:, node.index].copy(), grad, np.zeros((batch, n, n)))
+    elif isinstance(node, Neg):
+        jet = -_reference_eval(node.arg, pts, cache)
+    elif isinstance(node, Add):
+        jet = _reference_eval(node.left, pts, cache) + _reference_eval(node.right, pts, cache)
+    elif isinstance(node, Sub):
+        jet = _reference_eval(node.left, pts, cache) - _reference_eval(node.right, pts, cache)
+    elif isinstance(node, Mul):
+        jet = _reference_eval(node.left, pts, cache) * _reference_eval(node.right, pts, cache)
+    elif isinstance(node, Div):
+        jet = _reference_eval(node.left, pts, cache).divide(_reference_eval(node.right, pts, cache), node)
+    elif isinstance(node, Pow):
+        jet = _reference_pow(_reference_eval(node.base, pts, cache), node.exponent, node)
+    elif isinstance(node, Call):
+        jet = _reference_call(node.func, _reference_eval(node.arg, pts, cache), node)
+    else:
+        raise AssertionError(f"unhandled node {node!r}")
+    cache[id(node)] = (node, jet)
+    return jet
+
+
+def _reference_metric_fields(spec, pts, cache=None):
+    """``metric.metric_fields`` on the dense reference jets: each entry's
+    full (B,n) gradient and (B,n,n) Hessian are written whole."""
+    pts = np.asarray(pts, dtype=float)
+    batch, n = pts.shape
+    cache = {} if cache is None else cache
+    g = np.zeros((batch, n, n))
+    dg = np.zeros((batch, n, n, n))
+    d2g = np.zeros((batch, n, n, n, n))
+    for i, j, e in spec.entries:
+        jet = _reference_eval(e.root, pts, cache)
+        for a, b in {(i, j), (j, i)}:
+            g[:, a, b] = jet.val
+            dg[:, :, a, b] = jet.grad
+            d2g[:, :, :, a, b] = jet.hess
+    if not np.all(np.isfinite(g)) or not np.all(np.isfinite(dg)) or not np.all(np.isfinite(d2g)):
+        raise EvalDomainError("non-finite metric component", "metric evaluation")
+    return g, dg, d2g
+
+
+def _reference_t_jets(s, pts, cache):
+    """``stationary._t_jets`` on the dense reference jets."""
+    batch, n = pts.shape
+    t = np.zeros((batch, n))
+    dt = np.zeros((batch, n, n))
+    for k, e in enumerate(s.t):
+        jet = _reference_eval(e.root, pts, cache)
+        t[:, k] = jet.val
+        dt[:, :, k] = jet.grad
+    return t, dt
+
+
+def _depends_on(node) -> set:
+    """Indices of the coordinates that occur in ``node``."""
+    if isinstance(node, Var):
+        return {node.index}
+    children = [getattr(node, f.name) for f in dataclasses.fields(node)]
+    return set().union(*(_depends_on(c) for c in children if dataclasses.is_dataclass(c)))
+
+
+def _raw_trees(n):
+    """Trees built node by node, with no constant folding: constants on
+    either side of every operation, shared subtrees, all seven functions
+    and integer powers from -3 to 3."""
+    coords = tuple(f"x{i}" for i in range(n))
+    leaves = st.one_of(
+        st.sampled_from([0.0, 0.5, 1.0, 2.5]).map(Num),
+        st.sampled_from([Var(c, i) for i, c in enumerate(coords)]),
+    )
+
+    def extend(children):
+        return st.one_of(
+            st.tuples(st.sampled_from([Add, Sub, Mul, Div]), children, children).map(
+                lambda a: a[0](a[1], a[2])
+            ),
+            st.tuples(st.sampled_from([Add, Mul, Div]), children).map(lambda a: a[0](a[1], a[1])),
+            children.map(Neg),
+            st.tuples(children, st.integers(min_value=-3, max_value=3)).map(lambda a: Pow(*a)),
+            st.tuples(st.sampled_from(FUNCTIONS), children).map(lambda a: Call(*a)),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=10).map(lambda root: Expression(root, coords))
+
+
+# exact zeros and small integers reach every domain check; the floats the rest
+_COORDINATE = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 2.0]), st.floats(min_value=-2.0, max_value=2.0)
+)
+
+
+@st.composite
+def _trees_and_points(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    e = draw(_raw_trees(n))
+    pts = draw(st.lists(st.lists(_COORDINATE, min_size=n, max_size=n), min_size=3, max_size=3))
+    return e, np.array(pts)
+
+
+@given(_trees_and_points())
+@example(
+    (Expression(Div(Num(1.0), Sub(Var("x0", 0), Var("x1", 1))), ("x0", "x1")), np.array([[1.0, 1.0]]))
+)
+@example(
+    (Expression(Call("cot", Mul(Num(2.0), Var("x0", 0))), ("x0",)), np.array([[0.5], [0.0]]))
+)
+@example(
+    (
+        Expression(Div(Call("sin", Var("x0", 0)), Num(2.5)), ("x0", "x1")),
+        np.array([[0.5, 1.0], [1.5, -1.0]]),
+    )
+)
+@example(
+    (
+        Expression(Sub(Num(1.0), Mul(Var("x0", 0), Var("x1", 1))), ("x0", "x1")),
+        np.array([[0.5, 1.0], [1.5, -1.0]]),
+    )
+)
+def test_jets_match_dense_reference(case):
+    e, pts = case
+
+    def outcome(evaluate):
+        try:
+            return evaluate()
+        except EvalDomainError as err:
+            return str(err)
+
+    with np.errstate(all="ignore"):
+        got = outcome(lambda: eval_jet_batch(e, pts))
+        ref = outcome(lambda: _reference_eval(e.root, pts, {}))
+    if isinstance(ref, str):
+        assert got == ref
+        return
+    assert not isinstance(got, str), got
+    want = (ref.val, ref.grad, ref.hess)
+    # an overflow can turn a dense jet's zero into inf * 0 = NaN; values
+    # are compared where the reference is finite throughout
+    if all(np.all(np.isfinite(a)) for a in want):
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            assert np.array_equal(a, b)
+
+
+def _structure_data_and_cache(s, pts, monkeypatch):
+    """``structure_data(s, pts)`` and the jet cache it shared across g_L, T
+    and the flip."""
+    caches = []
+    real = stationary.metric_batch
+
+    def recording(spec, pts, tol, cache):
+        caches.append(cache)
+        return real(spec, pts, tol, cache)
+
+    monkeypatch.setattr(stationary, "metric_batch", recording)
+    data = stationary.structure_data(s, pts)
+    monkeypatch.setattr(stationary, "metric_batch", real)
+    assert len(caches) == 2 and caches[0] is caches[1]
+    return data, caches[0]
+
+
+@pytest.mark.parametrize(
+    "build, widest", [(generators.two_pair_flat_rotations, 4), (generators.s3_times_torus, 1)]
+)
+def test_structure_data_matches_dense_reference(build, widest, monkeypatch):
+    # two_pair_flat_rotations: g_L is constant before the flip and T spans x,
+    # y, u and v, so the flip widens supports up to all four; s3_times_torus:
+    # entries in t beside constant ones
+    s = build()
+    pts = sample_interior(s.spec, 20, 7)
+    got, cache = _structure_data_and_cache(s, pts, monkeypatch)
+    # a jet on two or more coordinates comes only from widening two supports
+    assert {len(jet.sup) for _, jet in cache.values()} == set(range(widest + 1))
+    monkeypatch.setattr(metric, "metric_fields", _reference_metric_fields)
+    monkeypatch.setattr(stationary, "_t_jets", _reference_t_jets)
+    want = stationary.structure_data(s, pts)
+    for field in dataclasses.fields(got):
+        assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
+    assert np.array_equal(got.rm_l, want.rm_l)
+    assert np.array_equal(got.rm_g, want.rm_g)
+
+
+def test_jets_hold_only_their_support(monkeypatch):
+    s = stationary.StationaryStructure.from_spec(metric.load_spec_file(SPEC_DIR / "s3.spec"))
+    _, cache = _structure_data_and_cache(s, sample_interior(s.spec, 10, 0), monkeypatch)
+    deps = []
+    for node, jet in cache.values():
+        k = len(_depends_on(node))
+        deps.append(k)
+        assert (0 if jet.grad is None else jet.grad.shape[1]) == k
+        assert (0 if jet.hess is None else jet.hess.shape[1]) == k
+    assert sorted(set(deps)) == [0, 1]
+
+
+@pytest.mark.parametrize("entry", ["exp(exp(t))", "1/exp(exp(t))"])
+def test_overflowing_entry_is_refused(entry):
+    # exp(exp(t)) overflows for t > 6.56; its reciprocal has the finite
+    # value 0 there but a NaN derivative
+    spec = metric.load_spec(
+        "[chart]\ncoords = t, x\nt = 0, 7\nx = 0, 1\n"
+        f'[metric]\ng_0_0 = "{entry}"\ng_1_1 = "1"\n'
+        "[signature]\nkind = riemannian\n"
+    )
+    metric.metric_fields(spec, np.array([[1.0, 0.5]]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(EvalDomainError, match="non-finite metric component"):
+            metric.metric_fields(spec, np.array([[1.0, 0.5], [6.9, 0.5]]))
