@@ -23,7 +23,7 @@ from .curvature_ops import operators_at, operators_from_data
 from .errors import ExprSyntaxError, SpecFormatError, StatcurvError, UnknownIdentifierError
 from .frames import _completions, adapted_frames_batch
 from .generators import FAMILIES, GeneratorRecipe, generate, write_example_specs
-from .linalg import jacobi_eigh
+from .linalg import eigvalsh
 from .metric import MetricSpec, load_spec_file
 from .stationary import (
     StationaryStructure,
@@ -192,15 +192,17 @@ def cmd_verify(config: RunConfig) -> int:
 
 # --- analyze ------------------------------------------------------------------
 
-def _strongest(results: list[topology.GridScanResult]) -> topology.GridScanResult:
+def _strongest(results: list[topology.GridScanResult]) -> int:
+    """Index of the strongest result."""
     # contradictions are conclusive; otherwise the largest vanishing set wins
-    contradictions = [r for r in results if r.verdict.contradiction]
+    verdicts = [r.verdict for r in results]
+    contradictions = [i for i, v in enumerate(verdicts) if v.contradiction]
     if contradictions:
         return contradictions[-1]
-    conclusive = [r for r in results if r.verdict.holds_everywhere]
+    conclusive = [i for i, v in enumerate(verdicts) if v.holds_everywhere]
     if conclusive:
-        return max(conclusive, key=lambda r: (len(r.verdict.vanishing), r.verdict.p))
-    return results[0]
+        return max(conclusive, key=lambda i: (len(verdicts[i].vanishing), verdicts[i].p))
+    return 0
 
 
 def cmd_analyze(config: RunConfig) -> int:
@@ -209,16 +211,18 @@ def cmd_analyze(config: RunConfig) -> int:
     structure = _normalized(StationaryStructure.from_spec(config.spec), notes)
     ps = list(topology.admissible_p(structure.dimension)) if config.all_p else [config.p]
     results = topology.grid_scans(structure, config.grid, ps, tol)
-    strongest = _strongest(results)
+    best = _strongest(results)
+    strongest = results[best]
 
     if config.fmt == "json":
+        dicts = [topology.verdict_json_dict(r) for r in results]
         payload = {
             "schema_version": 1,
             "command": "analyze",
             "spec": config.spec_path,
             "notes": notes,
-            "results": [topology.verdict_json_dict(r) for r in results],
-            "strongest": topology.verdict_json_dict(strongest),
+            "results": dicts,
+            "strongest": dicts[best],
         }
         _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", config.out)
     else:
@@ -267,7 +271,7 @@ def cmd_export(config: RunConfig) -> int:
         """The chunk's JSON lines, one per point."""
         ops = operators_at(structure, chunk, tol)
         frames = ops.frames
-        vals, _ = jacobi_eigh(ops.m_s)
+        vals = eigvalsh(ops.m_s)
         asymmetry = np.abs(ops.m_l - ops.m_l.swapaxes(1, 2)).max(axis=(1, 2))
         labels = [list(pair) for pair in ops.basis.labels()]
         return "".join(

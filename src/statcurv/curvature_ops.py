@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -104,22 +105,24 @@ def _gather(rm_frame: np.ndarray, basis: Lambda2Basis) -> np.ndarray:
     return -rm_frame[..., vb, wb, va, wa]
 
 
-def _operators(rm: np.ndarray, metric: np.ndarray, frames: np.ndarray, basis: Lambda2Basis):
-    """Operator matrices G^{-1} S (B, N, N) and the frame components of ``rm``.
+def _operators(
+    rm_frame: np.ndarray, metric: np.ndarray, frames: np.ndarray, basis: Lambda2Basis
+) -> np.ndarray:
+    """Operator matrices G^{-1} S (B, N, N) from frame components ``rm_frame`` (B,n,n,n,n).
 
-    ``rm`` (B,n,n,n,n) and ``metric`` (B,n,n) are coordinate data, ``frames``
-    (B,n,n) holds the frame vectors as rows.
+    ``metric`` (B,n,n) is coordinate data, ``frames`` (B,n,n) holds the frame
+    vectors as rows.
     """
-    rm_frame = frame_components_batch(rm, frames)
     gram = np.einsum("bai,bij,bcj->bac", frames, metric, frames)
-    return invert(lambda2_gram(basis, gram)) @ _gather(rm_frame, basis), rm_frame
+    return invert(lambda2_gram(basis, gram)) @ _gather(rm_frame, basis)
 
 
 def _point_operator(s, frame, tol, basis, flavor) -> CurvatureOperatorMatrix:
     data = structure_data(s, frame.point, tol)
     rm, metric = (data.rm_g, data.g) if flavor == "riemannian" else (data.rm_l, data.gl)
     basis = basis or Lambda2Basis.standard(s.dimension)
-    entries, _ = _operators(rm, metric, np.asarray(frame.vectors, dtype=float)[None], basis)
+    frames = np.asarray(frame.vectors, dtype=float)[None]
+    entries = _operators(frame_components_batch(rm, frames), metric, frames, basis)
     return CurvatureOperatorMatrix(basis, entries[0], flavor, frame.f_values)
 
 
@@ -211,14 +214,21 @@ class OperatorBatch(Sequence):
 
     ``m_r``, ``m_l`` and ``m_s`` (B, N, N) are the Riemannian, Lorentzian and
     symmetrized matrices, ``central`` (B,) the central-identity residuals.
+    ``m_l`` is built on first read from ``rm_l_frame`` (B,n,n,n,n), the frame
+    components of Rm_L that ``m_s`` is built from, and ``gl`` (B,n,n).
     """
 
     frames: FrameBatch
     basis: Lambda2Basis
     m_r: np.ndarray
-    m_l: np.ndarray
     m_s: np.ndarray
     central: np.ndarray
+    rm_l_frame: np.ndarray
+    gl: np.ndarray
+
+    @cached_property
+    def m_l(self) -> np.ndarray:
+        return _operators(self.rm_l_frame, self.gl, self.frames.vectors, self.basis)
 
     def __len__(self) -> int:
         return self.central.shape[0]
@@ -241,14 +251,14 @@ def operators_from_data(
     frames: FrameBatch,
     tol: Tolerances = DEFAULT,
 ) -> OperatorBatch:
-    """Assemble all three operators per point from precomputed batched data."""
-    n = s.dimension
-    basis = Lambda2Basis.standard(n)
-    m_r, _ = _operators(data.rm_g, data.g, frames.vectors, basis)
-    m_l, rml_f = _operators(data.rm_l, data.gl, frames.vectors, basis)
+    """Assemble the operators per point from precomputed batched data; ``m_l`` on first read."""
+    basis = Lambda2Basis.standard(s.dimension)
+    vectors = frames.vectors
+    m_r = _operators(frame_components_batch(data.rm_g, vectors), data.g, vectors, basis)
+    rml_f = frame_components_batch(data.rm_l, vectors)
     m_s = _symmetrized(rml_f, _rotation_blocks(frames, tol), basis)
     central = np.abs(m_s - m_r).max(axis=(1, 2))
-    return OperatorBatch(frames, basis, m_r, m_l, m_s, central)
+    return OperatorBatch(frames, basis, m_r, m_s, central, rml_f, data.gl)
 
 
 def operators_at(s: StationaryStructure, pts, tol: Tolerances = DEFAULT) -> OperatorBatch:

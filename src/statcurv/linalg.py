@@ -43,6 +43,18 @@ def determinant(a: np.ndarray) -> np.ndarray:
     return np.linalg.det(_finite(a))
 
 
+def eigvalsh(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues, ascending, of symmetric ``a`` (..., m, m); only its lower triangle is read.
+
+    The values ``jacobi_eigh`` returns up to rounding, without eigenvectors.
+    """
+    a = _finite(a)
+    try:
+        return np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise LinearAlgebraError(f"eigendecomposition failed: {exc}") from exc
+
+
 def jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of symmetric ``a`` (..., m, m); only its lower triangle is read.
 

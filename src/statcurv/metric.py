@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ChartDomainError, EvalDomainError, NearSingularError, SpecFormatError, SignatureError
 from .expr import Expression, _eval_jet, _parse_interned
-from .linalg import determinant, invert, jacobi_eigh
+from .linalg import determinant, eigvalsh, invert
 from .tolerances import DEFAULT, Tolerances
 
 SIGNATURES = ("riemannian", "lorentzian")
@@ -311,7 +311,7 @@ def metric_fields(spec: MetricSpec, pts, cache: dict | None = None):
 
 
 def check_signature(spec: MetricSpec, g: np.ndarray, tol: Tolerances) -> None:
-    vals, _ = jacobi_eigh(g)
+    vals = eigvalsh(g)
     size = np.abs(vals)
     if np.any(size.min(axis=-1) < tol.near_singular * size.max(axis=-1)):
         raise NearSingularError(f"smallest |eigenvalue| of g below {tol.near_singular} times the largest")

@@ -147,9 +147,10 @@ def flipped_curvature(rm_l_frame: np.ndarray, omega: np.ndarray, gtt) -> np.ndar
 class StructureData:
     """Everything the identity checks and operators need, batched over points.
 
-    Index conventions: dg[b,k,i,j] = d_k g_ij; dgtt[b,k] = d_k g_L(T,T);
-    cov_*[b,k,i] = (nab_{d_i} T)^k; rm_*[b,i,j,k,l] lowered Riemann, each
-    built on first read from the stored jets and Christoffel symbols.
+    Index conventions: dg[b,k,i,j] = d_k g_ij; dt[b,i,k] = d_i T^k;
+    dgtt[b,k] = d_k g_L(T,T); cov_*[b,k,i] = (nab_{d_i} T)^k; rm_*[b,i,j,k,l]
+    lowered Riemann.  ``dgtt``, ``cov_t_g`` and the rm_* are built on first
+    read from the stored jets and Christoffel symbols.
     """
 
     points: np.ndarray
@@ -164,10 +165,20 @@ class StructureData:
     d2g: np.ndarray
     gamma_g: np.ndarray
     t: np.ndarray
+    dt: np.ndarray
     gtt: np.ndarray
-    dgtt: np.ndarray
     cov_t_l: np.ndarray
-    cov_t_g: np.ndarray
+
+    @cached_property
+    def dgtt(self) -> np.ndarray:
+        t = self.t
+        return np.einsum("bkij,bi,bj->bk", self.dgl, t, t) + 2.0 * np.einsum(
+            "bij,bki,bj->bk", self.gl, self.dt, t
+        )
+
+    @cached_property
+    def cov_t_g(self) -> np.ndarray:
+        return self.dt.transpose(0, 2, 1) + np.einsum("bkim,bm->bki", self.gamma_g, self.t)
 
     @cached_property
     def rm_l(self) -> np.ndarray:
@@ -201,15 +212,11 @@ def structure_data(s: StationaryStructure, pts, tol: Tolerances = DEFAULT) -> St
     if np.any(gtt >= 0.0):  # checked before the flip, which divides by g_L(T,T)
         raise NonTimelikeError("g_L(T,T) >= 0 at a sampled point")
     g, g_inv, dg, d2g = metric_batch(s.counterpart_spec, pts, tol, cache)
-    dgtt = np.einsum("bkij,bi,bj->bk", dgl, t, t) + 2.0 * np.einsum(
-        "bij,bki,bj->bk", gl, dt, t
-    )
     gamma_l = christoffel_batch(gl_inv, dgl)
     gamma_g = christoffel_batch(g_inv, dg)
     cov_l = dt.transpose(0, 2, 1) + np.einsum("bkim,bm->bki", gamma_l, t)
-    cov_g = dt.transpose(0, 2, 1) + np.einsum("bkim,bm->bki", gamma_g, t)
     return StructureData(
-        pts, gl, gl_inv, dgl, d2gl, gamma_l, g, g_inv, dg, d2g, gamma_g, t, gtt, dgtt, cov_l, cov_g
+        pts, gl, gl_inv, dgl, d2gl, gamma_l, g, g_inv, dg, d2g, gamma_g, t, dt, gtt, cov_l
     )
 
 

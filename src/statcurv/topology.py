@@ -25,7 +25,7 @@ import numpy as np
 
 from .curvature_ops import CurvatureOperatorMatrix, operators_at
 from .errors import GridPointError, StatcurvError
-from .linalg import jacobi_eigh
+from .linalg import eigvalsh
 from .stationary import StationaryStructure
 from .tolerances import DEFAULT, Tolerances
 
@@ -77,7 +77,7 @@ def k_positivity(matrix, k: int, tol: Tolerances = DEFAULT) -> tuple[float, bool
     scale = max(1.0, float(np.abs(entries).max(initial=0.0)))
     if float(np.abs(entries - entries.T).max()) > tol.identity * scale:
         raise ValueError("k-positivity requires a symmetric matrix")
-    vals, _ = jacobi_eigh(0.5 * (entries + entries.T))
+    vals = eigvalsh(0.5 * (entries + entries.T))
     if not 1 <= k <= vals.size:
         raise ValueError(f"k = {k} outside 1..{vals.size}")
     total = float(vals[:k].sum())
@@ -151,7 +151,7 @@ def scan_points(
 
     def step(chunk):
         ops = operators_at(s, chunk, tol)
-        return jacobi_eigh(ops.m_s)[0], ops.central
+        return eigvalsh(ops.m_s), ops.central
 
     vals, central = zip(*chunked(pts, step))
     return np.concatenate(vals), np.concatenate(central)
@@ -196,14 +196,9 @@ def margin_quantiles(result: GridScanResult) -> dict[str, list[float]]:
     """Grid quantiles (min/quartiles/max) of the margin and extreme eigenvalues."""
     k = result.verdict.dimension - result.verdict.p
     margins = np.cumsum(result.eigenvalues, axis=1)[:, k - 1]
-    smallest = result.eigenvalues[:, 0]
-    largest = result.eigenvalues[:, -1]
-    qs = (0.0, 0.25, 0.5, 0.75, 1.0)
-    return {
-        "margin": [float(np.quantile(margins, q)) for q in qs],
-        "smallest_eigenvalue": [float(np.quantile(smallest, q)) for q in qs],
-        "largest_eigenvalue": [float(np.quantile(largest, q)) for q in qs],
-    }
+    rows = np.stack([margins, result.eigenvalues[:, 0], result.eigenvalues[:, -1]])
+    quantiles = np.quantile(rows, (0.0, 0.25, 0.5, 0.75, 1.0), axis=1).T.tolist()
+    return dict(zip(("margin", "smallest_eigenvalue", "largest_eigenvalue"), quantiles))
 
 
 def verdict_json_dict(result: GridScanResult) -> dict:

@@ -27,6 +27,24 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _force_positive(monkeypatch):
+    """Make every scanned p hold everywhere, whatever the spectra."""
+    real_scans = topology.grid_scans
+
+    def forced_positive(structure, grid, ps, tol=None):
+        results = real_scans(structure, grid, ps, tol) if tol else real_scans(structure, grid, ps)
+        return [
+            dataclasses.replace(
+                r,
+                verdict=topology.betti_conclusions(structure.dimension, r.verdict.p, True),
+                min_margin=1.0,
+            )
+            for r in results
+        ]
+
+    monkeypatch.setattr(topology, "grid_scans", forced_positive)
+
+
 class TestVerify:
     def test_s3_passes(self, capsys):
         code, out, _ = run(capsys, "verify", S3, "--grid", "4")
@@ -161,20 +179,7 @@ class TestAnalyze:
         )
         assert code == 0
         capsys.readouterr()
-        real_scans = topology.grid_scans
-
-        def forced_positive(structure, grid, ps, tol=None):
-            results = real_scans(structure, grid, ps, tol) if tol else real_scans(structure, grid, ps)
-            return [
-                dataclasses.replace(
-                    r,
-                    verdict=topology.betti_conclusions(structure.dimension, r.verdict.p, True),
-                    min_margin=1.0,
-                )
-                for r in results
-            ]
-
-        monkeypatch.setattr(topology, "grid_scans", forced_positive)
+        _force_positive(monkeypatch)
         code, out, _ = run(capsys, "analyze", str(spec_path), "--p", "1", "--grid", "3")
         assert code == 0
         assert "contradiction" in out
@@ -226,6 +231,30 @@ class TestAnalyze:
             p = str(result["p"])
             _, out, _ = run(capsys, "analyze", spec_path, "--p", p, "--grid", "3", "--format", "json")
             assert json.loads(out)["results"] == [result]
+
+    @pytest.mark.parametrize(
+        "dimension, forced, best_p",
+        # nothing holds: the first p; n = 4, all hold: the last contradiction;
+        # n = 5, all hold: the largest vanishing set
+        [(4, False, 1), (4, True, 2), (5, True, 2)],
+    )
+    def test_strongest_is_its_results_entry(
+        self, capsys, monkeypatch, tmp_path, dimension, forced, best_p
+    ):
+        spec_path = str(tmp_path / "random.spec")
+        seed = {4: "5", 5: "0"}[dimension]
+        cli.main(
+            ["examples", "--random", "--seed", seed, "--dimension", str(dimension), "--out", spec_path]
+        )
+        capsys.readouterr()
+        if forced:
+            _force_positive(monkeypatch)
+        _, out, _ = run(capsys, "analyze", spec_path, "--all-p", "--grid", "2", "--format", "json")
+        payload = json.loads(out)
+        (entry,) = [r for r in payload["results"] if r["p"] == best_p]
+        assert payload["strongest"] == entry
+        _, out, _ = run(capsys, "analyze", spec_path, "--all-p", "--grid", "2")
+        assert f"strongest verdict: p={best_p}:" in out
 
     def test_all_p_scans_once(self, capsys, monkeypatch, tmp_path):
         spec_path = str(tmp_path / "four.spec")
@@ -382,6 +411,36 @@ def test_reports_do_not_depend_on_chunk_size(capsys, monkeypatch, tmp_path, whic
     assert all(report[1] for report in reports[0])
     assert reports[1] == reports[0]
     assert reports[2] == reports[0]
+
+
+def test_reports_leave_the_lorentzian_operator_unbuilt(capsys, monkeypatch):
+    # analyze and verify read only m_s, m_r and central, and verify-only
+    # fields of StructureData stay unbuilt on the analyze path
+    built = {"operators": [], "data": []}
+
+    def recording(module, name, kind):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            out = real(*args, **kwargs)
+            built[kind].append(out)
+            return out
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    recording(topology, "operators_at", "operators")
+    recording(cli, "operators_from_data", "operators")
+    recording(cli, "operators_at", "operators")
+    recording(curvature_ops, "structure_data", "data")
+    assert run(capsys, "analyze", S3, "--all-p", "--grid", "3", "--format", "json")[0] == 0
+    assert run(capsys, "analyze", S3, "--p", "1", "--grid", "3")[0] == 0
+    assert len(built["data"]) == 2
+    assert all("dgtt" not in vars(d) and "cov_t_g" not in vars(d) for d in built["data"])
+    assert run(capsys, "verify", S3, "--grid", "3")[0] == 0
+    assert len(built["operators"]) == 3
+    assert all("m_l" not in vars(ops) for ops in built["operators"])
+    assert run(capsys, "export", S3, "--grid", "2")[0] == 0
+    assert "m_l" in vars(built["operators"][-1])
 
 
 def test_out_of_memory_exits_3(capsys, monkeypatch):

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from statcurv import topology
 from statcurv.curvature_ops import (
     Lambda2Basis,
     compute_point_operators,
     lambda2_gram,
     lorentzian_curvature_operator,
+    operators_at,
     operators_from_data,
     riemannian_curvature_operator,
     symmetrized_matrix,
@@ -381,3 +383,49 @@ class TestBasisEquivariance:
         v1, _ = jacobi_eigh(op1.entries)
         v2, _ = jacobi_eigh(op2.entries)
         assert np.abs(v1 - v2).max() < 1e-10
+
+
+def _eager_lorentzian(data, frames: np.ndarray, basis: Lambda2Basis) -> np.ndarray:
+    """G_L^{-1} S_L as operators_from_data once built it for every batch, read or not."""
+    rm_frame = frame_components_batch(data.rm_l, frames)
+    gram = np.einsum("bai,bij,bcj->bac", frames, data.gl, frames)
+    iv = np.array([p[0] for p in basis.pairs])
+    iw = np.array([p[1] for p in basis.pairs])
+    s = -rm_frame[:, iv[None, :], iw[None, :], iv[:, None], iw[:, None]]
+    return np.linalg.inv(lambda2_gram(basis, gram)) @ s
+
+
+def _lazy_cases():
+    cases = [("s3", None), ("flat_torus", None)]
+    cases += [(f"battery{seed}", battery_recipe(seed)) for seed in range(6)]  # n = 3, 4, 5
+    cases += [(f"n{n}", GeneratorRecipe(3, n)) for n in (6, 7, 8)]
+    return cases
+
+
+@pytest.mark.parametrize("name, recipe", _lazy_cases(), ids=[c[0] for c in _lazy_cases()])
+def test_lorentzian_operator_on_first_read(name, recipe, request):
+    structure = request.getfixturevalue(name) if recipe is None else generate(recipe)
+    pts = sample_interior(structure.spec, 5, 31)
+    ops = operators_at(structure, pts)
+    assert "m_l" not in vars(ops)
+    want = _eager_lorentzian(structure_data(structure, pts), ops.frames.vectors, ops.basis)
+    assert np.array_equal(ops.m_l, want)
+    # a per-point view is the other first read
+    fresh = operators_at(structure, pts)
+    for b in range(len(fresh)):
+        assert np.array_equal(fresh[b].lorentzian.entries, want[b])
+    assert np.array_equal(fresh.m_r, ops.m_r) and np.array_equal(fresh.m_s, ops.m_s)
+
+
+def test_scan_points_leaves_the_lorentzian_operator_unbuilt(s3, monkeypatch):
+    built = []
+
+    def recording(*args, **kwargs):
+        built.append(operators_at(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(topology, "operators_at", recording)
+    monkeypatch.setattr(topology, "CHUNK", 4)
+    topology.scan_points(s3, sample_interior(s3.spec, 10, 5))
+    assert len(built) == 3
+    assert all("m_l" not in vars(ops) for ops in built)

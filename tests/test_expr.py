@@ -886,8 +886,8 @@ def test_structure_data_matches_dense_reference(build, widest, monkeypatch):
     want = stationary.structure_data(s, pts)
     for field in dataclasses.fields(got):
         assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
-    assert np.array_equal(got.rm_l, want.rm_l)
-    assert np.array_equal(got.rm_g, want.rm_g)
+    for name in ("rm_l", "rm_g", "dgtt", "cov_t_g"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def test_jets_hold_only_their_support(monkeypatch):

@@ -1,12 +1,22 @@
-"""Inversion and the symmetric eigensolver: conventions, batch invariance, loud failure."""
+"""Inversion and the symmetric eigensolvers: conventions, batch invariance, loud failure."""
+
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from statcurv import cli
 from statcurv.errors import LinearAlgebraError, NearSingularError
-from statcurv.linalg import determinant, gauss_inverse, invert, jacobi_eigh
+from statcurv.linalg import determinant, eigvalsh, gauss_inverse, invert, jacobi_eigh
+from statcurv.metric import load_spec_file
+from statcurv.stationary import StationaryStructure
+from statcurv.topology import grid_scan
+
+from conftest import SPEC_DIR
+
+S3 = str(SPEC_DIR / "s3.spec")
 
 
 def test_inverse_identity():
@@ -130,3 +140,61 @@ class TestJacobi:
     def test_non_finite_raises(self, bad):
         with pytest.raises(LinearAlgebraError):
             jacobi_eigh(np.array([[1.0, bad], [bad, 1.0]]))
+
+
+class TestEigvalsh:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raises(self, bad):
+        with pytest.raises(LinearAlgebraError):
+            eigvalsh(np.array([[1.0, bad], [bad, 1.0]]))
+
+    def test_lapack_failure_raises(self, monkeypatch):
+        def failing(a):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        with pytest.raises(LinearAlgebraError, match="did not converge"):
+            eigvalsh(np.eye(3))
+
+    def test_batch_invariant(self):
+        # a matrix's bytes do not depend on its batch neighbours, whatever their scale
+        rng = np.random.default_rng(19)
+        big = rng.normal(size=(6, 6))
+        big = 1e8 * (big + big.T)
+        for scale in np.logspace(-8, 0, 50):
+            a = rng.normal(size=(6, 6))
+            a = scale * (a + a.T)
+            assert eigvalsh(a).tobytes() == eigvalsh(np.stack([a, big]))[0].tobytes()
+
+    def test_upper_triangle_ignored(self):
+        rng = np.random.default_rng(23)
+        lower = np.tril(rng.normal(size=(4, 7, 7)))
+        a = lower + np.triu(rng.normal(size=(4, 7, 7)), 1)
+        sym = lower + np.tril(lower, -1).swapaxes(1, 2)
+        assert np.array_equal(eigvalsh(a), eigvalsh(sym))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_jacobi_eigh(self, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(16, 28, 28))
+        a = a + a.swapaxes(1, 2)
+        vals = eigvalsh(a)
+        ref = jacobi_eigh(a)[0]
+        scale = np.abs(ref).max(axis=1, keepdims=True)
+        assert np.all(np.abs(vals - ref) <= 1e-13 * scale)
+        assert np.all(np.diff(vals, axis=1) >= 0)
+
+
+def test_export_eigenvalues_are_the_spectra_analyze_summarizes(tmp_path, capsys):
+    out = tmp_path / "s3.jsonl"
+    assert cli.main(["export", S3, "--grid", "3", "--out", str(out)]) == 0
+    exported = np.array([json.loads(line)["eigenvalues"] for line in out.read_text().splitlines()])
+    s3 = StationaryStructure.from_spec(load_spec_file(S3))
+    result = grid_scan(s3, [3, 3, 3], 1)
+    assert np.array_equal(exported, result.eigenvalues)
+    assert cli.main(["analyze", S3, "--p", "1", "--grid", "3", "--format", "json"]) == 0
+    (report,) = json.loads(capsys.readouterr().out)["results"]
+    quantiles = report["eigenvalue_quantiles"]
+    qs = (0.0, 0.25, 0.5, 0.75, 1.0)
+    assert quantiles["smallest_eigenvalue"] == np.quantile(exported[:, 0], qs).tolist()
+    assert quantiles["largest_eigenvalue"] == np.quantile(exported[:, -1], qs).tolist()

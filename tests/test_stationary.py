@@ -248,3 +248,40 @@ class TestCurvatureRelations:
         got = flipped_curvature(rml, omega, data.gtt)[:, 0, 1:, 0, 1:]
         assert np.abs(drop).max() > 0.1  # the cancelled term is not negligible
         assert np.abs(got - reference).max() < 1e-13 * max(1.0, np.abs(reference).max())
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        # non-unit coordinate fields: d g_L(T,T) comes from dg_L alone
+        lambda: generate(replace(battery_recipe(0), normalize=False)),
+        lambda: generate(replace(battery_recipe(3), normalize=False)),
+        # a rotation of flat space: d g_L(T,T) comes from dT alone
+        lambda: torus_with_field("1", "-0.05*y", "0.05*x"),
+    ],
+    ids=["battery0", "battery3", "rotating"],
+)
+def test_verify_only_fields_on_first_read(build):
+    raw = build()
+    pts = sample_interior(raw.spec, 12, 90, buffer=1e-3)
+    data = structure_data(raw, pts)
+    assert "dgtt" not in vars(data) and "cov_t_g" not in vars(data)
+    # the formulas structure_data once evaluated for every batch
+    t, dt = data.t, data.dt
+    dgtt = np.einsum("bkij,bi,bj->bk", data.dgl, t, t) + 2.0 * np.einsum(
+        "bij,bki,bj->bk", data.gl, dt, t
+    )
+    cov_t_g = dt.transpose(0, 2, 1) + np.einsum("bkim,bm->bki", data.gamma_g, t)
+    assert np.array_equal(data.dgtt, dgtt)
+    assert np.array_equal(data.cov_t_g, cov_t_g)
+    # and central differences of g_L(T,T) as an oracle for dt and dgtt
+    h = 1e-5
+    fd = np.stack(
+        [
+            (structure_data(raw, pts + h * e).gtt - structure_data(raw, pts - h * e).gtt) / (2 * h)
+            for e in np.eye(raw.dimension)
+        ],
+        axis=1,
+    )
+    assert np.abs(dgtt).max() > 1e-2
+    assert np.abs(fd - dgtt).max() < 1e-6 * max(1.0, np.abs(dgtt).max())

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from statcurv.curvature_ops import CurvatureOperatorMatrix, Lambda2Basis, operators_at
 from statcurv.errors import GridPointError
@@ -12,12 +12,14 @@ from statcurv.stationary import StationaryStructure
 from statcurv.topology import (
     REASON_MIDDLE,
     REASON_PARITY,
+    GridScanResult,
     admissible_p,
     betti_conclusions,
     build_grid,
     grid_scan,
     grid_scans,
     k_positivity,
+    margin_quantiles,
     verdict_json_dict,
 )
 
@@ -231,3 +233,38 @@ def test_build_grid_shape(s3):
     assert pts.shape == (24, 3)
     assert pts[0, 0] == pytest.approx(s3.spec.intervals[0][0] + s3.spec.margin)
     assert pts[-1, 0] == pytest.approx(s3.spec.intervals[0][1] - s3.spec.margin)
+
+
+def _reference_margin_quantiles(result: GridScanResult) -> dict[str, list[float]]:
+    """One scalar np.quantile call per quantity and q, as margin_quantiles once made them."""
+    k = result.verdict.dimension - result.verdict.p
+    margins = np.cumsum(result.eigenvalues, axis=1)[:, k - 1]
+    smallest = result.eigenvalues[:, 0]
+    largest = result.eigenvalues[:, -1]
+    qs = (0.0, 0.25, 0.5, 0.75, 1.0)
+    return {
+        "margin": [float(np.quantile(margins, q)) for q in qs],
+        "smallest_eigenvalue": [float(np.quantile(smallest, q)) for q in qs],
+        "largest_eigenvalue": [float(np.quantile(largest, q)) for q in qs],
+    }
+
+
+@settings(max_examples=200)
+@given(
+    n=st.integers(3, 8),
+    p_index=st.integers(0, 3),
+    batch=st.integers(1, 2048),
+    levels=st.integers(1, 64),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_margin_quantiles_match_per_q_loop(n, p_index, batch, levels, seed):
+    # spectra drawn from a few values at one of many scales, so ties occur
+    # within a spectrum, between points and between the three quantities
+    rng = np.random.default_rng(seed)
+    pool = rng.normal(size=levels) * 10.0 ** rng.integers(-6, 7)
+    pool[rng.random(levels) < 0.2] = 0.0
+    vals = np.sort(rng.choice(pool, size=(batch, n * (n - 1) // 2)), axis=1)
+    p = list(admissible_p(n))[p_index % (n // 2)]
+    verdict = betti_conclusions(n, p, False)
+    result = GridScanResult(verdict, (batch,), 0.0, (0.0,) * n, 0.0, np.zeros((batch, n)), vals)
+    assert margin_quantiles(result) == _reference_margin_quantiles(result)
