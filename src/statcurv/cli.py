@@ -49,12 +49,9 @@ class RunConfig:
     grid: tuple[int, ...] | int
     p: int | None
     all_p: bool
-    tol_scale: float
+    tol: Tolerances
     fmt: str
     out: str | None
-
-    def tolerances(self) -> Tolerances:
-        return DEFAULT.scaled(self.tol_scale)
 
 
 def ascii_int(text: str) -> int:
@@ -121,7 +118,7 @@ _VERIFY_LINES = (
 
 
 def cmd_verify(config: RunConfig) -> int:
-    tol = config.tolerances()
+    tol = config.tol
     structure = StationaryStructure.from_spec(config.spec)
     pts, shape = topology.build_grid(structure.spec, config.grid)
     if pts.shape[0] == 0:
@@ -135,7 +132,7 @@ def cmd_verify(config: RunConfig) -> int:
         frames = _completions(data, tol, require_unit=False)
         data_u = data if unit_structure is structure else structure_data(unit_structure, chunk, tol)
         adapted = adapted_frames_batch(unit_structure, data_u, tol)
-        ops = operators_from_data(unit_structure, data_u, adapted, tol)
+        ops = operators_from_data(unit_structure, data_u, adapted)
         top = adapted.nabla_sq_eigenvalues.max(axis=1)
         return np.column_stack(
             [
@@ -206,7 +203,7 @@ def _strongest(results: list[topology.GridScanResult]) -> int:
 
 
 def cmd_analyze(config: RunConfig) -> int:
-    tol = config.tolerances()
+    tol = config.tol
     notes: list[str] = []
     structure = _normalized(StationaryStructure.from_spec(config.spec), notes)
     ps = list(topology.admissible_p(structure.dimension)) if config.all_p else [config.p]
@@ -260,7 +257,7 @@ def cmd_analyze(config: RunConfig) -> int:
 # --- export -------------------------------------------------------------------
 
 def cmd_export(config: RunConfig) -> int:
-    tol = config.tolerances()
+    tol = config.tol
     notes: list[str] = []
     structure = _normalized(StationaryStructure.from_spec(config.spec), notes)
     for note in notes:
@@ -361,15 +358,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from(args, minimum_grid: int) -> RunConfig:
     spec = load_spec_file(args.spec)
-    if not (1e-2 <= args.tol_scale <= 1e2):
-        raise ValueError("--tol-scale must lie in [1e-2, 1e2]")
+    tol = DEFAULT.scaled(args.tol_scale)
     grid = tuple(_parse_grid(args.grid, spec.dimension, minimum_grid))
     p = getattr(args, "p", None)
     all_p = bool(getattr(args, "all_p", False))
-    if args.command == "analyze" and not all_p and p is not None:
-        if p not in topology.admissible_p(spec.dimension):
-            raise ValueError(f"p = {p} outside 1..{spec.dimension // 2}")
-    return RunConfig(args.spec, spec, grid, p, all_p, args.tol_scale, args.fmt, args.out)
+    return RunConfig(args.spec, spec, grid, p, all_p, tol, args.fmt, args.out)
 
 
 def main(argv=None) -> int:

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import FrameError
 from .frames import FrameBatch, OrthonormalFrame, adapted_frames_batch, rotation_blocks
 from .linalg import invert
-from .metric import RiemannTensor, frame_components_batch
+from .metric import frame_components_batch
 from .stationary import StationaryStructure, StructureData, flipped_curvature, structure_data
 from .tolerances import DEFAULT, Tolerances
 
@@ -64,6 +64,13 @@ class Lambda2Basis:
     def size(self) -> int:
         return len(self.pairs)
 
+    @cached_property
+    def index_grids(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(va, vb, wa, wb): each pair's first and second index as column and row grids."""
+        iv = np.array([p[0] for p in self.pairs])
+        iw = np.array([p[1] for p in self.pairs])
+        return iv[:, None], iv[None, :], iw[:, None], iw[None, :]
+
     def labels(self) -> tuple[tuple[str, str], ...]:
         def name(i: int) -> str:
             return "T" if i == 0 else f"X{i}"
@@ -73,10 +80,10 @@ class Lambda2Basis:
 
 @dataclass(frozen=True)
 class CurvatureOperatorMatrix:
-    basis: Lambda2Basis
+    """One operator's matrix over the standard Lambda^2 basis, and its flavor."""
+
     entries: np.ndarray
     flavor: str
-    f_values: tuple[float, ...] = ()
 
     @property
     def size(self) -> int:
@@ -88,20 +95,14 @@ class CurvatureOperatorMatrix:
 
 def lambda2_gram(basis: Lambda2Basis, frame_gram: np.ndarray) -> np.ndarray:
     """Gram matrix of the wedge basis from the frame's metric Gram (det formula)."""
-    iv = np.array([p[0] for p in basis.pairs])
-    iw = np.array([p[1] for p in basis.pairs])
-    va, vb = iv[:, None], iv[None, :]
-    wa, wb = iw[:, None], iw[None, :]
+    va, vb, wa, wb = basis.index_grids
     g = frame_gram
     return g[..., va, vb] * g[..., wa, wb] - g[..., va, wb] * g[..., wa, vb]
 
 
 def _gather(rm_frame: np.ndarray, basis: Lambda2Basis) -> np.ndarray:
     """S[..., a, b] = -Rm(pair_b; pair_a) from frame components (..., n,n,n,n)."""
-    iv = np.array([p[0] for p in basis.pairs])
-    iw = np.array([p[1] for p in basis.pairs])
-    va, vb = iv[:, None], iv[None, :]
-    wa, wb = iw[:, None], iw[None, :]
+    va, vb, wa, wb = basis.index_grids
     return -rm_frame[..., vb, wb, va, wa]
 
 
@@ -117,48 +118,27 @@ def _operators(
     return invert(lambda2_gram(basis, gram)) @ _gather(rm_frame, basis)
 
 
-def _point_operator(s, frame, tol, basis, flavor) -> CurvatureOperatorMatrix:
+def _point_operator(s, frame, tol, flavor) -> CurvatureOperatorMatrix:
     data = structure_data(s, frame.point, tol)
     rm, metric = (data.rm_g, data.g) if flavor == "riemannian" else (data.rm_l, data.gl)
-    basis = basis or Lambda2Basis.standard(s.dimension)
+    basis = Lambda2Basis.standard(s.dimension)
     frames = np.asarray(frame.vectors, dtype=float)[None]
     entries = _operators(frame_components_batch(rm, frames), metric, frames, basis)
-    return CurvatureOperatorMatrix(basis, entries[0], flavor, frame.f_values)
+    return CurvatureOperatorMatrix(entries[0], flavor)
 
 
 def riemannian_curvature_operator(
-    s: StationaryStructure,
-    frame: OrthonormalFrame,
-    tol: Tolerances = DEFAULT,
-    basis: Lambda2Basis | None = None,
+    s: StationaryStructure, frame: OrthonormalFrame, tol: Tolerances = DEFAULT
 ) -> CurvatureOperatorMatrix:
     """Operator of the flipped Riemannian metric in a g-orthonormal frame."""
-    return _point_operator(s, frame, tol, basis, "riemannian")
+    return _point_operator(s, frame, tol, "riemannian")
 
 
 def lorentzian_curvature_operator(
-    s: StationaryStructure,
-    frame: OrthonormalFrame,
-    tol: Tolerances = DEFAULT,
-    basis: Lambda2Basis | None = None,
+    s: StationaryStructure, frame: OrthonormalFrame, tol: Tolerances = DEFAULT
 ) -> CurvatureOperatorMatrix:
     """Operator of g_L itself; generally non-symmetric, recorded for comparison."""
-    return _point_operator(s, frame, tol, basis, "lorentzian")
-
-
-def _check_residual(residual: float, tol: Tolerances) -> None:
-    if residual > tol.pairing:
-        raise FrameError(
-            f"frame not adapted: rotation-block residual {residual} above tolerance {tol.pairing}"
-        )
-
-
-def _rotation_blocks(frames: FrameBatch, tol: Tolerances) -> np.ndarray:
-    """Omega (B, n, n), Omega[b, i, j] = g_L(nab^L_{X_i} T, X_j) implied by each adapted pairing."""
-    above = frames.rotation_residual > tol.pairing
-    if np.any(above):
-        _check_residual(float(frames.rotation_residual[np.argmax(above)]), tol)
-    return rotation_blocks(frames.f, frames.pair_count, frames.vectors.shape[1])
+    return _point_operator(s, frame, tol, "lorentzian")
 
 
 def _symmetrized(rm_l_frame: np.ndarray, omega: np.ndarray, basis: Lambda2Basis) -> np.ndarray:
@@ -168,29 +148,29 @@ def _symmetrized(rm_l_frame: np.ndarray, omega: np.ndarray, basis: Lambda2Basis)
 
 
 def symmetrized_matrix(
-    rm_l,
-    frame: OrthonormalFrame,
-    tol: Tolerances = DEFAULT,
-    basis: Lambda2Basis | None = None,
+    rm_l: np.ndarray, frame: OrthonormalFrame, tol: Tolerances = DEFAULT
 ) -> CurvatureOperatorMatrix:
     """The symmetric positivity matrix, built from Rm_L plus the f data.
 
-    ``rm_l`` is the Lorentzian 4-tensor in the adapted frame (RiemannTensor
-    or raw components).  Symmetric by construction; coincides with the
+    ``rm_l`` (n,n,n,n) holds the Lorentzian 4-tensor's components in the
+    adapted frame.  Symmetric by construction; coincides with the
     Riemannian operator whenever the frame really is adapted.
     """
-    comps = rm_l.comps if isinstance(rm_l, RiemannTensor) else np.asarray(rm_l, dtype=float)
+    comps = np.asarray(rm_l, dtype=float)
     n = comps.shape[0]
     if not frame.is_adapted:
         raise FrameError("symmetrized matrix requires a frame built by adapted_frame")
-    _check_residual(frame.rotation_residual, tol)
+    residual = frame.rotation_residual
+    if residual > tol.pairing:
+        raise FrameError(
+            f"frame not adapted: rotation-block residual {residual} above tolerance {tol.pairing}"
+        )
     omega = np.zeros((1, n, n))
     for p in frame.pairing:
         omega[0, p.i, p.j] = p.f
         omega[0, p.j, p.i] = -p.f
-    basis = basis or Lambda2Basis.standard(n)
-    entries = _symmetrized(comps[None], omega, basis)[0]
-    return CurvatureOperatorMatrix(basis, entries, "symmetrized", frame.f_values)
+    entries = _symmetrized(comps[None], omega, Lambda2Basis.standard(n))[0]
+    return CurvatureOperatorMatrix(entries, "symmetrized")
 
 
 # --- batched pipeline --------------------------------------------------------
@@ -202,10 +182,6 @@ class PointOperators:
     lorentzian: CurvatureOperatorMatrix
     symmetrized: CurvatureOperatorMatrix
     central_residual: float
-
-    @property
-    def f_values(self) -> tuple[float, ...]:
-        return self.frame.f_values
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,29 +210,27 @@ class OperatorBatch(Sequence):
         return self.central.shape[0]
 
     def __getitem__(self, b: int) -> PointOperators:
-        frame = self.frames[b]
-        f = frame.f_values
         return PointOperators(
-            frame,
-            CurvatureOperatorMatrix(self.basis, self.m_r[b], "riemannian", f),
-            CurvatureOperatorMatrix(self.basis, self.m_l[b], "lorentzian", f),
-            CurvatureOperatorMatrix(self.basis, self.m_s[b], "symmetrized", f),
+            self.frames[b],
+            CurvatureOperatorMatrix(self.m_r[b], "riemannian"),
+            CurvatureOperatorMatrix(self.m_l[b], "lorentzian"),
+            CurvatureOperatorMatrix(self.m_s[b], "symmetrized"),
             float(self.central[b]),
         )
 
 
-def operators_from_data(
-    s: StationaryStructure,
-    data: StructureData,
-    frames: FrameBatch,
-    tol: Tolerances = DEFAULT,
-) -> OperatorBatch:
-    """Assemble the operators per point from precomputed batched data; ``m_l`` on first read."""
-    basis = Lambda2Basis.standard(s.dimension)
+def operators_from_data(s: StationaryStructure, data: StructureData, frames: FrameBatch) -> OperatorBatch:
+    """Assemble the operators per point from precomputed batched data; ``m_l`` on first read.
+
+    ``frames`` come from ``adapted_frames_batch``, which has already checked
+    each rotation-block residual.
+    """
+    n = s.dimension
+    basis = Lambda2Basis.standard(n)
     vectors = frames.vectors
     m_r = _operators(frame_components_batch(data.rm_g, vectors), data.g, vectors, basis)
     rml_f = frame_components_batch(data.rm_l, vectors)
-    m_s = _symmetrized(rml_f, _rotation_blocks(frames, tol), basis)
+    m_s = _symmetrized(rml_f, rotation_blocks(frames.f, frames.pair_count, n), basis)
     central = np.abs(m_s - m_r).max(axis=(1, 2))
     return OperatorBatch(frames, basis, m_r, m_s, central, rml_f, data.gl)
 
@@ -264,7 +238,7 @@ def operators_from_data(
 def operators_at(s: StationaryStructure, pts, tol: Tolerances = DEFAULT) -> OperatorBatch:
     """Adapted frames and all three operators at each point of ``pts`` (B, n), as one batch."""
     data = structure_data(s, pts, tol)
-    return operators_from_data(s, data, adapted_frames_batch(s, data, tol), tol)
+    return operators_from_data(s, data, adapted_frames_batch(s, data, tol))
 
 
 def compute_point_operators(

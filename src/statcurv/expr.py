@@ -194,11 +194,11 @@ class _Parser:
         self.table = table
         self.tok, self.pos = _scan(text, 0)
 
-    def binary(self, cls, left: Node, right: Node) -> Node:
-        key = (cls, id(left), id(right))
+    def intern(self, key: tuple, *fields) -> Node:
+        """The node filed under ``key``, built as ``key[0](*fields)`` on first sight."""
         node = self.table.get(key)
         if node is None:
-            node = self.table[key] = cls(left, right)
+            node = self.table[key] = key[0](*fields)
         return node
 
     def peek(self):
@@ -245,7 +245,7 @@ class _Parser:
         while self.peek()[0] == "op" and self.peek()[1] in "+-":
             op = self.advance()[1]
             rhs = self.term()
-            node = self.binary(Add if op == "+" else Sub, node, rhs)
+            node = self.intern((Add if op == "+" else Sub, id(node), id(rhs)), node, rhs)
         return node
 
     def term(self) -> Node:
@@ -253,7 +253,7 @@ class _Parser:
         while self.peek()[0] == "op" and self.peek()[1] in "*/":
             op = self.advance()[1]
             rhs = self.factor()
-            node = self.binary(Mul if op == "*" else Div, node, rhs)
+            node = self.intern((Mul if op == "*" else Div, id(node), id(rhs)), node, rhs)
         return node
 
     def factor(self) -> Node:
@@ -261,11 +261,7 @@ class _Parser:
         if tok[0] == "op" and tok[1] == "-":
             self.advance()
             arg = self.factor()
-            key = (Neg, id(arg))
-            node = self.table.get(key)
-            if node is None:
-                node = self.table[key] = Neg(arg)
-            return node
+            return self.intern((Neg, id(arg)), arg)
         return self.power()
 
     def power(self) -> Node:
@@ -273,11 +269,7 @@ class _Parser:
         while self.peek()[0] == "op" and self.peek()[1] == "^":
             self.advance()
             exponent = self.exponent()
-            key = (Pow, id(node), exponent)
-            hit = self.table.get(key)
-            if hit is None:
-                hit = self.table[key] = Pow(node, exponent)
-            node = hit
+            node = self.intern((Pow, id(node), exponent), node, exponent)
         return node
 
     def exponent(self) -> int:
@@ -301,26 +293,14 @@ class _Parser:
         tok = self.advance()
         if tok[0] == "num":
             value = float(tok[1])
-            key = (Num, value.hex())
-            node = self.table.get(key)
-            if node is None:
-                node = self.table[key] = Num(value)
-            return node
+            return self.intern((Num, value.hex()), value)
         if tok[0] == "name":
             name = tok[1]
             if name in FUNCTIONS:
                 arg = self.group(self.expect_op("("))
-                key = (Call, name, id(arg))
-                node = self.table.get(key)
-                if node is None:
-                    node = self.table[key] = Call(name, arg)
-                return node
+                return self.intern((Call, name, id(arg)), name, arg)
             if name in self.coords:
-                key = (Var, name)
-                node = self.table.get(key)
-                if node is None:
-                    node = self.table[key] = Var(name, self.coords.index(name))
-                return node
+                return self.intern((Var, name), name, self.coords.index(name))
             raise UnknownIdentifierError(name, _byte_offset(self.text, tok[2]))
         if tok[0] == "op" and tok[1] == "(":
             return self.group(tok)

@@ -27,6 +27,10 @@ FAMILIES = ("warped-rotational", "product-with-flat", "s3-squashed")
 TWO_PI = 6.283185307179586
 HALF_PI = 1.5707963267948966
 
+WARP_BASE = (1.5, 2.5)  # range of the warp constant c0
+WARP_OSC = 0.45  # max oscillation as a fraction of c0
+KILLING_RANGE = (0.5, 1.5)  # range of each rotational Killing coefficient, bounded away from 0
+
 
 @dataclass(frozen=True)
 class GeneratorRecipe:
@@ -35,15 +39,12 @@ class GeneratorRecipe:
     family: str = "warped-rotational"
     flat_dims: int = 0
     squash: float = 1.0
-    warp_base: tuple[float, float] = (1.5, 2.5)
-    warp_osc: float = 0.45  # max oscillation as a fraction of the base
-    killing_range: tuple[float, float] = (0.5, 1.5)
     normalize: bool = True
 
 
-def _warp_expression(rng: random.Random, recipe: GeneratorRecipe, coords) -> Expression:
-    c0 = rng.uniform(*recipe.warp_base)
-    amp = rng.uniform(0.1, recipe.warp_osc) * c0
+def _warp_expression(rng: random.Random, coords) -> Expression:
+    c0 = rng.uniform(*WARP_BASE)
+    amp = rng.uniform(0.1, WARP_OSC) * c0
     phase = rng.uniform(0.0, TWO_PI)
     c1 = amp * math.cos(phase)
     c2 = amp * math.sin(phase)
@@ -75,7 +76,7 @@ def _riemannian_base(recipe: GeneratorRecipe) -> tuple[MetricSpec, tuple[Express
         )
         intervals = ((0.0, math.pi),) + ((0.0, TWO_PI),) * (n - 1)
         rng = random.Random(recipe.seed)
-        warps = [_warp_expression(rng, recipe, coords) for _ in range(rotational)]
+        warps = [_warp_expression(rng, coords) for _ in range(rotational)]
 
     one = Expression.constant(1.0, coords)
     entries = [(0, 0, one)]
@@ -88,9 +89,7 @@ def _riemannian_base(recipe: GeneratorRecipe) -> tuple[MetricSpec, tuple[Express
         alphas = [1.0, 1.0]
     else:
         # same stream as the warps, fixed draw order: same seed, same bytes
-        alphas = [rng.uniform(*recipe.killing_range) for _ in range(rotational)]
-    if all(a == 0.0 for a in alphas):
-        raise ValueError("killing coefficient range produced a vanishing (non-timelike) field")
+        alphas = [rng.uniform(*KILLING_RANGE) for _ in range(rotational)]
     t_exprs = [Expression.constant(0.0, coords)]
     for a in alphas:
         t_exprs.append(Expression.constant(a, coords))

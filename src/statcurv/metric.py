@@ -400,7 +400,9 @@ def frame_components_batch(comps: np.ndarray, frames: np.ndarray) -> np.ndarray:
 def frame_components(tensor: RiemannTensor, frame_vectors) -> RiemannTensor:
     """Push a coordinate tensor to frame components; frame rows are the vectors."""
     e = np.asarray(frame_vectors, dtype=float)
-    if abs(float(determinant(e))) < DEFAULT.near_singular:
+    # |det E| over the product of the row lengths: 1 for orthogonal rows, 0
+    # for dependent ones (Hadamard), and unchanged by scaling the frame
+    if abs(float(determinant(e))) <= DEFAULT.near_singular * float(np.prod(np.linalg.norm(e, axis=1))):
         raise NearSingularError("rank-deficient frame")
     comps = frame_components_batch(tensor.comps[None], e[None])[0]
     return RiemannTensor(tensor.point, "orthonormal", comps)

@@ -75,10 +75,6 @@ class TestFamilies:
         with pytest.raises(ValueError, match="rotational"):
             generate(GeneratorRecipe(0, 3, "product-with-flat", flat_dims=2))
 
-    def test_vanishing_killing_range_rejected(self):
-        with pytest.raises(ValueError, match="non-timelike"):
-            generate(GeneratorRecipe(0, killing_range=(0.0, 0.0)))
-
 
 class TestGeneratedStructures:
     @pytest.mark.parametrize("seed", range(6))

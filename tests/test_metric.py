@@ -560,6 +560,13 @@ class TestFrameComponents:
         with pytest.raises(NearSingularError):
             frame_components(rm, bad)
 
+    @pytest.mark.parametrize("n, c", [(3, 1e-5), (8, 1e-3)])
+    def test_scaled_orthogonal_frame_accepted(self, s3, n, c):
+        # c * I is as far from rank-deficient as I, though |det| = c^n is tiny
+        rm = riemann_coordinate(s3.spec, [0.7, 1.0, 2.0]) if n == 3 else constant_curvature_oracle(n, 1.0)
+        pushed = frame_components(rm, c * np.eye(n))
+        assert np.allclose(pushed.comps, c**4 * rm.comps, rtol=1e-12, atol=0.0)
+
 
 @given(
     st.integers(min_value=0, max_value=2**31 - 1),

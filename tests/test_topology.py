@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from statcurv.curvature_ops import CurvatureOperatorMatrix, Lambda2Basis, operators_at
+from statcurv.curvature_ops import CurvatureOperatorMatrix, operators_at
 from statcurv.errors import GridPointError
 from statcurv.generators import s3_times_torus
 from statcurv.metric import load_spec
@@ -43,7 +43,7 @@ class TestKPositivity:
         assert k_positivity(m, 3) == (pytest.approx(0.2), True)
 
     def test_lorentzian_flavor_rejected(self):
-        op = CurvatureOperatorMatrix(Lambda2Basis.standard(3), np.eye(3), "lorentzian")
+        op = CurvatureOperatorMatrix(np.eye(3), "lorentzian")
         with pytest.raises(ValueError, match="lorentzian"):
             k_positivity(op, 1)
 
