@@ -144,7 +144,8 @@ def cmd_verify(config: RunConfig) -> int:
             ]
         )
 
-    table = np.concatenate(topology.chunked(pts, residuals))
+    first, inverse = topology.orbits(structure, pts)
+    table = np.concatenate(topology.chunked(pts[first], residuals))[inverse]
     maxima = table.max(axis=0)
     argmax = [tuple(float(x) for x in pts[b]) for b in table.argmax(axis=0)]  # first occurrence
 
@@ -263,36 +264,37 @@ def cmd_export(config: RunConfig) -> int:
     for note in notes:
         sys.stderr.write(note + "\n")
     pts, _ = topology.build_grid(structure.spec, config.grid)
+    first, inverse = topology.orbits(structure, pts)
 
     def records(chunk):
-        """The chunk's JSON lines, one per point."""
+        """The chunk's JSON records, one per point, all fields but the point."""
         ops = operators_at(structure, chunk, tol)
         frames = ops.frames
         vals = eigvalsh(ops.m_s)
         asymmetry = np.abs(ops.m_l - ops.m_l.swapaxes(1, 2)).max(axis=(1, 2))
         labels = [list(pair) for pair in ops.basis.labels()]
-        return "".join(
-            json.dumps(
-                {
-                    "schema_version": 1,
-                    "point": frames.points[b].tolist(),
-                    "basis": labels,
-                    "f_values": frames.f[b, : frames.pair_count[b]].tolist(),
-                    "riemannian": ops.m_r[b].tolist(),
-                    "lorentzian": ops.m_l[b].tolist(),
-                    "symmetrized": ops.m_s[b].tolist(),
-                    "eigenvalues": vals[b].tolist(),
-                    "lorentzian_asymmetry": float(asymmetry[b]),
-                    "central_residual": float(ops.central[b]),
-                },
-                sort_keys=True,
-            )
-            + "\n"
+        return [
+            {
+                "schema_version": 1,
+                "basis": labels,
+                "f_values": frames.f[b, : frames.pair_count[b]].tolist(),
+                "riemannian": ops.m_r[b].tolist(),
+                "lorentzian": ops.m_l[b].tolist(),
+                "symmetrized": ops.m_s[b].tolist(),
+                "eigenvalues": vals[b].tolist(),
+                "lorentzian_asymmetry": float(asymmetry[b]),
+                "central_residual": float(ops.central[b]),
+            }
             for b in range(len(ops))
-        )
+        ]
 
     # every chunk is built before anything is written, so a failure emits nothing
-    _emit("".join(topology.chunked(pts, records)), config.out)
+    orbit_records = [r for chunk in topology.chunked(pts[first], records) for r in chunk]
+    lines = (
+        json.dumps({**orbit_records[o], "point": point}, sort_keys=True) + "\n"
+        for o, point in zip(inverse.tolist(), pts.tolist())
+    )
+    _emit("".join(lines), config.out)
     return EXIT_OK
 
 

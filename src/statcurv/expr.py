@@ -709,6 +709,34 @@ def _parse_interned(text: str, coords, table: dict) -> Expression:
     return Expression(root, coords)
 
 
+def coordinates_read(exprs) -> tuple[int, ...]:
+    """Sorted indices of the chart coordinates that any of ``exprs`` reads.
+
+    A walk over the expression DAG that visits each node object once, with
+    an explicit stack, so a hash-consed spec costs its distinct nodes rather
+    than the length of its text and a deep tree cannot exhaust the recursion
+    limit.  Nothing is evaluated: a coordinate counts as read wherever a Var
+    of it is reachable, even if its terms cancel.
+    """
+    stack = [e.root for e in exprs]
+    seen: set[int] = set()
+    read: set[int] = set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:  # the roots keep every node alive, so ids stay valid
+            continue
+        seen.add(id(node))
+        if isinstance(node, Var):
+            read.add(node.index)
+        elif isinstance(node, (Add, Sub, Mul, Div)):
+            stack += (node.left, node.right)
+        elif isinstance(node, Pow):
+            stack.append(node.base)
+        elif isinstance(node, (Neg, Call)):
+            stack.append(node.arg)
+    return tuple(sorted(read))
+
+
 def eval_jet(e: Expression, point) -> JetValue:
     """Exact value/gradient/hessian of ``e`` at a single point."""
     pts = np.asarray(point, dtype=float).reshape(1, len(e.coords))

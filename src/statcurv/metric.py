@@ -273,11 +273,16 @@ def load_spec_file(path) -> MetricSpec:
 
 # --- evaluation --------------------------------------------------------------
 
-def require_interior(spec: MetricSpec, pts: np.ndarray) -> None:
+def outside_chart(spec: MetricSpec, pts: np.ndarray) -> np.ndarray:
+    """Mask (B,) of the points (B, n) not interior to the chart by the margin."""
     lo = np.array([iv[0] for iv in spec.intervals]) + spec.margin
     hi = np.array([iv[1] for iv in spec.intervals]) - spec.margin
     slack = 1e-12
-    outside = ~np.all((pts >= lo - slack) & (pts <= hi + slack), axis=-1)  # NaN is outside
+    return ~np.all((pts >= lo - slack) & (pts <= hi + slack), axis=-1)  # NaN is outside
+
+
+def require_interior(spec: MetricSpec, pts: np.ndarray) -> None:
+    outside = outside_chart(spec, pts)
     if np.any(outside):
         bad = pts[outside][0]
         raise ChartDomainError(
@@ -406,24 +411,3 @@ def frame_components(tensor: RiemannTensor, frame_vectors) -> RiemannTensor:
         raise NearSingularError("rank-deficient frame")
     comps = frame_components_batch(tensor.comps[None], e[None])[0]
     return RiemannTensor(tensor.point, "orthonormal", comps)
-
-
-def riemann_residuals(comps: np.ndarray) -> dict[str, float]:
-    """Max residuals of the algebraic curvature identities (any frame)."""
-    first = float(np.abs(comps + comps.swapaxes(-4, -3)).max())
-    second = float(np.abs(comps + comps.swapaxes(-2, -1)).max())
-    pair = float(np.abs(comps - comps.transpose(*range(comps.ndim - 4), -2, -1, -4, -3)).max())
-    lead = tuple(range(comps.ndim - 4))
-    bianchi = float(
-        np.abs(
-            comps
-            + comps.transpose(*lead, -4, -2, -1, -3)
-            + comps.transpose(*lead, -4, -1, -3, -2)
-        ).max()
-    )
-    return {
-        "antisymmetry_first_pair": first,
-        "antisymmetry_second_pair": second,
-        "pair_symmetry": pair,
-        "first_bianchi": bianchi,
-    }

@@ -25,7 +25,9 @@ import numpy as np
 
 from .curvature_ops import CurvatureOperatorMatrix, operators_at
 from .errors import GridPointError, StatcurvError
+from .expr import coordinates_read
 from .linalg import eigvalsh
+from .metric import outside_chart
 from .stationary import StationaryStructure
 from .tolerances import DEFAULT, Tolerances
 
@@ -140,21 +142,49 @@ def chunked(pts: np.ndarray, step) -> list:
     return out
 
 
+def orbits(s: StationaryStructure, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One row of ``pts`` (B, n) per orbit of the coordinates that no expression reads.
+
+    Translation along a coordinate that no g_L entry and no T component
+    reads is an isometry preserving T, and a point's coordinates reach the
+    pipeline only through the jets of what it reads, so every array computed
+    at a point is bitwise the same along that coordinate.  Returns ``first``,
+    the rows that represent the orbits, in order of first occurrence, and
+    ``inverse`` (B,), the orbit of each row: ``values[inverse]`` spreads
+    values computed at ``pts[first]`` back over ``pts``.  Scanning the rows
+    in that order, the first failing one is the first failing row of
+    ``pts``, and first-occurrence argmins and argmaxes land where a scan of
+    every row puts them.
+
+    Rows are grouped by the bits of the coordinates read, so 0.0 and -0.0
+    stay apart.  The chart-interior check reads every coordinate, so each
+    row outside the chart is an orbit of its own and is checked itself.
+    """
+    read = list(coordinates_read([e for _, _, e in s.spec.entries] + list(s.t)))
+    outside = np.where(outside_chart(s.spec, pts), np.arange(len(pts)), -1)
+    key = np.column_stack([np.ascontiguousarray(pts[:, read]).view(np.int64), outside])
+    _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inverse.reshape(-1)]
+
+
 def scan_points(
     s: StationaryStructure, pts: np.ndarray, tol: Tolerances = DEFAULT
 ) -> tuple[np.ndarray, np.ndarray]:
     """Ascending spectra (B, N) of the symmetrized matrices and central-identity residuals (B,).
 
-    Each chunk's operators are reduced to these two arrays before the next
-    chunk is built.
+    Only one point per orbit (see ``orbits``) is computed, and each chunk's
+    operators are reduced to these two arrays before the next chunk is built.
     """
+    pts = np.asarray(pts, dtype=float)
+    first, inverse = orbits(s, pts)
 
     def step(chunk):
         ops = operators_at(s, chunk, tol)
         return eigvalsh(ops.m_s), ops.central
 
-    vals, central = zip(*chunked(pts, step))
-    return np.concatenate(vals), np.concatenate(central)
+    vals, central = zip(*chunked(pts[first], step))
+    return np.concatenate(vals)[inverse], np.concatenate(central)[inverse]
 
 
 def grid_scans(

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, settings
 from statcurv.curvature_ops import operators_from_data
 from statcurv.frames import adapted_frames_batch
 from statcurv.generators import battery_recipe, generate
-from statcurv.metric import christoffel_batch, load_spec_file, riemann_residuals
+from statcurv.metric import christoffel_batch, load_spec_file
 from statcurv.stationary import (
     StationaryStructure,
     connection_residual_batch,
@@ -24,7 +24,7 @@ from statcurv.stationary import (
     structure_data,
 )
 
-from oracles import fd_metric_derivative
+from oracles import fd_metric_derivative, riemann_residuals
 
 settings.register_profile(
     "suite", max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]

@@ -104,3 +104,24 @@ def constant_curvature_oracle(n: int, kappa: float, frame=None) -> RiemannTensor
     )
     point = np.zeros(n) if frame is None else np.asarray(getattr(frame, "point", frame), dtype=float)
     return RiemannTensor(point, "orthonormal", comps)
+
+
+def riemann_residuals(comps: np.ndarray) -> dict[str, float]:
+    """Max residuals of the algebraic curvature identities (any frame)."""
+    first = float(np.abs(comps + comps.swapaxes(-4, -3)).max())
+    second = float(np.abs(comps + comps.swapaxes(-2, -1)).max())
+    pair = float(np.abs(comps - comps.transpose(*range(comps.ndim - 4), -2, -1, -4, -3)).max())
+    lead = tuple(range(comps.ndim - 4))
+    bianchi = float(
+        np.abs(
+            comps
+            + comps.transpose(*lead, -4, -2, -1, -3)
+            + comps.transpose(*lead, -4, -1, -3, -2)
+        ).max()
+    )
+    return {
+        "antisymmetry_first_pair": first,
+        "antisymmetry_second_pair": second,
+        "pair_symmetry": pair,
+        "first_bianchi": bianchi,
+    }

@@ -13,8 +13,6 @@ import pytest
 
 from statcurv import cli
 from statcurv.curvature_ops import operators_at
-from statcurv.generators import two_pair_flat_rotations
-from statcurv.metric import riemann_residuals
 from statcurv.stationary import structure_data
 from statcurv.topology import (
     REASON_MIDDLE,
@@ -25,6 +23,8 @@ from statcurv.topology import (
 )
 
 from conftest import SPEC_DIR, sample_interior, summarize_structure
+from oracles import riemann_residuals
+from structures import two_pair_flat_rotations
 
 S3_PATH = str(SPEC_DIR / "s3.spec")
 TORUS_PATH = str(SPEC_DIR / "flat_torus.spec")

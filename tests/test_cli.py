@@ -14,8 +14,10 @@ import pytest
 
 from statcurv import cli, curvature_ops, stationary, topology
 from statcurv.generators import battery_recipe, generate
+from statcurv.metric import load_spec_file
 
 from conftest import SPEC_DIR
+from structures import two_pair_flat_rotations
 
 S3 = str(SPEC_DIR / "s3.spec")
 TORUS = str(SPEC_DIR / "flat_torus.spec")
@@ -391,16 +393,25 @@ class TestExamples:
         assert "positive" in out
 
 
-@pytest.mark.parametrize("which", ["s3", "random4"])
+@pytest.mark.parametrize("which", ["s3", "random4", "rotations"])
 def test_reports_do_not_depend_on_chunk_size(capsys, monkeypatch, tmp_path, which):
-    # chunk boundaries must not reach any byte: 1 puts every point in its own
-    # chunk, 7 leaves a short last chunk, 2048 holds the whole grid
+    # chunk boundaries must not reach any byte: 1 puts every orbit
+    # representative in its own chunk, 7 leaves a short last chunk, 2048
+    # holds the whole grid.  S3 and the random spec read one coordinate, so
+    # only "rotations", whose T reads four of five, has representatives
+    # across several chunks of 7.
     if which == "s3":
         spec, grid = S3, "4"
-    else:
+    elif which == "random4":
         spec, grid = str(tmp_path / "four.spec"), "2"
         cli.main(["examples", "--random", "--seed", "5", "--dimension", "4", "--out", spec])
         capsys.readouterr()
+    else:
+        spec, grid = str(tmp_path / "rotations.spec"), "2"
+        Path(spec).write_text(two_pair_flat_rotations().spec.to_text())
+        s = stationary.StationaryStructure.from_spec(load_spec_file(spec))
+        first, _ = topology.orbits(s, topology.build_grid(s.spec, [2] * 5)[0])
+        assert len(first) == 16
     reports = []
     for chunk in (1, 7, 2048):
         monkeypatch.setattr(topology, "CHUNK", chunk)

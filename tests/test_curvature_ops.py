@@ -23,13 +23,7 @@ from statcurv.frames import (
     adapted_frames_batch,
     orthonormal_completion,
 )
-from statcurv.generators import (
-    GeneratorRecipe,
-    battery_recipe,
-    generate,
-    s3_times_torus,
-    two_pair_flat_rotations,
-)
+from statcurv.generators import GeneratorRecipe, battery_recipe, generate
 from statcurv.linalg import jacobi_eigh
 from statcurv.metric import frame_components_batch, load_spec
 from statcurv.stationary import (
@@ -41,6 +35,7 @@ from statcurv.stationary import (
 from statcurv.tolerances import DEFAULT
 
 from conftest import sample_interior
+from structures import s3_times_torus, two_pair_flat_rotations
 
 
 class TestBasis:

@@ -2,13 +2,14 @@
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 from statcurv import expr as ex
-from statcurv import generators, metric, stationary
+from statcurv import metric, stationary
 from statcurv.errors import EvalDomainError, ExprSyntaxError, UnknownIdentifierError
 from statcurv.expr import (
     FUNCTIONS,
@@ -22,6 +23,7 @@ from statcurv.expr import (
     Pow,
     Sub,
     Var,
+    coordinates_read,
     eval_jet,
     eval_jet_batch,
     parse_expression,
@@ -30,6 +32,7 @@ from statcurv.generators import GeneratorRecipe, generate
 
 from conftest import SPEC_DIR, sample_interior
 from oracles import fd_gradient_hessian
+from structures import s3_times_torus, two_pair_flat_rotations
 
 COORDS = ("t", "theta1", "theta2")
 
@@ -794,6 +797,20 @@ def _raw_trees(n):
     return st.recursive(leaves, extend, max_leaves=10).map(lambda root: Expression(root, coords))
 
 
+@given(st.integers(min_value=1, max_value=4).flatmap(lambda n: st.lists(_raw_trees(n), max_size=3)))
+def test_coordinates_read_is_the_union_of_dependencies(exprs):
+    want = set().union(*(_depends_on(e.root) for e in exprs))
+    assert coordinates_read(exprs) == tuple(sorted(want))
+
+
+def test_coordinates_read_walks_deep_trees_without_recursion():
+    coords = ("x0", "x1", "x2")
+    node = Var("x2", 2)
+    for _ in range(5 * sys.getrecursionlimit()):
+        node = Add(Num(1.0), Neg(node))
+    assert coordinates_read([Expression(node, coords)]) == (2,)
+
+
 # exact zeros and small integers reach every domain check; the floats the rest
 _COORDINATE = st.one_of(
     st.sampled_from([0.0, 1.0, -1.0, 2.0]), st.floats(min_value=-2.0, max_value=2.0)
@@ -870,7 +887,7 @@ def _structure_data_and_cache(s, pts, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "build, widest", [(generators.two_pair_flat_rotations, 4), (generators.s3_times_torus, 1)]
+    "build, widest", [(two_pair_flat_rotations, 4), (s3_times_torus, 1)]
 )
 def test_structure_data_matches_dense_reference(build, widest, monkeypatch):
     # two_pair_flat_rotations: g_L is constant before the flip and T spans x,

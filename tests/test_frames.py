@@ -15,7 +15,7 @@ from statcurv.frames import (
     adapted_frames_batch,
     orthonormal_completion,
 )
-from statcurv.generators import battery_recipe, generate, s3_times_torus, two_pair_flat_rotations
+from statcurv.generators import battery_recipe, generate
 from statcurv.linalg import jacobi_eigh
 from statcurv.metric import load_spec
 from statcurv.stationary import (
@@ -28,6 +28,7 @@ from statcurv.tolerances import DEFAULT
 from statcurv.topology import build_grid
 
 from conftest import sample_interior
+from structures import s3_times_torus, two_pair_flat_rotations
 
 
 def frame_gram(structure, frame):

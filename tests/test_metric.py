@@ -24,12 +24,16 @@ from statcurv.metric import (
     metric_batch,
     riemann_batch,
     riemann_coordinate,
-    riemann_residuals,
 )
 from statcurv.stationary import StationaryStructure, structure_data
 
 from conftest import SPEC_DIR, sample_interior
-from oracles import constant_curvature_oracle, fd_christoffel_oracle, fd_metric_derivative
+from oracles import (
+    constant_curvature_oracle,
+    fd_christoffel_oracle,
+    fd_metric_derivative,
+    riemann_residuals,
+)
 
 
 def einsum_riemann(g, g_inv, dg, d2g):

@@ -1,0 +1,183 @@
+"""One grid point per orbit of the unread coordinates, against a scan of every point.
+
+``topology.orbits`` groups the grid by the coordinates that g_L and T read;
+the tests below patch it to the identity map, which scans every point, and
+require the same arrays and the same report bytes from both.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from statcurv import cli, topology
+from statcurv.errors import GridPointError
+from statcurv.expr import coordinates_read, parse_expression
+from statcurv.generators import GeneratorRecipe, generate
+from statcurv.metric import KillingField, MetricSpec, load_spec, load_spec_file
+from statcurv.stationary import StationaryStructure, conformal_normalize, flip_spec
+
+from conftest import SPEC_DIR
+
+
+def every_point(s, pts):
+    """The identity map: each grid point an orbit of its own."""
+    rows = np.arange(len(pts))
+    return rows, rows
+
+
+def _flipped_spec_text(coords, intervals, metric, killing) -> str:
+    """Spec text of the Lorentzian flip of a Riemannian metric ``metric`` {(i, j): text}
+    with the Killing field ``killing`` (one text per coordinate)."""
+    entries = tuple((i, j, parse_expression(e, coords)) for (i, j), e in sorted(metric.items()))
+    t = tuple(parse_expression(e, coords) for e in killing)
+    riem = MetricSpec(coords, intervals, 1e-3, "riemannian", entries, KillingField(t, False))
+    return flip_spec(riem, t).to_text()
+
+
+_LORENTZIAN_TAIL = "[signature]\nkind = lorentzian\n"
+
+# name -> (spec text, grid sizes, orbit count on that grid)
+CASES = {
+    "s3": ((SPEC_DIR / "s3.spec").read_text(), (4, 3, 5), 4),
+    # reads no coordinate: the whole grid is one orbit
+    "flat_torus": ((SPEC_DIR / "flat_torus.spec").read_text(), (3, 2, 4), 1),
+    # a rotation in the (x, y) plane plus a translation in t, flipped: g_L and
+    # T read x and y, and the unread t sits between them
+    "two_of_three": (
+        _flipped_spec_text(
+            ("x", "t", "y"),
+            ((0.2, 1.2), (0.0, 2 * math.pi), (0.2, 1.2)),
+            {(0, 0): "1", (1, 1): "1", (2, 2): "1"},
+            ("-y", "1", "x"),
+        ),
+        (3, 4, 5),
+        15,
+    ),
+    # flat g_L reads nothing, the rotating T reads x and y
+    "read_by_t_only": (
+        "[chart]\ncoords = t, x, y\nt = 0, 6.28\nx = -1, 1\ny = -1, 1\n"
+        '[metric]\ng_0_0 = "-1"\ng_1_1 = "1"\ng_2_2 = "1"\n' + _LORENTZIAN_TAIL
+        + '[killing]\nT_0 = "1"\nT_1 = "-0.3*y"\nT_2 = "0.3*x"\nunit = false\n',
+        (3, 4, 5),
+        20,
+    ),
+    # T = d/dt reads nothing, g_L reads y
+    "read_by_metric_only": (
+        "[chart]\ncoords = t, x, y\nt = 0, 6.28\nx = 0, 6.28\ny = 0, 6.28\n"
+        '[metric]\ng_0_0 = "-1"\ng_1_1 = "(2+sin(y))^2"\ng_2_2 = "1"\n' + _LORENTZIAN_TAIL
+        + '[killing]\nT_0 = "1"\nT_1 = "0"\nT_2 = "0"\nunit = true\n',
+        (3, 4, 5),
+        5,
+    ),
+}
+# the random specs `examples --random --seed 3` writes; they read t only
+for _n in range(5, 9):
+    CASES[f"random{_n}"] = (generate(GeneratorRecipe(3, _n)).spec.to_text(), (2,) * _n, 2)
+
+
+def _structure(text: str) -> StationaryStructure:
+    return StationaryStructure.from_spec(load_spec(text))
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_orbit_count(name):
+    text, grid, count = CASES[name]
+    s = _structure(text)
+    pts, _ = topology.build_grid(s.spec, grid)
+    first, inverse = topology.orbits(s, pts)
+    assert len(first) == count
+    assert np.all(np.diff(first) > 0)  # representatives in grid order
+    assert np.array_equal(inverse[first], np.arange(count))
+    # each point agrees with its representative on every coordinate read
+    read = list(coordinates_read([e for _, _, e in s.spec.entries] + list(s.t)))
+    assert np.array_equal(pts[first][inverse][:, read], pts[:, read])
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_reduced_scan_equals_full_scan(name, monkeypatch):
+    text, grid, _ = CASES[name]
+    s = _structure(text)
+    if not s.unit:
+        s = conformal_normalize(s)
+    pts, _ = topology.build_grid(s.spec, grid)
+    reduced = topology.scan_points(s, pts)
+    monkeypatch.setattr(topology, "orbits", every_point)
+    full = topology.scan_points(s, pts)
+    for got, want in zip(reduced, full):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def _reports(capsys, spec: str, grid: str) -> list:
+    reports = []
+    for argv in (
+        ["analyze", spec, "--all-p", "--grid", grid, "--format", "json"],
+        ["analyze", spec, "--all-p", "--grid", grid],
+        ["verify", spec, "--grid", grid],
+        ["export", spec, "--grid", grid],
+    ):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        reports.append((code, captured.out, captured.err))
+    return reports
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_reports_equal_full_scan_bytes(name, capsys, monkeypatch, tmp_path):
+    text, grid, _ = CASES[name]
+    spec = tmp_path / f"{name}.spec"
+    spec.write_text(text)
+    sizes = ",".join(map(str, grid))
+    reduced = _reports(capsys, str(spec), sizes)
+    monkeypatch.setattr(topology, "orbits", every_point)
+    full = _reports(capsys, str(spec), sizes)
+    assert reduced == full
+    # verify passes and every report is there to compare
+    assert reduced[2][0] == 0 and all(out for _, out, _ in reduced)
+
+
+# g_2_2 = 1.2 - x*y turns negative first at x = 1.0, y = 1.4995, the
+# fourteenth of the 25 (x, y) pairs in row-major order; the unread t is the
+# first axis
+_DEGENERATE = (
+    "[chart]\ncoords = t, x, y\nt = 0, 6.28\nx = 0, 2\ny = 0, 2\n"
+    '[metric]\ng_0_0 = "-1"\ng_1_1 = "1"\ng_2_2 = "1.2-x*y"\n' + _LORENTZIAN_TAIL
+    + '[killing]\nT_0 = "1"\nT_1 = "0"\nT_2 = "0"\nunit = true\n'
+)
+
+
+def test_failure_names_the_first_failing_grid_point(capsys, monkeypatch, tmp_path):
+    s = _structure(_DEGENERATE)
+    grid = (3, 5, 5)
+    with pytest.raises(GridPointError) as reduced:
+        topology.grid_scan(s, grid, 1)
+    assert reduced.value.point == (0.001, 1.0, 1.4995)
+    spec = tmp_path / "degenerate.spec"
+    spec.write_text(_DEGENERATE)
+    reports = _reports(capsys, str(spec), "3,5,5")
+    monkeypatch.setattr(topology, "orbits", every_point)
+    with pytest.raises(GridPointError) as full:
+        topology.grid_scan(s, grid, 1)
+    assert str(full.value) == str(reduced.value)
+    assert _reports(capsys, str(spec), "3,5,5") == reports
+    assert all(
+        code == 3 and out == "" and "failure at grid point [0.001, 1.0, 1.4995]" in err
+        for code, out, err in reports
+    )
+
+
+def test_point_outside_the_chart_is_scanned_itself(monkeypatch):
+    # theta1 is unread, but the interior check reads it: the second point,
+    # outside the chart along theta1 only, must fail as in a full scan
+    s = StationaryStructure.from_spec(load_spec_file(SPEC_DIR / "s3.spec"))
+    pts = np.array([[0.5, 1.0, 1.0], [0.5, -1.0, 1.0], [0.7, 1.0, 1.0]])
+    first, inverse = topology.orbits(s, pts)
+    assert first.tolist() == [0, 1, 2]
+    with pytest.raises(GridPointError) as reduced:
+        topology.scan_points(s, pts)
+    monkeypatch.setattr(topology, "orbits", every_point)
+    with pytest.raises(GridPointError) as full:
+        topology.scan_points(s, pts)
+    assert str(reduced.value) == str(full.value)
+    assert reduced.value.point == (0.5, -1.0, 1.0)

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from statcurv.curvature_ops import CurvatureOperatorMatrix, operators_at
 from statcurv.errors import GridPointError
-from statcurv.generators import s3_times_torus
 from statcurv.metric import load_spec
 from statcurv.stationary import StationaryStructure
 from statcurv.topology import (
@@ -22,6 +21,8 @@ from statcurv.topology import (
     margin_quantiles,
     verdict_json_dict,
 )
+
+from structures import s3_times_torus
 
 
 class TestKPositivity:
