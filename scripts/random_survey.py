@@ -35,18 +35,17 @@ def main():
         pts = lo + (hi - lo) * rng.random((25, structure.dimension))
         data = structure_data(structure, pts)
         frames = adapted_frames_batch(structure, data)
-        stack = np.stack([f.vectors for f in frames])
-        conn = float(connection_residual_batch(data, stack).max())
-        curv = float(curvature_residual_batch(data, stack).max())
+        conn = float(connection_residual_batch(data, frames.vectors).max())
+        curv = float(curvature_residual_batch(data, frames.vectors).max())
         ops = operators_from_data(structure, data, frames)
-        central = max(op.central_residual for op in ops)
+        central = float(ops.central.max())
         result = grid_scan(structure, grid, 1)
         verdict = (
             "b" + ",b".join(str(i) for i in result.verdict.vanishing) + "=0"
             if result.verdict.holds_everywhere
             else "none"
         )
-        pairs = max(len(f.pairing) for f in frames)
+        pairs = int(frames.pair_count.max())
         print(
             f"{seed:>4} {structure.dimension:>2} {recipe.family:<18} {pairs:>5} "
             f"{conn:>9.2e} {curv:>9.2e} {central:>9.2e} {result.min_margin:>12.6f} {verdict}"

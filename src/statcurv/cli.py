@@ -11,6 +11,7 @@ with sorted keys and repr floats, grid points enumerated in row-major order.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -325,7 +326,9 @@ def cmd_examples(args) -> int:
 
 # --- entry point --------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="statcurv",
         description="Curvature operators and Betti obstructions for stationary Lorentzian metrics",

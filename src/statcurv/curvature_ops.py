@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import FrameError
-from .frames import FrameBatch, OrthonormalFrame, adapted_frames_batch, rotation_blocks
+from .frames import BatchRow, Frame, FrameBatch, FrameRow, adapted_frames_batch, rotation_blocks, row_field
 from .linalg import invert
 from .metric import frame_components_batch
 from .stationary import StationaryStructure, StructureData, flipped_curvature, structure_data
@@ -128,14 +128,14 @@ def _point_operator(s, frame, tol, flavor) -> CurvatureOperatorMatrix:
 
 
 def riemannian_curvature_operator(
-    s: StationaryStructure, frame: OrthonormalFrame, tol: Tolerances = DEFAULT
+    s: StationaryStructure, frame: Frame, tol: Tolerances = DEFAULT
 ) -> CurvatureOperatorMatrix:
     """Operator of the flipped Riemannian metric in a g-orthonormal frame."""
     return _point_operator(s, frame, tol, "riemannian")
 
 
 def lorentzian_curvature_operator(
-    s: StationaryStructure, frame: OrthonormalFrame, tol: Tolerances = DEFAULT
+    s: StationaryStructure, frame: Frame, tol: Tolerances = DEFAULT
 ) -> CurvatureOperatorMatrix:
     """Operator of g_L itself; generally non-symmetric, recorded for comparison."""
     return _point_operator(s, frame, tol, "lorentzian")
@@ -148,7 +148,7 @@ def _symmetrized(rm_l_frame: np.ndarray, omega: np.ndarray, basis: Lambda2Basis)
 
 
 def symmetrized_matrix(
-    rm_l: np.ndarray, frame: OrthonormalFrame, tol: Tolerances = DEFAULT
+    rm_l: np.ndarray, frame: Frame, tol: Tolerances = DEFAULT
 ) -> CurvatureOperatorMatrix:
     """The symmetric positivity matrix, built from Rm_L plus the f data.
 
@@ -175,18 +175,27 @@ def symmetrized_matrix(
 
 # --- batched pipeline --------------------------------------------------------
 
-@dataclass(frozen=True)
-class PointOperators:
-    frame: OrthonormalFrame
-    riemannian: CurvatureOperatorMatrix
-    lorentzian: CurvatureOperatorMatrix
-    symmetrized: CurvatureOperatorMatrix
-    central_residual: float
+class PointOperators(BatchRow):
+    """Row b of an OperatorBatch: its adapted frame, three operators and central residual.
+
+    Each field is read from the batch arrays when it is accessed; only
+    ``lorentzian`` reads ``OperatorBatch.m_l``, so only it can build that.
+    """
+
+    __slots__ = ()
+    riemannian = row_field("m_r", lambda m: CurvatureOperatorMatrix(m, "riemannian"))
+    lorentzian = row_field("m_l", lambda m: CurvatureOperatorMatrix(m, "lorentzian"))
+    symmetrized = row_field("m_s", lambda m: CurvatureOperatorMatrix(m, "symmetrized"))
+    central_residual = row_field("central", float)
+
+    @property
+    def frame(self) -> FrameRow:
+        return FrameRow(self.batch.frames, self.b)
 
 
 @dataclass(frozen=True, eq=False)
 class OperatorBatch(Sequence):
-    """The three operators at B points as arrays; ``batch[b]`` is the PointOperators of row b.
+    """The three operators at B points as arrays; ``batch[b]`` is the PointOperators view of row b.
 
     ``m_r``, ``m_l`` and ``m_s`` (B, N, N) are the Riemannian, Lorentzian and
     symmetrized matrices, ``central`` (B,) the central-identity residuals.
@@ -210,13 +219,8 @@ class OperatorBatch(Sequence):
         return self.central.shape[0]
 
     def __getitem__(self, b: int) -> PointOperators:
-        return PointOperators(
-            self.frames[b],
-            CurvatureOperatorMatrix(self.m_r[b], "riemannian"),
-            CurvatureOperatorMatrix(self.m_l[b], "lorentzian"),
-            CurvatureOperatorMatrix(self.m_s[b], "symmetrized"),
-            float(self.central[b]),
-        )
+        # IndexError past the end ends Sequence iteration; negative b counts from the end
+        return PointOperators(self, range(len(self))[b])
 
 
 def operators_from_data(s: StationaryStructure, data: StructureData, frames: FrameBatch) -> OperatorBatch:

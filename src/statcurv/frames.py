@@ -38,8 +38,7 @@ class FramePair:
     f: float
 
 
-@dataclass(frozen=True)
-class OrthonormalFrame:
+class Frame:
     """Frame rows E_0 = T, E_1..E_{n-1} spatial, in coordinate components.
 
     ``pairing``/``fixed_indices`` describe the adapted structure when built
@@ -48,13 +47,7 @@ class OrthonormalFrame:
     ascending (the T direction contributes the exact zero).
     """
 
-    point: np.ndarray
-    vectors: np.ndarray
-    pairing: tuple[FramePair, ...] = ()
-    fixed_indices: tuple[int, ...] = ()
-    timelike_norm: float = -1.0
-    rotation_residual: float | None = None
-    nabla_sq_eigenvalues: tuple[float, ...] = ()
+    __slots__ = ()
 
     @property
     def dimension(self) -> int:
@@ -69,13 +62,61 @@ class OrthonormalFrame:
         return self.rotation_residual is not None
 
 
+@dataclass(frozen=True)
+class OrthonormalFrame(Frame):
+    """A frame held by value: completions and hand-built frames."""
+
+    point: np.ndarray
+    vectors: np.ndarray
+    pairing: tuple[FramePair, ...] = ()
+    fixed_indices: tuple[int, ...] = ()
+    timelike_norm: float = -1.0
+    rotation_residual: float | None = None
+    nabla_sq_eigenvalues: tuple[float, ...] = ()
+
+
+class BatchRow:
+    """Row b of a batch: holds only (batch, b) and reads each field when it is accessed."""
+
+    __slots__ = ("batch", "b")
+
+    def __init__(self, batch, b: int):
+        self.batch, self.b = batch, b
+
+
+def row_field(name: str, convert=lambda x: x) -> property:
+    """A BatchRow property: ``convert`` of row b of the batch array ``name``."""
+    return property(lambda row: convert(getattr(row.batch, name)[row.b]))
+
+
+class FrameRow(Frame, BatchRow):
+    """Row b of a FrameBatch, with the attributes, types and values of an OrthonormalFrame."""
+
+    __slots__ = ()
+    point = row_field("points")
+    vectors = row_field("vectors")
+    timelike_norm = row_field("timelike_norm", float)
+    rotation_residual = row_field("rotation_residual", float)
+    nabla_sq_eigenvalues = row_field("nabla_sq_eigenvalues", lambda x: tuple(x.tolist()))
+
+    @property
+    def pairing(self) -> tuple[FramePair, ...]:
+        fs = self.batch.f[self.b, : self.batch.pair_count[self.b]].tolist()
+        return tuple(FramePair(2 * t + 1, 2 * t + 2, f) for t, f in enumerate(fs))
+
+    @property
+    def fixed_indices(self) -> tuple[int, ...]:
+        return tuple(range(2 * int(self.batch.pair_count[self.b]) + 1, self.batch.vectors.shape[1]))
+
+
 @dataclass(frozen=True, eq=False)
 class FrameBatch(Sequence):
-    """Adapted frames at B points as arrays; ``batch[b]`` is the OrthonormalFrame of row b.
+    """Adapted frames at B points as arrays; ``batch[b]`` is the FrameRow view of row b.
 
     Row b pairs (X_1, X_2), (X_3, X_4), ... with ``f[b, :pair_count[b]]``
     (|f| descending, zero past the pair count) and fixes the spatial rows
-    after the last pair.
+    after the last pair.  A row holds only the batch and its index, so
+    iterating the batch builds nothing until a row's field is read.
     """
 
     points: np.ndarray  # (B, n)
@@ -89,19 +130,9 @@ class FrameBatch(Sequence):
     def __len__(self) -> int:
         return self.vectors.shape[0]
 
-    def __getitem__(self, b: int) -> OrthonormalFrame:
-        k = int(self.pair_count[b])
-        return OrthonormalFrame(
-            point=self.points[b],
-            vectors=self.vectors[b],
-            pairing=tuple(
-                FramePair(2 * t + 1, 2 * t + 2, f) for t, f in enumerate(self.f[b, :k].tolist())
-            ),
-            fixed_indices=tuple(range(2 * k + 1, self.vectors.shape[1])),
-            timelike_norm=float(self.timelike_norm[b]),
-            rotation_residual=float(self.rotation_residual[b]),
-            nabla_sq_eigenvalues=tuple(self.nabla_sq_eigenvalues[b].tolist()),
-        )
+    def __getitem__(self, b: int) -> FrameRow:
+        # IndexError past the end ends Sequence iteration; negative b counts from the end
+        return FrameRow(self, range(len(self))[b])
 
 
 def rotation_blocks(f: np.ndarray, pair_count: np.ndarray, n: int) -> np.ndarray:
@@ -306,7 +337,7 @@ def _adapt(e: np.ndarray, a: np.ndarray, tol: Tolerances):
     return rows, f, count, eigs
 
 
-def adapted_frame(s: StationaryStructure, point, tol: Tolerances = DEFAULT) -> OrthonormalFrame:
+def adapted_frame(s: StationaryStructure, point, tol: Tolerances = DEFAULT) -> FrameRow:
     """Adapted frame at one point (T must be unit timelike Killing)."""
     return adapted_frames_batch(s, structure_data(s, point, tol), tol)[0]
 

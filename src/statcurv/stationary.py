@@ -30,9 +30,12 @@ from .linalg import invert
 from .metric import (
     KillingField,
     MetricSpec,
+    check_signature,
     christoffel_batch,
     frame_components_batch,
     metric_batch,
+    metric_fields,
+    require_interior,
     riemann_batch,
 )
 from .tolerances import DEFAULT, Tolerances
@@ -231,8 +234,10 @@ def _nabla_t_frames(cov_t_l: np.ndarray, frames: np.ndarray) -> np.ndarray:
 def killing_defect_batch(s: StationaryStructure, pts, tol: Tolerances = DEFAULT) -> np.ndarray:
     """max_ij |(Lie_T g_L)_ij| per point."""
     pts = np.asarray(pts, dtype=float)
+    require_interior(s.spec, pts)
     cache: dict = {}
-    gl, _, dgl, _ = metric_batch(s.spec, pts, tol, cache)
+    gl, dgl, _ = metric_fields(s.spec, pts, cache)
+    check_signature(s.spec, gl, tol)
     t, dt = _t_jets(s, pts, cache)
     lie = (
         np.einsum("bk,bkij->bij", t, dgl)

@@ -518,3 +518,41 @@ def test_grid_parsing_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "analyze", S3, "--p", "1", "--tol-scale", "1000")
     assert code == 2
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_back_to_back_calls_match_first_calls(capsys, monkeypatch, tmp_path):
+    # a parse with one subcommand, or a rejected one, must leave the shared
+    # parser as a fresh one would be for the next
+    monkeypatch.chdir(tmp_path)  # where `examples --random` writes its spec
+    argvs = [
+        ["analyze", S3, "--p", "1", "--grid", "3"],
+        ["analyze", S3, "--all-p", "--grid", "3", "--format", "json"],
+        ["verify", S3, "--grid", "3"],
+        ["examples", "--random", "--seed", "4", "--dimension", "4"],
+        ["analyze", S3, "--p", "1", "--all-p"],
+        ["analyze", S3],
+    ]
+
+    def call(argv):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:  # argparse rejects a bad command line itself
+            code = exc.code
+        captured = capsys.readouterr()
+        written = {}
+        for path in tmp_path.iterdir():
+            written[path.name] = path.read_bytes()
+            path.unlink()
+        return code, captured.out, captured.err, written
+
+    first = []
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        first.append(call(argv))
+    assert [r[0] for r in first] == [0, 0, 0, 0, 2, 2]
+    for argv, expected in zip(argvs + argvs[::-1], first + first[::-1]):
+        assert call(argv) == expected, argv

@@ -6,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from statcurv.errors import NonTimelikeError, SpecFormatError
+from statcurv import stationary
+from statcurv.errors import ChartDomainError, NearSingularError, NonTimelikeError, SpecFormatError
 from statcurv.frames import orthonormal_completion
 from statcurv.generators import battery_recipe, generate
 from statcurv.metric import frame_components_batch, load_spec, metric_batch
@@ -16,6 +17,7 @@ from statcurv.stationary import (
     flip_spec,
     flipped_curvature,
     killing_defect,
+    killing_defect_batch,
     nabla_t_matrix,
     riemannian_counterpart,
     structure_data,
@@ -55,6 +57,38 @@ class TestKillingDefect:
         scaled = torus_with_field("3*t", "0", "0")
         point = [1.3, 0.4, 0.2]
         assert killing_defect(scaled, point) == pytest.approx(3.0 * killing_defect(base, point))
+
+
+    def test_point_outside_chart_raises(self, s3):
+        with pytest.raises(ChartDomainError):
+            killing_defect(s3, [0.0005, 1.0, 2.0])  # t inside the 0.001 margin
+
+    def test_degenerate_metric_raises(self):
+        text = (
+            "[chart]\ncoords = t, x, y\nt = 0, 6\nx = 0, 6\ny = 0, 6\n"
+            '[metric]\ng_0_0 = "-1"\ng_1_1 = "(x-3)^2"\ng_2_2 = "1"\n'
+            '[signature]\nkind = lorentzian\n[killing]\nT_0 = "1"\nT_1 = "0"\nT_2 = "0"\n'
+            "unit = true\n"
+        )
+        structure = StationaryStructure.from_spec(load_spec(text))
+        assert killing_defect(structure, [1.0, 2.0, 1.0]) == 0.0
+        with pytest.raises(NearSingularError):
+            killing_defect(structure, [1.0, 3.0, 1.0])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
+    def test_batch_matches_the_validated_metric(self, seed):
+        # reference: g_L and its derivatives from metric_batch, which also inverts g_L
+        structure = generate(battery_recipe(seed))
+        pts = sample_interior(structure.spec, 20, seed)
+        cache = {}
+        gl, _, dgl, _ = metric_batch(structure.spec, pts, cache=cache)
+        t, dt = stationary._t_jets(structure, pts, cache)
+        lie = (
+            np.einsum("bk,bkij->bij", t, dgl)
+            + np.einsum("bkj,bik->bij", gl, dt)
+            + np.einsum("bik,bjk->bij", gl, dt)
+        )
+        assert np.array_equal(killing_defect_batch(structure, pts), np.abs(lie).max(axis=(1, 2)))
 
 
 class TestFlip:

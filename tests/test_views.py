@@ -1,14 +1,19 @@
 """Single-point entry points are [0] views of the batched pipeline.
 
 At sampled battery points, each single-point function must return exactly
-the bytes of the matching row of one batched computation over all points.
+the bytes of the matching row of one batched computation over all points,
+and each row of a batch reads its fields from the batch arrays.
 """
+
+import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
-from statcurv import stationary
+from statcurv import curvature_ops, stationary
 from statcurv.curvature_ops import (
+    CurvatureOperatorMatrix,
     compute_point_operators,
     lorentzian_curvature_operator,
     operators_from_data,
@@ -16,6 +21,8 @@ from statcurv.curvature_ops import (
     symmetrized_matrix,
 )
 from statcurv.frames import (
+    FramePair,
+    OrthonormalFrame,
     _completions,
     adapted_frame,
     adapted_frames_batch,
@@ -115,3 +122,103 @@ def test_orthonormal_completion_is_row(batch):
         frame = orthonormal_completion(structure, point)
         assert np.array_equal(frame.vectors, rows[b])
         assert frame.timelike_norm == float(data.gtt[b])
+
+
+FRAME_FIELDS = (
+    "point",
+    "vectors",
+    "pairing",
+    "fixed_indices",
+    "timelike_norm",
+    "rotation_residual",
+    "nabla_sq_eigenvalues",
+    "dimension",
+    "f_values",
+    "is_adapted",
+)
+
+
+def _eager_frame(frames, b):
+    """Row b as an OrthonormalFrame holding every field by value: the reference."""
+    k = int(frames.pair_count[b])
+    return OrthonormalFrame(
+        point=frames.points[b],
+        vectors=frames.vectors[b],
+        pairing=tuple(FramePair(2 * t + 1, 2 * t + 2, f) for t, f in enumerate(frames.f[b, :k].tolist())),
+        fixed_indices=tuple(range(2 * k + 1, frames.vectors.shape[1])),
+        timelike_norm=float(frames.timelike_norm[b]),
+        rotation_residual=float(frames.rotation_residual[b]),
+        nabla_sq_eigenvalues=tuple(frames.nabla_sq_eigenvalues[b].tolist()),
+    )
+
+
+def _assert_same(got, want):
+    """Equal in value and in type, down to the tuple items and dataclass fields."""
+    assert type(got) is type(want)
+    if isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    elif isinstance(want, tuple):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_same(g, w)
+    elif dataclasses.is_dataclass(want):
+        for field in dataclasses.fields(want):
+            _assert_same(getattr(got, field.name), getattr(want, field.name))
+    else:
+        assert got == want
+
+
+def test_frame_rows_match_eager_frames(batch):
+    _, _, _, frames = batch
+    for b, row in enumerate(frames):
+        want = _eager_frame(frames, b)
+        for name in FRAME_FIELDS:
+            _assert_same(getattr(row, name), getattr(want, name))
+        assert np.shares_memory(row.vectors, frames.vectors)
+        assert np.shares_memory(row.point, frames.points)
+
+
+def test_operator_rows_match_eager_rows(batch):
+    structure, _, data, frames = batch
+    ops = operators_from_data(structure, data, frames)
+    for b, op in enumerate(ops):
+        want = _eager_frame(frames, b)
+        for name in FRAME_FIELDS:
+            _assert_same(getattr(op.frame, name), getattr(want, name))
+        for flavor, matrices in (("riemannian", ops.m_r), ("lorentzian", ops.m_l), ("symmetrized", ops.m_s)):
+            _assert_same(getattr(op, flavor), CurvatureOperatorMatrix(matrices[b], flavor))
+            assert np.shares_memory(getattr(op, flavor).entries, matrices)
+        _assert_same(op.central_residual, float(ops.central[b]))
+
+
+def test_rows_index_like_a_sequence(batch):
+    structure, _, data, frames = batch
+    ops = operators_from_data(structure, data, frames)
+    for rows in (frames, ops):
+        size = len(rows)
+        # islice: a row past the end must end the iteration, not be yielded
+        assert [row.b for row in itertools.islice(rows, size + 1)] == list(range(size))
+        assert rows[-1].b == size - 1 and rows[-size].b == 0
+        assert type(rows[np.int64(1)].b) is int
+        for b in (size, -size - 1):
+            with pytest.raises(IndexError):
+                rows[b]
+    assert np.array_equal(frames[-1].vectors, frames.vectors[-1])
+    assert np.array_equal(ops[-1].symmetrized.entries, ops.m_s[-1])
+
+
+def test_only_a_lorentzian_read_builds_m_l(batch, monkeypatch):
+    structure, _, data, frames = batch
+    ops = operators_from_data(structure, data, frames)
+    for op in ops:
+        for name in FRAME_FIELDS:
+            getattr(op.frame, name)
+        op.riemannian, op.symmetrized, op.central_residual
+    assert "m_l" not in vars(ops)
+    calls = []
+    real = curvature_ops._operators
+    monkeypatch.setattr(curvature_ops, "_operators", lambda *args: calls.append(1) or real(*args))
+    for op in ops:
+        op.lorentzian
+    assert "m_l" in vars(ops)
+    assert len(calls) == 1
