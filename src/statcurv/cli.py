@@ -15,24 +15,16 @@ import functools
 import json
 import re
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import topology
-from .curvature_ops import operators_at, operators_from_data
+from .curvature_ops import operators_at
 from .errors import ExprSyntaxError, SpecFormatError, StatcurvError, UnknownIdentifierError
-from .frames import _completions, adapted_frames_batch
 from .generators import FAMILIES, GeneratorRecipe, generate, write_example_specs
 from .linalg import eigvalsh
 from .metric import MetricSpec, load_spec_file
-from .stationary import (
-    StationaryStructure,
-    conformal_normalize,
-    connection_residual_batch,
-    curvature_residual_batch,
-    structure_data,
-)
+from .stationary import StationaryStructure, conformal_normalize
 from .tolerances import DEFAULT, Tolerances
 
 EXIT_OK = 0
@@ -41,18 +33,6 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
 _INPUT_ERRORS = (SpecFormatError, ExprSyntaxError, UnknownIdentifierError, OSError, ValueError)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    spec_path: str
-    spec: MetricSpec
-    grid: tuple[int, ...] | int
-    p: int | None
-    all_p: bool
-    tol: Tolerances
-    fmt: str
-    out: str | None
 
 
 def ascii_int(text: str) -> int:
@@ -104,58 +84,21 @@ def _betti_text(verdict: topology.BettiVerdict) -> str:
 
 # --- verify -------------------------------------------------------------------
 
-_VERIFY_LINES = (
-    ("connection nabla_T_T", "pairing"),
-    ("connection nabla_X_T", "pairing"),
-    ("connection nabla_X_X", "pairing"),
-    ("connection nabla_T_X", "pairing"),
-    ("curvature  mixed", "oracle"),
-    ("curvature  timelike", "oracle"),
-    ("curvature  spatial", "oracle"),
-    ("frame      rotation_blocks", "pairing"),
-    ("frame      eigen_nonpositive", "eigen_nonpositive"),
-    ("operator   central_identity", "pairing"),
-)
-
-
-def cmd_verify(config: RunConfig) -> int:
-    tol = config.tol
-    structure = StationaryStructure.from_spec(config.spec)
-    pts, shape = topology.build_grid(structure.spec, config.grid)
-    if pts.shape[0] == 0:
-        raise ValueError("empty grid")
+def cmd_verify(args, spec: MetricSpec, grid: list[int], tol: Tolerances) -> int:
+    structure = StationaryStructure.from_spec(spec)
+    pts, shape = topology.build_grid(structure.spec, grid)
     notes: list[str] = []
     unit_structure = _normalized(structure, notes)
-
-    def residuals(chunk):
-        """Residual table (B, 10), one column per line of _VERIFY_LINES."""
-        data = structure_data(structure, chunk, tol)
-        frames = _completions(data, tol, require_unit=False)
-        data_u = data if unit_structure is structure else structure_data(unit_structure, chunk, tol)
-        adapted = adapted_frames_batch(unit_structure, data_u, tol)
-        ops = operators_from_data(unit_structure, data_u, adapted)
-        top = adapted.nabla_sq_eigenvalues.max(axis=1)
-        return np.column_stack(
-            [
-                connection_residual_batch(data, frames),
-                curvature_residual_batch(data, frames),
-                adapted.rotation_residual,
-                np.where(top > 0.0, top, 0.0),
-                ops.central,
-            ]
-        )
-
-    first, inverse = topology.orbits(structure, pts)
-    table = np.concatenate(topology.chunked(pts[first], residuals))[inverse]
+    table = topology.verify_points(structure, unit_structure, pts, tol)
     maxima = table.max(axis=0)
     argmax = [tuple(float(x) for x in pts[b]) for b in table.argmax(axis=0)]  # first occurrence
 
-    lines = [f"statcurv verify: {config.spec_path}"]
+    lines = [f"statcurv verify: {args.spec}"]
     lines += notes
     lines.append(f"grid: {'x'.join(str(m) for m in shape)}")
     ok = True
     rows = []
-    for idx, (name, tol_field) in enumerate(_VERIFY_LINES):
+    for idx, (name, tol_field) in enumerate(topology.VERIFY_LINES):
         bound = getattr(tol, tol_field)
         passed = bool(maxima[idx] <= bound)
         ok = ok and passed
@@ -174,7 +117,7 @@ def cmd_verify(config: RunConfig) -> int:
             + ("" if passed else f"  at {list(argmax[idx])}")
         )
     lines.append("all identities verified" if ok else "VERIFICATION FAILED")
-    if config.fmt == "json":
+    if args.fmt == "json":
         payload = {
             "schema_version": 1,
             "command": "verify",
@@ -183,9 +126,9 @@ def cmd_verify(config: RunConfig) -> int:
             "passed": ok,
             "notes": notes,
         }
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", config.out)
+        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     else:
-        _emit("\n".join(lines) + "\n", config.out)
+        _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK if ok else EXIT_NUMERICAL
 
 
@@ -204,28 +147,27 @@ def _strongest(results: list[topology.GridScanResult]) -> int:
     return 0
 
 
-def cmd_analyze(config: RunConfig) -> int:
-    tol = config.tol
+def cmd_analyze(args, spec: MetricSpec, grid: list[int], tol: Tolerances) -> int:
     notes: list[str] = []
-    structure = _normalized(StationaryStructure.from_spec(config.spec), notes)
-    ps = list(topology.admissible_p(structure.dimension)) if config.all_p else [config.p]
-    results = topology.grid_scans(structure, config.grid, ps, tol)
+    structure = _normalized(StationaryStructure.from_spec(spec), notes)
+    ps = list(topology.admissible_p(structure.dimension)) if args.all_p else [args.p]
+    results = topology.grid_scans(structure, grid, ps, tol)
     best = _strongest(results)
     strongest = results[best]
 
-    if config.fmt == "json":
+    if args.fmt == "json":
         dicts = [topology.verdict_json_dict(r) for r in results]
         payload = {
             "schema_version": 1,
             "command": "analyze",
-            "spec": config.spec_path,
+            "spec": args.spec,
             "notes": notes,
             "results": dicts,
             "strongest": dicts[best],
         }
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", config.out)
+        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     else:
-        lines = [f"statcurv analyze: {config.spec_path}"]
+        lines = [f"statcurv analyze: {args.spec}"]
         lines += notes
         for r in results:
             v = r.verdict
@@ -239,7 +181,7 @@ def cmd_analyze(config: RunConfig) -> int:
                     else f"not {k}-positive (margin {r.min_margin:.6f}); no conclusion"
                 )
             )
-        if config.all_p:
+        if args.all_p:
             lines.append(f"strongest verdict: p={strongest.verdict.p}: {_betti_text(strongest.verdict)}")
         quantiles = topology.margin_quantiles(strongest)
         lines.append(
@@ -251,30 +193,28 @@ def cmd_analyze(config: RunConfig) -> int:
             f"max central-identity residual: {max(r.max_identity_residual for r in results):.3e}"
         )
         lines.append("note: grid verdicts are evidence, not proof, of pointwise positivity")
-        _emit("\n".join(lines) + "\n", config.out)
+        _emit("\n".join(lines) + "\n", args.out)
     conclusive = strongest.verdict.holds_everywhere
     return EXIT_OK if conclusive else EXIT_NEGATIVE
 
 
 # --- export -------------------------------------------------------------------
 
-def cmd_export(config: RunConfig) -> int:
-    tol = config.tol
+def cmd_export(args, spec: MetricSpec, grid: list[int], tol: Tolerances) -> int:
     notes: list[str] = []
-    structure = _normalized(StationaryStructure.from_spec(config.spec), notes)
+    structure = _normalized(StationaryStructure.from_spec(spec), notes)
     for note in notes:
         sys.stderr.write(note + "\n")
-    pts, _ = topology.build_grid(structure.spec, config.grid)
-    first, inverse = topology.orbits(structure, pts)
+    pts, _ = topology.build_grid(structure.spec, grid)
 
     def records(chunk):
-        """The chunk's JSON records, one per point, all fields but the point."""
+        """The chunk's JSON records (C,), one per point, all fields but the point."""
         ops = operators_at(structure, chunk, tol)
         frames = ops.frames
         vals = eigvalsh(ops.m_s)
         asymmetry = np.abs(ops.m_l - ops.m_l.swapaxes(1, 2)).max(axis=(1, 2))
         labels = [list(pair) for pair in ops.basis.labels()]
-        return [
+        rows = [
             {
                 "schema_version": 1,
                 "basis": labels,
@@ -288,14 +228,15 @@ def cmd_export(config: RunConfig) -> int:
             }
             for b in range(len(ops))
         ]
+        return (np.array(rows, dtype=object),)
 
     # every chunk is built before anything is written, so a failure emits nothing
-    orbit_records = [r for chunk in topology.chunked(pts[first], records) for r in chunk]
+    (point_records,) = topology.chunked(structure, pts, records)
     lines = (
-        json.dumps({**orbit_records[o], "point": point}, sort_keys=True) + "\n"
-        for o, point in zip(inverse.tolist(), pts.tolist())
+        json.dumps({**record, "point": point}, sort_keys=True) + "\n"
+        for record, point in zip(point_records, pts.tolist())
     )
-    _emit("".join(lines), config.out)
+    _emit("".join(lines), args.out)
     return EXIT_OK
 
 
@@ -361,28 +302,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(args, minimum_grid: int) -> RunConfig:
-    spec = load_spec_file(args.spec)
-    tol = DEFAULT.scaled(args.tol_scale)
-    grid = tuple(_parse_grid(args.grid, spec.dimension, minimum_grid))
-    p = getattr(args, "p", None)
-    all_p = bool(getattr(args, "all_p", False))
-    return RunConfig(args.spec, spec, grid, p, all_p, tol, args.fmt, args.out)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "examples":
             return cmd_examples(args)
-        config = _config_from(args, minimum_grid=0 if args.command == "export" else 2)
-        if args.command == "verify":
-            return cmd_verify(config)
-        if args.command == "analyze":
-            return cmd_analyze(config)
-        if args.command == "export":
-            return cmd_export(config)
-        raise AssertionError(args.command)
+        spec = load_spec_file(args.spec)
+        tol = DEFAULT.scaled(args.tol_scale)
+        grid = _parse_grid(args.grid, spec.dimension, 0 if args.command == "export" else 2)
+        command = {"verify": cmd_verify, "analyze": cmd_analyze, "export": cmd_export}[args.command]
+        return command(args, spec, grid, tol)
     except _INPUT_ERRORS as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT

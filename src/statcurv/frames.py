@@ -166,7 +166,7 @@ def _project_off(x: np.ndarray, basis: np.ndarray, count: np.ndarray, coef) -> n
     return x
 
 
-def _completions(data: StructureData, tol: Tolerances, require_unit: bool = True) -> np.ndarray:
+def orthonormal_completions(data: StructureData, tol: Tolerances, require_unit: bool = True) -> np.ndarray:
     """Frames (B, n, n) {T, X_1..X_{n-1}} orthonormal for g and g_L, one per row of ``data``.
 
     Modified Gram-Schmidt against g over the whole batch: rows T, then unit
@@ -219,7 +219,7 @@ def orthonormal_completion(
     data = structure_data(s, point, tol)
     return OrthonormalFrame(
         point=data.points[0].copy(),
-        vectors=_completions(data, tol, require_unit)[0],
+        vectors=orthonormal_completions(data, tol, require_unit)[0],
         timelike_norm=float(data.gtt[0]),
     )
 
@@ -350,7 +350,7 @@ def adapted_frames_batch(
     Each check raises for the first point that fails it, with that point's
     own numbers in the message.
     """
-    completions = _completions(data, tol)
+    completions = orthonormal_completions(data, tol)
     batch, n = data.points.shape
     a = _nabla_t_frames(data.cov_t_l, completions)
     t_block = np.maximum(np.abs(a[:, 0, :]).max(axis=1), np.abs(a[:, :, 0]).max(axis=1))

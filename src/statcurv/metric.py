@@ -318,7 +318,8 @@ def metric_fields(spec: MetricSpec, pts, cache: dict | None = None):
 def check_signature(spec: MetricSpec, g: np.ndarray, tol: Tolerances) -> None:
     vals = eigvalsh(g)
     size = np.abs(vals)
-    if np.any(size.min(axis=-1) < tol.near_singular * size.max(axis=-1)):
+    # <=, so that an all-zero g, where both sides are 0, counts as singular
+    if np.any(size.min(axis=-1) <= tol.near_singular * size.max(axis=-1)):
         raise NearSingularError(f"smallest |eigenvalue| of g below {tol.near_singular} times the largest")
     negatives = np.count_nonzero(vals < 0.0, axis=-1)
     expected = 1 if spec.signature == "lorentzian" else 0

@@ -1,4 +1,4 @@
-"""k-positivity of curvature-operator spectra and the Betti verdict logic.
+"""Grid scans, k-positivity of curvature-operator spectra, and the Betti verdict logic.
 
 A symmetric operator is k-positive when the sum of its k smallest
 eigenvalues is strictly positive.  For an n-manifold whose symmetric matrix
@@ -15,6 +15,14 @@ is (n-p)-positive at every point, 1 <= p <= floor(n/2):
 
 A grid verdict is evidence, not proof: positivity is sampled, so every
 result carries the minimal margin and its argmin point.
+
+Every grid goes through one driver, ``chunked``: it computes one point per
+orbit of the coordinates no expression reads (``orbits``), runs a step on
+chunks of at most ``CHUNK`` of those points, re-localizes a failure to its
+grid point, and spreads the step's arrays back over the grid.
+``scan_points`` (the spectra ``analyze`` reads), ``verify_points`` (the
+identity table of ``verify``, one column per ``VERIFY_LINES`` check) and
+the CLI's ``export`` records all run through it.
 """
 
 from __future__ import annotations
@@ -23,12 +31,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature_ops import CurvatureOperatorMatrix, operators_at
+from .curvature_ops import CurvatureOperatorMatrix, operators_at, operators_from_data
 from .errors import GridPointError, StatcurvError
 from .expr import coordinates_read
+from .frames import adapted_frames_batch, orthonormal_completions
 from .linalg import eigvalsh
 from .metric import outside_chart
-from .stationary import StationaryStructure
+from .stationary import (
+    StationaryStructure,
+    connection_residual_batch,
+    curvature_residual_batch,
+    structure_data,
+)
 from .tolerances import DEFAULT, Tolerances
 
 CHUNK = 2048
@@ -76,7 +90,8 @@ def k_positivity(matrix, k: int, tol: Tolerances = DEFAULT) -> tuple[float, bool
         entries = matrix.entries
     else:
         entries = np.asarray(matrix, dtype=float)
-    scale = max(1.0, float(np.abs(entries).max(initial=0.0)))
+    # relative to the largest entry alone, so a rescaled matrix passes or fails alike
+    scale = float(np.abs(entries).max(initial=0.0))
     if float(np.abs(entries - entries.T).max()) > tol.identity * scale:
         raise ValueError("k-positivity requires a symmetric matrix")
     vals = eigvalsh(0.5 * (entries + entries.T))
@@ -121,27 +136,6 @@ def build_grid(spec, sizes) -> tuple[np.ndarray, tuple[int, ...]]:
     return pts, shape
 
 
-def chunked(pts: np.ndarray, step) -> list:
-    """``step`` applied to consecutive chunks of the points (B, n), one result per chunk.
-
-    A failure is re-localized to the first point that fails on its own and
-    re-raised as GridPointError with the coordinates attached.
-    """
-    out = []
-    for start in range(0, pts.shape[0], CHUNK):
-        chunk = pts[start : start + CHUNK]
-        try:
-            out.append(step(chunk))
-        except StatcurvError:
-            for row in chunk:
-                try:
-                    step(row[None, :])
-                except StatcurvError as exc:
-                    raise GridPointError(row, exc) from exc
-            raise
-    return out
-
-
 def orbits(s: StationaryStructure, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One row of ``pts`` (B, n) per orbit of the coordinates that no expression reads.
 
@@ -168,6 +162,34 @@ def orbits(s: StationaryStructure, pts: np.ndarray) -> tuple[np.ndarray, np.ndar
     return first[order], np.argsort(order)[inverse.reshape(-1)]
 
 
+def chunked(s: StationaryStructure, pts: np.ndarray, step) -> tuple[np.ndarray, ...]:
+    """``step``'s arrays at every row of ``pts`` (B, n), computed once per orbit.
+
+    ``step`` takes a chunk of points (C, n) and returns a tuple of arrays
+    with C rows each.  It runs on consecutive chunks of at most ``CHUNK``
+    orbit representatives (see ``orbits``), and the arrays come back
+    concatenated and spread over ``pts``.  An empty ``pts`` runs one empty
+    chunk, so the arrays keep their trailing shapes.  A failure is
+    re-localized to the first point that fails on its own and re-raised as
+    GridPointError with the coordinates attached.
+    """
+    first, inverse = orbits(s, pts)
+    reps = pts[first]
+    out = []
+    for start in range(0, max(len(reps), 1), CHUNK):
+        chunk = reps[start : start + CHUNK]
+        try:
+            out.append(step(chunk))
+        except StatcurvError:
+            for row in chunk:
+                try:
+                    step(row[None, :])
+                except StatcurvError as exc:
+                    raise GridPointError(row, exc) from exc
+            raise
+    return tuple(np.concatenate(column)[inverse] for column in zip(*out))
+
+
 def scan_points(
     s: StationaryStructure, pts: np.ndarray, tol: Tolerances = DEFAULT
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -176,15 +198,60 @@ def scan_points(
     Only one point per orbit (see ``orbits``) is computed, and each chunk's
     operators are reduced to these two arrays before the next chunk is built.
     """
-    pts = np.asarray(pts, dtype=float)
-    first, inverse = orbits(s, pts)
 
     def step(chunk):
         ops = operators_at(s, chunk, tol)
         return eigvalsh(ops.m_s), ops.central
 
-    vals, central = zip(*chunked(pts[first], step))
-    return np.concatenate(vals)[inverse], np.concatenate(central)[inverse]
+    return chunked(s, np.asarray(pts, dtype=float), step)
+
+
+# one column of ``verify_points`` per line: the check's label and the
+# Tolerances field that bounds its residual
+VERIFY_LINES = (
+    ("connection nabla_T_T", "pairing"),
+    ("connection nabla_X_T", "pairing"),
+    ("connection nabla_X_X", "pairing"),
+    ("connection nabla_T_X", "pairing"),
+    ("curvature  mixed", "oracle"),
+    ("curvature  timelike", "oracle"),
+    ("curvature  spatial", "oracle"),
+    ("frame      rotation_blocks", "pairing"),
+    ("frame      eigen_nonpositive", "eigen_nonpositive"),
+    ("operator   central_identity", "pairing"),
+)
+
+
+def verify_points(
+    s: StationaryStructure, unit: StationaryStructure, pts: np.ndarray, tol: Tolerances
+) -> np.ndarray:
+    """Residual table (B, 10), one column per line of ``VERIFY_LINES``.
+
+    The connection and curvature identities are checked for ``s`` in
+    frames that complete T at its own scale; the frame and operator checks
+    use ``unit``, which is ``s`` itself when T is unit and its conformal
+    normalization otherwise.  Only one point per orbit is computed.
+    """
+
+    def step(chunk):
+        data = structure_data(s, chunk, tol)
+        frames = orthonormal_completions(data, tol, require_unit=False)
+        data_u = data if unit is s else structure_data(unit, chunk, tol)
+        adapted = adapted_frames_batch(unit, data_u, tol)
+        ops = operators_from_data(unit, data_u, adapted)
+        top = adapted.nabla_sq_eigenvalues.max(axis=1)
+        table = np.column_stack(
+            [
+                connection_residual_batch(data, frames),
+                curvature_residual_batch(data, frames),
+                adapted.rotation_residual,
+                np.where(top > 0.0, top, 0.0),
+                ops.central,
+            ]
+        )
+        return (table,)
+
+    return chunked(s, np.asarray(pts, dtype=float), step)[0]
 
 
 def grid_scans(

@@ -439,9 +439,9 @@ def test_reports_leave_the_lorentzian_operator_unbuilt(capsys, monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    recording(topology, "operators_at", "operators")
-    recording(cli, "operators_from_data", "operators")
-    recording(cli, "operators_at", "operators")
+    recording(topology, "operators_at", "operators")  # analyze
+    recording(topology, "operators_from_data", "operators")  # verify
+    recording(cli, "operators_at", "operators")  # export
     recording(curvature_ops, "structure_data", "data")
     assert run(capsys, "analyze", S3, "--all-p", "--grid", "3", "--format", "json")[0] == 0
     assert run(capsys, "analyze", S3, "--p", "1", "--grid", "3")[0] == 0

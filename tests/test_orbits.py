@@ -16,6 +16,7 @@ from statcurv.expr import coordinates_read, parse_expression
 from statcurv.generators import GeneratorRecipe, generate
 from statcurv.metric import KillingField, MetricSpec, load_spec, load_spec_file
 from statcurv.stationary import StationaryStructure, conformal_normalize, flip_spec
+from statcurv.tolerances import DEFAULT
 
 from conftest import SPEC_DIR
 
@@ -181,3 +182,38 @@ def test_point_outside_the_chart_is_scanned_itself(monkeypatch):
         topology.scan_points(s, pts)
     assert str(reduced.value) == str(full.value)
     assert reduced.value.point == (0.5, -1.0, 1.0)
+
+
+def test_every_command_runs_through_one_driver(capsys, monkeypatch):
+    # analyze, verify and export each reach orbits once, through chunked
+    calls = []
+    real_chunked, real_orbits = topology.chunked, topology.orbits
+
+    def chunked(s, pts, step):
+        calls.append("chunked")
+        return real_chunked(s, pts, step)
+
+    def orbits(s, pts):
+        calls.append("orbits")
+        return real_orbits(s, pts)
+
+    monkeypatch.setattr(topology, "chunked", chunked)
+    monkeypatch.setattr(topology, "orbits", orbits)
+    spec = str(SPEC_DIR / "s3.spec")
+    for argv in (
+        ["analyze", spec, "--all-p", "--grid", "3"],
+        ["verify", spec, "--grid", "3"],
+        ["export", spec, "--grid", "2"],
+    ):
+        calls.clear()
+        assert cli.main(argv) == 0
+        assert calls == ["chunked", "orbits"], argv
+    capsys.readouterr()
+
+
+def test_empty_grid_keeps_the_step_shapes():
+    s = StationaryStructure.from_spec(load_spec_file(SPEC_DIR / "s3.spec"))
+    pts, _ = topology.build_grid(s.spec, (0, 3, 3))
+    vals, central = topology.scan_points(s, pts)
+    assert vals.shape == (0, 3) and central.shape == (0,)
+    assert topology.verify_points(s, s, pts, DEFAULT).shape == (0, len(topology.VERIFY_LINES))

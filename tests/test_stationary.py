@@ -10,7 +10,7 @@ from statcurv import stationary
 from statcurv.errors import ChartDomainError, NearSingularError, NonTimelikeError, SpecFormatError
 from statcurv.frames import orthonormal_completion
 from statcurv.generators import battery_recipe, generate
-from statcurv.metric import frame_components_batch, load_spec, metric_batch
+from statcurv.metric import check_signature, frame_components_batch, load_spec, metric_batch
 from statcurv.stationary import (
     StationaryStructure,
     conformal_normalize,
@@ -24,6 +24,7 @@ from statcurv.stationary import (
     verify_connection_relations,
     verify_curvature_relations,
 )
+from statcurv.tolerances import DEFAULT
 
 from conftest import sample_interior
 
@@ -74,6 +75,21 @@ class TestKillingDefect:
         assert killing_defect(structure, [1.0, 2.0, 1.0]) == 0.0
         with pytest.raises(NearSingularError):
             killing_defect(structure, [1.0, 3.0, 1.0])
+
+    def test_vanishing_metric_is_singular_not_wrongly_signed(self):
+        # every eigenvalue of an all-zero g is 0, so the smallest is not
+        # below near_singular times the largest; it is still singular
+        spec = load_spec(
+            "[chart]\ncoords = t, x, y\nt = -1, 1\nx = 0, 6\ny = 0, 6\n"
+            '[metric]\ng_0_0 = "-t^2"\ng_1_1 = "t^2"\ng_2_2 = "t^2"\n'
+            '[signature]\nkind = lorentzian\n[killing]\nT_0 = "1"\nT_1 = "0"\nT_2 = "0"\n'
+            "unit = false\n"
+        )
+        with pytest.raises(NearSingularError):
+            check_signature(spec, np.zeros((1, 3, 3)), DEFAULT)
+        structure = StationaryStructure.from_spec(spec)
+        with pytest.raises(NearSingularError):
+            killing_defect_batch(structure, np.array([[0.0, 1.0, 2.0]]))
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
     def test_batch_matches_the_validated_metric(self, seed):

@@ -52,6 +52,13 @@ class TestKPositivity:
         with pytest.raises(ValueError, match="symmetric"):
             k_positivity(np.array([[0.0, 1.0], [-1.0, 0.0]]), 1)
 
+    @pytest.mark.parametrize("c", [10.0**e for e in range(-12, 4)])
+    def test_symmetry_check_is_scale_free(self, c):
+        # c M is as far from symmetric as M at every scale c > 0
+        with pytest.raises(ValueError, match="symmetric"):
+            k_positivity(c * np.array([[1.0, 0.9], [0.0, 1.0]]), 1)
+        assert k_positivity(c * np.eye(2), 2)[0] == pytest.approx(2.0 * c, rel=1e-12)
+
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
             k_positivity(np.eye(3), 0)

@@ -23,10 +23,10 @@ from statcurv.curvature_ops import (
 from statcurv.frames import (
     FramePair,
     OrthonormalFrame,
-    _completions,
     adapted_frame,
     adapted_frames_batch,
     orthonormal_completion,
+    orthonormal_completions,
 )
 from statcurv.generators import battery_recipe, generate
 from statcurv.metric import RiemannTensor, frame_components, frame_components_batch
@@ -117,7 +117,7 @@ def test_frame_components_is_row(batch):
 
 def test_orthonormal_completion_is_row(batch):
     structure, pts, data, _ = batch
-    rows = _completions(data, DEFAULT)
+    rows = orthonormal_completions(data, DEFAULT)
     for b, point in enumerate(pts):
         frame = orthonormal_completion(structure, point)
         assert np.array_equal(frame.vectors, rows[b])
