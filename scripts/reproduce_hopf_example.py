@@ -12,15 +12,16 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from statcurv.curvature_ops import compute_point_operators
+from statcurv.curvature_ops import operators_at
+from statcurv.frames import orthonormal_completions
 from statcurv.metric import load_spec_file
 from statcurv.stationary import (
     StationaryStructure,
-    riemannian_counterpart,
-    verify_connection_relations,
-    verify_curvature_relations,
+    connection_residual_batch,
+    curvature_residual_batch,
+    structure_data,
 )
-from statcurv.frames import orthonormal_completion
+from statcurv.tolerances import DEFAULT
 from statcurv.topology import grid_scan
 
 SPEC = pathlib.Path(__file__).resolve().parent.parent / "specs" / "s3.spec"
@@ -32,19 +33,21 @@ def main():
     point = [np.pi / 4, 1.0, 2.0]
     print(f"spec: {SPEC.name}, point t = pi/4")
 
+    # one point is a batch of one: every array below has a leading axis of length 1
+    data = structure_data(structure, [point])
     print("\nflipped Riemannian metric (the round metric):")
-    print(riemannian_counterpart(structure, point))
+    print(data.g[0])
 
-    frame = orthonormal_completion(structure, point)
+    frames = orthonormal_completions(data, DEFAULT)
     print("\ncompletion frame rows (T, X1, X2):")
-    print(frame.vectors)
+    print(frames[0])
 
-    conn = verify_connection_relations(structure, frame)
-    curv = verify_curvature_relations(structure, frame)
-    print(f"\nconnection identity residuals: {conn.as_tuple()}")
-    print(f"curvature identity residuals:  {curv.as_tuple()}")
+    conn = connection_residual_batch(data, frames)[0]
+    curv = curvature_residual_batch(data, frames)[0]
+    print(f"\nconnection identity residuals: {tuple(conn.tolist())}")
+    print(f"curvature identity residuals:  {tuple(curv.tolist())}")
 
-    ops = compute_point_operators(structure, point)
+    ops = operators_at(structure, [point])[0]
     print(f"\nadapted pairing: {ops.frame.pairing}")
     print("Riemannian operator (identity expected):")
     print(ops.riemannian.entries)

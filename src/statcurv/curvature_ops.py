@@ -16,9 +16,10 @@ which is what makes the Lorentzian operator generally non-symmetric.
 
 The symmetrized flavor rebuilds the Riemannian operator purely from
 Lorentzian data: it gathers the Rm_g that ``stationary.flipped_curvature``
-predicts from Rm_L and the adapted frame's rotation blocks (unit T), which
-for n = 3 and n = 4 reproduces the explicit matrices with +2f^2 / -6f^2
-diagonal corrections and for general n derives their analogue.
+predicts from Rm_L and the adapted frame's rotation blocks (unit T).
+``tests/test_curvature_ops.py`` checks it against the explicit n = 3 and
+n = 4 matrices, with their +2f^2 / -6f^2 diagonal corrections, and against
+the off-diagonal corrections of two blocks at n = 5.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import FrameError
-from .frames import BatchRow, Frame, FrameBatch, FrameRow, adapted_frames_batch, rotation_blocks, row_field
+from .frames import BatchRow, FrameBatch, FrameRow, adapted_frames_batch, rotation_blocks, row_field
 from .linalg import invert
 from .metric import frame_components_batch
 from .stationary import StationaryStructure, StructureData, flipped_curvature, structure_data
@@ -118,59 +118,10 @@ def _operators(
     return invert(lambda2_gram(basis, gram)) @ _gather(rm_frame, basis)
 
 
-def _point_operator(s, frame, tol, flavor) -> CurvatureOperatorMatrix:
-    data = structure_data(s, frame.point, tol)
-    rm, metric = (data.rm_g, data.g) if flavor == "riemannian" else (data.rm_l, data.gl)
-    basis = Lambda2Basis.standard(s.dimension)
-    frames = np.asarray(frame.vectors, dtype=float)[None]
-    entries = _operators(frame_components_batch(rm, frames), metric, frames, basis)
-    return CurvatureOperatorMatrix(entries[0], flavor)
-
-
-def riemannian_curvature_operator(
-    s: StationaryStructure, frame: Frame, tol: Tolerances = DEFAULT
-) -> CurvatureOperatorMatrix:
-    """Operator of the flipped Riemannian metric in a g-orthonormal frame."""
-    return _point_operator(s, frame, tol, "riemannian")
-
-
-def lorentzian_curvature_operator(
-    s: StationaryStructure, frame: Frame, tol: Tolerances = DEFAULT
-) -> CurvatureOperatorMatrix:
-    """Operator of g_L itself; generally non-symmetric, recorded for comparison."""
-    return _point_operator(s, frame, tol, "lorentzian")
-
-
 def _symmetrized(rm_l_frame: np.ndarray, omega: np.ndarray, basis: Lambda2Basis) -> np.ndarray:
     """Symmetrized matrices (B, N, N) of the Rm_g that ``flipped_curvature`` predicts for unit T."""
     entries = _gather(flipped_curvature(rm_l_frame, omega, -1.0), basis)
     return 0.5 * (entries + entries.swapaxes(1, 2))  # symmetric up to rounding already
-
-
-def symmetrized_matrix(
-    rm_l: np.ndarray, frame: Frame, tol: Tolerances = DEFAULT
-) -> CurvatureOperatorMatrix:
-    """The symmetric positivity matrix, built from Rm_L plus the f data.
-
-    ``rm_l`` (n,n,n,n) holds the Lorentzian 4-tensor's components in the
-    adapted frame.  Symmetric by construction; coincides with the
-    Riemannian operator whenever the frame really is adapted.
-    """
-    comps = np.asarray(rm_l, dtype=float)
-    n = comps.shape[0]
-    if not frame.is_adapted:
-        raise FrameError("symmetrized matrix requires a frame built by adapted_frame")
-    residual = frame.rotation_residual
-    if residual > tol.pairing:
-        raise FrameError(
-            f"frame not adapted: rotation-block residual {residual} above tolerance {tol.pairing}"
-        )
-    omega = np.zeros((1, n, n))
-    for p in frame.pairing:
-        omega[0, p.i, p.j] = p.f
-        omega[0, p.j, p.i] = -p.f
-    entries = _symmetrized(comps[None], omega, Lambda2Basis.standard(n))[0]
-    return CurvatureOperatorMatrix(entries, "symmetrized")
 
 
 # --- batched pipeline --------------------------------------------------------
@@ -243,10 +194,3 @@ def operators_at(s: StationaryStructure, pts, tol: Tolerances = DEFAULT) -> Oper
     """Adapted frames and all three operators at each point of ``pts`` (B, n), as one batch."""
     data = structure_data(s, pts, tol)
     return operators_from_data(s, data, adapted_frames_batch(s, data, tol))
-
-
-def compute_point_operators(
-    s: StationaryStructure, point, tol: Tolerances = DEFAULT
-) -> PointOperators:
-    """Adapted frame plus all three operators at one point."""
-    return operators_at(s, point, tol)[0]

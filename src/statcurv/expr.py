@@ -557,15 +557,6 @@ def _eval_jet_uncached(node: Node, pts: np.ndarray, cache: dict) -> _Jet:
 # --- public types ----------------------------------------------------------
 
 @dataclass(frozen=True)
-class JetValue:
-    """Value, gradient, and symmetric hessian of a scalar at one point."""
-
-    value: float
-    gradient: np.ndarray
-    hessian: np.ndarray
-
-
-@dataclass(frozen=True)
 class Expression:
     """Immutable scalar expression of the chart coordinates.
 
@@ -735,13 +726,6 @@ def coordinates_read(exprs) -> tuple[int, ...]:
         elif isinstance(node, (Neg, Call)):
             stack.append(node.arg)
     return tuple(sorted(read))
-
-
-def eval_jet(e: Expression, point) -> JetValue:
-    """Exact value/gradient/hessian of ``e`` at a single point."""
-    pts = np.asarray(point, dtype=float).reshape(1, len(e.coords))
-    val, grad, hess = eval_jet_batch(e, pts)
-    return JetValue(float(val[0]), grad[0], hess[0])
 
 
 def eval_jet_batch(

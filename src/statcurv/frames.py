@@ -41,8 +41,8 @@ class FramePair:
 class Frame:
     """Frame rows E_0 = T, E_1..E_{n-1} spatial, in coordinate components.
 
-    ``pairing``/``fixed_indices`` describe the adapted structure when built
-    by ``adapted_frame``; a plain completion claims neither.
+    ``pairing``/``fixed_indices`` describe the adapted structure of a row of
+    ``adapted_frames_batch``; a plain completion claims neither.
     ``nabla_sq_eigenvalues`` is the full spectrum of the squared map,
     ascending (the T direction contributes the exact zero).
     """
@@ -56,10 +56,6 @@ class Frame:
     @property
     def f_values(self) -> tuple[float, ...]:
         return tuple(p.f for p in self.pairing)
-
-    @property
-    def is_adapted(self) -> bool:
-        return self.rotation_residual is not None
 
 
 @dataclass(frozen=True)
@@ -335,11 +331,6 @@ def _adapt(e: np.ndarray, a: np.ndarray, tol: Tolerances):
     # the T direction contributes an exact zero, placed as a stable sort places it
     eigs = np.sort(np.concatenate([vals, np.zeros((batch, 1))], axis=1), axis=1, kind="stable")
     return rows, f, count, eigs
-
-
-def adapted_frame(s: StationaryStructure, point, tol: Tolerances = DEFAULT) -> FrameRow:
-    """Adapted frame at one point (T must be unit timelike Killing)."""
-    return adapted_frames_batch(s, structure_data(s, point, tol), tol)[0]
 
 
 def adapted_frames_batch(

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ChartDomainError, EvalDomainError, NearSingularError, SpecFormatError, SignatureError
 from .expr import Expression, _eval_jet, _parse_interned
-from .linalg import determinant, eigvalsh, invert
+from .linalg import eigvalsh, invert
 from .tolerances import DEFAULT, Tolerances
 
 SIGNATURES = ("riemannian", "lorentzian")
@@ -100,26 +100,6 @@ class MetricSpec:
                 lines.append(f'T_{i} = "{e.unparse()}"')
             lines.append(f"unit = {'true' if self.killing.unit else 'false'}")
         return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
-class MetricAtPoint:
-    """g and its jets at one point; dg[k,i,j] = d_k g_ij, d2g[k,l,i,j] = d_k d_l g_ij."""
-
-    point: np.ndarray
-    g: np.ndarray
-    g_inv: np.ndarray
-    dg: np.ndarray
-    d2g: np.ndarray
-
-
-@dataclass(frozen=True)
-class RiemannTensor:
-    """Lowered curvature 4-tensor; comps[a,b,c,d] = Rm(E_a,E_b,E_c,E_d)."""
-
-    point: np.ndarray
-    frame: str  # "coordinate" | "orthonormal"
-    comps: np.ndarray
 
 
 # --- spec file parsing -------------------------------------------------------
@@ -339,12 +319,6 @@ def metric_batch(spec: MetricSpec, pts, tol: Tolerances = DEFAULT, cache: dict |
     return g, g_inv, dg, d2g
 
 
-def metric_at(spec: MetricSpec, point, tol: Tolerances = DEFAULT) -> MetricAtPoint:
-    point = np.asarray(point, dtype=float)
-    g, g_inv, dg, d2g = metric_batch(spec, point[None, :], tol)
-    return MetricAtPoint(point, g[0], g_inv[0], dg[0], d2g[0])
-
-
 def _first_kind(dg: np.ndarray) -> np.ndarray:
     """First-kind symbols Gamma_{m,ij} as [b,m,i,j], from dg[b,k,i,j] = d_k g_ij."""
     return 0.5 * (dg.transpose(0, 3, 1, 2) + dg.transpose(0, 2, 3, 1) - dg)
@@ -354,11 +328,6 @@ def christoffel_batch(g_inv: np.ndarray, dg: np.ndarray) -> np.ndarray:
     """Levi-Civita symbols Gamma[b,k,i,j] = g^{km} Gamma_{m,ij}, one batched matmul."""
     b, n = dg.shape[:2]
     return (g_inv @ _first_kind(dg).reshape(b, n, n * n)).reshape(b, n, n, n)
-
-
-def christoffel(m: MetricAtPoint) -> np.ndarray:
-    """Gamma^k_ij at one point, symmetric in (i, j)."""
-    return christoffel_batch(m.g_inv[None], m.dg[None])[0]
 
 
 def riemann_batch(gamma: np.ndarray, dg: np.ndarray, d2g: np.ndarray) -> np.ndarray:
@@ -381,14 +350,6 @@ def riemann_batch(gamma: np.ndarray, dg: np.ndarray, d2g: np.ndarray) -> np.ndar
     return s.transpose(0, 1, 3, 2, 4) - s.transpose(0, 3, 1, 2, 4)
 
 
-def riemann_coordinate(spec: MetricSpec, point, tol: Tolerances = DEFAULT) -> RiemannTensor:
-    """Curvature 4-tensor in coordinates under the sign convention above."""
-    point = np.asarray(point, dtype=float)
-    _, g_inv, dg, d2g = metric_batch(spec, point[None, :], tol)
-    comps = riemann_batch(christoffel_batch(g_inv, dg), dg, d2g)[0]
-    return RiemannTensor(point, "coordinate", comps)
-
-
 def frame_components_batch(comps: np.ndarray, frames: np.ndarray) -> np.ndarray:
     """Contract coordinate components (B,n,n,n,n) against frames (B,n,n) (rows = vectors).
 
@@ -401,14 +362,3 @@ def frame_components_batch(comps: np.ndarray, frames: np.ndarray) -> np.ndarray:
     t = frames[:, None] @ t.reshape(b, n * n, n, n)  # [b, ij, d, e]
     t = frames[:, None] @ t.reshape(b, n, n, n * n)  # [b, i, c, de]
     return (frames @ t.reshape(b, n, n**3)).reshape(b, n, n, n, n)  # [b, a, cde]
-
-
-def frame_components(tensor: RiemannTensor, frame_vectors) -> RiemannTensor:
-    """Push a coordinate tensor to frame components; frame rows are the vectors."""
-    e = np.asarray(frame_vectors, dtype=float)
-    # |det E| over the product of the row lengths: 1 for orthogonal rows, 0
-    # for dependent ones (Hadamard), and unchanged by scaling the frame
-    if abs(float(determinant(e))) <= DEFAULT.near_singular * float(np.prod(np.linalg.norm(e, axis=1))):
-        raise NearSingularError("rank-deficient frame")
-    comps = frame_components_batch(tensor.comps[None], e[None])[0]
-    return RiemannTensor(tensor.point, "orthonormal", comps)

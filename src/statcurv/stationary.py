@@ -247,53 +247,7 @@ def killing_defect_batch(s: StationaryStructure, pts, tol: Tolerances = DEFAULT)
     return np.abs(lie).max(axis=(1, 2))
 
 
-def killing_defect(s: StationaryStructure, point, tol: Tolerances = DEFAULT) -> float:
-    return float(killing_defect_batch(s, np.asarray(point, dtype=float)[None, :], tol)[0])
-
-
-def riemannian_counterpart(s: StationaryStructure, point, tol: Tolerances = DEFAULT) -> np.ndarray:
-    """Flipped metric evaluated at one point (positive-definite)."""
-    return structure_data(s, point, tol).g[0]
-
-
-def nabla_t_matrix(s: StationaryStructure, frame, tol: Tolerances = DEFAULT) -> np.ndarray:
-    """A with A[j, i] = component of nab^L_{E_i} T along E_j (columns are images)."""
-    data = structure_data(s, frame.point, tol)
-    return _nabla_t_frames(data.cov_t_l, np.asarray(frame.vectors, dtype=float)[None])[0]
-
-
 # --- identity verification ---------------------------------------------------
-
-@dataclass(frozen=True)
-class ConnectionReport:
-    """Max residual of each of the four connection identities."""
-
-    t_t: float
-    x_t: float
-    x_x: float
-    t_x: float
-
-    def max(self) -> float:
-        return max(self.t_t, self.x_t, self.x_x, self.t_x)
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.t_t, self.x_t, self.x_x, self.t_x)
-
-
-@dataclass(frozen=True)
-class CurvatureReport:
-    """Max residual of the three curvature identity classes."""
-
-    mixed: float
-    timelike: float
-    spatial: float
-
-    def max(self) -> float:
-        return max(self.mixed, self.timelike, self.spatial)
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.mixed, self.timelike, self.spatial)
-
 
 def connection_residual_batch(data: StructureData, frames: np.ndarray) -> np.ndarray:
     """Residuals (B, 4) of the connection identities for per-point frames."""
@@ -340,19 +294,3 @@ def curvature_residual_batch(data: StructureData, frames: np.ndarray) -> np.ndar
         ],
         axis=1,
     )
-
-
-def verify_connection_relations(
-    s: StationaryStructure, frame, tol: Tolerances = DEFAULT
-) -> ConnectionReport:
-    data = structure_data(s, frame.point, tol)
-    res = connection_residual_batch(data, np.asarray(frame.vectors, dtype=float)[None])
-    return ConnectionReport(*(float(v) for v in res[0]))
-
-
-def verify_curvature_relations(
-    s: StationaryStructure, frame, tol: Tolerances = DEFAULT
-) -> CurvatureReport:
-    data = structure_data(s, frame.point, tol)
-    res = curvature_residual_batch(data, np.asarray(frame.vectors, dtype=float)[None])
-    return CurvatureReport(*(float(v) for v in res[0]))

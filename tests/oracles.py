@@ -9,7 +9,7 @@ import numpy as np
 
 from statcurv.expr import Expression, eval_jet_batch
 from statcurv.linalg import invert
-from statcurv.metric import MetricSpec, RiemannTensor, christoffel_batch
+from statcurv.metric import MetricSpec, christoffel_batch
 
 
 def _central_differences(value, point: np.ndarray, step: float):
@@ -90,8 +90,8 @@ def fd_christoffel_oracle(spec: MetricSpec, point, step: float = 1e-4) -> np.nda
     return christoffel_batch(invert(g), dg)[0]
 
 
-def constant_curvature_oracle(n: int, kappa: float, frame=None) -> RiemannTensor:
-    """Reference tensor of constant sectional curvature kappa in an orthonormal frame.
+def constant_curvature_oracle(n: int, kappa: float) -> np.ndarray:
+    """Components (n, n, n, n) of constant sectional curvature kappa in an orthonormal frame.
 
     With the sign convention used throughout (endomorphism R(X,Y)Z =
     nab_X nab_Y Z - nab_Y nab_X Z - nab_[X,Y] Z) this is
@@ -99,11 +99,9 @@ def constant_curvature_oracle(n: int, kappa: float, frame=None) -> RiemannTensor
     curvature operator comes out as +kappa * identity.
     """
     delta = np.eye(n)
-    comps = kappa * (
+    return kappa * (
         np.einsum("ad,bc->abcd", delta, delta) - np.einsum("ac,bd->abcd", delta, delta)
     )
-    point = np.zeros(n) if frame is None else np.asarray(getattr(frame, "point", frame), dtype=float)
-    return RiemannTensor(point, "orthonormal", comps)
 
 
 def riemann_residuals(comps: np.ndarray) -> dict[str, float]:

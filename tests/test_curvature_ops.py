@@ -6,23 +6,13 @@ import pytest
 from statcurv import topology
 from statcurv.curvature_ops import (
     Lambda2Basis,
+    _gather,
     _operators,
-    compute_point_operators,
     lambda2_gram,
-    lorentzian_curvature_operator,
     operators_at,
     operators_from_data,
-    riemannian_curvature_operator,
-    symmetrized_matrix,
 )
-from statcurv.errors import FrameError
-from statcurv.frames import (
-    FramePair,
-    OrthonormalFrame,
-    adapted_frame,
-    adapted_frames_batch,
-    orthonormal_completion,
-)
+from statcurv.frames import adapted_frames_batch, orthonormal_completions
 from statcurv.generators import GeneratorRecipe, battery_recipe, generate
 from statcurv.linalg import jacobi_eigh
 from statcurv.metric import frame_components_batch, load_spec
@@ -30,12 +20,26 @@ from statcurv.stationary import (
     StationaryStructure,
     connection_residual_batch,
     curvature_residual_batch,
+    flipped_curvature,
     structure_data,
 )
 from statcurv.tolerances import DEFAULT
 
 from conftest import sample_interior
 from structures import s3_times_torus, two_pair_flat_rotations
+
+
+# A single point is a (1, n) batch followed by [0].
+
+def ops_at(s, point):
+    """Adapted frame and the three operators at one point."""
+    return operators_at(s, [point])[0]
+
+
+def riemannian_in(s, data, vectors):
+    """Riemannian operator matrices (B, N, N) in the frames ``vectors`` (B, n, n), any frames."""
+    basis = Lambda2Basis.standard(s.dimension)
+    return _operators(frame_components_batch(data.rm_g, vectors), data.g, vectors, basis)
 
 
 class TestBasis:
@@ -83,14 +87,12 @@ class TestLambda2Gram:
 
 class TestRiemannianOperator:
     def test_s3_identity(self, s3):
-        frame = adapted_frame(s3, [0.7, 1.0, 2.0])
-        op = riemannian_curvature_operator(s3, frame)
+        op = ops_at(s3, [0.7, 1.0, 2.0]).riemannian
         assert op.flavor == "riemannian"
         assert np.abs(op.entries - np.eye(3)).max() < 1e-9
 
     def test_flat_torus_zero(self, flat_torus):
-        frame = adapted_frame(flat_torus, [1.0, 2.0, 3.0])
-        op = riemannian_curvature_operator(flat_torus, frame)
+        op = ops_at(flat_torus, [1.0, 2.0, 3.0]).riemannian
         assert np.abs(op.entries).max() < 1e-15
 
     def test_round_s4_identity(self):
@@ -114,35 +116,31 @@ class TestRiemannianOperator:
         structure = StationaryStructure(
             flip_spec(riem, riem.killing.components), riem.killing.components, False
         )
-        for point in ([0.7, 1.0, 1.2, 2.0], [1.1, 3.0, 2.0, 1.0]):
-            frame = orthonormal_completion(structure, point, require_unit=False)
-            op = riemannian_curvature_operator(structure, frame)
-            assert np.abs(op.entries - np.eye(6)).max() < 1e-9
+        data = structure_data(structure, [[0.7, 1.0, 1.2, 2.0], [1.1, 3.0, 2.0, 1.0]])
+        frames = orthonormal_completions(data, DEFAULT, require_unit=False)
+        assert np.abs(riemannian_in(structure, data, frames) - np.eye(6)).max() < 1e-9
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_symmetry(self, seed):
         structure = generate(battery_recipe(seed))
         point = sample_interior(structure.spec, 1, seed + 100)[0]
-        op = riemannian_curvature_operator(structure, adapted_frame(structure, point))
-        assert op.asymmetry() < 1e-8
+        assert ops_at(structure, point).riemannian.asymmetry() < 1e-8
 
 
 class TestLorentzianOperator:
     def test_s3_diagonal(self, s3):
-        frame = adapted_frame(s3, [0.9, 1.0, 2.0])
-        op = lorentzian_curvature_operator(s3, frame)
+        op = ops_at(s3, [0.9, 1.0, 2.0]).lorentzian
         assert op.flavor == "lorentzian"
         assert np.abs(op.entries - np.diag([-1.0, -1.0, 7.0])).max() < 1e-9
 
     def test_flat_torus_zero(self, flat_torus):
-        frame = adapted_frame(flat_torus, [1.0, 2.0, 3.0])
-        assert np.abs(lorentzian_curvature_operator(flat_torus, frame).entries).max() < 1e-15
+        assert np.abs(ops_at(flat_torus, [1.0, 2.0, 3.0]).lorentzian.entries).max() < 1e-15
 
     def test_asymmetry_recorded(self):
         # generally non-symmetric; on this example the defect is visibly
         # nonzero, but only the value is recorded, no bound is asserted
         structure = two_pair_flat_rotations()
-        ops = compute_point_operators(structure, [1.0, 0.5, 0.7, 0.9, 0.4])
+        ops = ops_at(structure, [1.0, 0.5, 0.7, 0.9, 0.4])
         witness = ops.lorentzian.asymmetry()
         assert np.isfinite(witness)
         assert ops.riemannian.asymmetry() < 1e-9 < witness
@@ -157,16 +155,19 @@ def _random_curvature_like(n, seed):
     return 0.5 * (raw + raw.transpose(2, 3, 0, 1))
 
 
-def _synthetic_adapted_frame(n, pairing, fixed):
-    return OrthonormalFrame(
-        point=np.zeros(n),
-        vectors=np.eye(n),
-        pairing=pairing,
-        fixed_indices=fixed,
-        timelike_norm=-1.0,
-        rotation_residual=0.0,
-        nabla_sq_eigenvalues=tuple([-(p.f**2) for p in pairing for _ in "xx"] + [0.0]),
-    )
+def symmetrized(rm, blocks):
+    """Symmetrized matrix of frame components ``rm`` (n,n,n,n), rotation blocks ((i, j, f), ...).
+
+    omega is written out by hand, so any pair of frame indices can carry a
+    block and any index can be fixed, which the standard pairing of
+    ``frames.rotation_blocks`` cannot express.
+    """
+    n = rm.shape[0]
+    omega = np.zeros((1, n, n))
+    for i, j, f in blocks:
+        omega[0, i, j], omega[0, j, i] = f, -f
+    entries = _gather(flipped_curvature(rm[None], omega, -1.0), Lambda2Basis.standard(n))[0]
+    return 0.5 * (entries + entries.T)
 
 
 class TestSymmetrizedTemplates:
@@ -175,8 +176,7 @@ class TestSymmetrizedTemplates:
         # -6f^2 on the spatial one, signs +/+/- by block
         rm = _random_curvature_like(3, seed=1)
         f = -1.3
-        frame = _synthetic_adapted_frame(3, (FramePair(1, 2, f),), ())
-        got = symmetrized_matrix(rm, frame).entries
+        got = symmetrized(rm, [(1, 2, f)])
         r = rm
         expected = np.array(
             [
@@ -192,8 +192,7 @@ class TestSymmetrizedTemplates:
         # (T,2), (T,3) and (2,3) diagonal entries and nowhere else
         rm = _random_curvature_like(4, seed=2)
         f = -0.8
-        frame = _synthetic_adapted_frame(4, (FramePair(2, 3, f),), (1,))
-        got = symmetrized_matrix(rm, frame).entries
+        got = symmetrized(rm, [(2, 3, f)])
         pairs = Lambda2Basis.standard(4).pairs
         expected = np.empty((6, 6))
         for a, pa in enumerate(pairs):
@@ -208,8 +207,7 @@ class TestSymmetrizedTemplates:
     def test_corrections_touch_only_documented_entries(self):
         rm = np.zeros((4, 4, 4, 4))
         f = -0.5
-        frame = _synthetic_adapted_frame(4, (FramePair(2, 3, f),), (1,))
-        got = symmetrized_matrix(rm, frame).entries
+        got = symmetrized(rm, [(2, 3, f)])
         expected = np.zeros((6, 6))
         expected[1, 1] = expected[2, 2] = 2 * f**2
         expected[3, 3] = -6 * f**2
@@ -220,8 +218,7 @@ class TestSymmetrizedTemplates:
         # off-diagonal corrections between the two pair bivectors
         rm = np.zeros((5, 5, 5, 5))
         fa, fb = -1.1, -0.4
-        frame = _synthetic_adapted_frame(5, (FramePair(1, 2, fa), FramePair(3, 4, fb)), ())
-        got = symmetrized_matrix(rm, frame).entries
+        got = symmetrized(rm, [(1, 2, fa), (3, 4, fb)])
         basis = Lambda2Basis.standard(5)
         i12 = basis.pairs.index((1, 2))
         i34 = basis.pairs.index((3, 4))
@@ -275,28 +272,10 @@ class TestSymmetrizedTemplates:
             expected = 0.5 * (entries + entries.T)
             assert np.array_equal(ops[b].symmetrized.entries, expected)
 
-    def test_requires_adapted_frame(self, s3):
-        completion = orthonormal_completion(s3, [0.5, 1.0, 2.0])
-        with pytest.raises(FrameError, match="adapted"):
-            symmetrized_matrix(np.zeros((3, 3, 3, 3)), completion)
-
-    def test_rejects_large_residual(self):
-        frame = OrthonormalFrame(
-            point=np.zeros(3),
-            vectors=np.eye(3),
-            pairing=(FramePair(1, 2, -1.0),),
-            fixed_indices=(),
-            timelike_norm=-1.0,
-            rotation_residual=1e-3,
-            nabla_sq_eigenvalues=(-1.0, -1.0, 0.0),
-        )
-        with pytest.raises(FrameError, match="residual"):
-            symmetrized_matrix(np.zeros((3, 3, 3, 3)), frame)
-
 
 class TestCentralIdentity:
     def test_s3(self, s3):
-        ops = compute_point_operators(s3, [0.8, 1.0, 2.0])
+        ops = ops_at(s3, [0.8, 1.0, 2.0])
         assert np.abs(ops.symmetrized.entries - np.eye(3)).max() < 1e-9
         assert ops.central_residual < 1e-9
 
@@ -311,7 +290,7 @@ class TestCentralIdentity:
             '[killing]\nT_0 = "1"\nT_1 = "0"\nT_2 = "0"\nunit = true\n'
         )
         structure = StationaryStructure.from_spec(load_spec(text))
-        ops = compute_point_operators(structure, [1.0, 2.0, 3.0])
+        ops = ops_at(structure, [1.0, 2.0, 3.0])
         assert ops.frame.pairing == ()
         assert np.abs(ops.symmetrized.entries - ops.lorentzian.entries).max() < 1e-12
         assert ops.central_residual < 1e-12
@@ -320,7 +299,7 @@ class TestCentralIdentity:
 
     def test_s3_times_torus(self):
         structure = s3_times_torus()
-        ops = compute_point_operators(structure, [0.6, 1.0, 2.0, 3.0, 4.0])
+        ops = ops_at(structure, [0.6, 1.0, 2.0, 3.0, 4.0])
         assert ops.central_residual < 1e-8
         vals, _ = jacobi_eigh(ops.riemannian.entries)
         assert np.abs(vals - np.array([0.0] * 7 + [1.0] * 3)).max() < 1e-9
@@ -328,7 +307,7 @@ class TestCentralIdentity:
     def test_two_pair_structure(self):
         structure = two_pair_flat_rotations()
         for point in sample_interior(structure.spec, 4, seed=11):
-            ops = compute_point_operators(structure, point)
+            ops = ops_at(structure, point)
             assert len(ops.frame.pairing) == 2
             assert ops.central_residual < 1e-7
 
@@ -336,7 +315,7 @@ class TestCentralIdentity:
     def test_random_structures(self, seed):
         structure = generate(battery_recipe(seed))
         for point in sample_interior(structure.spec, 4, seed + 200):
-            ops = compute_point_operators(structure, point)
+            ops = ops_at(structure, point)
             assert ops.central_residual < 1e-7
 
     @pytest.mark.parametrize("n", [6, 7, 8])
@@ -358,7 +337,7 @@ class TestCentralIdentity:
 
     def test_s3_flavor_difference_is_documented_correction(self, s3):
         # symmetrized minus lorentzian at f = -1: diag(+2, +2, -6)
-        ops = compute_point_operators(s3, [0.7, 1.0, 2.0])
+        ops = ops_at(s3, [0.7, 1.0, 2.0])
         diff = ops.symmetrized.entries - ops.lorentzian.entries
         assert np.abs(diff - np.diag([2.0, 2.0, -6.0])).max() < 1e-9
 
@@ -367,14 +346,13 @@ class TestBasisEquivariance:
     def test_spatial_permutation_conjugates(self):
         structure = two_pair_flat_rotations()
         point = [1.0, 0.5, 0.7, 0.9, 0.4]
-        frame = adapted_frame(structure, point)
         base = Lambda2Basis.standard(5)
         mixed = [p for p in base.pairs if 0 in p]
         spatial = [p for p in base.pairs if 0 not in p]
         permuted = Lambda2Basis(5, tuple(mixed + spatial[::-1]))
-        data = structure_data(structure, point)
-        frames = frame.vectors[None]
-        op1 = riemannian_curvature_operator(structure, frame).entries
+        data = structure_data(structure, [point])
+        frames = adapted_frames_batch(structure, data).vectors
+        op1 = riemannian_in(structure, data, frames)[0]
         op2 = _operators(frame_components_batch(data.rm_g, frames), data.g, frames, permuted)[0]
         perm = [base.pairs.index(p) for p in permuted.pairs]
         assert np.abs(op2 - op1[np.ix_(perm, perm)]).max() < 1e-12

@@ -24,7 +24,6 @@ from statcurv.expr import (
     Sub,
     Var,
     coordinates_read,
-    eval_jet,
     eval_jet_batch,
     parse_expression,
 )
@@ -35,6 +34,12 @@ from oracles import fd_gradient_hessian
 from structures import s3_times_torus, two_pair_flat_rotations
 
 COORDS = ("t", "theta1", "theta2")
+
+
+def jet_at(e, point):
+    """(value, gradient, hessian) of ``e`` at one point: row 0 of a (1, n) batch."""
+    val, grad, hess = eval_jet_batch(e, [point])
+    return float(val[0]), grad[0], hess[0]
 
 
 class TestParsing:
@@ -67,24 +72,24 @@ class TestParsing:
     def test_precedence(self):
         # power binds tighter than unary minus; * tighter than +
         e = parse_expression("-t^2", ("t",))
-        assert eval_jet(e, [3.0]).value == -9.0
+        assert jet_at(e, [3.0])[0] == -9.0
         e2 = parse_expression("1+2*t", ("t",))
-        assert eval_jet(e2, [5.0]).value == 11.0
+        assert jet_at(e2, [5.0])[0] == 11.0
         e3 = parse_expression("(1+2)*t", ("t",))
-        assert eval_jet(e3, [5.0]).value == 15.0
+        assert jet_at(e3, [5.0])[0] == 15.0
 
     def test_left_associativity(self):
         e = parse_expression("8/4/2", ("t",))
-        assert eval_jet(e, [1.0]).value == 1.0
+        assert jet_at(e, [1.0])[0] == 1.0
         e2 = parse_expression("t^2^3", ("t",))
-        assert eval_jet(e2, [2.0]).value == 64.0  # (t^2)^3
+        assert jet_at(e2, [2.0])[0] == 64.0  # (t^2)^3
 
     def test_integer_exponents_only(self):
         with pytest.raises(ExprSyntaxError):
             parse_expression("t^2.5", ("t",))
         with pytest.raises(ExprSyntaxError):
             parse_expression("t^t", ("t",))
-        assert eval_jet(parse_expression("t^-2", ("t",)), [2.0]).value == 0.25
+        assert jet_at(parse_expression("t^-2", ("t",)), [2.0])[0] == 0.25
 
     @pytest.mark.parametrize(
         "text, char, offset",
@@ -125,30 +130,30 @@ class TestParsing:
 
 class TestJets:
     def test_square(self):
-        jv = eval_jet(parse_expression("t^2", ("t",)), [3.0])
-        assert jv.value == 9.0
-        assert jv.gradient.tolist() == [6.0]
-        assert jv.hessian.tolist() == [[2.0]]
+        value, grad, hess = jet_at(parse_expression("t^2", ("t",)), [3.0])
+        assert value == 9.0
+        assert grad.tolist() == [6.0]
+        assert hess.tolist() == [[2.0]]
 
     def test_sine_at_zero(self):
-        jv = eval_jet(parse_expression("sin(t)", ("t",)), [0.0])
-        assert jv.value == 0.0
-        assert jv.gradient.tolist() == [1.0]
-        assert jv.hessian.tolist() == [[0.0]]
+        value, grad, hess = jet_at(parse_expression("sin(t)", ("t",)), [0.0])
+        assert value == 0.0
+        assert grad.tolist() == [1.0]
+        assert hess.tolist() == [[0.0]]
 
     def test_s3_component_at_pi_over_6(self):
         # hand values: sin^2(1-2 sin^2) at pi/6 is 1/4 * 1/2; first derivative
         # sin t cos t (2 - 8 sin^2 t) vanishes there; second derivative
         # 2 cos 2t - 24 sin^2 t cos^2 t + 8 sin^4 t = -3
         e = parse_expression("sin(t)^2*(1-2*sin(t)^2)", ("t",))
-        jv = eval_jet(e, [math.pi / 6])
-        assert jv.value == pytest.approx(0.125, abs=1e-15)
-        assert jv.gradient[0] == pytest.approx(0.0, abs=1e-15)
-        assert jv.hessian[0, 0] == pytest.approx(-3.0, abs=1e-13)
+        value, grad, hess = jet_at(e, [math.pi / 6])
+        assert value == pytest.approx(0.125, abs=1e-15)
+        assert grad[0] == pytest.approx(0.0, abs=1e-15)
+        assert hess[0, 0] == pytest.approx(-3.0, abs=1e-13)
         # and the finite-difference oracle agrees
-        _, grad, hess = fd_gradient_hessian(e, [math.pi / 6])
-        assert abs(grad[0] - jv.gradient[0]) < 1e-6
-        assert abs(hess[0, 0] - jv.hessian[0, 0]) < 1e-6
+        _, fd_grad, fd_hess = fd_gradient_hessian(e, [math.pi / 6])
+        assert abs(fd_grad[0] - grad[0]) < 1e-6
+        assert abs(fd_hess[0, 0] - hess[0, 0]) < 1e-6
 
     @given(st.floats(min_value=0.2, max_value=1.2))
     def test_every_function_against_finite_differences(self, x):
@@ -156,19 +161,19 @@ class TestJets:
         # the sampled interval, so the oracle is clean at 1e-6 relative
         for func in ("sin", "cos", "tan", "cot", "exp", "log", "sqrt"):
             e = parse_expression(f"{func}(t)", ("t",))
-            jv = eval_jet(e, [x])
-            value, grad, hess = fd_gradient_hessian(e, [x])
-            assert abs(value - jv.value) < 1e-12
-            assert abs(grad[0] - jv.gradient[0]) <= 1e-6 * max(1.0, abs(jv.gradient[0]))
-            assert abs(hess[0, 0] - jv.hessian[0, 0]) <= 1e-6 * max(1.0, abs(jv.hessian[0, 0]))
+            value, grad, hess = jet_at(e, [x])
+            fd_value, fd_grad, fd_hess = fd_gradient_hessian(e, [x])
+            assert abs(fd_value - value) < 1e-12
+            assert abs(fd_grad[0] - grad[0]) <= 1e-6 * max(1.0, abs(grad[0]))
+            assert abs(fd_hess[0, 0] - hess[0, 0]) <= 1e-6 * max(1.0, abs(hess[0, 0]))
 
     @given(st.integers(min_value=-3, max_value=4), st.floats(min_value=0.3, max_value=1.8))
     def test_integer_powers_against_finite_differences(self, k, x):
         e = parse_expression(f"t^{k}" if k >= 0 else f"t^({k})", ("t",))
-        jv = eval_jet(e, [x])
-        _, grad, hess = fd_gradient_hessian(e, [x])
-        assert abs(grad[0] - jv.gradient[0]) <= 1e-6 * max(1.0, abs(jv.gradient[0]))
-        assert abs(hess[0, 0] - jv.hessian[0, 0]) <= 1e-6 * max(1.0, abs(jv.hessian[0, 0]))
+        _, grad, hess = jet_at(e, [x])
+        _, fd_grad, fd_hess = fd_gradient_hessian(e, [x])
+        assert abs(fd_grad[0] - grad[0]) <= 1e-6 * max(1.0, abs(grad[0]))
+        assert abs(fd_hess[0, 0] - hess[0, 0]) <= 1e-6 * max(1.0, abs(hess[0, 0]))
 
     def test_hessian_exactly_symmetric(self):
         e = parse_expression("sin(t*theta1)*exp(theta2)/(1+t^2)", COORDS)
@@ -180,10 +185,10 @@ class TestJets:
         pts = np.array([[0.1, 2.0, 4.0], [1.4, -1.0, 0.25]])
         vals, grads, hesses = eval_jet_batch(e, pts)
         for b in range(2):
-            jv = eval_jet(e, pts[b])
-            assert vals[b] == jv.value
-            assert np.array_equal(grads[b], jv.gradient)
-            assert np.array_equal(hesses[b], jv.hessian)
+            value, grad, hess = jet_at(e, pts[b])
+            assert vals[b] == value
+            assert np.array_equal(grads[b], grad)
+            assert np.array_equal(hesses[b], hess)
 
 
 class TestDomainErrors:
@@ -200,7 +205,7 @@ class TestDomainErrors:
     )
     def test_domain_error(self, text, point):
         with pytest.raises(EvalDomainError) as err:
-            eval_jet(parse_expression(text, ("t",)), point)
+            jet_at(parse_expression(text, ("t",)), point)
         assert err.value.subexpression
 
     def test_oracle_refuses_what_jets_refuse(self):
@@ -212,7 +217,7 @@ class TestDomainErrors:
     def test_error_names_the_subexpression(self):
         e = parse_expression("1+log(t-5)", ("t",))
         with pytest.raises(EvalDomainError) as err:
-            eval_jet(e, [1.0])
+            jet_at(e, [1.0])
         assert "log(t-5)" in str(err.value)
 
 
@@ -270,14 +275,14 @@ def _steep_example():
 @example(_steep_example(), 0.0, 0.0)
 def test_jets_match_finite_differences(expr, x, y):
     point = [x, y]
-    jv = eval_jet(expr, point)
-    if not np.isfinite(jv.value) or abs(jv.value) > 1e6:
+    value, grad, hess = jet_at(expr, point)
+    if not np.isfinite(value) or abs(value) > 1e6:
         return  # oracle unusable on wild magnitudes
-    _, grad, hess = fd_gradient_hessian(expr, point)
-    scale_g = np.maximum(np.abs(jv.gradient), 1.0)
-    scale_h = np.maximum(np.abs(jv.hessian), 1.0)
-    assert (np.abs(grad - jv.gradient) / scale_g).max() < 1e-6
-    assert (np.abs(hess - jv.hessian) / scale_h).max() < 2e-5  # second differences are noisier
+    _, fd_grad, fd_hess = fd_gradient_hessian(expr, point)
+    scale_g = np.maximum(np.abs(grad), 1.0)
+    scale_h = np.maximum(np.abs(hess), 1.0)
+    assert (np.abs(fd_grad - grad) / scale_g).max() < 1e-6
+    assert (np.abs(fd_hess - hess) / scale_h).max() < 2e-5  # second differences are noisier
 
 
 @given(expressions())
@@ -304,7 +309,7 @@ class TestComposition:
     def test_arithmetic(self):
         t = Expression.coordinate(0, ("t",))
         combo = (t * t + 1.0) / (2.0 - -t)
-        assert eval_jet(combo, [3.0]).value == pytest.approx(2.0)
+        assert jet_at(combo, [3.0])[0] == pytest.approx(2.0)
 
     def test_mismatched_charts_rejected(self):
         a = Expression.coordinate(0, ("t",))

@@ -11,7 +11,6 @@ from statcurv.frames import (
     FramePair,
     _cluster_starts,
     _pair_clusters,
-    adapted_frame,
     adapted_frames_batch,
     orthonormal_completion,
 )
@@ -34,6 +33,11 @@ from structures import s3_times_torus, two_pair_flat_rotations
 def frame_gram(structure, frame):
     data = structure_data(structure, frame.point)
     return frame.vectors @ data.gl[0] @ frame.vectors.T
+
+
+def adapted_at(s, point):
+    """The adapted frame at one point: row 0 of a (1, n) batch."""
+    return adapted_frames_batch(s, structure_data(s, [point]))[0]
 
 
 class TestCompletion:
@@ -75,12 +79,12 @@ class TestCompletion:
         frame = orthonormal_completion(s3, [0.5, 1.0, 2.0])
         assert frame.pairing == ()
         assert frame.fixed_indices == ()
-        assert not frame.is_adapted
+        assert frame.rotation_residual is None
 
 
 class TestAdaptedFrame:
     def test_s3_single_pair(self, s3):
-        frame = adapted_frame(s3, [0.7, 1.0, 2.0])
+        frame = adapted_at(s3, [0.7, 1.0, 2.0])
         assert len(frame.pairing) == 1
         pair = frame.pairing[0]
         assert (pair.i, pair.j) == (1, 2)
@@ -90,15 +94,15 @@ class TestAdaptedFrame:
         assert frame.rotation_residual < 1e-12
 
     def test_flat_torus_parallel_fallback(self, flat_torus):
-        frame = adapted_frame(flat_torus, [1.0, 2.0, 3.0])
+        frame = adapted_at(flat_torus, [1.0, 2.0, 3.0])
         assert frame.pairing == ()
         assert frame.fixed_indices == (1, 2)
-        assert frame.is_adapted
+        assert frame.rotation_residual == 0.0
         assert frame.nabla_sq_eigenvalues == (0.0, 0.0, 0.0)
 
     def test_s3_times_torus_block_structure(self):
         structure = s3_times_torus()
-        frame = adapted_frame(structure, [0.6, 1.0, 2.0, 3.0, 4.0])
+        frame = adapted_at(structure, [0.6, 1.0, 2.0, 3.0, 4.0])
         assert len(frame.pairing) == 1
         assert frame.pairing[0].f == pytest.approx(-1.0, abs=1e-10)
         assert frame.fixed_indices == (3, 4)
@@ -107,7 +111,7 @@ class TestAdaptedFrame:
 
     def test_two_pair_example(self):
         structure = two_pair_flat_rotations()
-        frame = adapted_frame(structure, [1.0, 0.5, 0.7, 0.9, 0.4])
+        frame = adapted_at(structure, [1.0, 0.5, 0.7, 0.9, 0.4])
         assert len(frame.pairing) == 2
         assert frame.fixed_indices == ()
         # pairs ordered by |f| descending at indices (1,2), (3,4)
@@ -119,7 +123,7 @@ class TestAdaptedFrame:
         for seed in range(8):
             structure = generate(battery_recipe(seed))
             point = sample_interior(structure.spec, 1, seed)[0]
-            frame = adapted_frame(structure, point)
+            frame = adapted_at(structure, point)
             assert len(frame.pairing) <= (structure.dimension - 1) // 2
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -141,8 +145,8 @@ class TestAdaptedFrame:
             assert np.abs(img_l + img_g).max() < 1e-9
 
     def test_deterministic(self, s3):
-        a = adapted_frame(s3, [0.8, 1.0, 2.0])
-        b = adapted_frame(s3, [0.8, 1.0, 2.0])
+        a = adapted_at(s3, [0.8, 1.0, 2.0])
+        b = adapted_at(s3, [0.8, 1.0, 2.0])
         assert np.array_equal(a.vectors, b.vectors)
         assert a.pairing == b.pairing
 
@@ -158,7 +162,7 @@ class TestAdaptedFrame:
 
         monkeypatch.setattr(frames_mod, "_cluster_starts", bad_split)
         with pytest.raises(EigenstructureError, match="odd-dimensional"):
-            adapted_frame(s3, [0.7, 1.0, 2.0])
+            adapted_at(s3, [0.7, 1.0, 2.0])
 
     def test_non_killing_field_rejected(self):
         # T = d_t + x d_y on the flat torus is not Killing; after conformal
@@ -172,7 +176,7 @@ class TestAdaptedFrame:
         )
         broken = conformal_normalize(StationaryStructure.from_spec(load_spec(text)))
         with pytest.raises((EigenstructureError, FrameError)):
-            adapted_frame(broken, [1.0, 0.3, 1.0])
+            adapted_at(broken, [1.0, 0.3, 1.0])
 
 
 class TestEigenSplitting:
@@ -181,7 +185,7 @@ class TestEigenSplitting:
         # below eigen_nonpositive; the kernel cut on f^2 must be tol.pairing^2
         structure = generate(battery_recipe(120))
         point = sample_interior(structure.spec, 50, 120)[25]
-        frame = adapted_frame(structure, point)
+        frame = adapted_at(structure, point)
         assert len(frame.pairing) == 1
         assert abs(frame.pairing[0].f) == pytest.approx(2.68e-6, rel=1e-2)
         assert frame.rotation_residual <= DEFAULT.pairing

@@ -10,6 +10,9 @@ one case per command for the n = 5 spec.
 Only an intended, documented output change may rewrite the digests:
 
     PYTHONPATH=src python tests/test_golden.py
+
+The stdout of the walkthrough ``scripts/reproduce_hopf_example.py`` is
+pinned here as well, by ``WALKTHROUGH_SHA256``.
 """
 
 import hashlib
@@ -17,6 +20,7 @@ import io
 import json
 import os
 import shutil
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -110,6 +114,21 @@ def test_out_file_bytes(case, workdir, golden, monkeypatch):
     assert stdout == ""
     text = (workdir / "report.out").read_text(encoding="utf-8")
     assert digest(code, text) == golden[case]
+
+
+WALKTHROUGH = HERE.parent / "scripts" / "reproduce_hopf_example.py"
+WALKTHROUGH_SHA256 = "24a63a6bbc5389f178f6074fc3b002d50fe548bd8cfb60532d63a67374b34314"
+
+
+def test_walkthrough_script_bytes():
+    # the script puts src/ on its own path; warnings are errors, as in CI
+    run = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", str(WALKTHROUGH)],
+        capture_output=True,
+        check=True,
+    )
+    assert run.stderr == b""
+    assert hashlib.sha256(run.stdout).hexdigest() == WALKTHROUGH_SHA256
 
 
 if __name__ == "__main__":

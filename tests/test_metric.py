@@ -13,17 +13,14 @@ from statcurv.errors import ChartDomainError, NearSingularError, SignatureError,
 from statcurv import expr as ex
 from statcurv.expr import Expression, eval_jet_batch
 from statcurv.generators import GeneratorRecipe, battery_recipe, generate
+from statcurv.frames import orthonormal_completion
 from statcurv.metric import (
-    christoffel,
     christoffel_batch,
-    frame_components,
     frame_components_batch,
     load_spec,
     load_spec_file,
-    metric_at,
     metric_batch,
     riemann_batch,
-    riemann_coordinate,
 )
 from statcurv.stationary import StationaryStructure, structure_data
 
@@ -34,6 +31,29 @@ from oracles import (
     fd_metric_derivative,
     riemann_residuals,
 )
+
+
+# A single point is a (1, n) batch followed by [0].
+
+def metric_point(spec, point):
+    """(g, g_inv, dg, d2g) of ``metric_batch`` at one point."""
+    return tuple(a[0] for a in metric_batch(spec, [point]))
+
+
+def christoffel_point(spec, point):
+    _, g_inv, dg, _ = metric_batch(spec, [point])
+    return christoffel_batch(g_inv, dg)[0]
+
+
+def riemann_point(spec, point):
+    """Coordinate components of the lowered Riemann tensor at one point."""
+    _, g_inv, dg, d2g = metric_batch(spec, [point])
+    return riemann_batch(christoffel_batch(g_inv, dg), dg, d2g)[0]
+
+
+def frame_point(comps, vectors):
+    """Components (n,n,n,n) of one point's tensor in the frame whose rows are ``vectors``."""
+    return frame_components_batch(comps[None], np.asarray(vectors, dtype=float)[None])[0]
 
 
 def einsum_riemann(g, g_inv, dg, d2g):
@@ -302,24 +322,21 @@ class TestLoadSpec:
 class TestMetricAt:
     def test_s3_at_quarter_pi(self, s3):
         # direct substitution into the displayed components at t = pi/4
-        m = metric_at(s3.spec, [math.pi / 4, 1.0, 2.0])
+        g, g_inv, _, _ = metric_point(s3.spec, [math.pi / 4, 1.0, 2.0])
         expected = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -0.5], [0.0, -0.5, 0.0]])
-        assert np.abs(m.g - expected).max() < 1e-15
-        assert np.abs(m.g @ m.g_inv - np.eye(3)).max() < 1e-10
+        assert np.abs(g - expected).max() < 1e-15
+        assert np.abs(g @ g_inv - np.eye(3)).max() < 1e-10
 
     def test_flat_torus_constant(self, flat_torus):
-        m = metric_at(flat_torus.spec, [1.0, 2.0, 3.0])
-        assert np.array_equal(m.g, np.diag([-1.0, 1.0, 1.0]))
-        assert np.abs(m.dg).max() == 0.0
-        assert np.abs(m.d2g).max() == 0.0
+        g, _, dg, d2g = metric_point(flat_torus.spec, [1.0, 2.0, 3.0])
+        assert np.array_equal(g, np.diag([-1.0, 1.0, 1.0]))
+        assert np.abs(dg).max() == 0.0
+        assert np.abs(d2g).max() == 0.0
 
     def test_chart_boundary_rejected(self, s3):
-        with pytest.raises(ChartDomainError):
-            metric_at(s3.spec, [0.0, 1.0, 1.0])
-        with pytest.raises(ChartDomainError):
-            metric_at(s3.spec, [math.pi / 2, 1.0, 1.0])
-        with pytest.raises(ChartDomainError):
-            metric_at(s3.spec, [math.nan, 1.0, 1.0])
+        for t in (0.0, math.pi / 2, math.nan):
+            with pytest.raises(ChartDomainError):
+                metric_batch(s3.spec, [[t, 1.0, 1.0]])
 
     def test_signature_enforced(self):
         # flat torus metric declared riemannian must be refused
@@ -329,7 +346,7 @@ class TestMetricAt:
         )
         spec = load_spec(text)
         with pytest.raises(SignatureError):
-            metric_at(spec, [1.0, 1.0])
+            metric_batch(spec, [[1.0, 1.0]])
 
     def test_near_singular_rejected(self):
         text = (
@@ -338,7 +355,7 @@ class TestMetricAt:
         )
         spec = load_spec(text)
         with pytest.raises(NearSingularError):
-            metric_at(spec, [1.0, 1.0])
+            metric_batch(spec, [[1.0, 1.0]])
 
     def test_symmetry_of_derivatives(self, s3):
         pts = sample_interior(s3.spec, 5, seed=2)
@@ -350,7 +367,7 @@ class TestMetricAt:
 
 class TestChristoffel:
     def test_flat_torus_zero(self, flat_torus):
-        gamma = christoffel(metric_at(flat_torus.spec, [1.0, 2.0, 3.0]))
+        gamma = christoffel_point(flat_torus.spec, [1.0, 2.0, 3.0])
         assert np.abs(gamma).max() == 0.0
 
     def test_round_sphere_value(self, s3):
@@ -358,7 +375,7 @@ class TestChristoffel:
         # hand differentiation gives Gamma^t_{th1 th1} = -sin t cos t
         t = 0.8
         counterpart = StationaryStructure.from_spec(s3.spec).counterpart_spec
-        gamma = christoffel(metric_at(counterpart, [t, 1.0, 2.0]))
+        gamma = christoffel_point(counterpart, [t, 1.0, 2.0])
         assert gamma[0, 1, 1] == pytest.approx(-math.sin(t) * math.cos(t), abs=1e-12)
         assert gamma[0, 2, 2] == pytest.approx(math.sin(t) * math.cos(t), abs=1e-12)
         # symmetric in the lower indices
@@ -384,7 +401,7 @@ class TestChristoffel:
         # halving the step should shrink the central-difference error ~4x
         counterpart = StationaryStructure.from_spec(s3.spec).counterpart_spec
         point = [0.9, 1.0, 2.0]
-        exact = christoffel(metric_at(counterpart, point))
+        exact = christoffel_point(counterpart, point)
         errors = []
         for step in (2e-3, 1e-3):
             fd = fd_christoffel_oracle(counterpart, point, step=step)
@@ -395,29 +412,25 @@ class TestChristoffel:
 
 class TestRiemann:
     def test_flat_torus_zero(self, flat_torus):
-        rm = riemann_coordinate(flat_torus.spec, [1.0, 2.0, 3.0])
-        assert np.abs(rm.comps).max() == 0.0
+        rm = riemann_point(flat_torus.spec, [1.0, 2.0, 3.0])
+        assert np.abs(rm).max() == 0.0
 
     def test_round_s3_constant_curvature(self, s3):
         # the Riemannian counterpart has constant sectional curvature one;
         # compare frame components against the closed-form reference tensor
-        from statcurv.frames import orthonormal_completion
-
         point = [0.6, 1.0, 2.0]
         frame = orthonormal_completion(s3, point)
         counterpart = StationaryStructure.from_spec(s3.spec).counterpart_spec
-        rm = riemann_coordinate(counterpart, point)
-        rm_frame = frame_components(rm, frame.vectors)
-        oracle = constant_curvature_oracle(3, 1.0, frame)
-        assert np.abs(rm_frame.comps - oracle.comps).max() < 1e-8
+        rm_frame = frame_point(riemann_point(counterpart, point), frame.vectors)
+        assert np.abs(rm_frame - constant_curvature_oracle(3, 1.0)).max() < 1e-8
         # in particular Rm(X1, X2, X1, X2) = -1 under this sign convention
-        assert rm_frame.comps[1, 2, 1, 2] == pytest.approx(-1.0, abs=1e-10)
+        assert rm_frame[1, 2, 1, 2] == pytest.approx(-1.0, abs=1e-10)
 
     def test_constant_curvature_oracle_zero(self):
-        assert np.abs(constant_curvature_oracle(4, 0.0).comps).max() == 0.0
+        assert np.abs(constant_curvature_oracle(4, 0.0)).max() == 0.0
 
     def test_constant_curvature_oracle_closed_form(self):
-        comps = constant_curvature_oracle(3, 1.0).comps
+        comps = constant_curvature_oracle(3, 1.0)
         assert comps[1, 2, 1, 2] == -1.0
         assert comps[1, 2, 2, 1] == 1.0
         assert comps[0, 1, 0, 1] == -1.0
@@ -506,30 +519,24 @@ class TestRiemann:
 
 class TestFrameComponents:
     def test_identity_frame_is_noop(self, s3):
-        rm = riemann_coordinate(s3.spec, [0.7, 1.0, 2.0])
-        pushed = frame_components(rm, np.eye(3))
-        assert np.array_equal(pushed.comps, rm.comps)
-        assert pushed.frame == "orthonormal"
+        rm = riemann_point(s3.spec, [0.7, 1.0, 2.0])
+        assert np.array_equal(frame_point(rm, np.eye(3)), rm)
 
     def test_multilinear_scaling(self, s3):
-        rm = riemann_coordinate(s3.spec, [0.7, 1.0, 2.0])
-        frame = np.eye(3)
-        scaled = frame.copy()
+        rm = riemann_point(s3.spec, [0.7, 1.0, 2.0])
+        scaled = np.eye(3)
         scaled[1] *= 2.0
-        pushed = frame_components(rm, scaled)
-        assert pushed.comps[1, 2, 1, 2] == pytest.approx(4.0 * rm.comps[1, 2, 1, 2])
-        assert pushed.comps[1, 2, 0, 2] == pytest.approx(2.0 * rm.comps[1, 2, 0, 2])
+        pushed = frame_point(rm, scaled)
+        assert pushed[1, 2, 1, 2] == pytest.approx(4.0 * rm[1, 2, 1, 2])
+        assert pushed[1, 2, 0, 2] == pytest.approx(2.0 * rm[1, 2, 0, 2])
 
     def test_s3_frame_reproduces_paper_pattern(self, s3):
         # frame {T, d_t, cot t d_th1 - tan t d_th2}: the mixed diagonal
         # values are -1 and the spatial one is -7 (the displayed 7 - 6
         # pattern lives in the operator, which negates these)
-        from statcurv.frames import orthonormal_completion
-
         point = [0.5, 1.0, 2.0]
         frame = orthonormal_completion(s3, point)
-        rm = riemann_coordinate(s3.spec, point)
-        comps = frame_components(rm, frame.vectors).comps
+        comps = frame_point(riemann_point(s3.spec, point), frame.vectors)
         assert comps[0, 1, 0, 1] == pytest.approx(-1.0, abs=1e-10)
         assert comps[0, 2, 0, 2] == pytest.approx(-1.0, abs=1e-10)
         assert comps[1, 2, 1, 2] == pytest.approx(-7.0, abs=1e-9)
@@ -558,18 +565,11 @@ class TestFrameComponents:
             alone = frame_components_batch(comps[b : b + 1], frames[b : b + 1])[0]
             assert np.array_equal(alone, batch[b])
 
-    def test_rank_deficient_frame_rejected(self, s3):
-        rm = riemann_coordinate(s3.spec, [0.7, 1.0, 2.0])
-        bad = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
-        with pytest.raises(NearSingularError):
-            frame_components(rm, bad)
-
     @pytest.mark.parametrize("n, c", [(3, 1e-5), (8, 1e-3)])
     def test_scaled_orthogonal_frame_accepted(self, s3, n, c):
-        # c * I is as far from rank-deficient as I, though |det| = c^n is tiny
-        rm = riemann_coordinate(s3.spec, [0.7, 1.0, 2.0]) if n == 3 else constant_curvature_oracle(n, 1.0)
-        pushed = frame_components(rm, c * np.eye(n))
-        assert np.allclose(pushed.comps, c**4 * rm.comps, rtol=1e-12, atol=0.0)
+        # the contraction is multilinear, so c * I scales every component by c^4
+        rm = riemann_point(s3.spec, [0.7, 1.0, 2.0]) if n == 3 else constant_curvature_oracle(n, 1.0)
+        assert np.allclose(frame_point(rm, c * np.eye(n)), c**4 * rm, rtol=1e-12, atol=0.0)
 
 
 @given(

@@ -8,21 +8,19 @@ import pytest
 
 from statcurv import stationary
 from statcurv.errors import ChartDomainError, NearSingularError, NonTimelikeError, SpecFormatError
-from statcurv.frames import orthonormal_completion
+from statcurv.frames import orthonormal_completion, orthonormal_completions
 from statcurv.generators import battery_recipe, generate
 from statcurv.metric import check_signature, frame_components_batch, load_spec, metric_batch
 from statcurv.stationary import (
     StationaryStructure,
     conformal_normalize,
     flip_spec,
+    _nabla_t_frames,
+    connection_residual_batch,
+    curvature_residual_batch,
     flipped_curvature,
-    killing_defect,
     killing_defect_batch,
-    nabla_t_matrix,
-    riemannian_counterpart,
     structure_data,
-    verify_connection_relations,
-    verify_curvature_relations,
 )
 from statcurv.tolerances import DEFAULT
 
@@ -40,29 +38,41 @@ def torus_with_field(*components):
     return StationaryStructure.from_spec(load_spec(text))
 
 
+# A single point is a (1, n) batch followed by [0].
+
+def defect_at(s, point):
+    return float(killing_defect_batch(s, [point])[0])
+
+
+def completions(s, pts, require_unit=True):
+    """StructureData at ``pts`` (B, n) and the completion frames (B, n, n) of its rows."""
+    data = structure_data(s, pts)
+    return data, orthonormal_completions(data, DEFAULT, require_unit)
+
+
 class TestKillingDefect:
     def test_s3_field_is_killing(self, s3):
         for point in sample_interior(s3.spec, 10, seed=1):
-            assert killing_defect(s3, point) < 1e-14
+            assert defect_at(s3, point) < 1e-14
 
     def test_flat_torus_parallel_field(self, flat_torus):
-        assert killing_defect(flat_torus, [1.0, 2.0, 3.0]) == 0.0
+        assert defect_at(flat_torus, [1.0, 2.0, 3.0]) == 0.0
 
     def test_flat_torus_stretched_field(self):
         # T = t d_t: (Lie_T g)_tt = 2 g_tt d_t T^t = -2, so the defect is 2
         structure = torus_with_field("t", "0", "0")
-        assert killing_defect(structure, [1.0, 2.0, 3.0]) == pytest.approx(2.0)
+        assert defect_at(structure, [1.0, 2.0, 3.0]) == pytest.approx(2.0)
 
     def test_defect_scales_linearly(self):
         base = torus_with_field("t", "0", "0")
         scaled = torus_with_field("3*t", "0", "0")
         point = [1.3, 0.4, 0.2]
-        assert killing_defect(scaled, point) == pytest.approx(3.0 * killing_defect(base, point))
+        assert defect_at(scaled, point) == pytest.approx(3.0 * defect_at(base, point))
 
 
     def test_point_outside_chart_raises(self, s3):
         with pytest.raises(ChartDomainError):
-            killing_defect(s3, [0.0005, 1.0, 2.0])  # t inside the 0.001 margin
+            defect_at(s3, [0.0005, 1.0, 2.0])  # t inside the 0.001 margin
 
     def test_degenerate_metric_raises(self):
         text = (
@@ -72,9 +82,9 @@ class TestKillingDefect:
             "unit = true\n"
         )
         structure = StationaryStructure.from_spec(load_spec(text))
-        assert killing_defect(structure, [1.0, 2.0, 1.0]) == 0.0
+        assert defect_at(structure, [1.0, 2.0, 1.0]) == 0.0
         with pytest.raises(NearSingularError):
-            killing_defect(structure, [1.0, 3.0, 1.0])
+            defect_at(structure, [1.0, 3.0, 1.0])
 
     def test_vanishing_metric_is_singular_not_wrongly_signed(self):
         # every eigenvalue of an all-zero g is 0, so the smallest is not
@@ -110,13 +120,13 @@ class TestKillingDefect:
 class TestFlip:
     def test_s3_counterpart_is_round(self, s3):
         for point in sample_interior(s3.spec, 20, seed=3):
-            g = riemannian_counterpart(s3, point)
+            g = structure_data(s3, [point]).g[0]
             t = point[0]
             expected = np.diag([1.0, math.sin(t) ** 2, math.cos(t) ** 2])
             assert np.abs(g - expected).max() < 1e-14
 
     def test_flat_torus_counterpart(self, flat_torus):
-        g = riemannian_counterpart(flat_torus, [1.0, 2.0, 3.0])
+        g = structure_data(flat_torus, [[1.0, 2.0, 3.0]]).g[0]
         assert np.abs(g - np.eye(3)).max() == 0.0
 
     def test_flip_is_involution(self, s3):
@@ -134,7 +144,7 @@ class TestFlip:
     def test_non_timelike_rejected(self):
         structure = torus_with_field("0", "1", "0")  # spacelike T
         with pytest.raises(NonTimelikeError):
-            riemannian_counterpart(structure, [1.0, 2.0, 3.0])
+            structure_data(structure, [[1.0, 2.0, 3.0]])
 
     def test_lorentzian_spec_required(self, s3):
         with pytest.raises(SpecFormatError):
@@ -193,14 +203,14 @@ class TestConformalNormalize:
 class TestNablaT:
     def test_s3_rotation_pattern(self, s3):
         # nab^L_{X1} T = -X2, nab^L_{X2} T = X1, nab^L_T T = 0
-        frame = orthonormal_completion(s3, [0.9, 1.0, 2.0])
-        a = nabla_t_matrix(s3, frame)
+        data, frames = completions(s3, [[0.9, 1.0, 2.0]])
+        a = _nabla_t_frames(data.cov_t_l, frames)[0]
         expected = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
         assert np.abs(a - expected).max() < 1e-12
 
     def test_flat_torus_zero(self, flat_torus):
-        frame = orthonormal_completion(flat_torus, [1.0, 2.0, 3.0])
-        assert np.abs(nabla_t_matrix(flat_torus, frame)).max() == 0.0
+        data, frames = completions(flat_torus, [[1.0, 2.0, 3.0]])
+        assert np.abs(_nabla_t_frames(data.cov_t_l, frames)).max() == 0.0
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_skew_adjointness(self, seed):
@@ -216,49 +226,40 @@ class TestNablaT:
 
 class TestConnectionRelations:
     def test_s3(self, s3):
-        for point in sample_interior(s3.spec, 5, seed=8):
-            frame = orthonormal_completion(s3, point)
-            report = verify_connection_relations(s3, frame)
-            assert report.max() < 1e-9
+        data, frames = completions(s3, sample_interior(s3.spec, 5, seed=8))
+        assert connection_residual_batch(data, frames).max() < 1e-9
 
     def test_flat_torus_exact(self, flat_torus):
-        frame = orthonormal_completion(flat_torus, [1.0, 2.0, 3.0])
-        report = verify_connection_relations(flat_torus, frame)
-        assert report.as_tuple() == (0.0, 0.0, 0.0, 0.0)
+        data, frames = completions(flat_torus, [[1.0, 2.0, 3.0]])
+        assert connection_residual_batch(data, frames).tolist() == [[0.0, 0.0, 0.0, 0.0]]
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 4, 7])
     def test_randomized_structures(self, seed):
         structure = generate(battery_recipe(seed))
-        for point in sample_interior(structure.spec, 5, seed + 30):
-            frame = orthonormal_completion(structure, point)
-            assert verify_connection_relations(structure, frame).max() < 1e-7
+        data, frames = completions(structure, sample_interior(structure.spec, 5, seed + 30))
+        assert connection_residual_batch(data, frames).max() < 1e-7
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_non_unit_structures(self, seed):
         # the identities hold without unit length; X_i(ln g(T,T)) terms active
         recipe = battery_recipe(seed)
         raw = generate(replace(recipe, normalize=False))
-        for point in sample_interior(raw.spec, 5, seed + 40):
-            frame = orthonormal_completion(raw, point, require_unit=False)
-            assert verify_connection_relations(raw, frame).max() < 1e-7
+        data, frames = completions(raw, sample_interior(raw.spec, 5, seed + 40), require_unit=False)
+        assert connection_residual_batch(data, frames).max() < 1e-7
 
 
 class TestCurvatureRelations:
     def test_flat_torus_exact(self, flat_torus):
-        frame = orthonormal_completion(flat_torus, [1.0, 2.0, 3.0])
-        report = verify_curvature_relations(flat_torus, frame)
-        assert report.as_tuple() == (0.0, 0.0, 0.0)
+        data, frames = completions(flat_torus, [[1.0, 2.0, 3.0]])
+        assert curvature_residual_batch(data, frames).tolist() == [[0.0, 0.0, 0.0]]
 
     def test_s3_values_and_residuals(self, s3):
-        point = [0.4, 1.0, 2.0]
-        frame = orthonormal_completion(s3, point)
-        report = verify_curvature_relations(s3, frame)
-        assert report.max() < 1e-9
+        data, frames = completions(s3, [[0.4, 1.0, 2.0]])
+        assert curvature_residual_batch(data, frames).max() < 1e-9
         # spatial identity at f = -1: the correction moves -7 to -1, i.e. the
         # operator entries 7 and 1 of the worked example
-        data = structure_data(s3, np.asarray(point)[None, :])
-        rml = frame_components_batch(data.rm_l, frame.vectors[None])[0]
-        rmg = frame_components_batch(data.rm_g, frame.vectors[None])[0]
+        rml = frame_components_batch(data.rm_l, frames)[0]
+        rmg = frame_components_batch(data.rm_g, frames)[0]
         assert -rml[1, 2, 1, 2] == pytest.approx(7.0, abs=1e-9)
         assert -rmg[1, 2, 1, 2] == pytest.approx(1.0, abs=1e-9)
         assert rmg[1, 2, 1, 2] - rml[1, 2, 1, 2] == pytest.approx(6.0, abs=1e-9)
@@ -266,16 +267,14 @@ class TestCurvatureRelations:
     @pytest.mark.parametrize("seed", [0, 1, 2, 5, 8])
     def test_randomized_structures(self, seed):
         structure = generate(battery_recipe(seed))
-        for point in sample_interior(structure.spec, 5, seed + 60):
-            frame = orthonormal_completion(structure, point)
-            assert verify_curvature_relations(structure, frame).max() < 1e-6
+        data, frames = completions(structure, sample_interior(structure.spec, 5, seed + 60))
+        assert curvature_residual_batch(data, frames).max() < 1e-6
 
     def test_non_unit_structure(self):
         recipe = battery_recipe(1)
         raw = generate(replace(recipe, normalize=False))
-        for point in sample_interior(raw.spec, 4, seed=70):
-            frame = orthonormal_completion(raw, point, require_unit=False)
-            assert verify_curvature_relations(raw, frame).max() < 1e-6
+        data, frames = completions(raw, sample_interior(raw.spec, 4, seed=70), require_unit=False)
+        assert curvature_residual_batch(data, frames).max() < 1e-6
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_timelike_class_needs_no_derivative_of_gtt(self, seed):
@@ -285,7 +284,7 @@ class TestCurvatureRelations:
         assert raw.dimension == 3 + seed
         pts = sample_interior(raw.spec, 20, seed + 80)
         data = structure_data(raw, pts)
-        frames = np.stack([orthonormal_completion(raw, p, require_unit=False).vectors for p in pts])
+        frames = orthonormal_completions(data, DEFAULT, require_unit=False)
         rml = frame_components_batch(data.rm_l, frames)
         x = frames[:, 1:]
         u = np.einsum("bki,bai->bka", data.cov_t_l, x)  # column a: nab^L_{X_a} T

@@ -1,8 +1,8 @@
-"""Single-point entry points are [0] views of the batched pipeline.
+"""A single point is a (1, n) batch, and each row of a batch is a view.
 
-At sampled battery points, each single-point function must return exactly
-the bytes of the matching row of one batched computation over all points,
-and each row of a batch reads its fields from the batch arrays.
+At sampled battery points, a batch of one point must give exactly the bytes
+of the matching row of one batched computation over all points, and each row
+of a batch reads its fields from the batch arrays.
 """
 
 import dataclasses
@@ -14,28 +14,22 @@ import pytest
 from statcurv import curvature_ops, stationary
 from statcurv.curvature_ops import (
     CurvatureOperatorMatrix,
-    compute_point_operators,
-    lorentzian_curvature_operator,
+    Lambda2Basis,
+    _operators,
+    _symmetrized,
+    operators_at,
     operators_from_data,
-    riemannian_curvature_operator,
-    symmetrized_matrix,
 )
 from statcurv.frames import (
     FramePair,
     OrthonormalFrame,
-    adapted_frame,
     adapted_frames_batch,
     orthonormal_completion,
     orthonormal_completions,
 )
 from statcurv.generators import battery_recipe, generate
-from statcurv.metric import RiemannTensor, frame_components, frame_components_batch
-from statcurv.stationary import (
-    _nabla_t_frames,
-    nabla_t_matrix,
-    riemannian_counterpart,
-    structure_data,
-)
+from statcurv.metric import frame_components_batch
+from statcurv.stationary import _nabla_t_frames, structure_data
 from statcurv.tolerances import DEFAULT
 
 from conftest import sample_interior
@@ -52,25 +46,31 @@ def batch(request):
 
 
 def test_point_operators_are_rows(batch):
-    structure, _, data, frames = batch
+    structure, pts, data, frames = batch
     ops = operators_from_data(structure, data, frames)
-    for frame, op in zip(frames, ops):
-        riem = riemannian_curvature_operator(structure, frame)
-        lor = lorentzian_curvature_operator(structure, frame)
-        assert np.array_equal(riem.entries, op.riemannian.entries)
-        assert np.array_equal(lor.entries, op.lorentzian.entries)
+    for point, op in zip(pts, ops):
+        alone = operators_at(structure, [point])[0]
+        assert np.array_equal(alone.riemannian.entries, op.riemannian.entries)
+        assert np.array_equal(alone.lorentzian.entries, op.lorentzian.entries)
 
 
 def test_symmetrized_matrix_is_row(batch):
+    # omega written from each row's pairing, not by frames.rotation_blocks
     structure, _, data, frames = batch
     ops = operators_from_data(structure, data, frames)
-    rml = frame_components_batch(data.rm_l, np.stack([f.vectors for f in frames]))
+    rml = frame_components_batch(data.rm_l, frames.vectors)
+    n = structure.dimension
     for b, (frame, op) in enumerate(zip(frames, ops)):
-        assert np.array_equal(symmetrized_matrix(rml[b], frame).entries, op.symmetrized.entries)
+        omega = np.zeros((1, n, n))
+        for p in frame.pairing:
+            omega[0, p.i, p.j], omega[0, p.j, p.i] = p.f, -p.f
+        entries = _symmetrized(rml[b : b + 1], omega, ops.basis)[0]
+        assert np.array_equal(entries, op.symmetrized.entries)
 
 
 def test_point_operator_builds_one_riemann_tensor(batch, monkeypatch):
-    structure, _, _, frames = batch
+    # the Riemannian operator of one point reads Rm_g alone, so Rm_L stays unbuilt
+    structure, pts, data, frames = batch
     calls = []
     real = stationary.riemann_batch
 
@@ -79,40 +79,47 @@ def test_point_operator_builds_one_riemann_tensor(batch, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(stationary, "riemann_batch", counted)
-    riemannian_curvature_operator(structure, frames[0])
+    alone = structure_data(structure, pts[:1])
+    vectors = frames.vectors[:1]
+    basis = Lambda2Basis.standard(structure.dimension)
+    riem = _operators(frame_components_batch(alone.rm_g, vectors), alone.g, vectors, basis)
     assert len(calls) == 1
+    ops = operators_from_data(structure, data, frames)
+    assert np.array_equal(riem[0], ops.m_r[0])
 
 
 def test_adapted_frame_and_point_operators_are_rows(batch):
     structure, pts, data, frames = batch
     ops = operators_from_data(structure, data, frames)
     for point, frame, op in zip(pts, frames, ops):
-        assert np.array_equal(adapted_frame(structure, point).vectors, frame.vectors)
-        alone = compute_point_operators(structure, point)
+        single = adapted_frames_batch(structure, structure_data(structure, [point]))[0]
+        assert np.array_equal(single.vectors, frame.vectors)
+        alone = operators_at(structure, [point])[0]
         assert np.array_equal(alone.symmetrized.entries, op.symmetrized.entries)
         assert alone.frame.pairing == frame.pairing
 
 
 def test_nabla_t_matrix_is_row(batch):
-    structure, _, data, frames = batch
-    rows = _nabla_t_frames(data.cov_t_l, np.stack([f.vectors for f in frames]))
-    for frame, row in zip(frames, rows):
-        assert np.array_equal(nabla_t_matrix(structure, frame), row)
+    structure, pts, data, frames = batch
+    rows = _nabla_t_frames(data.cov_t_l, frames.vectors)
+    for point, frame, row in zip(pts, frames, rows):
+        alone = structure_data(structure, [point])
+        assert np.array_equal(_nabla_t_frames(alone.cov_t_l, frame.vectors[None])[0], row)
 
 
 def test_riemannian_counterpart_is_row(batch):
     structure, pts, data, _ = batch
     for point, row in zip(pts, data.g):
-        assert np.array_equal(riemannian_counterpart(structure, point), row)
+        assert np.array_equal(structure_data(structure, [point]).g[0], row)
 
 
 def test_frame_components_is_row(batch):
     _, pts, data, frames = batch
-    stack = np.stack([f.vectors for f in frames])
+    stack = frames.vectors
     rows = frame_components_batch(data.rm_l, stack)
-    for b, point in enumerate(pts):
-        tensor = RiemannTensor(point, "coordinate", data.rm_l[b])
-        assert np.array_equal(frame_components(tensor, stack[b]).comps, rows[b])
+    for b in range(len(pts)):
+        alone = frame_components_batch(data.rm_l[b : b + 1], stack[b : b + 1])[0]
+        assert np.array_equal(alone, rows[b])
 
 
 def test_orthonormal_completion_is_row(batch):
@@ -134,7 +141,6 @@ FRAME_FIELDS = (
     "nabla_sq_eigenvalues",
     "dimension",
     "f_values",
-    "is_adapted",
 )
 
 
