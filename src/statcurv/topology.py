@@ -14,7 +14,9 @@ is (n-p)-positive at every point, 1 <= p <= floor(n/2):
     number to 2 via chi(M) = 0.
 
 A grid verdict is evidence, not proof: positivity is sampled, so every
-result carries the minimal margin and its argmin point.
+result carries the minimal margin and a point that attains it: the first
+grid point whose margin is within a relative ``tol.identity`` of the
+minimum (``near_argmin``).
 
 Every grid goes through one driver, ``chunked``: it computes one point per
 orbit of the coordinates no expression reads (``orbits``), runs a step on
@@ -254,6 +256,18 @@ def verify_points(
     return chunked(s, np.asarray(pts, dtype=float), step)[0]
 
 
+def near_argmin(values: np.ndarray, tol: Tolerances = DEFAULT) -> int:
+    """First row whose value is within ``tol.identity * max|values|`` of the minimum.
+
+    Values that tie to rounding (all S3 margins equal 2 to within 1e-10)
+    would otherwise put the exact argmin wherever the last rounding error
+    falls; the window is relative to the largest value, so rescaling the
+    values picks the same row.
+    """
+    window = tol.identity * float(np.abs(values).max())
+    return int(np.argmax(values <= values.min() + window))
+
+
 def grid_scans(
     s: StationaryStructure, grid_sizes, ps, tol: Tolerances = DEFAULT
 ) -> list[GridScanResult]:
@@ -274,10 +288,9 @@ def grid_scans(
     results = []
     for p in ps:
         margins = sums[:, n - p - 1]
-        argmin = int(np.argmin(margins))
-        min_margin = float(margins[argmin]) + 0.0  # folds -0.0 into 0.0
+        min_margin = float(margins.min()) + 0.0  # folds -0.0 into 0.0
         verdict = betti_conclusions(n, p, bool(min_margin > tol.positivity))
-        argmin_point = tuple(float(x) for x in pts[argmin])
+        argmin_point = tuple(float(x) for x in pts[near_argmin(margins, tol)])
         results.append(GridScanResult(verdict, shape, min_margin, argmin_point, residual, pts, vals))
     return results
 

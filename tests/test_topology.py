@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from statcurv import topology
 from statcurv.curvature_ops import CurvatureOperatorMatrix, operators_at
 from statcurv.errors import GridPointError
 from statcurv.metric import load_spec
@@ -200,6 +201,32 @@ class TestGridScan:
         assert a.argmin_point == b.argmin_point
         assert np.array_equal(a.points, b.points)
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_argmin_point_ignores_rounding_ties(self, s3, monkeypatch, seed):
+        # all 64 S3 margins at grid 4 equal 2 to within 1e-10, so rounding
+        # alone decides their exact argmin; perturbing every point's spectrum
+        # by up to 1e-14 must leave the reported point on the first grid point
+        exact = grid_scan(s3, 4, 1)
+        real = topology.scan_points
+        noise = np.random.default_rng(seed).uniform(-1e-14, 1e-14, size=64)
+
+        def perturbed(*args):
+            vals, central = real(*args)
+            return vals + noise[:, None], central
+
+        monkeypatch.setattr(topology, "scan_points", perturbed)
+        jittered = grid_scan(s3, 4, 1)
+        assert exact.argmin_point == jittered.argmin_point == tuple(exact.points[0])
+        assert abs(jittered.min_margin - exact.min_margin) < 1e-13
+
+    def test_argmin_point_of_a_clear_minimum(self):
+        margins = np.array([3.0, 1.0 + 1e-6, 1.0, 1.0 + 1e-9, 2.0])
+        assert topology.near_argmin(margins) == 2
+        # the window is relative to the largest |margin|, so scaling moves nothing
+        assert topology.near_argmin(1e6 * margins) == topology.near_argmin(1e-6 * margins) == 2
+        assert topology.near_argmin(np.array([3e-9, 1e-9, 1e-9 + 2e-17])) == 1
+        assert topology.near_argmin(np.zeros(4)) == 0
 
     def test_point_failure_carries_coordinates(self):
         # the metric degenerates for x <= 0; the scan must name the point
