@@ -200,6 +200,19 @@ def cmd_analyze(args, spec: MetricSpec, grid: list[int], tol: Tolerances) -> int
 
 # --- export -------------------------------------------------------------------
 
+def _encode_around_point(record: dict) -> tuple[str, str]:
+    """``record``'s sorted-key JSON line, split where its ``"point"`` key goes.
+
+    ``head + json.dumps(point) + tail`` equals
+    ``json.dumps({**record, "point": point}, sort_keys=True) + "\n"`` when
+    ``record`` has keys on both sides of ``"point"``, so each orbit's record
+    is encoded once, whatever the number of grid points it covers.
+    """
+    head = json.dumps({k: v for k, v in record.items() if k < "point"}, sort_keys=True)
+    tail = json.dumps({k: v for k, v in record.items() if k > "point"}, sort_keys=True)
+    return head[:-1] + ', "point": ', ", " + tail[1:] + "\n"
+
+
 def cmd_export(args, spec: MetricSpec, grid: list[int], tol: Tolerances) -> int:
     notes: list[str] = []
     structure = _normalized(StationaryStructure.from_spec(spec), notes)
@@ -208,7 +221,7 @@ def cmd_export(args, spec: MetricSpec, grid: list[int], tol: Tolerances) -> int:
     pts, _ = topology.build_grid(structure.spec, grid)
 
     def records(chunk):
-        """The chunk's JSON records (C,), one per point, all fields but the point."""
+        """The chunk's JSON lines (C,) as the text before and after each point's ``"point"``."""
         ops = operators_at(structure, chunk, tol)
         frames = ops.frames
         vals = eigvalsh(ops.m_s)
@@ -228,14 +241,12 @@ def cmd_export(args, spec: MetricSpec, grid: list[int], tol: Tolerances) -> int:
             }
             for b in range(len(ops))
         ]
-        return (np.array(rows, dtype=object),)
+        heads, tails = zip(*map(_encode_around_point, rows)) if rows else ((), ())
+        return np.array(heads, dtype=object), np.array(tails, dtype=object)
 
     # every chunk is built before anything is written, so a failure emits nothing
-    (point_records,) = topology.chunked(structure, pts, records)
-    lines = (
-        json.dumps({**record, "point": point}, sort_keys=True) + "\n"
-        for record, point in zip(point_records, pts.tolist())
-    )
+    heads, tails = topology.chunked(structure, pts, records)
+    lines = (head + json.dumps(point) + tail for head, tail, point in zip(heads, tails, pts.tolist()))
     _emit("".join(lines), args.out)
     return EXIT_OK
 

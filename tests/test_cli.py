@@ -14,6 +14,7 @@ import pytest
 
 from statcurv import cli, curvature_ops, stationary, topology
 from statcurv.generators import battery_recipe, generate
+from statcurv.linalg import eigvalsh
 from statcurv.metric import load_spec_file
 
 from conftest import SPEC_DIR
@@ -336,6 +337,33 @@ class TestExport:
             lor = np.array(record["lorentzian"])
             assert np.abs((sym - lor) - np.diag([2.0, 2.0, -6.0])).max() < 1e-6
             assert record["f_values"] == pytest.approx([-1.0])
+
+    def test_lines_are_per_point_dumps(self, tmp_path):
+        # export encodes each orbit's record once and splices in the point;
+        # the reference computes every grid point and dumps its whole record
+        out = tmp_path / "s3.jsonl"
+        assert cli.main(["export", S3, "--grid", "3,2,2", "--out", str(out)]) == 0
+        structure = stationary.StationaryStructure.from_spec(load_spec_file(S3))
+        pts, _ = topology.build_grid(structure.spec, [3, 2, 2])
+        assert len(topology.orbits(structure, pts)[0]) == 3
+        ops = curvature_ops.operators_at(structure, pts)
+        vals = eigvalsh(ops.m_s)
+        want = ""
+        for b, point in enumerate(pts.tolist()):
+            record = {
+                "schema_version": 1,
+                "basis": [list(pair) for pair in ops.basis.labels()],
+                "f_values": ops.frames.f[b, : ops.frames.pair_count[b]].tolist(),
+                "riemannian": ops.m_r[b].tolist(),
+                "lorentzian": ops.m_l[b].tolist(),
+                "symmetrized": ops.m_s[b].tolist(),
+                "eigenvalues": vals[b].tolist(),
+                "lorentzian_asymmetry": float(np.abs(ops.m_l[b] - ops.m_l[b].T).max()),
+                "central_residual": float(ops.central[b]),
+                "point": point,
+            }
+            want += json.dumps(record, sort_keys=True) + "\n"
+        assert out.read_text() == want
 
     def test_round_trip_bitwise(self, tmp_path, capsys):
         out = tmp_path / "dump.jsonl"
