@@ -12,11 +12,16 @@ In matrix form over an ordered basis of wedge pairs this is M = G^{-1} S
 with S[a, b] = -Rm(pair_b; pair_a) and G the Lambda^2 Gram matrix, which is
 computed explicitly from the frame's metric Gram (never assumed diagonal):
 for a Lorentzian orthonormal frame the mixed pairs (T, X_i) carry Gram -1,
-which is what makes the Lorentzian operator generally non-symmetric.
+which is what makes the Lorentzian operator generally non-symmetric.  S is
+minus the transpose of the pair components P[a, b] = Rm(pair_a; pair_b),
+which ``lambda2.pair_components`` contracts directly from the coordinate
+tensor as W Rm W^T (W the (N, n^2) wedge rows E_v (x) E_w of the frame), so
+no n^4 frame tensor is built.
 
 The symmetrized flavor rebuilds the Riemannian operator purely from
-Lorentzian data: it gathers the Rm_g that ``stationary.flipped_curvature``
-predicts from Rm_L and the adapted frame's rotation blocks (unit T).
+Lorentzian data: it takes the Rm_g pair components that
+``stationary.flipped_curvature`` predicts from those of Rm_L and the
+adapted frame's rotation blocks (unit T).
 ``tests/test_curvature_ops.py`` checks it against the explicit n = 3 and
 n = 4 matrices, with their +2f^2 / -6f^2 diagonal corrections, and against
 the off-diagonal corrections of two blocks at n = 5.
@@ -31,51 +36,11 @@ from functools import cached_property
 import numpy as np
 
 from .frames import BatchRow, FrameBatch, FrameRow, adapted_frames_batch, rotation_blocks, row_field
+from .lambda2 import Lambda2Basis, compound, pair_components
 from .linalg import invert
-from .metric import frame_components_batch
+from .metric import frame_components_batch  # noqa: F401  bench/tracing patches and checks this binding
 from .stationary import StationaryStructure, StructureData, flipped_curvature, structure_data
 from .tolerances import DEFAULT, Tolerances
-
-
-@dataclass(frozen=True)
-class Lambda2Basis:
-    """Ordered wedge pairs over frame indices, 0 standing for T."""
-
-    dimension: int
-    pairs: tuple[tuple[int, int], ...]
-
-    @staticmethod
-    def standard(n: int) -> "Lambda2Basis":
-        if n < 3:
-            raise ValueError("Lambda^2 bases start at dimension 3")
-        if n == 3:
-            pairs = ((0, 1), (0, 2), (1, 2))
-        elif n == 4:
-            # four dimensions use the cross-product-style spatial order,
-            # including the reversed (3, 1) pair
-            pairs = ((0, 1), (0, 2), (0, 3), (2, 3), (3, 1), (1, 2))
-        else:
-            pairs = tuple((0, i) for i in range(1, n)) + tuple(
-                (i, j) for i in range(1, n) for j in range(i + 1, n)
-            )
-        return Lambda2Basis(n, pairs)
-
-    @property
-    def size(self) -> int:
-        return len(self.pairs)
-
-    @cached_property
-    def index_grids(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(va, vb, wa, wb): each pair's first and second index as column and row grids."""
-        iv = np.array([p[0] for p in self.pairs])
-        iw = np.array([p[1] for p in self.pairs])
-        return iv[:, None], iv[None, :], iw[:, None], iw[None, :]
-
-    def labels(self) -> tuple[tuple[str, str], ...]:
-        def name(i: int) -> str:
-            return "T" if i == 0 else f"X{i}"
-
-        return tuple((name(a), name(b)) for a, b in self.pairs)
 
 
 @dataclass(frozen=True)
@@ -93,34 +58,19 @@ class CurvatureOperatorMatrix:
         return float(np.abs(self.entries - self.entries.T).max())
 
 
-def lambda2_gram(basis: Lambda2Basis, frame_gram: np.ndarray) -> np.ndarray:
-    """Gram matrix of the wedge basis from the frame's metric Gram (det formula)."""
-    va, vb, wa, wb = basis.index_grids
-    g = frame_gram
-    return g[..., va, vb] * g[..., wa, wb] - g[..., va, wb] * g[..., wa, vb]
+def _operators(p: np.ndarray, metric: np.ndarray, frames: np.ndarray, basis: Lambda2Basis) -> np.ndarray:
+    """Operator matrices G^{-1} S (B, N, N) from pair components ``p`` (B, N, N).
 
-
-def _gather(rm_frame: np.ndarray, basis: Lambda2Basis) -> np.ndarray:
-    """S[..., a, b] = -Rm(pair_b; pair_a) from frame components (..., n,n,n,n)."""
-    va, vb, wa, wb = basis.index_grids
-    return -rm_frame[..., vb, wb, va, wa]
-
-
-def _operators(
-    rm_frame: np.ndarray, metric: np.ndarray, frames: np.ndarray, basis: Lambda2Basis
-) -> np.ndarray:
-    """Operator matrices G^{-1} S (B, N, N) from frame components ``rm_frame`` (B,n,n,n,n).
-
-    ``metric`` (B,n,n) is coordinate data, ``frames`` (B,n,n) holds the frame
-    vectors as rows.
+    S[b, a, c] = -Rm(pair_c; pair_a) = -p[b, c, a].  ``metric`` (B,n,n) is
+    coordinate data, ``frames`` (B,n,n) holds the frame vectors as rows.
     """
     gram = np.einsum("bai,bij,bcj->bac", frames, metric, frames)
-    return invert(lambda2_gram(basis, gram)) @ _gather(rm_frame, basis)
+    return invert(compound(basis, gram)) @ -p.swapaxes(1, 2)
 
 
-def _symmetrized(rm_l_frame: np.ndarray, omega: np.ndarray, basis: Lambda2Basis) -> np.ndarray:
+def _symmetrized(p_l: np.ndarray, omega: np.ndarray, basis: Lambda2Basis) -> np.ndarray:
     """Symmetrized matrices (B, N, N) of the Rm_g that ``flipped_curvature`` predicts for unit T."""
-    entries = _gather(flipped_curvature(rm_l_frame, omega, -1.0), basis)
+    entries = -flipped_curvature(p_l, omega, -1.0, basis)
     return 0.5 * (entries + entries.swapaxes(1, 2))  # symmetric up to rounding already
 
 
@@ -150,7 +100,7 @@ class OperatorBatch(Sequence):
 
     ``m_r``, ``m_l`` and ``m_s`` (B, N, N) are the Riemannian, Lorentzian and
     symmetrized matrices, ``central`` (B,) the central-identity residuals.
-    ``m_l`` is built on first read from ``rm_l_frame`` (B,n,n,n,n), the frame
+    ``m_l`` is built on first read from ``p_l`` (B, N, N), the pair
     components of Rm_L that ``m_s`` is built from, and ``gl`` (B,n,n).
     """
 
@@ -159,12 +109,12 @@ class OperatorBatch(Sequence):
     m_r: np.ndarray
     m_s: np.ndarray
     central: np.ndarray
-    rm_l_frame: np.ndarray
+    p_l: np.ndarray
     gl: np.ndarray
 
     @cached_property
     def m_l(self) -> np.ndarray:
-        return _operators(self.rm_l_frame, self.gl, self.frames.vectors, self.basis)
+        return _operators(self.p_l, self.gl, self.frames.vectors, self.basis)
 
     def __len__(self) -> int:
         return self.central.shape[0]
@@ -183,11 +133,11 @@ def operators_from_data(s: StationaryStructure, data: StructureData, frames: Fra
     n = s.dimension
     basis = Lambda2Basis.standard(n)
     vectors = frames.vectors
-    m_r = _operators(frame_components_batch(data.rm_g, vectors), data.g, vectors, basis)
-    rml_f = frame_components_batch(data.rm_l, vectors)
-    m_s = _symmetrized(rml_f, rotation_blocks(frames.f, frames.pair_count, n), basis)
+    m_r = _operators(pair_components(data.rm_g, vectors, basis), data.g, vectors, basis)
+    p_l = pair_components(data.rm_l, vectors, basis)
+    m_s = _symmetrized(p_l, rotation_blocks(frames.f, frames.pair_count, n), basis)
     central = np.abs(m_s - m_r).max(axis=(1, 2))
-    return OperatorBatch(frames, basis, m_r, m_s, central, rml_f, data.gl)
+    return OperatorBatch(frames, basis, m_r, m_s, central, p_l, data.gl)
 
 
 def operators_at(s: StationaryStructure, pts, tol: Tolerances = DEFAULT) -> OperatorBatch:

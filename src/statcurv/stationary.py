@@ -10,6 +10,9 @@ connections; they are checked from the coordinate Christoffels of g and g_L.
 The three curvature identity classes are written once, in
 ``flipped_curvature``: ``curvature_residual_batch`` checks its prediction
 against Rm_g, and ``curvature_ops`` builds the symmetrized operator from it.
+Both work on the Lambda^2 pair components of the curvature tensors
+(``lambda2.pair_components``), N^2 = (n(n-1)/2)^2 values per point instead
+of the n^4 frame components.
 
 Frame-level quantities never require differentiating frame fields: the
 identities below only involve connection *differences* (where the frame
@@ -26,13 +29,13 @@ import numpy as np
 
 from .errors import NonTimelikeError, SpecFormatError
 from .expr import Expression, _eval_jet
+from .lambda2 import Lambda2Basis, compound, pair_components
 from .linalg import invert
 from .metric import (
     KillingField,
     MetricSpec,
     check_signature,
     christoffel_batch,
-    frame_components_batch,
     metric_batch,
     metric_fields,
     require_interior,
@@ -116,32 +119,31 @@ def conformal_normalize(s: StationaryStructure) -> StationaryStructure:
     return StationaryStructure(spec, s.t, True)
 
 
-def flipped_curvature(rm_l_frame: np.ndarray, omega: np.ndarray, gtt) -> np.ndarray:
-    """Frame components (B, n, n, n, n) of Rm_g that the flip's curvature identities predict.
+def flipped_curvature(p_l: np.ndarray, omega: np.ndarray, gtt, basis: Lambda2Basis) -> np.ndarray:
+    """Rm_g(pair_a; pair_c) (B, N, N) that the flip's curvature identities predict.
 
-    Frames are {T, X_1..X_{n-1}}, the X_i orthonormal for g and g_L; ``gtt``
-    is g_L(T,T) (scalar or (B,)) and w = ``omega`` holds g_L(nab^L_{X_i} T, X_j)
-    at [b, i, j], row and column 0 zero.  For T of any length, every component
-    touching T changes sign and
+    ``p_l`` (B, N, N) holds Rm_L(pair_a; pair_c) over ``basis`` (see
+    ``lambda2.pair_components``) in frames {T, X_1..X_{n-1}}, the X_i
+    orthonormal for g and g_L; ``gtt`` is g_L(T,T) (scalar or (B,)) and
+    w = ``omega`` holds g_L(nab^L_{X_i} T, X_j) at [b, i, j], row and column
+    0 zero.  For T of any length, every component touching T changes sign and
 
         Rm_g(T,X,T,Y) = -Rm_L(T,X,T,Y) - 2 (w w^T)_XY,
         Rm_g(X,Y,Z,W) = Rm_L(X,Y,Z,W) + (2/gtt) (w_XW w_YZ - w_XZ w_YW - 2 w_XY w_ZW).
+
+    On pairs (X,Y), (Z,W) the bracket is minus the 2x2 minor w(XY; ZW) and
+    minus twice w_XY w_ZW; it vanishes on pairs touching T.
     """
-    spatial = np.zeros(omega.shape[-1:] * 4, dtype=bool)
-    spatial[1:, 1:, 1:, 1:] = True
-    # spatial corrections; vanish on T-touching entries (row 0 of omega is 0)
-    synth = np.einsum("xad,xbc->xabcd", omega, omega)
-    synth -= np.einsum("xac,xbd->xabcd", omega, omega)
-    synth -= 2.0 * np.einsum("xab,xcd->xabcd", omega, omega)
-    synth *= (2.0 / np.asarray(gtt))[..., None, None, None, None]
-    np.add(synth, rm_l_frame, out=synth, where=spatial)
-    np.subtract(synth, rm_l_frame, out=synth, where=~spatial)
-    tt = (-2.0 * omega @ omega.swapaxes(1, 2))[:, 1:, 1:]
-    synth[:, 0, 1:, 0, 1:] += tt
-    synth[:, 1:, 0, 1:, 0] += tt
-    synth[:, 0, 1:, 1:, 0] -= tt
-    synth[:, 1:, 0, 0, 1:] -= tt
-    return synth
+    iv, iw = basis.legs
+    w_pair = omega[:, iv, iw]  # w_XY of each pair
+    pred = compound(basis, omega) + 2.0 * w_pair[:, :, None] * w_pair[:, None, :]
+    pred *= (-2.0 / np.asarray(gtt))[..., None, None]
+    x, sign = basis.t_legs
+    spatial = sign == 0.0
+    pred += np.where(spatial[:, None] & spatial[None, :], p_l, -p_l)
+    tt = -2.0 * omega @ omega.swapaxes(1, 2)
+    pred += (sign[:, None] * sign[None, :]) * tt[:, x[:, None], x[None, :]]
+    return pred
 
 
 # --- batched geometric data --------------------------------------------------
@@ -279,18 +281,26 @@ def connection_residual_batch(data: StructureData, frames: np.ndarray) -> np.nda
 def curvature_residual_batch(data: StructureData, frames: np.ndarray) -> np.ndarray:
     """Residuals (B, 3) of the curvature identity classes for per-point frames.
 
-    Class-wise max of |Rm_g - flipped_curvature| over (X,Y,T,Z), (T,X,T,Y) and (X,Y,Z,W).
+    Class-wise max of |Rm_g - flipped_curvature| over the pairs of basis
+    bivectors: spatial x T (mixed, the (X,Y,T,Z) components), T x T
+    (timelike, (T,X,T,Y)) and spatial x spatial (spatial, (X,Y,Z,W)).  An
+    algebraic curvature tensor is fixed by these values, so the check is
+    complete; the components it skips are signed copies of these, or ones
+    like Rm(X,X,.,.), which are zero up to rounding.
     """
-    rml = frame_components_batch(data.rm_l, frames)
-    rmg = frame_components_batch(data.rm_g, frames)
+    basis = Lambda2Basis.standard(frames.shape[1])
+    p_l = pair_components(data.rm_l, frames, basis)
+    p_g = pair_components(data.rm_g, frames, basis)
     omega = frames @ data.cov_t_l.swapaxes(1, 2) @ data.gl @ frames.swapaxes(1, 2)
     omega[:, 0] = omega[:, :, 0] = 0.0
-    res = np.abs(rmg - flipped_curvature(rml, omega, data.gtt))
+    res = np.abs(p_g - flipped_curvature(p_l, omega, data.gtt, basis))
+    t = np.flatnonzero(basis.t_legs[1])
+    x = np.flatnonzero(basis.t_legs[1] == 0.0)
     return np.stack(
         [
-            res[:, 1:, 1:, 0, 1:].max(axis=(1, 2, 3)),
-            res[:, 0, 1:, 0, 1:].max(axis=(1, 2)),
-            res[:, 1:, 1:, 1:, 1:].max(axis=(1, 2, 3, 4)),
+            res[:, x[:, None], t].max(axis=(1, 2)),
+            res[:, t[:, None], t].max(axis=(1, 2)),
+            res[:, x[:, None], x].max(axis=(1, 2)),
         ],
         axis=1,
     )

@@ -9,7 +9,7 @@ import numpy as np
 
 from statcurv.expr import Expression, eval_jet_batch
 from statcurv.linalg import invert
-from statcurv.metric import MetricSpec, christoffel_batch
+from statcurv.metric import MetricSpec, christoffel_batch, frame_components_batch
 
 
 def _central_differences(value, point: np.ndarray, step: float):
@@ -123,3 +123,95 @@ def riemann_residuals(comps: np.ndarray) -> dict[str, float]:
         "pair_symmetry": pair,
         "first_bianchi": bianchi,
     }
+
+
+# --- the n^4 frame-tensor formulation of the curvature layer ------------------
+#
+# The library works on Lambda^2 pair components (``lambda2.pair_components``);
+# these build the full (B, n, n, n, n) frame tensors instead, flip them
+# component by component and gather the operator entries from them.
+
+
+def flipped_curvature_tensor(rm_l_frame: np.ndarray, omega: np.ndarray, gtt) -> np.ndarray:
+    """Frame components (B, n, n, n, n) of Rm_g that the flip's curvature identities predict.
+
+    ``rm_l_frame`` holds the frame components of Rm_L; ``omega`` and ``gtt``
+    are as in ``stationary.flipped_curvature``.  Every component touching T
+    changes sign, the spatial ones gain
+    (2/gtt)(w_XW w_YZ - w_XZ w_YW - 2 w_XY w_ZW), and the (T,X,T,Y) block and
+    its antisymmetric images gain -2 (w w^T)_XY.
+    """
+    n = omega.shape[-1]
+    spatial = np.zeros((n,) * 4, dtype=bool)
+    spatial[1:, 1:, 1:, 1:] = True
+    synth = np.einsum("xad,xbc->xabcd", omega, omega)
+    synth -= np.einsum("xac,xbd->xabcd", omega, omega)
+    synth -= 2.0 * np.einsum("xab,xcd->xabcd", omega, omega)
+    synth *= (2.0 / np.asarray(gtt))[..., None, None, None, None]
+    synth += np.where(spatial, rm_l_frame, -rm_l_frame)
+    tt = (-2.0 * omega @ omega.swapaxes(1, 2))[:, 1:, 1:]
+    synth[:, 0, 1:, 0, 1:] += tt
+    synth[:, 1:, 0, 1:, 0] += tt
+    synth[:, 0, 1:, 1:, 0] -= tt
+    synth[:, 1:, 0, 0, 1:] -= tt
+    return synth
+
+
+def gather_operator_entries(rm_frame: np.ndarray, pairs) -> np.ndarray:
+    """S[..., a, b] = -Rm(pair_b; pair_a) from frame components (..., n, n, n, n)."""
+    iv = np.array([p[0] for p in pairs])
+    iw = np.array([p[1] for p in pairs])
+    return -rm_frame[..., iv[None, :], iw[None, :], iv[:, None], iw[:, None]]
+
+
+def _lambda2_gram(frame_gram: np.ndarray, pairs) -> np.ndarray:
+    """det [[h(v,x), h(v,y)], [h(w,x), h(w,y)]] for pairs (v, w), (x, y), entry by entry."""
+    out = np.empty(frame_gram.shape[:-2] + (len(pairs), len(pairs)))
+    for a, (v, w) in enumerate(pairs):
+        for c, (x, y) in enumerate(pairs):
+            out[..., a, c] = (
+                frame_gram[..., v, x] * frame_gram[..., w, y]
+                - frame_gram[..., v, y] * frame_gram[..., w, x]
+            )
+    return out
+
+
+def frame_tensor_operators(data, vectors: np.ndarray, omega: np.ndarray, pairs) -> dict[str, np.ndarray]:
+    """m_r, m_l, m_s and central of unit-T data, each (B, ...), through the n^4 frame tensors.
+
+    ``vectors`` (B, n, n) are the adapted frames as rows and ``omega`` their
+    rotation blocks.
+    """
+    rm_g = frame_components_batch(data.rm_g, vectors)
+    rm_l = frame_components_batch(data.rm_l, vectors)
+
+    def operator(rm_frame, metric):
+        gram = np.einsum("bai,bij,bcj->bac", vectors, metric, vectors)
+        return np.linalg.inv(_lambda2_gram(gram, pairs)) @ gather_operator_entries(rm_frame, pairs)
+
+    m_r = operator(rm_g, data.g)
+    sym = gather_operator_entries(flipped_curvature_tensor(rm_l, omega, -1.0), pairs)
+    m_s = 0.5 * (sym + sym.swapaxes(1, 2))
+    return {
+        "m_r": m_r,
+        "m_l": operator(rm_l, data.gl),
+        "m_s": m_s,
+        "central": np.abs(m_s - m_r).max(axis=(1, 2)),
+    }
+
+
+def frame_tensor_curvature_residuals(data, frames: np.ndarray) -> np.ndarray:
+    """Residuals (B, 3): max |Rm_g - prediction| over (X,Y,T,Z), (T,X,T,Y) and (X,Y,Z,W) components."""
+    rml = frame_components_batch(data.rm_l, frames)
+    rmg = frame_components_batch(data.rm_g, frames)
+    omega = np.einsum("bai,bki,bkl,bcl->bac", frames, data.cov_t_l, data.gl, frames)
+    omega[:, 0] = omega[:, :, 0] = 0.0
+    res = np.abs(rmg - flipped_curvature_tensor(rml, omega, data.gtt))
+    return np.stack(
+        [
+            res[:, 1:, 1:, 0, 1:].max(axis=(1, 2, 3)),
+            res[:, 0, 1:, 0, 1:].max(axis=(1, 2)),
+            res[:, 1:, 1:, 1:, 1:].max(axis=(1, 2, 3, 4)),
+        ],
+        axis=1,
+    )

@@ -98,8 +98,8 @@ class TestVerify:
         # curvature rows and the symmetrized operator call
         real = stationary.flipped_curvature
 
-        def skewed(rm_l_frame, omega, gtt):
-            return real(rm_l_frame, 1.001 * omega, gtt)
+        def skewed(p_l, omega, gtt, basis):
+            return real(p_l, 1.001 * omega, gtt, basis)
 
         monkeypatch.setattr(stationary, "flipped_curvature", skewed)
         monkeypatch.setattr(curvature_ops, "flipped_curvature", skewed)

@@ -1,31 +1,34 @@
 """Operator assembly on Lambda^2 and the symmetrized-matrix construction."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from statcurv import topology
 from statcurv.curvature_ops import (
     Lambda2Basis,
-    _gather,
     _operators,
-    lambda2_gram,
+    _symmetrized,
     operators_at,
     operators_from_data,
 )
-from statcurv.frames import adapted_frames_batch, orthonormal_completions
-from statcurv.generators import GeneratorRecipe, battery_recipe, generate
+from statcurv.frames import adapted_frames_batch, orthonormal_completions, rotation_blocks
+from statcurv.generators import FAMILIES, GeneratorRecipe, battery_recipe, generate
+from statcurv.lambda2 import compound, pair_components
 from statcurv.linalg import jacobi_eigh
 from statcurv.metric import frame_components_batch, load_spec
 from statcurv.stationary import (
     StationaryStructure,
     connection_residual_batch,
     curvature_residual_batch,
-    flipped_curvature,
     structure_data,
 )
 from statcurv.tolerances import DEFAULT
 
 from conftest import sample_interior
+from oracles import frame_tensor_curvature_residuals, frame_tensor_operators
 from structures import s3_times_torus, two_pair_flat_rotations
 
 
@@ -39,7 +42,7 @@ def ops_at(s, point):
 def riemannian_in(s, data, vectors):
     """Riemannian operator matrices (B, N, N) in the frames ``vectors`` (B, n, n), any frames."""
     basis = Lambda2Basis.standard(s.dimension)
-    return _operators(frame_components_batch(data.rm_g, vectors), data.g, vectors, basis)
+    return _operators(pair_components(data.rm_g, vectors, basis), data.g, vectors, basis)
 
 
 class TestBasis:
@@ -71,18 +74,19 @@ class TestBasis:
 
 
 class TestLambda2Gram:
+    # the Lambda^2 Gram matrix is the compound (2x2 minors) of the frame Gram
     def test_lorentzian_sign_pattern(self):
         # mixed (T, X_i) pairs carry Gram -1, purely spatial pairs +1
         for n in (3, 4, 5):
             basis = Lambda2Basis.standard(n)
             minkowski = np.diag([-1.0] + [1.0] * (n - 1))
-            gram = lambda2_gram(basis, minkowski)
+            gram = compound(basis, minkowski)
             expected = np.diag([-1.0 if 0 in pair else 1.0 for pair in basis.pairs])
             assert np.array_equal(gram, expected)
 
     def test_riemannian_gram_is_identity(self):
         basis = Lambda2Basis.standard(4)
-        assert np.array_equal(lambda2_gram(basis, np.eye(4)), np.eye(6))
+        assert np.array_equal(compound(basis, np.eye(4)), np.eye(6))
 
 
 class TestRiemannianOperator:
@@ -166,8 +170,8 @@ def symmetrized(rm, blocks):
     omega = np.zeros((1, n, n))
     for i, j, f in blocks:
         omega[0, i, j], omega[0, j, i] = f, -f
-    entries = _gather(flipped_curvature(rm[None], omega, -1.0), Lambda2Basis.standard(n))[0]
-    return 0.5 * (entries + entries.T)
+    basis = Lambda2Basis.standard(n)
+    return _symmetrized(pair_components(rm[None], np.eye(n)[None], basis), omega, basis)[0]
 
 
 class TestSymmetrizedTemplates:
@@ -234,8 +238,9 @@ class TestSymmetrizedTemplates:
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
     def test_batched_synthesis_matches_pointwise_formula(self, seed):
-        # reference: the curvature identities applied one point at a time;
-        # the batched pass does the same arithmetic, so the bytes agree
+        # reference: the curvature identities applied one point at a time to
+        # the n^4 frame tensor; the batched pass works on pair components and
+        # sums in another order, so the two agree to rounding
         structure = generate(battery_recipe(seed))
         data = structure_data(structure, sample_interior(structure.spec, 8, seed))
         frames = adapted_frames_batch(structure, data)
@@ -270,7 +275,8 @@ class TestSymmetrizedTemplates:
             synth[1:, 0, 0, 1:] -= tt[1:, 1:]
             entries = -synth[iv[None, :], iw[None, :], iv[:, None], iw[:, None]]
             expected = 0.5 * (entries + entries.T)
-            assert np.array_equal(ops[b].symmetrized.entries, expected)
+            scale = max(1.0, np.abs(expected).max())
+            assert np.abs(ops[b].symmetrized.entries - expected).max() <= 1e-13 * scale
 
 
 class TestCentralIdentity:
@@ -353,7 +359,7 @@ class TestBasisEquivariance:
         data = structure_data(structure, [point])
         frames = adapted_frames_batch(structure, data).vectors
         op1 = riemannian_in(structure, data, frames)[0]
-        op2 = _operators(frame_components_batch(data.rm_g, frames), data.g, frames, permuted)[0]
+        op2 = _operators(pair_components(data.rm_g, frames, permuted), data.g, frames, permuted)[0]
         perm = [base.pairs.index(p) for p in permuted.pairs]
         assert np.abs(op2 - op1[np.ix_(perm, perm)]).max() < 1e-12
         v1, _ = jacobi_eigh(op1)
@@ -363,12 +369,9 @@ class TestBasisEquivariance:
 
 def _eager_lorentzian(data, frames: np.ndarray, basis: Lambda2Basis) -> np.ndarray:
     """G_L^{-1} S_L as operators_from_data once built it for every batch, read or not."""
-    rm_frame = frame_components_batch(data.rm_l, frames)
+    s = -pair_components(data.rm_l, frames, basis).swapaxes(1, 2)
     gram = np.einsum("bai,bij,bcj->bac", frames, data.gl, frames)
-    iv = np.array([p[0] for p in basis.pairs])
-    iw = np.array([p[1] for p in basis.pairs])
-    s = -rm_frame[:, iv[None, :], iw[None, :], iv[:, None], iw[:, None]]
-    return np.linalg.inv(lambda2_gram(basis, gram)) @ s
+    return np.linalg.inv(compound(basis, gram)) @ s
 
 
 def _lazy_cases():
@@ -405,3 +408,36 @@ def test_scan_points_leaves_the_lorentzian_operator_unbuilt(s3, monkeypatch):
     topology.scan_points(s3, sample_interior(s3.spec, 10, 5))
     assert len(built) == 3
     assert all("m_l" not in vars(ops) for ops in built)
+
+
+@st.composite
+def recipes(draw):
+    """Generator recipes over the supported range n = 3..8, every family it admits."""
+    n = draw(st.integers(min_value=3, max_value=8))
+    family = draw(st.sampled_from(FAMILIES if n == 3 else FAMILIES[:2]))
+    flat = draw(st.integers(min_value=0, max_value=n - 2)) if family == "product-with-flat" else 0
+    return GeneratorRecipe(draw(st.integers(min_value=0, max_value=99)), n, family, flat)
+
+
+@settings(max_examples=40)
+@given(recipes(), st.integers(min_value=0, max_value=2**16))
+def test_pair_space_matches_frame_tensor_oracle(recipe, seed):
+    # the n^4 formulation: staged frame tensors, the full-tensor flip, the gather
+    unit = generate(recipe)
+    data = structure_data(unit, sample_interior(unit.spec, 3, seed))
+    frames = adapted_frames_batch(unit, data)
+    ops = operators_from_data(unit, data, frames)
+    omega = rotation_blocks(frames.f, frames.pair_count, unit.dimension)
+    want = frame_tensor_operators(data, frames.vectors, omega, ops.basis.pairs)
+    scale = max(1.0, *(float(np.abs(want[m]).max()) for m in ("m_r", "m_l", "m_s")))
+    for name in ("m_r", "m_l", "m_s", "central"):
+        assert np.abs(getattr(ops, name) - want[name]).max() <= 1e-12 * scale, name
+    # the residual classes where verify checks them: T at its own length, so
+    # g_L(T,T) != -1, in frames whose rotation blocks are not normal forms
+    raw = generate(replace(recipe, normalize=False))
+    data = structure_data(raw, sample_interior(raw.spec, 3, seed))
+    frames = orthonormal_completions(data, DEFAULT, require_unit=False)
+    want = frame_tensor_curvature_residuals(data, frames)
+    scale = max(1.0, float(np.abs(pair_components(data.rm_g, frames, ops.basis)).max()))
+    got = curvature_residual_batch(data, frames)
+    assert np.abs(got - want).max() <= 1e-12 * scale

@@ -117,7 +117,7 @@ def test_out_file_bytes(case, workdir, golden, monkeypatch):
 
 
 WALKTHROUGH = HERE.parent / "scripts" / "reproduce_hopf_example.py"
-WALKTHROUGH_SHA256 = "24a63a6bbc5389f178f6074fc3b002d50fe548bd8cfb60532d63a67374b34314"
+WALKTHROUGH_SHA256 = "728874fd00d65029fc3c9c2b5589fd9f7c7aae0fd12743fb2dda441d2cabdd86"
 
 
 def test_walkthrough_script_bytes():

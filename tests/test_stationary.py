@@ -10,6 +10,7 @@ from statcurv import stationary
 from statcurv.errors import ChartDomainError, NearSingularError, NonTimelikeError, SpecFormatError
 from statcurv.frames import orthonormal_completion, orthonormal_completions
 from statcurv.generators import battery_recipe, generate
+from statcurv.lambda2 import Lambda2Basis, pair_components
 from statcurv.metric import check_signature, frame_components_batch, load_spec, metric_batch
 from statcurv.stationary import (
     StationaryStructure,
@@ -294,7 +295,10 @@ class TestCurvatureRelations:
         reference = -rml[:, 0, 1:, 0, 1:] - 2.0 * ip + drop
         omega = np.zeros(frames.shape)
         omega[:, 1:, 1:] = np.einsum("bka,bkl,bcl->bac", u, data.gl, x)
-        got = flipped_curvature(rml, omega, data.gtt)[:, 0, 1:, 0, 1:]
+        basis = Lambda2Basis.standard(raw.dimension)
+        p_l = pair_components(data.rm_l, frames, basis)
+        t_pairs = [a for a, pair in enumerate(basis.pairs) if pair[0] == 0]  # (T, X_1), (T, X_2), ...
+        got = flipped_curvature(p_l, omega, data.gtt, basis)[:, t_pairs][:, :, t_pairs]
         assert np.abs(drop).max() > 0.1  # the cancelled term is not negligible
         assert np.abs(got - reference).max() < 1e-13 * max(1.0, np.abs(reference).max())
 

@@ -28,6 +28,7 @@ from statcurv.frames import (
     orthonormal_completions,
 )
 from statcurv.generators import battery_recipe, generate
+from statcurv.lambda2 import pair_components
 from statcurv.metric import frame_components_batch
 from statcurv.stationary import _nabla_t_frames, structure_data
 from statcurv.tolerances import DEFAULT
@@ -58,13 +59,13 @@ def test_symmetrized_matrix_is_row(batch):
     # omega written from each row's pairing, not by frames.rotation_blocks
     structure, _, data, frames = batch
     ops = operators_from_data(structure, data, frames)
-    rml = frame_components_batch(data.rm_l, frames.vectors)
+    p_l = pair_components(data.rm_l, frames.vectors, ops.basis)
     n = structure.dimension
     for b, (frame, op) in enumerate(zip(frames, ops)):
         omega = np.zeros((1, n, n))
         for p in frame.pairing:
             omega[0, p.i, p.j], omega[0, p.j, p.i] = p.f, -p.f
-        entries = _symmetrized(rml[b : b + 1], omega, ops.basis)[0]
+        entries = _symmetrized(p_l[b : b + 1], omega, ops.basis)[0]
         assert np.array_equal(entries, op.symmetrized.entries)
 
 
@@ -82,7 +83,7 @@ def test_point_operator_builds_one_riemann_tensor(batch, monkeypatch):
     alone = structure_data(structure, pts[:1])
     vectors = frames.vectors[:1]
     basis = Lambda2Basis.standard(structure.dimension)
-    riem = _operators(frame_components_batch(alone.rm_g, vectors), alone.g, vectors, basis)
+    riem = _operators(pair_components(alone.rm_g, vectors, basis), alone.g, vectors, basis)
     assert len(calls) == 1
     ops = operators_from_data(structure, data, frames)
     assert np.array_equal(riem[0], ops.m_r[0])
@@ -119,6 +120,15 @@ def test_frame_components_is_row(batch):
     rows = frame_components_batch(data.rm_l, stack)
     for b in range(len(pts)):
         alone = frame_components_batch(data.rm_l[b : b + 1], stack[b : b + 1])[0]
+        assert np.array_equal(alone, rows[b])
+
+
+def test_pair_components_is_row(batch):
+    structure, pts, data, frames = batch
+    basis = Lambda2Basis.standard(structure.dimension)
+    rows = pair_components(data.rm_g, frames.vectors, basis)
+    for b in range(len(pts)):
+        alone = pair_components(data.rm_g[b : b + 1], frames.vectors[b : b + 1], basis)[0]
         assert np.array_equal(alone, rows[b])
 
 
