@@ -70,7 +70,7 @@ def _operators(p: np.ndarray, metric: np.ndarray, frames: np.ndarray, basis: Lam
 
 def _symmetrized(p_l: np.ndarray, omega: np.ndarray, basis: Lambda2Basis) -> np.ndarray:
     """Symmetrized matrices (B, N, N) of the Rm_g that ``flipped_curvature`` predicts for unit T."""
-    entries = -flipped_curvature(p_l, omega, -1.0, basis)
+    entries = -flipped_curvature(p_l, omega, -1.0, basis)  # S^T, which symmetrizes to the same bits
     return 0.5 * (entries + entries.swapaxes(1, 2))  # symmetric up to rounding already
 
 
