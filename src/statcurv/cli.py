@@ -90,8 +90,6 @@ def cmd_verify(args, spec: MetricSpec, grid: list[int], tol: Tolerances) -> int:
     notes: list[str] = []
     unit_structure = _normalized(structure, notes)
     table = topology.verify_points(structure, unit_structure, pts, tol)
-    maxima = table.max(axis=0)
-    argmax = [tuple(float(x) for x in pts[b]) for b in table.argmax(axis=0)]  # first occurrence
 
     lines = [f"statcurv verify: {args.spec}"]
     lines += notes
@@ -100,21 +98,25 @@ def cmd_verify(args, spec: MetricSpec, grid: list[int], tol: Tolerances) -> int:
     rows = []
     for idx, (name, tol_field) in enumerate(topology.VERIFY_LINES):
         bound = getattr(tol, tol_field)
-        passed = bool(maxima[idx] <= bound)
+        worst = float(table[:, idx].max())
+        passed = worst <= bound
         ok = ok and passed
         status = "PASS" if passed else "FAIL"
+        # the first point within tol.identity * bound of the maximum: residuals
+        # of a passing row are rounding noise, a failing row names its worst point
+        at = [float(x) for x in pts[topology.near_argmin(-table[:, idx], tol.identity * bound)]]
         rows.append(
             {
                 "identity": name.split()[0] + "_" + name.split()[-1],
-                "max_residual": float(maxima[idx]),
+                "max_residual": worst,
                 "tolerance": bound,
-                "argmax_point": list(argmax[idx]),
+                "argmax_point": at,
                 "status": status,
             }
         )
         lines.append(
-            f"{name:<30} max residual {maxima[idx]:.3e}  tol {bound:.1e}  {status}"
-            + ("" if passed else f"  at {list(argmax[idx])}")
+            f"{name:<30} max residual {worst:.3e}  tol {bound:.1e}  {status}"
+            + ("" if passed else f"  at {at}")
         )
     lines.append("all identities verified" if ok else "VERIFICATION FAILED")
     if args.fmt == "json":

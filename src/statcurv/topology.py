@@ -256,15 +256,16 @@ def verify_points(
     return chunked(s, np.asarray(pts, dtype=float), step)[0]
 
 
-def near_argmin(values: np.ndarray, tol: Tolerances = DEFAULT) -> int:
-    """First row whose value is within ``tol.identity * max|values|`` of the minimum.
+def near_argmin(values: np.ndarray, window: float) -> int:
+    """First row whose value is within ``window`` of the minimum.
 
     Values that tie to rounding (all S3 margins equal 2 to within 1e-10)
     would otherwise put the exact argmin wherever the last rounding error
-    falls; the window is relative to the largest value, so rescaling the
-    values picks the same row.
+    falls.  ``analyze`` takes the window relative to the largest |margin|,
+    so rescaled margins pick the same row; ``verify`` finds its argmax as
+    the near argmin of minus the residuals, in a window relative to the
+    row's tolerance.
     """
-    window = tol.identity * float(np.abs(values).max())
     return int(np.argmax(values <= values.min() + window))
 
 
@@ -290,7 +291,8 @@ def grid_scans(
         margins = sums[:, n - p - 1]
         min_margin = float(margins.min()) + 0.0  # folds -0.0 into 0.0
         verdict = betti_conclusions(n, p, bool(min_margin > tol.positivity))
-        argmin_point = tuple(float(x) for x in pts[near_argmin(margins, tol)])
+        window = tol.identity * float(np.abs(margins).max())
+        argmin_point = tuple(float(x) for x in pts[near_argmin(margins, window)])
         results.append(GridScanResult(verdict, shape, min_margin, argmin_point, residual, pts, vals))
     return results
 

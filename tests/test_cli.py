@@ -108,6 +108,34 @@ class TestVerify:
         failed = {row["identity"] for row in json.loads(out)["identities"] if row["status"] == "FAIL"}
         assert failed == {"curvature_timelike", "curvature_spatial", "operator_central_identity"}
 
+    def test_argmax_point_ignores_rounding_ties(self, capsys):
+        # connection_nabla_T_X reads rounding noise (4.4e-16 at grid 4) against
+        # a tolerance of 1e-7; its exact argmax is grid point 16, but every
+        # point lies within tol.identity * 1e-7 of it, so the first one is reported
+        code, out, _ = run(capsys, "verify", S3, "--grid", "4", "--format", "json")
+        assert code == 0
+        rows = {row["identity"]: row for row in json.loads(out)["identities"]}
+        assert rows["connection_nabla_T_X"]["argmax_point"] == [0.001, 0.001, 0.001]
+
+    def test_failing_rows_report_their_worst_point(self, capsys, monkeypatch):
+        # one point's curvature_mixed residual pushed over the tolerance, 1% above
+        # a second failing point: the row fails and names the worse one
+        real = topology.verify_points
+
+        def one_bad_point(*args):
+            table = real(*args).copy()
+            table[[20, 37], 4] = [1e-4, 1.01e-4]
+            return table
+
+        monkeypatch.setattr(topology, "verify_points", one_bad_point)
+        code, out, _ = run(capsys, "verify", S3, "--grid", "4", "--format", "json")
+        assert code == 3
+        structure = stationary.StationaryStructure.from_spec(load_spec_file(S3))
+        pts, _ = topology.build_grid(structure.spec, [4, 4, 4])
+        rows = json.loads(out)["identities"]
+        assert [row["identity"] for row in rows if row["status"] == "FAIL"] == ["curvature_mixed"]
+        assert rows[4]["argmax_point"] == pts[37].tolist()
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_non_unit_spec_passes(self, capsys, tmp_path, seed):
         # the curvature rows then see g_L(T,T) != -1, the operators its normalization

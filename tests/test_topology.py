@@ -222,11 +222,13 @@ class TestGridScan:
 
     def test_argmin_point_of_a_clear_minimum(self):
         margins = np.array([3.0, 1.0 + 1e-6, 1.0, 1.0 + 1e-9, 2.0])
-        assert topology.near_argmin(margins) == 2
-        # the window is relative to the largest |margin|, so scaling moves nothing
-        assert topology.near_argmin(1e6 * margins) == topology.near_argmin(1e-6 * margins) == 2
-        assert topology.near_argmin(np.array([3e-9, 1e-9, 1e-9 + 2e-17])) == 1
-        assert topology.near_argmin(np.zeros(4)) == 0
+        assert topology.near_argmin(margins, 3e-8) == 2
+        # a window relative to the largest |margin| scales with the margins
+        assert topology.near_argmin(1e6 * margins, 3e-2) == topology.near_argmin(1e-6 * margins, 3e-14) == 2
+        assert topology.near_argmin(np.array([3e-9, 1e-9, 1e-9 + 2e-17]), 3e-17) == 1
+        assert topology.near_argmin(np.zeros(4), 0.0) == 0
+        # the window decides: a larger one reaches back to an earlier row
+        assert topology.near_argmin(margins, 2e-6) == 1
 
     def test_point_failure_carries_coordinates(self):
         # the metric degenerates for x <= 0; the scan must name the point
