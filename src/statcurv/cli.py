@@ -90,7 +90,6 @@ def cmd_verify(args, spec: MetricSpec, grid: list[int], tol: Tolerances) -> int:
     notes: list[str] = []
     unit_structure = _normalized(structure, notes)
     table = topology.verify_points(structure, unit_structure, pts, tol)
-
     lines = [f"statcurv verify: {args.spec}"]
     lines += notes
     lines.append(f"grid: {'x'.join(str(m) for m in shape)}")
@@ -102,8 +101,7 @@ def cmd_verify(args, spec: MetricSpec, grid: list[int], tol: Tolerances) -> int:
         passed = worst <= bound
         ok = ok and passed
         status = "PASS" if passed else "FAIL"
-        # the first point within tol.identity * bound of the maximum: residuals
-        # of a passing row are rounding noise, a failing row names its worst point
+        # passing residuals are rounding noise: report the first near-maximal point
         at = [float(x) for x in pts[topology.near_argmin(-table[:, idx], tol.identity * bound)]]
         rows.append(
             {

@@ -9,14 +9,14 @@ against the h-induced inner product on Lambda^2,
     < v ^ w, x ^ y >_h = det [[h(v,x), h(v,y)], [h(w,x), h(w,y)]].
 
 In matrix form over an ordered basis of wedge pairs this is M = G^{-1} S
-with S[a, b] = -Rm(pair_b; pair_a) and G the Lambda^2 Gram matrix, which is
-computed explicitly from the frame's metric Gram (never assumed diagonal):
-for a Lorentzian orthonormal frame the mixed pairs (T, X_i) carry Gram -1,
-which is what makes the Lorentzian operator generally non-symmetric.  S is
-minus the transpose of the pair components P[a, b] = Rm(pair_a; pair_b),
-which ``lambda2.pair_components`` contracts directly from the coordinate
-tensor as W Rm W^T (W the (N, n^2) wedge rows E_v (x) E_w of the frame), so
-no n^4 frame tensor is built.
+with S[a, b] = -Rm(pair_b; pair_a) and G the Lambda^2 Gram matrix.  The
+adapted frames are checked orthonormal for g_L, hence for g (see ``frames``),
+so G is diag(+-1) and is never formed: the identity for g, and -1 on the
+mixed pairs (T, X_i) for g_L, which makes the Lorentzian operator generally
+non-symmetric.  S is minus the transpose of the pair components
+P[a, b] = Rm(pair_a; pair_b), which ``lambda2.pair_components`` contracts
+from the coordinate tensor as W Rm W^T (W the (N, n^2) wedge rows
+E_v (x) E_w of the frame), so no n^4 frame tensor is built.
 
 The symmetrized flavor rebuilds the Riemannian operator purely from
 Lorentzian data: it takes the Rm_g pair components that
@@ -36,8 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .frames import BatchRow, FrameBatch, FrameRow, adapted_frames_batch, rotation_blocks, row_field
-from .lambda2 import Lambda2Basis, compound, pair_components
-from .linalg import invert
+from .lambda2 import Lambda2Basis, pair_components
 from .metric import frame_components_batch  # noqa: F401  bench/tracing patches and checks this binding
 from .stationary import StationaryStructure, StructureData, flipped_curvature, structure_data
 from .tolerances import DEFAULT, Tolerances
@@ -58,14 +57,12 @@ class CurvatureOperatorMatrix:
         return float(np.abs(self.entries - self.entries.T).max())
 
 
-def _operators(p: np.ndarray, metric: np.ndarray, frames: np.ndarray, basis: Lambda2Basis) -> np.ndarray:
-    """Operator matrices G^{-1} S (B, N, N) from pair components ``p`` (B, N, N).
+def _operators(p: np.ndarray, signs=1.0) -> np.ndarray:
+    """G^{-1} S (B, N, N) for the Gram G = diag(``signs``) and S[b, a, c] = -p[b, c, a].
 
-    S[b, a, c] = -Rm(pair_c; pair_a) = -p[b, c, a].  ``metric`` (B,n,n) is
-    coordinate data, ``frames`` (B,n,n) holds the frame vectors as rows.
+    Adding 0.0 folds -0.0 into 0.0.
     """
-    gram = np.einsum("bai,bij,bcj->bac", frames, metric, frames)
-    return invert(compound(basis, gram)) @ -p.swapaxes(1, 2)
+    return np.asarray(signs)[..., None] * -p.swapaxes(1, 2) + 0.0
 
 
 def _symmetrized(p_l: np.ndarray, omega: np.ndarray, basis: Lambda2Basis) -> np.ndarray:
@@ -101,7 +98,7 @@ class OperatorBatch(Sequence):
     ``m_r``, ``m_l`` and ``m_s`` (B, N, N) are the Riemannian, Lorentzian and
     symmetrized matrices, ``central`` (B,) the central-identity residuals.
     ``m_l`` is built on first read from ``p_l`` (B, N, N), the pair
-    components of Rm_L that ``m_s`` is built from, and ``gl`` (B,n,n).
+    components of Rm_L that ``m_s`` is built from.
     """
 
     frames: FrameBatch
@@ -110,11 +107,11 @@ class OperatorBatch(Sequence):
     m_s: np.ndarray
     central: np.ndarray
     p_l: np.ndarray
-    gl: np.ndarray
 
     @cached_property
     def m_l(self) -> np.ndarray:
-        return _operators(self.p_l, self.gl, self.frames.vectors, self.basis)
+        # the g_L Gram of a pair touching T is g_L(T,T) = -1
+        return _operators(self.p_l, np.where(self.basis.t_legs[1] == 0.0, 1.0, -1.0))
 
     def __len__(self) -> int:
         return self.central.shape[0]
@@ -133,11 +130,11 @@ def operators_from_data(s: StationaryStructure, data: StructureData, frames: Fra
     n = s.dimension
     basis = Lambda2Basis.standard(n)
     vectors = frames.vectors
-    m_r = _operators(pair_components(data.rm_g, vectors, basis), data.g, vectors, basis)
+    m_r = _operators(pair_components(data.rm_g, vectors, basis))
     p_l = pair_components(data.rm_l, vectors, basis)
     m_s = _symmetrized(p_l, rotation_blocks(frames.f, frames.pair_count, n), basis)
     central = np.abs(m_s - m_r).max(axis=(1, 2))
-    return OperatorBatch(frames, basis, m_r, m_s, central, p_l, data.gl)
+    return OperatorBatch(frames, basis, m_r, m_s, central, p_l)
 
 
 def operators_at(s: StationaryStructure, pts, tol: Tolerances = DEFAULT) -> OperatorBatch:

@@ -11,6 +11,10 @@ with the kernel directions fixed (nab^L_{X_j} T = 0).  Construction is
 deterministic: LAPACK eigenvectors with fixed signs, pairs sorted by
 |f| descending and assigned the lowest spatial indices, kernel last.
 
+Every frame handed out, completion or adapted, passes ``check_orthonormal``
+once, so its consumers read nab^L T from ``stationary.nabla_t_form`` and
+take the Lambda^2 Grams as diag(+-1), with no linear solve.
+
 Every point of a batch goes through the same array operations, in the
 operation order of a single-point construction, so a frame does not depend
 on the batch it was built in.
@@ -25,7 +29,7 @@ import numpy as np
 
 from .errors import EigenstructureError, FrameError
 from .linalg import jacobi_eigh
-from .stationary import StationaryStructure, StructureData, _nabla_t_frames, structure_data
+from .stationary import StationaryStructure, StructureData, nabla_t_form, structure_data
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -195,12 +199,18 @@ def orthonormal_completions(data: StructureData, tol: Tolerances, require_unit: 
         count += accept
     if np.any(count < n):
         raise FrameError("rank-deficient seed basis: could not complete the frame")
-    expected = np.tile(np.eye(n), (batch, 1, 1))
-    expected[:, 0, 0] = data.gtt
-    off = np.abs(basis @ data.gl @ basis.swapaxes(1, 2) - expected).max(axis=(1, 2))
-    if np.any(off > tol.antisymmetry * np.maximum(1.0, np.abs(data.gtt))):
-        raise FrameError("completion frame failed the orthonormality check")
+    check_orthonormal(basis, data, tol)
     return basis
+
+
+def check_orthonormal(frames: np.ndarray, data: StructureData, tol: Tolerances) -> None:
+    """FrameError unless each E (B, n, n) has E g_L E^T = diag(g_L(T,T), 1, ..., 1), entry by entry."""
+    off = frames @ data.gl @ frames.swapaxes(1, 2) - np.eye(frames.shape[1])
+    off[:, 0, 0] -= data.gtt - 1.0
+    off = np.abs(off).max(axis=(1, 2))
+    bad = off > tol.antisymmetry * np.maximum(1.0, np.abs(data.gtt))
+    if np.any(bad):
+        raise FrameError(f"frame failed the orthonormality check (residual {float(off[np.argmax(bad)])})")
 
 
 def orthonormal_completion(
@@ -296,14 +306,13 @@ def _pair_clusters(vecs: np.ndarray, spatial: np.ndarray, kernel, starts):
     return v_out, w_out, f_out, count
 
 
-def _adapt(e: np.ndarray, a: np.ndarray, tol: Tolerances):
+def _adapt(e: np.ndarray, spatial: np.ndarray, tol: Tolerances):
     """Rotation-block rows, f values, pair counts and squared-map spectra of non-parallel points.
 
-    ``e`` (B, n, n) are completions and ``a`` (B, n, n) the components of
-    nab^L T in them.
+    ``e`` (B, n, n) are completions and column i of ``spatial`` (B, n-1, n-1)
+    holds the components of nab^L_{X_i} T along their spatial rows.
     """
     batch, n, _ = e.shape
-    spatial = a[:, 1:, 1:]
     squared = spatial @ spatial
     asym = np.abs(squared - squared.swapaxes(1, 2)).max(axis=(1, 2))
     skew = asym > tol.antisymmetry * np.maximum(1.0, np.abs(squared).max(axis=(1, 2)))
@@ -343,23 +352,24 @@ def adapted_frames_batch(
     """
     completions = orthonormal_completions(data, tol)
     batch, n = data.points.shape
-    a = _nabla_t_frames(data.cov_t_l, completions)
-    t_block = np.maximum(np.abs(a[:, 0, :]).max(axis=1), np.abs(a[:, :, 0]).max(axis=1))
+    # nab^L_{E_i} T has components omega[i, j] / diag(-1, 1, ..., 1)_j
+    omega = nabla_t_form(data, completions)
+    t_block = np.maximum(np.abs(omega[:, 0, :]).max(axis=1), np.abs(omega[:, :, 0]).max(axis=1))
     if np.any(t_block > tol.pairing):
         first = float(t_block[np.argmax(t_block > tol.pairing)])
         raise EigenstructureError(f"nab T does not annihilate the T direction (residual {first})")
     # parallel T: defined fallback, every spatial direction fixed, spectrum zero
-    moving = np.flatnonzero(np.abs(a[:, 1:, 1:]).max(axis=(1, 2)) > tol.pairing)
+    moving = np.flatnonzero(np.abs(omega[:, 1:, 1:]).max(axis=(1, 2)) > tol.pairing)
     vectors = completions.copy()
     f = np.zeros((batch, (n - 1) // 2))
     count = np.zeros(batch, dtype=int)
     eigs = np.zeros((batch, n))
     if moving.size:
-        parts = _adapt(completions[moving], a[moving], tol)
+        parts = _adapt(completions[moving], omega[moving, 1:, 1:].swapaxes(1, 2), tol)
         vectors[moving], f[moving], count[moving], eigs[moving] = parts
+    check_orthonormal(vectors, data, tol)
     # rotation-block pattern residual on the final frames
-    pattern = rotation_blocks(f, count, n).swapaxes(1, 2)
-    residual = np.abs(_nabla_t_frames(data.cov_t_l, vectors) - pattern).max(axis=(1, 2))
+    residual = np.abs(nabla_t_form(data, vectors) - rotation_blocks(f, count, n)).max(axis=(1, 2))
     if np.any(residual > tol.pairing):
         first = float(residual[np.argmax(residual > tol.pairing)])
         raise FrameError(f"adapted frame residual {first} above tolerance {tol.pairing}")

@@ -30,7 +30,6 @@ import numpy as np
 from .errors import NonTimelikeError, SpecFormatError
 from .expr import Expression, _eval_jet
 from .lambda2 import Lambda2Basis, compound, pair_components
-from .linalg import invert
 from .metric import (
     KillingField,
     MetricSpec,
@@ -225,10 +224,12 @@ def structure_data(s: StationaryStructure, pts, tol: Tolerances = DEFAULT) -> St
     )
 
 
-def _nabla_t_frames(cov_t_l: np.ndarray, frames: np.ndarray) -> np.ndarray:
-    """A[b, j, i] = component of nab^L_{E_i} T along E_j, frames (B, n, n) as rows."""
-    e_t = frames.swapaxes(1, 2)
-    return invert(e_t) @ (cov_t_l @ e_t)
+def nabla_t_form(data: StructureData, frames: np.ndarray) -> np.ndarray:
+    """w[b, i, j] = g_L(nab^L_{E_i} T, E_j) (B, n, n), frames (B, n, n) as rows.
+
+    In an orthonormal frame, the component of nab^L_{E_i} T along E_j is w[b, i, j] / g_L(E_j, E_j).
+    """
+    return frames @ data.cov_t_l.swapaxes(1, 2) @ data.gl @ frames.swapaxes(1, 2)
 
 
 # --- pointwise operations ----------------------------------------------------
@@ -291,7 +292,7 @@ def curvature_residual_batch(data: StructureData, frames: np.ndarray) -> np.ndar
     basis = Lambda2Basis.standard(frames.shape[1])
     p_l = pair_components(data.rm_l, frames, basis)
     p_g = pair_components(data.rm_g, frames, basis)
-    omega = frames @ data.cov_t_l.swapaxes(1, 2) @ data.gl @ frames.swapaxes(1, 2)
+    omega = nabla_t_form(data, frames)
     omega[:, 0] = omega[:, :, 0] = 0.0
     res = np.abs(p_g - flipped_curvature(p_l, omega, data.gtt, basis))
     t = np.flatnonzero(basis.t_legs[1])

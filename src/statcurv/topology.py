@@ -260,11 +260,7 @@ def near_argmin(values: np.ndarray, window: float) -> int:
     """First row whose value is within ``window`` of the minimum.
 
     Values that tie to rounding (all S3 margins equal 2 to within 1e-10)
-    would otherwise put the exact argmin wherever the last rounding error
-    falls.  ``analyze`` takes the window relative to the largest |margin|,
-    so rescaled margins pick the same row; ``verify`` finds its argmax as
-    the near argmin of minus the residuals, in a window relative to the
-    row's tolerance.
+    would otherwise put the exact argmin wherever the last rounding error falls.
     """
     return int(np.argmax(values <= values.min() + window))
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from statcurv.expr import Expression, eval_jet_batch
+from statcurv.lambda2 import compound
 from statcurv.linalg import invert
 from statcurv.metric import MetricSpec, christoffel_batch, frame_components_batch
 
@@ -215,3 +216,27 @@ def frame_tensor_curvature_residuals(data, frames: np.ndarray) -> np.ndarray:
         ],
         axis=1,
     )
+
+
+# --- solved forms of what the library reads off an orthonormal frame ----------
+#
+# The library relies on its frames being orthonormal for g_L (checked by
+# ``frames.check_orthonormal``); these solve with the frame instead, so they
+# hold in any frame.
+
+
+def inverse_nabla_t_frames(cov_t_l: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    """A[b, j, i] = component of nab^L_{E_i} T along E_j, frames (B, n, n) as rows, by a linear solve."""
+    e_t = frames.swapaxes(1, 2)
+    return np.linalg.inv(e_t) @ (cov_t_l @ e_t)
+
+
+def gram_operators(p: np.ndarray, metric: np.ndarray, frames: np.ndarray, basis) -> np.ndarray:
+    """Operator matrices G^{-1} S (B, N, N) with the Lambda^2 Gram G of ``metric`` in ``frames`` inverted.
+
+    S[b, a, c] = -p[b, c, a] for pair components ``p`` (B, N, N); ``metric``
+    (B, n, n) is coordinate data and ``frames`` (B, n, n) holds the frame
+    vectors as rows.
+    """
+    gram = np.einsum("bai,bij,bcj->bac", frames, metric, frames)
+    return np.linalg.inv(compound(basis, gram)) @ -p.swapaxes(1, 2)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from statcurv import topology
+from statcurv import curvature_ops, topology
 from statcurv.curvature_ops import (
     Lambda2Basis,
     _operators,
@@ -28,7 +28,7 @@ from statcurv.stationary import (
 from statcurv.tolerances import DEFAULT
 
 from conftest import sample_interior
-from oracles import frame_tensor_curvature_residuals, frame_tensor_operators
+from oracles import frame_tensor_curvature_residuals, frame_tensor_operators, gram_operators
 from structures import s3_times_torus, two_pair_flat_rotations
 
 
@@ -42,7 +42,7 @@ def ops_at(s, point):
 def riemannian_in(s, data, vectors):
     """Riemannian operator matrices (B, N, N) in the frames ``vectors`` (B, n, n), any frames."""
     basis = Lambda2Basis.standard(s.dimension)
-    return _operators(pair_components(data.rm_g, vectors, basis), data.g, vectors, basis)
+    return gram_operators(pair_components(data.rm_g, vectors, basis), data.g, vectors, basis)
 
 
 class TestBasis:
@@ -359,7 +359,7 @@ class TestBasisEquivariance:
         data = structure_data(structure, [point])
         frames = adapted_frames_batch(structure, data).vectors
         op1 = riemannian_in(structure, data, frames)[0]
-        op2 = _operators(pair_components(data.rm_g, frames, permuted), data.g, frames, permuted)[0]
+        op2 = _operators(pair_components(data.rm_g, frames, permuted))[0]
         perm = [base.pairs.index(p) for p in permuted.pairs]
         assert np.abs(op2 - op1[np.ix_(perm, perm)]).max() < 1e-12
         v1, _ = jacobi_eigh(op1)
@@ -368,10 +368,10 @@ class TestBasisEquivariance:
 
 
 def _eager_lorentzian(data, frames: np.ndarray, basis: Lambda2Basis) -> np.ndarray:
-    """G_L^{-1} S_L as operators_from_data once built it for every batch, read or not."""
+    """G_L^{-1} S_L built for every batch, read or not: G_L = diag(-1 on pairs touching T, +1)."""
     s = -pair_components(data.rm_l, frames, basis).swapaxes(1, 2)
-    gram = np.einsum("bai,bij,bcj->bac", frames, data.gl, frames)
-    return np.linalg.inv(compound(basis, gram)) @ s
+    touches_t = np.array([0 in pair for pair in basis.pairs])
+    return np.where(touches_t[:, None], -s, s) + 0.0
 
 
 def _lazy_cases():
@@ -394,6 +394,19 @@ def test_lorentzian_operator_on_first_read(name, recipe, request):
     for b in range(len(fresh)):
         assert np.array_equal(fresh[b].lorentzian.entries, want[b])
     assert np.array_equal(fresh.m_r, ops.m_r) and np.array_equal(fresh.m_s, ops.m_s)
+
+
+@pytest.mark.parametrize("name, recipe", _lazy_cases(), ids=[c[0] for c in _lazy_cases()])
+def test_orthonormal_grams_match_the_inverted_grams(name, recipe, request):
+    # the adapted frames are orthonormal, so their Lambda^2 Grams are diag(+-1)
+    # and the operators need no inverse; the oracle inverts the explicit Grams
+    structure = request.getfixturevalue(name) if recipe is None else generate(recipe)
+    data = structure_data(structure, sample_interior(structure.spec, 5, 37))
+    ops = operators_from_data(structure, data, adapted_frames_batch(structure, data))
+    vectors = ops.frames.vectors
+    for got, rm, metric in ((ops.m_r, data.rm_g, data.g), (ops.m_l, data.rm_l, data.gl)):
+        want = gram_operators(pair_components(rm, vectors, ops.basis), metric, vectors, ops.basis)
+        assert np.abs(got - want).max() <= 1e-13 * max(1.0, float(np.abs(want).max()))
 
 
 def test_scan_points_leaves_the_lorentzian_operator_unbuilt(s3, monkeypatch):
@@ -419,12 +432,9 @@ def recipes(draw):
     return GeneratorRecipe(draw(st.integers(min_value=0, max_value=99)), n, family, flat)
 
 
-@settings(max_examples=40)
-@given(recipes(), st.integers(min_value=0, max_value=2**16))
-def test_pair_space_matches_frame_tensor_oracle(recipe, seed):
-    # the n^4 formulation: staged frame tensors, the full-tensor flip, the gather
-    unit = generate(recipe)
-    data = structure_data(unit, sample_interior(unit.spec, 3, seed))
+def assert_operators_match_frame_tensor_oracle(unit, pts):
+    """The n^4 formulation: staged frame tensors, the full-tensor flip, the gather, the inverted Grams."""
+    data = structure_data(unit, pts)
     frames = adapted_frames_batch(unit, data)
     ops = operators_from_data(unit, data, frames)
     omega = rotation_blocks(frames.f, frames.pair_count, unit.dimension)
@@ -432,12 +442,30 @@ def test_pair_space_matches_frame_tensor_oracle(recipe, seed):
     scale = max(1.0, *(float(np.abs(want[m]).max()) for m in ("m_r", "m_l", "m_s")))
     for name in ("m_r", "m_l", "m_s", "central"):
         assert np.abs(getattr(ops, name) - want[name]).max() <= 1e-12 * scale, name
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_frame_tensor_oracle_sees_the_lorentzian_gram_signs(seed, monkeypatch):
+    # a mutation: m_l built with +1 on the pairs touching T as well
+    real = curvature_ops._operators
+    monkeypatch.setattr(curvature_ops, "_operators", lambda p, signs=1.0: real(p, np.abs(signs)))
+    unit = generate(battery_recipe(seed))
+    with pytest.raises(AssertionError, match="m_l"):
+        assert_operators_match_frame_tensor_oracle(unit, sample_interior(unit.spec, 3, seed))
+
+
+@settings(max_examples=40)
+@given(recipes(), st.integers(min_value=0, max_value=2**16))
+def test_pair_space_matches_frame_tensor_oracle(recipe, seed):
+    unit = generate(recipe)
+    assert_operators_match_frame_tensor_oracle(unit, sample_interior(unit.spec, 3, seed))
     # the residual classes where verify checks them: T at its own length, so
     # g_L(T,T) != -1, in frames whose rotation blocks are not normal forms
     raw = generate(replace(recipe, normalize=False))
     data = structure_data(raw, sample_interior(raw.spec, 3, seed))
     frames = orthonormal_completions(data, DEFAULT, require_unit=False)
     want = frame_tensor_curvature_residuals(data, frames)
-    scale = max(1.0, float(np.abs(pair_components(data.rm_g, frames, ops.basis)).max()))
+    basis = Lambda2Basis.standard(raw.dimension)
+    scale = max(1.0, float(np.abs(pair_components(data.rm_g, frames, basis)).max()))
     got = curvature_residual_batch(data, frames)
     assert np.abs(got - want).max() <= 1e-12 * scale

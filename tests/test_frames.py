@@ -12,6 +12,7 @@ from statcurv.frames import (
     _cluster_starts,
     _pair_clusters,
     adapted_frames_batch,
+    check_orthonormal,
     orthonormal_completion,
 )
 from statcurv.generators import battery_recipe, generate
@@ -19,8 +20,8 @@ from statcurv.linalg import jacobi_eigh
 from statcurv.metric import load_spec
 from statcurv.stationary import (
     StationaryStructure,
-    _nabla_t_frames,
     conformal_normalize,
+    nabla_t_form,
     structure_data,
 )
 from statcurv.tolerances import DEFAULT
@@ -179,6 +180,34 @@ class TestAdaptedFrame:
             adapted_at(broken, [1.0, 0.3, 1.0])
 
 
+class TestOrthonormalityContract:
+    def test_scaled_adapted_rows_are_refused(self, s3, monkeypatch):
+        # the solved components of nab T are the same in E and in cE, so only
+        # the orthonormality check on the adapted rows sees the scale
+        import statcurv.frames as frames_mod
+
+        real = frames_mod._adapt
+
+        def scaled(*args):
+            rows, *rest = real(*args)
+            return (rows * (1.0 + 1e-6), *rest)
+
+        monkeypatch.setattr(frames_mod, "_adapt", scaled)
+        with pytest.raises(FrameError, match="orthonormality"):
+            adapted_at(s3, [0.7, 1.0, 2.0])
+
+    def test_check_names_the_first_failing_frame(self, flat_torus):
+        data = structure_data(flat_torus, np.tile([1.0, 2.0, 3.0], (3, 1)))
+        frames = np.tile(np.eye(3), (3, 1, 1))
+        check_orthonormal(frames, data, DEFAULT)
+        frames[1, 2] *= 1.0 + 1e-8
+        frames[2, 1] *= 1.0 + 1e-6
+        with pytest.raises(FrameError, match="orthonormality") as err:
+            check_orthonormal(frames, data, DEFAULT)
+        # row 1's own residual, 2 x 1e-8 on its X_2 diagonal, not row 2's 2e-6
+        assert float(str(err.value).split("residual ")[1].rstrip(")")) == pytest.approx(2e-8, rel=1e-6)
+
+
 class TestEigenSplitting:
     def test_small_rotation_is_paired(self):
         # |f| = 2.7e-6: above the |f| cut tol.pairing, while f^2 = 7e-12 lies
@@ -303,9 +332,9 @@ def _reference_split(vals, tol):
     return clusters, kernel
 
 
-def _reference_adapt(e, a_frame, tol):
+def _reference_adapt(e, omega, tol):
     n = e.shape[0]
-    spatial = a_frame[1:, 1:]
+    spatial = omega[1:, 1:].T  # column i: nab^L_{X_i} T along X_1..X_{n-1}
     if float(np.abs(spatial).max(initial=0.0)) <= tol.pairing:
         return e, (), tuple(range(1, n)), tuple([0.0] * n)
     squared = spatial @ spatial
@@ -334,16 +363,16 @@ def _reference_frames(data, tol=DEFAULT):
     completions = np.stack(
         [_reference_complete(g, t) for g, t in zip(data.g, data.t)]
     )
-    a = _nabla_t_frames(data.cov_t_l, completions)
-    parts = [_reference_adapt(e, a_b, tol) for e, a_b in zip(completions, a)]
-    a_final = _nabla_t_frames(data.cov_t_l, np.stack([part[0] for part in parts]))
+    omega = nabla_t_form(data, completions)
+    parts = [_reference_adapt(e, w, tol) for e, w in zip(completions, omega)]
+    omega_final = nabla_t_form(data, np.stack([part[0] for part in parts]))
     out = []
     for b, (vectors, pairing, fixed, eigs) in enumerate(parts):
         pattern = np.zeros(vectors.shape)
         for p in pairing:
-            pattern[p.j, p.i] = p.f
-            pattern[p.i, p.j] = -p.f
-        out.append((vectors, pairing, fixed, eigs, float(np.abs(a_final[b] - pattern).max())))
+            pattern[p.i, p.j] = p.f
+            pattern[p.j, p.i] = -p.f
+        out.append((vectors, pairing, fixed, eigs, float(np.abs(omega_final[b] - pattern).max())))
     return out
 
 

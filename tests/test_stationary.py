@@ -8,24 +8,25 @@ import pytest
 
 from statcurv import stationary
 from statcurv.errors import ChartDomainError, NearSingularError, NonTimelikeError, SpecFormatError
-from statcurv.frames import orthonormal_completion, orthonormal_completions
-from statcurv.generators import battery_recipe, generate
+from statcurv.frames import adapted_frames_batch, orthonormal_completion, orthonormal_completions
+from statcurv.generators import GeneratorRecipe, battery_recipe, generate
 from statcurv.lambda2 import Lambda2Basis, pair_components
 from statcurv.metric import check_signature, frame_components_batch, load_spec, metric_batch
 from statcurv.stationary import (
     StationaryStructure,
     conformal_normalize,
     flip_spec,
-    _nabla_t_frames,
     connection_residual_batch,
     curvature_residual_batch,
     flipped_curvature,
     killing_defect_batch,
+    nabla_t_form,
     structure_data,
 )
 from statcurv.tolerances import DEFAULT
 
 from conftest import sample_interior
+from oracles import inverse_nabla_t_frames
 
 
 def torus_with_field(*components):
@@ -205,13 +206,36 @@ class TestNablaT:
     def test_s3_rotation_pattern(self, s3):
         # nab^L_{X1} T = -X2, nab^L_{X2} T = X1, nab^L_T T = 0
         data, frames = completions(s3, [[0.9, 1.0, 2.0]])
-        a = _nabla_t_frames(data.cov_t_l, frames)[0]
-        expected = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
-        assert np.abs(a - expected).max() < 1e-12
+        omega = nabla_t_form(data, frames)[0]
+        expected = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
+        assert np.abs(omega - expected).max() < 1e-12
 
     def test_flat_torus_zero(self, flat_torus):
         data, frames = completions(flat_torus, [[1.0, 2.0, 3.0]])
-        assert np.abs(_nabla_t_frames(data.cov_t_l, frames)).max() == 0.0
+        assert np.abs(nabla_t_form(data, frames)).max() == 0.0
+
+    @pytest.mark.parametrize(
+        "recipe",
+        [battery_recipe(seed) for seed in range(6)] + [GeneratorRecipe(3, n) for n in (6, 7, 8)],
+        ids=[f"battery{seed}" for seed in range(6)] + [f"n{n}" for n in (6, 7, 8)],
+    )
+    def test_matches_the_solved_components(self, recipe):
+        # in an orthonormal frame the components of nab^L_{E_i} T along E_j are
+        # omega[i, j] / diag(g_L(T,T), 1, ..., 1)_j: completions of T at its
+        # own length, unit completions and adapted frames
+        unit = generate(recipe)
+        raw = generate(replace(recipe, normalize=False))
+        for structure, require_unit in ((raw, False), (unit, True)):
+            data, frames = completions(structure, sample_interior(structure.spec, 6, recipe.seed), require_unit)
+            stacks = [frames]
+            if require_unit:
+                stacks.append(adapted_frames_batch(structure, data).vectors)
+            for stack in stacks:
+                diag = np.ones(frames.shape[:2])
+                diag[:, 0] = data.gtt
+                got = (nabla_t_form(data, stack) / diag[:, None, :]).swapaxes(1, 2)
+                want = inverse_nabla_t_frames(data.cov_t_l, stack)
+                assert np.abs(got - want).max() <= 1e-13 * max(1.0, float(np.abs(want).max()))
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_skew_adjointness(self, seed):

@@ -30,7 +30,7 @@ from statcurv.frames import (
 from statcurv.generators import battery_recipe, generate
 from statcurv.lambda2 import pair_components
 from statcurv.metric import frame_components_batch
-from statcurv.stationary import _nabla_t_frames, structure_data
+from statcurv.stationary import nabla_t_form, structure_data
 from statcurv.tolerances import DEFAULT
 
 from conftest import sample_interior
@@ -83,7 +83,7 @@ def test_point_operator_builds_one_riemann_tensor(batch, monkeypatch):
     alone = structure_data(structure, pts[:1])
     vectors = frames.vectors[:1]
     basis = Lambda2Basis.standard(structure.dimension)
-    riem = _operators(pair_components(alone.rm_g, vectors, basis), alone.g, vectors, basis)
+    riem = _operators(pair_components(alone.rm_g, vectors, basis))
     assert len(calls) == 1
     ops = operators_from_data(structure, data, frames)
     assert np.array_equal(riem[0], ops.m_r[0])
@@ -102,10 +102,10 @@ def test_adapted_frame_and_point_operators_are_rows(batch):
 
 def test_nabla_t_matrix_is_row(batch):
     structure, pts, data, frames = batch
-    rows = _nabla_t_frames(data.cov_t_l, frames.vectors)
+    rows = nabla_t_form(data, frames.vectors)
     for point, frame, row in zip(pts, frames, rows):
         alone = structure_data(structure, [point])
-        assert np.array_equal(_nabla_t_frames(alone.cov_t_l, frame.vectors[None])[0], row)
+        assert np.array_equal(nabla_t_form(alone, frame.vectors[None])[0], row)
 
 
 def test_riemannian_counterpart_is_row(batch):
