@@ -1,6 +1,7 @@
 """The package's export list."""
 
 import ast
+import sys
 from pathlib import Path
 
 import statcurv
@@ -20,3 +21,20 @@ def test_all_names_resolve_once_and_are_imported():
     assert set(names) == imported
     for name in names:
         assert hasattr(statcurv, name), name
+
+
+def test_imports_are_relative_stdlib_or_numpy():
+    # numpy is the one declared dependency; scipy is installed in some
+    # environments but may not be imported by the package
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    outside = []
+    for path in sorted(Path(statcurv.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                tops = [node.module.split(".")[0]]
+            else:
+                continue
+            outside += [f"{path.name}:{node.lineno} {top}" for top in tops if top not in allowed]
+    assert outside == []
