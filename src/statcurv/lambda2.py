@@ -50,6 +50,12 @@ class Lambda2Basis:
         return np.array([p[0] for p in self.pairs]), np.array([p[1] for p in self.pairs])
 
     @cached_property
+    def index_grids(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(va, vb, wa, wb): each pair's first and second index as column and row grids."""
+        iv, iw = self.legs
+        return iv[:, None], iv[None, :], iw[:, None], iw[None, :]
+
+    @cached_property
     def t_legs(self) -> tuple[np.ndarray, np.ndarray]:
         """(x, s), (N,) each: pair a is s[a] T ^ X_{x[a]} when it touches T, else s[a] = x[a] = 0."""
         iv, iw = self.legs
@@ -64,9 +70,11 @@ class Lambda2Basis:
 
 
 def compound(basis: Lambda2Basis, m: np.ndarray) -> np.ndarray:
-    """The 2x2 minors m(pair_a; pair_c) (..., N, N) of ``m`` (..., n, n), the map m induces on Lambda^2."""
-    iv, iw = basis.legs
-    va, vb, wa, wb = iv[:, None], iv[None, :], iw[:, None], iw[None, :]
+    """The 2x2 minors m(pair_a; pair_c) (..., N, N) of ``m`` (..., n, n), the map m induces on Lambda^2.
+
+    Of a frame's metric Gram this is the Lambda^2 Gram matrix (det formula).
+    """
+    va, vb, wa, wb = basis.index_grids
     return m[..., va, vb] * m[..., wa, wb] - m[..., va, wb] * m[..., wa, vb]
 
 
