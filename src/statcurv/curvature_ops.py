@@ -10,13 +10,13 @@ against the h-induced inner product on Lambda^2,
 
 In matrix form over an ordered basis of wedge pairs this is M = G^{-1} S
 with S[a, b] = -Rm(pair_b; pair_a) and G the Lambda^2 Gram matrix.  The
-adapted frames are checked orthonormal for g_L, hence for g (see ``frames``),
-so G is diag(+-1) and is never formed: the identity for g, and -1 on the
-mixed pairs (T, X_i) for g_L, which makes the Lorentzian operator generally
-non-symmetric.  S is minus the transpose of the pair components
-P[a, b] = Rm(pair_a; pair_b), which ``lambda2.pair_components`` contracts
-from the coordinate tensor as W Rm W^T (W the (N, n^2) wedge rows
-E_v (x) E_w of the frame), so no n^4 frame tensor is built.
+adapted frames are checked orthonormal for g_L (see ``frames``), so G is
+diagonal and never inverted: 1 on the spatial pairs, and on the mixed pairs
+(T, X_i) -g_L(T,T) for g and g_L(T,T) < 0 for g_L, which makes the Lorentzian
+operator generally non-symmetric.  S = -P^T for the pair components
+P[a, b] = Rm(pair_a; pair_b) that ``lambda2.pair_components`` contracts from
+the coordinate tensor as W Rm W^T (W the (N, n^2) wedge rows E_v (x) E_w of
+the frame), so no n^4 frame tensor is built.
 
 The symmetrized flavor rebuilds the Riemannian operator purely from
 Lorentzian data: it takes the Rm_g pair components that
@@ -57,12 +57,10 @@ class CurvatureOperatorMatrix:
         return float(np.abs(self.entries - self.entries.T).max())
 
 
-def _operators(p: np.ndarray, signs=1.0) -> np.ndarray:
-    """G^{-1} S (B, N, N) for the Gram G = diag(``signs``) and S[b, a, c] = -p[b, c, a].
-
-    Adding 0.0 folds -0.0 into 0.0.
-    """
-    return np.asarray(signs)[..., None] * -p.swapaxes(1, 2) + 0.0
+def _operators(p: np.ndarray, t_gram: np.ndarray, basis: Lambda2Basis) -> np.ndarray:
+    """G^{-1} S (B, N, N), S[b, a, c] = -p[b, c, a], G = diag(``t_gram`` (B,) on pairs touching T, else 1)."""
+    gram = np.where(basis.t_legs[1] == 0.0, 1.0, t_gram[:, None])
+    return -p.swapaxes(1, 2) / gram[..., None] + 0.0  # folds -0.0 into 0.0
 
 
 def _symmetrized(p_l: np.ndarray, omega: np.ndarray, basis: Lambda2Basis) -> np.ndarray:
@@ -110,8 +108,7 @@ class OperatorBatch(Sequence):
 
     @cached_property
     def m_l(self) -> np.ndarray:
-        # the g_L Gram of a pair touching T is g_L(T,T) = -1
-        return _operators(self.p_l, np.where(self.basis.t_legs[1] == 0.0, 1.0, -1.0))
+        return _operators(self.p_l, self.frames.timelike_norm, self.basis)
 
     def __len__(self) -> int:
         return self.central.shape[0]
@@ -130,7 +127,7 @@ def operators_from_data(s: StationaryStructure, data: StructureData, frames: Fra
     n = s.dimension
     basis = Lambda2Basis.standard(n)
     vectors = frames.vectors
-    m_r = _operators(pair_components(data.rm_g, vectors, basis))
+    m_r = _operators(pair_components(data.rm_g, vectors, basis), -frames.timelike_norm, basis)
     p_l = pair_components(data.rm_l, vectors, basis)
     m_s = _symmetrized(p_l, rotation_blocks(frames.f, frames.pair_count, n), basis)
     central = np.abs(m_s - m_r).max(axis=(1, 2))

@@ -11,9 +11,8 @@ with the kernel directions fixed (nab^L_{X_j} T = 0).  Construction is
 deterministic: LAPACK eigenvectors with fixed signs, pairs sorted by
 |f| descending and assigned the lowest spatial indices, kernel last.
 
-Every frame handed out, completion or adapted, passes ``check_orthonormal``
-once, so its consumers read nab^L T from ``stationary.nabla_t_form`` and
-take the Lambda^2 Grams as diag(+-1), with no linear solve.
+Every frame handed out, completion or adapted, passes ``check_orthonormal``, so
+consumers read nab^L T (``stationary.nabla_t_form``) and the Lambda^2 Grams with no solve.
 
 Every point of a batch goes through the same array operations, in the
 operation order of a single-point construction, so a frame does not depend

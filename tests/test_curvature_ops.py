@@ -1,5 +1,6 @@
 """Operator assembly on Lambda^2 and the symmetrized-matrix construction."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -27,7 +28,7 @@ from statcurv.stationary import (
 )
 from statcurv.tolerances import DEFAULT
 
-from conftest import sample_interior
+from conftest import SPEC_DIR, sample_interior
 from oracles import frame_tensor_curvature_residuals, frame_tensor_operators, gram_operators
 from structures import s3_times_torus, two_pair_flat_rotations
 
@@ -357,9 +358,10 @@ class TestBasisEquivariance:
         spatial = [p for p in base.pairs if 0 not in p]
         permuted = Lambda2Basis(5, tuple(mixed + spatial[::-1]))
         data = structure_data(structure, [point])
-        frames = adapted_frames_batch(structure, data).vectors
+        batch = adapted_frames_batch(structure, data)
+        frames = batch.vectors
         op1 = riemannian_in(structure, data, frames)[0]
-        op2 = _operators(pair_components(data.rm_g, frames, permuted))[0]
+        op2 = _operators(pair_components(data.rm_g, frames, permuted), -batch.timelike_norm, permuted)[0]
         perm = [base.pairs.index(p) for p in permuted.pairs]
         assert np.abs(op2 - op1[np.ix_(perm, perm)]).max() < 1e-12
         v1, _ = jacobi_eigh(op1)
@@ -368,10 +370,10 @@ class TestBasisEquivariance:
 
 
 def _eager_lorentzian(data, frames: np.ndarray, basis: Lambda2Basis) -> np.ndarray:
-    """G_L^{-1} S_L built for every batch, read or not: G_L = diag(-1 on pairs touching T, +1)."""
+    """G_L^{-1} S_L built for every batch, read or not: G_L = diag(g_L(T,T) on pairs touching T, +1)."""
     s = -pair_components(data.rm_l, frames, basis).swapaxes(1, 2)
     touches_t = np.array([0 in pair for pair in basis.pairs])
-    return np.where(touches_t[:, None], -s, s) + 0.0
+    return np.where(touches_t[:, None], s / data.gtt[:, None, None], s) + 0.0
 
 
 def _lazy_cases():
@@ -402,6 +404,22 @@ def test_orthonormal_grams_match_the_inverted_grams(name, recipe, request):
     # and the operators need no inverse; the oracle inverts the explicit Grams
     structure = request.getfixturevalue(name) if recipe is None else generate(recipe)
     data = structure_data(structure, sample_interior(structure.spec, 5, 37))
+    ops = operators_from_data(structure, data, adapted_frames_batch(structure, data))
+    vectors = ops.frames.vectors
+    for got, rm, metric in ((ops.m_r, data.rm_g, data.g), (ops.m_l, data.rm_l, data.gl)):
+        want = gram_operators(pair_components(rm, vectors, ops.basis), metric, vectors, ops.basis)
+        assert np.abs(got - want).max() <= 1e-13 * max(1.0, float(np.abs(want).max()))
+
+
+def test_declared_unit_grams_carry_the_timelike_norm():
+    # S3 with g_L scaled by 1 - 5e-9 still passes as declared unit, but
+    # g_L(T,T) = -1 + 5e-9: Grams of +-1 would be 5e-9 off on the T pairs
+    scaled = r'\1 = "0.999999995*(\2)"'
+    text = re.sub(r'^(g_\d_\d) = "(.*)"$', scaled, (SPEC_DIR / "s3.spec").read_text(), flags=re.M)
+    structure = StationaryStructure.from_spec(load_spec(text))
+    assert structure.unit
+    data = structure_data(structure, sample_interior(structure.spec, 5, 37))
+    assert np.abs(data.gtt + 1.0 - 5e-9).max() < 1e-15
     ops = operators_from_data(structure, data, adapted_frames_batch(structure, data))
     vectors = ops.frames.vectors
     for got, rm, metric in ((ops.m_r, data.rm_g, data.g), (ops.m_l, data.rm_l, data.gl)):
@@ -448,7 +466,7 @@ def assert_operators_match_frame_tensor_oracle(unit, pts):
 def test_frame_tensor_oracle_sees_the_lorentzian_gram_signs(seed, monkeypatch):
     # a mutation: m_l built with +1 on the pairs touching T as well
     real = curvature_ops._operators
-    monkeypatch.setattr(curvature_ops, "_operators", lambda p, signs=1.0: real(p, np.abs(signs)))
+    monkeypatch.setattr(curvature_ops, "_operators", lambda p, t_gram, basis: real(p, np.abs(t_gram), basis))
     unit = generate(battery_recipe(seed))
     with pytest.raises(AssertionError, match="m_l"):
         assert_operators_match_frame_tensor_oracle(unit, sample_interior(unit.spec, 3, seed))

@@ -83,7 +83,7 @@ def test_point_operator_builds_one_riemann_tensor(batch, monkeypatch):
     alone = structure_data(structure, pts[:1])
     vectors = frames.vectors[:1]
     basis = Lambda2Basis.standard(structure.dimension)
-    riem = _operators(pair_components(alone.rm_g, vectors, basis))
+    riem = _operators(pair_components(alone.rm_g, vectors, basis), -frames.timelike_norm[:1], basis)
     assert len(calls) == 1
     ops = operators_from_data(structure, data, frames)
     assert np.array_equal(riem[0], ops.m_r[0])
