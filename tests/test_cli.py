@@ -117,6 +117,30 @@ class TestVerify:
         rows = {row["identity"]: row for row in json.loads(out)["identities"]}
         assert rows["connection_nabla_T_X"]["argmax_point"] == [0.001, 0.001, 0.001]
 
+    def test_argmax_window_is_the_row_tolerance_times_identity(self, capsys, monkeypatch):
+        # frame_eigen_nonpositive (tolerance 1e-9) reads 0.5, 0.9 - 9.5e-9 and
+        # 0.9 times its tolerance at grid points 0, 1, 2 and 0 elsewhere; the
+        # window identity * 1e-9 = 1e-17 reaches point 1 and not point 0.  An
+        # absolute window of identity = 1e-8 would reach point 0, and one of
+        # identity times the row maximum (9e-18) would stop at the argmax, 2
+        real = topology.verify_points
+
+        def crafted(*args):
+            table = real(*args).copy()
+            table[:, 8] = 0.0
+            table[:3, 8] = 1e-9 * np.array([0.5, 0.9 - 9.5e-9, 0.9])
+            return table
+
+        monkeypatch.setattr(topology, "verify_points", crafted)
+        code, out, _ = run(capsys, "verify", S3, "--grid", "4", "--format", "json")
+        assert code == 0
+        structure = stationary.StationaryStructure.from_spec(load_spec_file(S3))
+        pts, _ = topology.build_grid(structure.spec, [4, 4, 4])
+        row = json.loads(out)["identities"][8]
+        assert row["identity"] == "frame_eigen_nonpositive" and row["status"] == "PASS"
+        assert row["max_residual"] == 1e-9 * 0.9
+        assert row["argmax_point"] == pts[1].tolist()
+
     def test_failing_rows_report_their_worst_point(self, capsys, monkeypatch):
         # one point's curvature_mixed residual pushed over the tolerance, 1% above
         # a second failing point: the row fails and names the worse one

@@ -223,12 +223,26 @@ class TestGridScan:
     def test_argmin_point_of_a_clear_minimum(self):
         margins = np.array([3.0, 1.0 + 1e-6, 1.0, 1.0 + 1e-9, 2.0])
         assert topology.near_argmin(margins, 3e-8) == 2
-        # a window relative to the largest |margin| scales with the margins
-        assert topology.near_argmin(1e6 * margins, 3e-2) == topology.near_argmin(1e-6 * margins, 3e-14) == 2
-        assert topology.near_argmin(np.array([3e-9, 1e-9, 1e-9 + 2e-17]), 3e-17) == 1
         assert topology.near_argmin(np.zeros(4), 0.0) == 0
         # the window decides: a larger one reaches back to an earlier row
         assert topology.near_argmin(margins, 2e-6) == 1
+
+    @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e6])
+    def test_argmin_window_is_relative_to_the_largest_margin(self, s3, monkeypatch, scale):
+        # margins (3, 1 + 2e-8, 1) * scale: the window identity * 3 * scale holds
+        # row 1 at every scale, so row 1 is reported, not the exact argmin 2;
+        # an absolute window of identity = 1e-8 would reach row 0 at scale 1e-9
+        # and miss row 1 at scales 1 and 1e6
+        margins = scale * np.array([3.0, 1.0 + 2e-8, 1.0])
+
+        def scaled(s, pts, tol):
+            assert len(pts) == 3
+            return np.column_stack([margins / 2, margins / 2, 4.0 * margins]), np.zeros(3)
+
+        monkeypatch.setattr(topology, "scan_points", scaled)
+        result = grid_scan(s3, [3, 1, 1], 1)
+        assert result.min_margin == margins[2]
+        assert result.argmin_point == tuple(result.points[1])
 
     def test_point_failure_carries_coordinates(self):
         # the metric degenerates for x <= 0; the scan must name the point
