@@ -52,7 +52,7 @@ def test_batched_matches_loop():
     )
 )
 def test_inverse_property(a):
-    a = a + 7.0 * np.eye(4)  # strictly diagonally dominant, always invertible
+    a = a + 9.0 * np.eye(4)  # |a_ii| >= 7 > 6 >= sum of |a_ij|: strictly diagonally dominant
     inv, det = gauss_inverse(a)
     assert np.abs(a @ inv - np.eye(4)).max() < 1e-10
     assert det == pytest.approx(np.linalg.det(a), rel=1e-9)
