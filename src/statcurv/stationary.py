@@ -225,10 +225,7 @@ def structure_data(s: StationaryStructure, pts, tol: Tolerances = DEFAULT) -> St
 
 
 def nabla_t_form(data: StructureData, frames: np.ndarray) -> np.ndarray:
-    """w[b, i, j] = g_L(nab^L_{E_i} T, E_j) (B, n, n), frames (B, n, n) as rows.
-
-    In an orthonormal frame, the component of nab^L_{E_i} T along E_j is w[b, i, j] / g_L(E_j, E_j).
-    """
+    """w[b, i, j] = g_L(nab^L_{E_i} T, E_j) (B, n, n), frames (B, n, n) as rows."""
     return frames @ data.cov_t_l.swapaxes(1, 2) @ data.gl @ frames.swapaxes(1, 2)
 
 
