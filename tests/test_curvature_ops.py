@@ -398,28 +398,27 @@ def test_lorentzian_operator_on_first_read(name, recipe, request):
     assert np.array_equal(fresh.m_r, ops.m_r) and np.array_equal(fresh.m_s, ops.m_s)
 
 
-@pytest.mark.parametrize("name, recipe", _lazy_cases(), ids=[c[0] for c in _lazy_cases()])
-def test_orthonormal_grams_match_the_inverted_grams(name, recipe, request):
-    # the adapted frames are orthonormal, so their Lambda^2 Grams are diag(+-1)
-    # and the operators need no inverse; the oracle inverts the explicit Grams
-    structure = request.getfixturevalue(name) if recipe is None else generate(recipe)
-    data = structure_data(structure, sample_interior(structure.spec, 5, 37))
-    ops = operators_from_data(structure, data, adapted_frames_batch(structure, data))
-    vectors = ops.frames.vectors
-    for got, rm, metric in ((ops.m_r, data.rm_g, data.g), (ops.m_l, data.rm_l, data.gl)):
-        want = gram_operators(pair_components(rm, vectors, ops.basis), metric, vectors, ops.basis)
-        assert np.abs(got - want).max() <= 1e-13 * max(1.0, float(np.abs(want).max()))
-
-
-def test_declared_unit_grams_carry_the_timelike_norm():
-    # S3 with g_L scaled by 1 - 5e-9 still passes as declared unit, but
-    # g_L(T,T) = -1 + 5e-9: Grams of +-1 would be 5e-9 off on the T pairs
+@pytest.fixture(scope="module")
+def s3_off_unit():
+    """S3 with g_L scaled by 1 - 5e-9: declared unit, and within unit_timelike of it."""
     scaled = r'\1 = "0.999999995*(\2)"'
     text = re.sub(r'^(g_\d_\d) = "(.*)"$', scaled, (SPEC_DIR / "s3.spec").read_text(), flags=re.M)
     structure = StationaryStructure.from_spec(load_spec(text))
     assert structure.unit
+    assert np.abs(structure_data(structure, [[0.7, 1.0, 2.0]]).gtt + 1.0 - 5e-9).max() < 1e-15
+    return structure
+
+
+_GRAM_CASES = _lazy_cases() + [("s3_off_unit", None)]
+
+
+@pytest.mark.parametrize("name, recipe", _GRAM_CASES, ids=[c[0] for c in _GRAM_CASES])
+def test_orthonormal_grams_match_the_inverted_grams(name, recipe, request):
+    # the adapted frames are orthonormal, so their Lambda^2 Grams are diagonal
+    # and the operators need no inverse; the oracle inverts the explicit Grams.
+    # On s3_off_unit, g_L(T,T) = -1 + 5e-9: Grams of +-1 would be 5e-9 off
+    structure = request.getfixturevalue(name) if recipe is None else generate(recipe)
     data = structure_data(structure, sample_interior(structure.spec, 5, 37))
-    assert np.abs(data.gtt + 1.0 - 5e-9).max() < 1e-15
     ops = operators_from_data(structure, data, adapted_frames_batch(structure, data))
     vectors = ops.frames.vectors
     for got, rm, metric in ((ops.m_r, data.rm_g, data.g), (ops.m_l, data.rm_l, data.gl)):
