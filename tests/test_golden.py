@@ -12,7 +12,9 @@ Only an intended, documented output change may rewrite the digests:
     PYTHONPATH=src python tests/test_golden.py
 
 The stdout of the walkthrough ``scripts/reproduce_hopf_example.py`` is
-pinned here as well, by ``WALKTHROUGH_SHA256``.
+pinned here as well, by ``WALKTHROUGH_SHA256``, and so is the spec text
+that ``examples --random`` and ``MetricSpec.to_text`` write, by
+``RANDOM_SPEC_SHA256`` and ``BATTERY_SPEC_SHA256``.
 """
 
 import hashlib
@@ -29,6 +31,7 @@ from pathlib import Path
 import pytest
 
 from statcurv import cli
+from statcurv.generators import battery_recipe, generate
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden_outputs.json"
@@ -129,6 +132,46 @@ def test_walkthrough_script_bytes():
     )
     assert run.stderr == b""
     assert hashlib.sha256(run.stdout).hexdigest() == WALKTHROUGH_SHA256
+
+
+# The spec text statcurv writes, pinned: dimension -> (bytes, SHA-256) of
+# `examples --random --seed 3 --dimension n`, and seed -> the same for
+# `generate(battery_recipe(seed)).spec.to_text()`.  The regeneration above
+# does not touch these; an intended change to the writer rewrites them here.
+RANDOM_SPEC_SHA256 = {
+    3: (16148, "adb37f0706ea35f24852d929c09424af9bdf3a82118da5a9021dfdbee83e0444"),
+    4: (69180, "3a70166d48a9ea3ee061c584393bb32224800d89806bf9b2a2cfb7d1511de6b5"),
+    5: (217436, "50abbb0963be07d675ae47f1d981984cc68b189d181ec5fd6511378dda89c4a3"),
+    6: (564408, "0f6e548ef13bd5a560636cc506c37399f44794b4dd4c5194450145f9e413357d"),
+    7: (1251558, "fd35279eb480a826d4e03da87cb64573b586ea1e6a5a861cbefdb5d68d265ce7"),
+    8: (2489876, "e4d4c914cba95c7d28f20ec9cc1bd23132b45bc99f384d3f43e0afdaedd2e4c7"),
+}
+BATTERY_SPEC_SHA256 = {
+    0: (16062, "ebe0fa78243d104ebdab3758acc3ccbc7d880e758ec92352b822573ed797c986"),
+    1: (19455, "c455673c0beedfc3dbeb2865965a574a305ca277fc162b7f3850665d0c2be5cb"),
+    2: (22958, "6b4db109ca9ecc766e3f8f983958e4c41500f963cd2ca8d6bc8ddfd1422f14f9"),
+    5: (216798, "5df0bc8ba35d7aff9f10b9414db90c9f39baa8b58924085cea02677d01fdf554"),
+    7: (19753, "02adeef80c7cc224b25ff1a688762a9e88bfcc96333ef43a4ce07fe8ee8471e1"),
+    11: (220346, "f029ff8a111817be4367c1734a141a9a0d4329916fdf91c8678957a813f85555"),
+}
+
+
+def _size_and_sha256(data: bytes) -> tuple[int, str]:
+    return len(data), hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("dimension", sorted(RANDOM_SPEC_SHA256))
+def test_random_spec_file_bytes(dimension, tmp_path):
+    path = tmp_path / "random.spec"
+    args = ["examples", "--random", "--seed", "3", "--dimension", str(dimension)]
+    assert run_cli([*args, "--out", str(path)]) == (0, f"{path}\n")
+    assert _size_and_sha256(path.read_bytes()) == RANDOM_SPEC_SHA256[dimension]
+
+
+@pytest.mark.parametrize("seed", sorted(BATTERY_SPEC_SHA256))
+def test_battery_spec_text_bytes(seed):
+    text = generate(battery_recipe(seed)).spec.to_text()
+    assert _size_and_sha256(text.encode("utf-8")) == BATTERY_SPEC_SHA256[seed]
 
 
 if __name__ == "__main__":
