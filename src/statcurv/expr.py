@@ -27,6 +27,12 @@ more) to the node it parsed to, so a group that repeats verbatim is parsed
 once and later copies are skipped: the text of a group parses to the same
 structure wherever it stands, and the table holds one object per structure,
 so a skipped copy yields the very node a full parse would build.
+
+Unparsing is the inverse walk over the same DAG: the text still spells
+every shared subexpression out in full at each use, but each distinct node
+object's text is built once and reused, with parentheses added at each use
+from that parent's precedence.  ``MetricSpec.to_text`` shares one such memo
+across a whole spec, as ``load_spec`` shares one node table.
 """
 
 from __future__ import annotations
@@ -312,26 +318,43 @@ class _Parser:
 _PREC = {Add: 1, Sub: 1, Mul: 2, Div: 2, Neg: 3, Pow: 4, Num: 5, Var: 5, Call: 5}
 
 
-def _unparse(node: Node, parent_prec: int = 0) -> str:
-    prec = _PREC[type(node)]
+def _unparse(node: Node, parent_prec: int = 0, memo: dict | None = None) -> str:
+    """The text of ``node``, in parentheses if it binds looser than ``parent_prec``.
+
+    ``memo`` maps id(node) to (node, bare text): each distinct node object's
+    text is built once, so a shared DAG costs its edges rather than the size
+    of the tree it spells out, and one memo passed across several calls
+    shares that work between them.  Holding the node keeps its id valid, as
+    in the jet cache.  Only the parentheses depend on the parent, so they
+    are added here, at each use.  Num is never memoized or wrapped.
+    """
     if isinstance(node, Num):
         text = repr(node.value)
         return text[:-2] if text.endswith(".0") else text
+    if memo is None:
+        memo = {}
+    hit = memo.get(id(node))
+    if hit is None:
+        hit = memo[id(node)] = (node, _bare_text(node, memo))
+    if _PREC[type(node)] < parent_prec:
+        return f"({hit[1]})"
+    return hit[1]
+
+
+def _bare_text(node: Node, memo: dict) -> str:
+    """The text of a non-Num ``node`` without enclosing parentheses."""
+    prec = _PREC[type(node)]
     if isinstance(node, Var):
-        text = node.name
-    elif isinstance(node, Call):
-        text = f"{node.func}({_unparse(node.arg)})"
-    elif isinstance(node, Neg):
-        text = f"-{_unparse(node.arg, prec)}"
-    elif isinstance(node, Pow):
-        text = f"{_unparse(node.base, prec + 1)}^{node.exponent}"
-    else:
-        op = {Add: "+", Sub: "-", Mul: "*", Div: "/"}[type(node)]
-        # right side gets a stricter bound so a-(b+c) and a/(b*c) keep parens
-        text = f"{_unparse(node.left, prec)}{op}{_unparse(node.right, prec + 1)}"
-    if prec < parent_prec:
-        return f"({text})"
-    return text
+        return node.name
+    if isinstance(node, Call):
+        return f"{node.func}({_unparse(node.arg, 0, memo)})"
+    if isinstance(node, Neg):
+        return f"-{_unparse(node.arg, prec, memo)}"
+    if isinstance(node, Pow):
+        return f"{_unparse(node.base, prec + 1, memo)}^{node.exponent}"
+    op = {Add: "+", Sub: "-", Mul: "*", Div: "/"}[type(node)]
+    # right side gets a stricter bound so a-(b+c) and a/(b*c) keep parens
+    return f"{_unparse(node.left, prec, memo)}{op}{_unparse(node.right, prec + 1, memo)}"
 
 
 # --- jets ------------------------------------------------------------------

@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ChartDomainError, EvalDomainError, NearSingularError, SpecFormatError, SignatureError
-from .expr import Expression, _eval_jet, _parse_interned
+from .expr import Expression, _eval_jet, _parse_interned, _unparse
 from .linalg import eigvalsh, invert
 from .tolerances import DEFAULT, Tolerances
 
@@ -86,18 +86,22 @@ class MetricSpec:
         return axes
 
     def to_text(self) -> str:
+        # One unparse memo for every g_i_j and T_i, as load_spec shares one
+        # node table: a subexpression shared anywhere in the spec is written
+        # out in full at each use but its text is built once.
+        memo: dict = {}
         lines = ["[chart]", f"coords = {', '.join(self.coords)}"]
         for name, (lo, hi) in zip(self.coords, self.intervals):
             lines.append(f"{name} = {lo!r}, {hi!r}")
         lines.append(f"margin = {self.margin!r}")
         lines += ["", "[metric]"]
         for i, j, e in self.entries:
-            lines.append(f'g_{i}_{j} = "{e.unparse()}"')
+            lines.append(f'g_{i}_{j} = "{_unparse(e.root, 0, memo)}"')
         lines += ["", "[signature]", f"kind = {self.signature}"]
         if self.killing is not None:
             lines += ["", "[killing]"]
             for i, e in enumerate(self.killing.components):
-                lines.append(f'T_{i} = "{e.unparse()}"')
+                lines.append(f'T_{i} = "{_unparse(e.root, 0, memo)}"')
             lines.append(f"unit = {'true' if self.killing.unit else 'false'}")
         return "\n".join(lines) + "\n"
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from statcurv.expr import Expression, eval_jet_batch
+from statcurv.expr import Add, Call, Div, Expression, Mul, Neg, Num, Pow, Sub, Var, eval_jet_batch
 from statcurv.lambda2 import compound
 from statcurv.linalg import invert
 from statcurv.metric import MetricSpec, christoffel_batch, frame_components_batch
@@ -57,6 +57,38 @@ def fd_gradient_hessian(e: Expression, point, step: float = 1e-3):
     grad_h, hess_h = _central_differences(value, point, step)
     grad_half, hess_half = _central_differences(value, point, step / 2)
     return value(point), (4 * grad_half - grad_h) / 3, (4 * hess_half - hess_h) / 3
+
+
+_TREE_PREC = {Add: 1, Sub: 1, Mul: 2, Div: 2, Neg: 3, Pow: 4, Num: 5, Var: 5, Call: 5}
+
+
+def tree_unparse(node, parent_prec: int = 0) -> str:
+    """The text of an expression node by a plain recursive walk of its tree.
+
+    A node shared by several parents is unparsed again at every use, so
+    the cost is the size of the tree the text spells out; each result is
+    built from its children's text and the parent's precedence alone, which
+    makes it the reference for the memoized ``expr._unparse``.
+    """
+    prec = _TREE_PREC[type(node)]
+    if isinstance(node, Num):
+        text = repr(node.value)
+        return text[:-2] if text.endswith(".0") else text
+    if isinstance(node, Var):
+        text = node.name
+    elif isinstance(node, Call):
+        text = f"{node.func}({tree_unparse(node.arg)})"
+    elif isinstance(node, Neg):
+        text = f"-{tree_unparse(node.arg, prec)}"
+    elif isinstance(node, Pow):
+        text = f"{tree_unparse(node.base, prec + 1)}^{node.exponent}"
+    else:
+        op = {Add: "+", Sub: "-", Mul: "*", Div: "/"}[type(node)]
+        # right side gets a stricter bound so a-(b+c) and a/(b*c) keep parens
+        text = f"{tree_unparse(node.left, prec)}{op}{tree_unparse(node.right, prec + 1)}"
+    if prec < parent_prec:
+        return f"({text})"
+    return text
 
 
 def _metric_values(spec: MetricSpec, pts: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ from statcurv.expr import (
 from statcurv.generators import GeneratorRecipe, generate
 
 from conftest import SPEC_DIR, sample_interior
-from oracles import fd_gradient_hessian
+from oracles import fd_gradient_hessian, tree_unparse
 from structures import s3_times_torus, two_pair_flat_rotations
 
 COORDS = ("t", "theta1", "theta2")
@@ -553,6 +553,72 @@ def test_repeated_subtree_is_one_object(expr):
     again = parse_expression(e.unparse(), expr.coords)
     assert _dag_shape([again.root]) == _dag_shape([e.root])
     assert again.unparse() == e.unparse()
+
+
+def _shared_forms(expr):
+    """``expr``, and ``({a})*({a})+sin({a})`` parsed from its text ``a``,
+    whose three copies of ``a`` are one node under three parents."""
+    a = tree_unparse(expr.root)
+    shared = parse_expression(f"({a})*({a})+sin({a})", expr.coords).root
+    return [expr.root, shared, shared.left, shared.right]
+
+
+@given(st.lists(expressions(), min_size=1, max_size=3), st.integers(min_value=0, max_value=5))
+def test_unparse_matches_tree_walk(exprs, parent_prec):
+    roots = [root for e in exprs for root in _shared_forms(e)]
+    for root in roots:
+        assert ex._unparse(root) == tree_unparse(root)
+        assert ex._unparse(root, parent_prec) == tree_unparse(root, parent_prec)
+    # one memo across every root, as MetricSpec.to_text shares it: a node
+    # first written under one parent is reused, and wrapped, under another
+    memo: dict = {}
+    for root in roots:
+        assert ex._unparse(root, parent_prec, memo) == tree_unparse(root, parent_prec)
+        assert ex._unparse(root, 0, memo) == tree_unparse(root)
+
+
+def _doubling_chain(depth):
+    """x_{k+1} = x_k*x_k + sin(x_k) from x_0 = t: a tree of about 3^depth
+    nodes held as a DAG of 3 nodes and 5 edges per level."""
+    x = Expression.coordinate(0, ("t",))
+    for _ in range(depth):
+        x = x * x + Expression(Call("sin", x.root), x.coords)
+    return x
+
+
+def _dag_edges(root):
+    """(distinct nodes, edges) of the DAG under ``root``; x*x counts two edges."""
+    seen, edges, stack = set(), 0, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            children = [getattr(node, f.name) for f in dataclasses.fields(node)]
+            children = [c for c in children if dataclasses.is_dataclass(c)]
+            edges += len(children)
+            stack += children
+    return len(seen), edges
+
+
+def test_unparse_calls_are_bounded_by_the_dag(monkeypatch):
+    e = _doubling_chain(12)
+    nodes, edges = _dag_edges(e.root)
+    assert (nodes, edges) == (37, 60)
+    calls = []
+    unparse = ex._unparse
+
+    def counting(node, *rest):
+        calls.append(node)
+        return unparse(node, *rest)
+
+    monkeypatch.setattr(ex, "_unparse", counting)
+    text = e.unparse()
+    # the root once, then each edge once: the tree would take about 3^12 calls
+    assert len(calls) == edges + 1
+    assert len(text) > 3**12
+    monkeypatch.undo()
+    small = _doubling_chain(5)
+    assert small.unparse() == tree_unparse(small.root)
 
 
 GROUP = "(sin(t)*cos(t)+1)"  # long enough to be looked up, not parsed, when repeated
