@@ -224,7 +224,10 @@ def cmd_export(args, spec: MetricSpec, grid: list[int], tol: Tolerances) -> int:
         """The chunk's JSON lines (C,) as the text before and after each point's ``"point"``."""
         ops = operators_at(structure, chunk, tol)
         frames = ops.frames
-        vals = eigvalsh(ops.m_s)
+        # + 0.0 folds -0.0 into 0.0, as the riemannian and lorentzian
+        # matrices are folded; analyze's spectra keep reading ops.m_s
+        m_s = ops.m_s + 0.0
+        vals = eigvalsh(m_s)
         asymmetry = np.abs(ops.m_l - ops.m_l.swapaxes(1, 2)).max(axis=(1, 2))
         labels = [list(pair) for pair in ops.basis.labels()]
         rows = [
@@ -234,7 +237,7 @@ def cmd_export(args, spec: MetricSpec, grid: list[int], tol: Tolerances) -> int:
                 "f_values": frames.f[b, : frames.pair_count[b]].tolist(),
                 "riemannian": ops.m_r[b].tolist(),
                 "lorentzian": ops.m_l[b].tolist(),
-                "symmetrized": ops.m_s[b].tolist(),
+                "symmetrized": m_s[b].tolist(),
                 "eigenvalues": vals[b].tolist(),
                 "lorentzian_asymmetry": float(asymmetry[b]),
                 "central_residual": float(ops.central[b]),

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import re
 import resource
@@ -399,7 +400,8 @@ class TestExport:
         pts, _ = topology.build_grid(structure.spec, [3, 2, 2])
         assert len(topology.orbits(structure, pts)[0]) == 3
         ops = curvature_ops.operators_at(structure, pts)
-        vals = eigvalsh(ops.m_s)
+        m_s = ops.m_s + 0.0  # export writes no -0.0
+        vals = eigvalsh(m_s)
         want = ""
         for b, point in enumerate(pts.tolist()):
             record = {
@@ -408,7 +410,7 @@ class TestExport:
                 "f_values": ops.frames.f[b, : ops.frames.pair_count[b]].tolist(),
                 "riemannian": ops.m_r[b].tolist(),
                 "lorentzian": ops.m_l[b].tolist(),
-                "symmetrized": ops.m_s[b].tolist(),
+                "symmetrized": m_s[b].tolist(),
                 "eigenvalues": vals[b].tolist(),
                 "lorentzian_asymmetry": float(np.abs(ops.m_l[b] - ops.m_l[b].T).max()),
                 "central_residual": float(ops.central[b]),
@@ -416,6 +418,19 @@ class TestExport:
             }
             want += json.dumps(record, sort_keys=True) + "\n"
         assert out.read_text() == want
+
+    @pytest.mark.parametrize("spec", [S3, TORUS], ids=["s3", "torus"])
+    def test_no_negative_zero(self, spec, capsys):
+        # every matrix, spectrum and number an export line writes folds -0.0
+        # into 0.0; the S3 symmetrized matrices and the flat torus's zero
+        # spectra are where signed zeros arise
+        code, out, _ = run(capsys, "export", spec, "--grid", "4")
+        assert code == 0
+        for line in out.splitlines():
+            assert "-0.0," not in line and "-0.0]" not in line
+            numbers = json.loads(line, parse_float=float)
+            flat = [x for v in numbers.values() for x in np.ravel(v) if isinstance(x, float)]
+            assert not any(x == 0.0 and math.copysign(1.0, x) < 0 for x in flat)
 
     def test_round_trip_bitwise(self, tmp_path, capsys):
         out = tmp_path / "dump.jsonl"
