@@ -18,10 +18,20 @@ Frame-level quantities never require differentiating frame fields: the
 identities below only involve connection *differences* (where the frame
 derivative cancels), covariant derivatives of T (a genuine vector field with
 known jets), and directional derivatives of the scalar g_L(T,T).
+
+The Killing defect max|Lie_T g_L| is a function of g_L, T and their first
+derivatives, all fields of ``StructureData``.  ``structure_data`` remembers,
+on the structure, the points and tolerances of the data it last returned
+(through a weak reference, so the data lives no longer than its caller's
+reference to it), and ``killing_defect_batch`` reads ``StructureData.killing``
+from that data while it is alive and was built for the same point bytes and
+the same tolerances; otherwise it evaluates the g_L and T jets itself.  Both
+routes give the same bits.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -192,6 +202,21 @@ class StructureData:
     def rm_g(self) -> np.ndarray:
         return riemann_batch(self.gamma_g, self.dg, self.d2g)
 
+    @cached_property
+    def killing(self) -> np.ndarray:
+        """max_ij |(Lie_T g_L)_ij| per point (B,)."""
+        return _lie_defect(self.gl, self.dgl, self.t, self.dt)
+
+
+def _lie_defect(gl, dgl, t, dt) -> np.ndarray:
+    """max_ij |(Lie_T g_L)_ij| (B,) from g_L, T and their first derivatives."""
+    lie = (
+        np.einsum("bk,bkij->bij", t, dgl)
+        + np.einsum("bkj,bik->bij", gl, dt)
+        + np.einsum("bik,bjk->bij", gl, dt)
+    )
+    return np.abs(lie).max(axis=(1, 2))
+
 
 def _t_jets(s: StationaryStructure, pts: np.ndarray, cache: dict) -> tuple[np.ndarray, np.ndarray]:
     """T and its first derivatives, dt[b,i,k] = d_i T^k, from the shared jet cache."""
@@ -205,10 +230,33 @@ def _t_jets(s: StationaryStructure, pts: np.ndarray, cache: dict) -> tuple[np.nd
     return t, dt
 
 
-def structure_data(s: StationaryStructure, pts, tol: Tolerances = DEFAULT) -> StructureData:
+def _as_batch(pts) -> np.ndarray:
+    """Points as a float (B, n) array; one point (n,) becomes a (1, n) batch."""
     pts = np.asarray(pts, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
+    return pts[None, :] if pts.ndim == 1 else pts
+
+
+# The slot on a StationaryStructure instance (frozen, so written to its
+# __dict__ as cached_property does) that remembers the last StructureData:
+# (tol, points shape, points bytes, weakref to the data).
+_LAST_DATA = "_last_structure_data"
+
+
+def _live_data(s: StationaryStructure, pts: np.ndarray, tol: Tolerances) -> StructureData | None:
+    """The data ``structure_data(s, pts, tol)`` last returned, if still alive and
+    built for these tolerances and these point bytes (a copy taken then, so
+    points changed in place since do not match)."""
+    slot = s.__dict__.get(_LAST_DATA)
+    if slot is None:
+        return None
+    last_tol, shape, raw, ref = slot
+    if last_tol != tol or shape != pts.shape or raw != pts.tobytes():
+        return None
+    return ref()
+
+
+def structure_data(s: StationaryStructure, pts, tol: Tolerances = DEFAULT) -> StructureData:
+    pts = _as_batch(pts)
     cache: dict = {}  # one jet cache for these points, shared across both metrics and T
     gl, gl_inv, dgl, d2gl = metric_batch(s.spec, pts, tol, cache)
     t, dt = _t_jets(s, pts, cache)
@@ -219,9 +267,11 @@ def structure_data(s: StationaryStructure, pts, tol: Tolerances = DEFAULT) -> St
     gamma_l = christoffel_batch(gl_inv, dgl)
     gamma_g = christoffel_batch(g_inv, dg)
     cov_l = dt.transpose(0, 2, 1) + np.einsum("bkim,bm->bki", gamma_l, t)
-    return StructureData(
+    data = StructureData(
         pts, gl, gl_inv, dgl, d2gl, gamma_l, g, g_inv, dg, d2g, gamma_g, t, dt, gtt, cov_l
     )
+    s.__dict__[_LAST_DATA] = (tol, pts.shape, pts.tobytes(), weakref.ref(data))
+    return data
 
 
 def nabla_t_form(data: StructureData, frames: np.ndarray) -> np.ndarray:
@@ -232,19 +282,26 @@ def nabla_t_form(data: StructureData, frames: np.ndarray) -> np.ndarray:
 # --- pointwise operations ----------------------------------------------------
 
 def killing_defect_batch(s: StationaryStructure, pts, tol: Tolerances = DEFAULT) -> np.ndarray:
-    """max_ij |(Lie_T g_L)_ij| per point."""
-    pts = np.asarray(pts, dtype=float)
+    """max_ij |(Lie_T g_L)_ij| per point; one point (n,) is a (1, n) batch.
+
+    While the ``StructureData`` that ``structure_data(s, pts, tol)`` last
+    returned for this structure object is still referenced, and the points
+    hold the same bytes and ``tol`` is equal, the defect is read from its
+    ``killing``; the checks it passed are the ones below.  Otherwise only
+    g_L and T are evaluated here, with the interior and g_L signature checks,
+    so a non-Killing T need not pass the flip.  Both routes evaluate g_L's
+    jets first in a fresh cache and give the same bits.
+    """
+    pts = _as_batch(pts)
+    data = _live_data(s, pts, tol)
+    if data is not None:
+        return data.killing.copy()
     require_interior(s.spec, pts)
     cache: dict = {}
     gl, dgl, _ = metric_fields(s.spec, pts, cache)
     check_signature(s.spec, gl, tol)
     t, dt = _t_jets(s, pts, cache)
-    lie = (
-        np.einsum("bk,bkij->bij", t, dgl)
-        + np.einsum("bkj,bik->bij", gl, dt)
-        + np.einsum("bik,bjk->bij", gl, dt)
-    )
-    return np.abs(lie).max(axis=(1, 2))
+    return _lie_defect(gl, dgl, t, dt)
 
 
 # --- identity verification ---------------------------------------------------

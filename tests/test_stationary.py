@@ -118,6 +118,70 @@ class TestKillingDefect:
         )
         assert np.array_equal(killing_defect_batch(structure, pts), np.abs(lie).max(axis=(1, 2)))
 
+    def test_single_point_is_a_batch_of_one(self, s3):
+        point = np.array([0.7, 1.0, 2.0])
+        got = killing_defect_batch(s3, point)
+        assert got.shape == (1,)
+        assert np.array_equal(got, killing_defect_batch(s3, [point]))
+
+
+def _no_jets(*args, **kwargs):
+    raise AssertionError("the g_L jets were evaluated again")
+
+
+class TestDefectFromLiveData:
+    """killing_defect_batch reads the defect of a live StructureData, and only then."""
+
+    # T = t x d_t on the flat torus is timelike but not Killing: the defect
+    # max(2|x|, |t|) differs between points, so a stale answer shows
+    @staticmethod
+    def stretched():
+        return torus_with_field("t*x", "0", "0")
+
+    @staticmethod
+    def points(seed):
+        return sample_interior(torus_with_field("1", "0", "0").spec, 8, seed, buffer=0.1)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
+    def test_reads_live_data_without_jets(self, seed, monkeypatch):
+        structure = generate(battery_recipe(seed))
+        pts = sample_interior(structure.spec, 20, seed)
+        fresh = killing_defect_batch(generate(battery_recipe(seed)), pts)
+        data = structure_data(structure, pts)
+        monkeypatch.setattr(stationary, "metric_fields", _no_jets)
+        got = killing_defect_batch(structure, pts)
+        assert got.tobytes() == fresh.tobytes()
+        got[:] = -1.0  # the caller owns the returned array
+        assert killing_defect_batch(structure, pts).tobytes() == fresh.tobytes()
+        assert data.killing.tobytes() == fresh.tobytes()
+
+    def test_points_changed_in_place_miss(self):
+        structure = self.stretched()
+        pts = self.points(0)
+        data = structure_data(structure, pts)
+        pts[:] = self.points(1)
+        got = killing_defect_batch(structure, pts)
+        assert np.array_equal(got, killing_defect_batch(self.stretched(), pts))
+        assert not np.array_equal(got, data.killing)
+
+    def test_other_tolerances_miss(self):
+        structure = self.stretched()
+        pts = self.points(2)
+        data = structure_data(structure, pts)
+        # every g is singular by this measure (min |eigenvalue| <= max)
+        with pytest.raises(NearSingularError):
+            killing_defect_batch(structure, pts, replace(DEFAULT, near_singular=1.0))
+        assert data.killing.shape == (8,)
+
+    def test_dropped_data_is_not_kept(self):
+        structure = self.stretched()
+        pts = self.points(3)
+        data = structure_data(structure, pts)
+        expected = data.killing.copy()
+        del data
+        assert stationary._live_data(structure, pts, DEFAULT) is None
+        assert killing_defect_batch(structure, pts).tobytes() == expected.tobytes()
+
 
 class TestFlip:
     def test_s3_counterpart_is_round(self, s3):
