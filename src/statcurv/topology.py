@@ -305,7 +305,8 @@ def margin_quantiles(result: GridScanResult) -> dict[str, list[float]]:
     k = result.verdict.dimension - result.verdict.p
     margins = np.cumsum(result.eigenvalues, axis=1)[:, k - 1]
     rows = np.stack([margins, result.eigenvalues[:, 0], result.eigenvalues[:, -1]])
-    quantiles = np.quantile(rows, (0.0, 0.25, 0.5, 0.75, 1.0), axis=1).T.tolist()
+    # + 0.0 folds -0.0 into 0.0, as grid_scans does for min_margin
+    quantiles = (np.quantile(rows, (0.0, 0.25, 0.5, 0.75, 1.0), axis=1) + 0.0).T.tolist()
     return dict(zip(("margin", "smallest_eigenvalue", "largest_eigenvalue"), quantiles))
 
 

@@ -169,6 +169,12 @@ class TestGridScan:
         assert result.verdict.vanishing == ()
         assert operators_at(flat_torus, result.points)[0].frame.pairing == ()
 
+    def test_flat_torus_quantiles_have_no_negative_zero(self, flat_torus):
+        # every spectrum is zero, some of its zeros signed
+        result = grid_scan(flat_torus, [3, 3, 3], 1)
+        quantiles = np.array(list(margin_quantiles(result).values()))
+        assert not np.signbit(quantiles).any()
+
     def test_s3_times_torus_flat_directions_block_positivity(self):
         # spectrum per point is (0 x7, 1, 1, 1); the smallest four sum to zero
         structure = s3_times_torus()
