@@ -140,7 +140,7 @@ class TestDefectFromLiveData:
 
     @staticmethod
     def points(seed):
-        return sample_interior(torus_with_field("1", "0", "0").spec, 8, seed, buffer=0.1)
+        return sample_interior(TestDefectFromLiveData.stretched().spec, 8, seed, buffer=0.1)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
     def test_reads_live_data_without_jets(self, seed, monkeypatch):
@@ -171,7 +171,7 @@ class TestDefectFromLiveData:
         # every g is singular by this measure (min |eigenvalue| <= max)
         with pytest.raises(NearSingularError):
             killing_defect_batch(structure, pts, replace(DEFAULT, near_singular=1.0))
-        assert data.killing.shape == (8,)
+        del data  # alive until here, so only tol told the calls apart
 
     def test_dropped_data_is_not_kept(self):
         structure = self.stretched()
