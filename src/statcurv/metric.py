@@ -294,23 +294,27 @@ def metric_fields(spec: MetricSpec, pts, cache: dict | None = None):
         for a, b in {(i, j), (j, i)}:
             g[:, a, b] = jet.val
             jet.scatter(dg[:, :, a, b], d2g[:, :, :, a, b])
-    if not np.all(np.isfinite(g)) or not np.all(np.isfinite(dg)) or not np.all(np.isfinite(d2g)):
-        raise EvalDomainError("non-finite metric component", "metric evaluation")
+    require_finite(g, dg, d2g)
     return g, dg, d2g
 
 
-def check_signature(spec: MetricSpec, g: np.ndarray, tol: Tolerances) -> None:
+def require_finite(g: np.ndarray, dg: np.ndarray, d2g: np.ndarray) -> None:
+    """Raise EvalDomainError unless the metric and its derivatives are all finite."""
+    if not np.all(np.isfinite(g)) or not np.all(np.isfinite(dg)) or not np.all(np.isfinite(d2g)):
+        raise EvalDomainError("non-finite metric component", "metric evaluation")
+
+
+def check_signature(signature: str, g: np.ndarray, tol: Tolerances) -> None:
+    """Raise unless every g (B, n, n) is non-singular with the eigenvalue signs of ``signature``."""
     vals = eigvalsh(g)
     size = np.abs(vals)
     # <=, so that an all-zero g, where both sides are 0, counts as singular
     if np.any(size.min(axis=-1) <= tol.near_singular * size.max(axis=-1)):
         raise NearSingularError(f"smallest |eigenvalue| of g below {tol.near_singular} times the largest")
     negatives = np.count_nonzero(vals < 0.0, axis=-1)
-    expected = 1 if spec.signature == "lorentzian" else 0
+    expected = 1 if signature == "lorentzian" else 0
     if np.any(negatives != expected):
-        raise SignatureError(
-            f"eigenvalue signs disagree with declared signature '{spec.signature}'"
-        )
+        raise SignatureError(f"eigenvalue signs disagree with declared signature '{signature}'")
 
 
 def metric_batch(spec: MetricSpec, pts, tol: Tolerances = DEFAULT, cache: dict | None = None):
@@ -319,7 +323,7 @@ def metric_batch(spec: MetricSpec, pts, tol: Tolerances = DEFAULT, cache: dict |
     require_interior(spec, pts)
     g, dg, d2g = metric_fields(spec, pts, cache)
     g_inv = invert(g)
-    check_signature(spec, g, tol)
+    check_signature(spec.signature, g, tol)
     return g, g_inv, dg, d2g
 
 

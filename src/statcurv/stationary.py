@@ -5,8 +5,17 @@ Given a Lorentzian metric with a timelike Killing field T, the flip
     g = g_L - 2 (T_flat (x) T_flat) / g_L(T,T),        T_flat = g_L(T, .)
 
 produces a Riemannian metric sharing T as a Killing field; applied twice it
-returns g_L.  Four connection identities relate the two Levi-Civita
-connections; they are checked from the coordinate Christoffels of g and g_L.
+returns g_L.  ``flip_spec`` composes the flip as expressions; the pipeline
+instead builds g, dg and d2g in arrays (``_flipped_metric``) from the jets of
+g_L and T it already holds, by the product rule on g = g_L + u theta theta^T,
+theta = g_L T, u = -2/g_L(T,T), along the coordinates that g_L and T read
+(``StationaryStructure.read_coordinates``).  T must be timelike before the
+flip, and g passes the checks a spec's metric passes: finite values and
+derivatives, an inverse and the Riemannian signature.  ``counterpart_spec``
+stays as the composed flip, the tests' oracle for the arrays.
+
+Four connection identities relate the two Levi-Civita connections; they are
+checked from the coordinate Christoffels of g and g_L.
 The three curvature identity classes are written once, in
 ``flipped_curvature``: ``curvature_residual_batch`` checks its prediction
 against Rm_g, and ``curvature_ops`` builds the symmetrized operator from it.
@@ -38,8 +47,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NonTimelikeError, SpecFormatError
-from .expr import Expression, _eval_jet
+from .expr import Expression, _eval_jet, coordinates_read
 from .lambda2 import Lambda2Basis, compound, pair_components
+from .linalg import invert
 from .metric import (
     KillingField,
     MetricSpec,
@@ -47,6 +57,7 @@ from .metric import (
     christoffel_batch,
     metric_batch,
     metric_fields,
+    require_finite,
     require_interior,
     riemann_batch,
 )
@@ -100,6 +111,11 @@ class StationaryStructure:
     def counterpart_spec(self) -> MetricSpec:
         """The flipped (Riemannian) metric as composed expressions."""
         return flip_spec(self.spec, self.t)
+
+    @cached_property
+    def read_coordinates(self) -> tuple[int, ...]:
+        """Sorted indices of the coordinates that some g_L entry or T component reads."""
+        return coordinates_read([e for _, _, e in self.spec.entries] + list(self.t))
 
     @cached_property
     def gtt_expression(self) -> Expression:
@@ -218,16 +234,78 @@ def _lie_defect(gl, dgl, t, dt) -> np.ndarray:
     return np.abs(lie).max(axis=(1, 2))
 
 
-def _t_jets(s: StationaryStructure, pts: np.ndarray, cache: dict) -> tuple[np.ndarray, np.ndarray]:
-    """T and its first derivatives, dt[b,i,k] = d_i T^k, from the shared jet cache."""
+def _t_jets(s: StationaryStructure, pts: np.ndarray, cache: dict):
+    """T, dt[b,i,k] = d_i T^k and d2t[b,i,j,k] = d_i d_j T^k, from the shared jet cache."""
     batch, n = pts.shape
     t = np.zeros((batch, n))
     dt = np.zeros((batch, n, n))
+    d2t = np.zeros((batch, n, n, n))
     for k, expr in enumerate(s.t):
         jet = _eval_jet(expr.root, pts, cache)
         t[:, k] = jet.val
-        jet.scatter(dt[:, :, k])
-    return t, dt
+        jet.scatter(dt[:, :, k], d2t[:, :, :, k])
+    return t, dt, d2t
+
+
+def _jet_product(x, y, mul=np.matmul):
+    """Jet of the batched product ``mul(x, y)`` from the jets of x and y.
+
+    A jet is (value (B,p,q), first (B,k,p,q), second (B,k,k,p,q)) with
+    derivatives along k coordinates; ``mul`` is a matrix product, or an
+    elementwise one when x is a scalar jet of shape (B,1,1).  By the product rule
+
+        d_a (xy) = (d_a x) y + x (d_a y),
+        d_a d_c (xy) = ((d_a d_c x) y + x (d_a d_c y)) + ((d_a x)(d_c y) + (d_c x)(d_a y)),
+
+    each term one broadcast product.  The grouping keeps the jets of x x^T
+    exactly symmetric in (i, j), and the second derivatives exactly
+    symmetric in (a, c) wherever those of x and y are.
+    """
+    x0, x1, x2 = x
+    y0, y1, y2 = y
+    cross = mul(x1[:, :, None], y1[:, None])  # [b,a,c] = (d_a x)(d_c y)
+    return (
+        mul(x0, y0),
+        mul(x1, y0[:, None]) + mul(x0[:, None], y1),
+        (mul(x2, y0[:, None, None]) + mul(x0[:, None, None], y2)) + (cross + cross.swapaxes(1, 2)),
+    )
+
+
+def _flip_factor(gtt):
+    """Jet of u = -2 / g_L(T,T) from the jet of g_L(T,T): u' = 2/x^2, u'' = -4/x^3."""
+    x0, x1, x2 = gtt
+    inv = 1.0 / x0
+    d1 = 2.0 * inv * inv
+    d2 = -2.0 * d1 * inv
+    return (
+        -2.0 * inv,
+        d1[:, None] * x1,
+        d1[:, None, None] * x2 + d2[:, None, None] * (x1[:, :, None] * x1[:, None]),
+    )
+
+
+def _flipped_metric(gl, dgl, d2gl, t, dt, d2t, read):
+    """The flip g = g_L + u theta theta^T, theta = g_L T, u = -2/g_L(T,T), with dg and d2g.
+
+    Built by ``_jet_product`` from the jets of g_L and T, with derivatives
+    taken only along ``read``, the coordinates g_L and T read; off them dg
+    and d2g are exact zeros.  Layouts as in ``StructureData``, with
+    d2t[b,i,j,k] = d_i d_j T^k.
+    """
+    batch, n = t.shape
+    r = np.array(read, dtype=int)
+    g_l = (gl, dgl[:, r], d2gl[:, r[:, None], r])
+    t_col = (t[:, :, None], dt[:, r, :, None], d2t[:, r[:, None], r, :, None])
+    theta = _jet_product(g_l, t_col)  # (B, n, 1)
+    u = _flip_factor(_jet_product(tuple(a.swapaxes(-1, -2) for a in t_col), theta))  # (B, 1, 1)
+    outer = _jet_product(theta, tuple(a.swapaxes(-1, -2) for a in theta))  # (B, n, n)
+    g, dg_r, d2g_r = (a + b for a, b in zip(g_l, _jet_product(u, outer, np.multiply)))
+    require_finite(g, dg_r, d2g_r)
+    dg = np.zeros((batch, n, n, n))
+    d2g = np.zeros((batch, n, n, n, n))
+    dg[:, r] = dg_r
+    d2g[:, r[:, None], r] = d2g_r
+    return g, dg, d2g
 
 
 def _as_batch(pts) -> np.ndarray:
@@ -257,13 +335,15 @@ def _live_data(s: StationaryStructure, pts: np.ndarray, tol: Tolerances) -> Stru
 
 def structure_data(s: StationaryStructure, pts, tol: Tolerances = DEFAULT) -> StructureData:
     pts = _as_batch(pts)
-    cache: dict = {}  # one jet cache for these points, shared across both metrics and T
+    cache: dict = {}  # one jet cache for these points, shared by g_L and T
     gl, gl_inv, dgl, d2gl = metric_batch(s.spec, pts, tol, cache)
-    t, dt = _t_jets(s, pts, cache)
+    t, dt, d2t = _t_jets(s, pts, cache)
     gtt = np.einsum("bij,bi,bj->b", gl, t, t)
     if np.any(gtt >= 0.0):  # checked before the flip, which divides by g_L(T,T)
         raise NonTimelikeError("g_L(T,T) >= 0 at a sampled point")
-    g, g_inv, dg, d2g = metric_batch(s.counterpart_spec, pts, tol, cache)
+    g, dg, d2g = _flipped_metric(gl, dgl, d2gl, t, dt, d2t, s.read_coordinates)
+    g_inv = invert(g)
+    check_signature("riemannian", g, tol)
     gamma_l = christoffel_batch(gl_inv, dgl)
     gamma_g = christoffel_batch(g_inv, dg)
     cov_l = dt.transpose(0, 2, 1) + np.einsum("bkim,bm->bki", gamma_l, t)
@@ -299,8 +379,8 @@ def killing_defect_batch(s: StationaryStructure, pts, tol: Tolerances = DEFAULT)
     require_interior(s.spec, pts)
     cache: dict = {}
     gl, dgl, _ = metric_fields(s.spec, pts, cache)
-    check_signature(s.spec, gl, tol)
-    t, dt = _t_jets(s, pts, cache)
+    check_signature(s.spec.signature, gl, tol)
+    t, dt, _ = _t_jets(s, pts, cache)
     return _lie_defect(gl, dgl, t, dt)
 
 

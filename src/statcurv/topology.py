@@ -35,7 +35,6 @@ import numpy as np
 
 from .curvature_ops import CurvatureOperatorMatrix, operators_at, operators_from_data
 from .errors import GridPointError, StatcurvError
-from .expr import coordinates_read
 from .frames import adapted_frames_batch, orthonormal_completions
 from .linalg import eigvalsh
 from .metric import outside_chart
@@ -156,7 +155,7 @@ def orbits(s: StationaryStructure, pts: np.ndarray) -> tuple[np.ndarray, np.ndar
     stay apart.  The chart-interior check reads every coordinate, so each
     row outside the chart is an orbit of its own and is checked itself.
     """
-    read = list(coordinates_read([e for _, _, e in s.spec.entries] + list(s.t)))
+    read = list(s.read_coordinates)
     outside = np.where(outside_chart(s.spec, pts), np.arange(len(pts)), -1)
     key = np.column_stack([np.ascontiguousarray(pts[:, read]).view(np.int64), outside])
     _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)

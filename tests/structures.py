@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from statcurv.expr import Expression, parse_expression
 from statcurv.generators import HALF_PI, TWO_PI
-from statcurv.metric import KillingField, MetricSpec
+from statcurv.metric import KillingField, MetricSpec, load_spec
 from statcurv.stationary import StationaryStructure, conformal_normalize, flip_spec
 
 
@@ -70,3 +70,22 @@ def s3_times_torus() -> StationaryStructure:
         KillingField(t_exprs, True),
     )
     return StationaryStructure(flip_spec(riem, t_exprs), t_exprs, True)
+
+
+def rotating_warped_plane(omega: float = 0.5, warp: float = 0.3) -> StationaryStructure:
+    """A 3-dimensional structure whose T has non-constant components and is not unit.
+
+    g_L = -dt^2 + (1 + warp (x^2 + y^2)) (dx^2 + dy^2) is invariant under time
+    translation and under rotation about the origin, so T = d_t + omega
+    (x d_y - y d_x) is Killing.  T reads x and y, and g_L(T,T) = -1 +
+    omega^2 (1 + warp r^2) r^2 stays negative on the chart (r^2 < 1.28).
+    """
+    conformal = f"1 + {warp}*(x^2 + y^2)"
+    return StationaryStructure.from_spec(
+        load_spec(
+            "[chart]\ncoords = t, x, y\nt = 0, 6.283185307179586\nx = -0.8, 0.8\ny = -0.8, 0.8\n"
+            f'[metric]\ng_0_0 = "-1"\ng_1_1 = "{conformal}"\ng_2_2 = "{conformal}"\n'
+            "[signature]\nkind = lorentzian\n"
+            f'[killing]\nT_0 = "1"\nT_1 = "-{omega}*y"\nT_2 = "{omega}*x"\nunit = false\n'
+        )
+    )

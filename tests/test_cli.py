@@ -547,6 +547,25 @@ def test_reports_leave_the_lorentzian_operator_unbuilt(capsys, monkeypatch):
     assert "m_l" in vars(built["operators"][-1])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", S3, "--all-p", "--grid", "3"], ["verify", S3, "--grid", "3"], ["export", S3, "--grid", "2"]],
+)
+def test_commands_leave_the_flip_uncomposed(capsys, monkeypatch, argv):
+    # structure_data builds the flipped metric from the g_L and T jets, so no
+    # command composes the flip's expression graph
+    made = []
+    real = stationary.StationaryStructure.from_spec
+
+    def recording(spec):
+        made.append(real(spec))
+        return made[-1]
+
+    monkeypatch.setattr(stationary.StationaryStructure, "from_spec", staticmethod(recording))
+    assert run(capsys, *argv)[0] == 0
+    assert made and all("counterpart_spec" not in vars(s) for s in made)
+
+
 def test_out_of_memory_exits_3(capsys, monkeypatch):
     # an uncaught MemoryError would exit 1, the code for "positivity failed"
     def exhausted(*args, **kwargs):

@@ -829,11 +829,13 @@ def _reference_t_jets(s, pts, cache):
     batch, n = pts.shape
     t = np.zeros((batch, n))
     dt = np.zeros((batch, n, n))
+    d2t = np.zeros((batch, n, n, n))
     for k, e in enumerate(s.t):
         jet = _reference_eval(e.root, pts, cache)
         t[:, k] = jet.val
         dt[:, :, k] = jet.grad
-    return t, dt
+        d2t[:, :, :, k] = jet.hess
+    return t, dt, d2t
 
 
 def _depends_on(node) -> set:
@@ -941,18 +943,24 @@ def test_jets_match_dense_reference(case):
 
 
 def _structure_data_and_cache(s, pts, monkeypatch):
-    """``structure_data(s, pts)`` and the jet cache it shared across g_L, T
-    and the flip."""
+    """``structure_data(s, pts)`` and the one jet cache it shared across g_L
+    and T; the flip is built from their arrays and evaluates no jet."""
     caches = []
-    real = stationary.metric_batch
+    real_metric, real_t = stationary.metric_batch, stationary._t_jets
 
-    def recording(spec, pts, tol, cache):
+    def recording_metric(spec, pts, tol, cache):
         caches.append(cache)
-        return real(spec, pts, tol, cache)
+        return real_metric(spec, pts, tol, cache)
 
-    monkeypatch.setattr(stationary, "metric_batch", recording)
+    def recording_t(s, pts, cache):
+        caches.append(cache)
+        return real_t(s, pts, cache)
+
+    monkeypatch.setattr(stationary, "metric_batch", recording_metric)
+    monkeypatch.setattr(stationary, "_t_jets", recording_t)
     data = stationary.structure_data(s, pts)
-    monkeypatch.setattr(stationary, "metric_batch", real)
+    monkeypatch.setattr(stationary, "metric_batch", real_metric)
+    monkeypatch.setattr(stationary, "_t_jets", real_t)
     assert len(caches) == 2 and caches[0] is caches[1]
     return data, caches[0]
 
@@ -961,9 +969,11 @@ def _structure_data_and_cache(s, pts, monkeypatch):
     "build, widest", [(two_pair_flat_rotations, 4), (s3_times_torus, 1)]
 )
 def test_structure_data_matches_dense_reference(build, widest, monkeypatch):
-    # two_pair_flat_rotations: g_L is constant before the flip and T spans x,
-    # y, u and v, so the flip widens supports up to all four; s3_times_torus:
-    # entries in t beside constant ones
+    # two_pair_flat_rotations: g_L is itself the flip of a constant metric
+    # by a T that spans x, y, u and v, so its jets widen up to all four;
+    # s3_times_torus: entries in t beside constant ones.  The reference
+    # evaluates g_L and T (with its Hessians) on dense jets, and the same
+    # array flip builds g from those
     s = build()
     pts = sample_interior(s.spec, 20, 7)
     got, cache = _structure_data_and_cache(s, pts, monkeypatch)

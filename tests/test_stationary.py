@@ -1,17 +1,26 @@
 """Killing checks, the metric flip, conformal normalization, Props on frames."""
 
+import functools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from statcurv import stationary
 from statcurv.errors import ChartDomainError, NearSingularError, NonTimelikeError, SpecFormatError
 from statcurv.frames import adapted_frames_batch, orthonormal_completion, orthonormal_completions
 from statcurv.generators import GeneratorRecipe, battery_recipe, generate
 from statcurv.lambda2 import Lambda2Basis, pair_components
-from statcurv.metric import check_signature, frame_components_batch, load_spec, metric_batch
+from statcurv.metric import (
+    KillingField,
+    check_signature,
+    frame_components_batch,
+    load_spec,
+    load_spec_file,
+    metric_batch,
+)
 from statcurv.stationary import (
     StationaryStructure,
     conformal_normalize,
@@ -25,8 +34,9 @@ from statcurv.stationary import (
 )
 from statcurv.tolerances import DEFAULT
 
-from conftest import sample_interior
+from conftest import SPEC_DIR, sample_interior
 from oracles import inverse_nabla_t_frames
+from structures import rotating_warped_plane, s3_times_torus, two_pair_flat_rotations
 
 
 def torus_with_field(*components):
@@ -98,7 +108,7 @@ class TestKillingDefect:
             "unit = false\n"
         )
         with pytest.raises(NearSingularError):
-            check_signature(spec, np.zeros((1, 3, 3)), DEFAULT)
+            check_signature(spec.signature, np.zeros((1, 3, 3)), DEFAULT)
         structure = StationaryStructure.from_spec(spec)
         with pytest.raises(NearSingularError):
             killing_defect_batch(structure, np.array([[0.0, 1.0, 2.0]]))
@@ -110,7 +120,7 @@ class TestKillingDefect:
         pts = sample_interior(structure.spec, 20, seed)
         cache = {}
         gl, _, dgl, _ = metric_batch(structure.spec, pts, cache=cache)
-        t, dt = stationary._t_jets(structure, pts, cache)
+        t, dt, _ = stationary._t_jets(structure, pts, cache)
         lie = (
             np.einsum("bk,bkij->bij", t, dgl)
             + np.einsum("bkj,bik->bij", gl, dt)
@@ -227,6 +237,51 @@ class TestFlip:
         for x in frame[1:]:
             for v in frame:
                 assert abs(x @ data.g[0] @ v - x @ data.gl[0] @ v) < 1e-10
+
+
+def _s3_doubled_field() -> StationaryStructure:
+    """S3 with T doubled: still Killing, with g_L(T,T) = -4."""
+    spec = load_spec_file(SPEC_DIR / "s3.spec")
+    doubled = KillingField(tuple(2.0 * e for e in spec.killing.components), False)
+    return StationaryStructure.from_spec(replace(spec, killing=doubled))
+
+
+_HAND_BUILT = {
+    "two_pair_flat_rotations": two_pair_flat_rotations,
+    "s3_times_torus": s3_times_torus,
+    "s3_doubled_field": _s3_doubled_field,
+    "rotating_warped_plane": rotating_warped_plane,
+}
+
+
+@functools.cache
+def _flip_case(name: str, seed: int) -> StationaryStructure:
+    # one object per case, so its counterpart_spec is composed once
+    return generate(battery_recipe(seed)) if name == "battery" else _HAND_BUILT[name]()
+
+
+_FLIP_CASES = st.one_of(
+    st.tuples(st.just("battery"), st.integers(min_value=0, max_value=47)),
+    st.tuples(st.sampled_from(sorted(_HAND_BUILT)), st.just(0)),
+)
+
+
+@given(_FLIP_CASES, st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**16))
+@example(("two_pair_flat_rotations", 0), 6, 0)
+@example(("rotating_warped_plane", 0), 6, 0)
+@example(("s3_doubled_field", 0), 6, 0)
+@example(("s3_times_torus", 0), 6, 0)
+def test_array_flip_matches_composed_counterpart(case, count, seed):
+    # structure_data builds g from the g_L and T jets by the product rule;
+    # the composed flip_spec, evaluated on its own jets, is the oracle.  The
+    # two-pair and rotating-plane cases read several coordinates, so their
+    # mixed second derivatives d_a d_c with a != c are checked too
+    s = _flip_case(*case)
+    pts = sample_interior(s.spec, count, seed)
+    got = structure_data(s, pts)
+    want = metric_batch(s.counterpart_spec, pts)
+    for name, w in zip(("g", "g_inv", "dg", "d2g"), want):
+        assert np.abs(getattr(got, name) - w).max() <= 1e-13 * np.abs(w).max(), name
 
 
 class TestConformalNormalize:

@@ -34,6 +34,7 @@ from statcurv.stationary import nabla_t_form, structure_data
 from statcurv.tolerances import DEFAULT
 
 from conftest import sample_interior
+from structures import rotating_warped_plane, two_pair_flat_rotations
 
 
 # battery_recipe cycles the dimension with the seed: n = 3, 4 and 5 are all covered
@@ -112,6 +113,21 @@ def test_riemannian_counterpart_is_row(batch):
     structure, pts, data, _ = batch
     for point, row in zip(pts, data.g):
         assert np.array_equal(structure_data(structure, [point]).g[0], row)
+
+
+@pytest.mark.parametrize("build", [two_pair_flat_rotations, rotating_warped_plane])
+def test_structure_data_rows_are_single_point_batches(build):
+    # both structures read several coordinates, so the flip's product-rule
+    # terms pair derivatives along different coordinates; every field, stored
+    # or built on first read, is bitwise the matching row of the batch
+    structure = build()
+    pts = sample_interior(structure.spec, 6, 5)
+    data = structure_data(structure, pts)
+    names = [f.name for f in dataclasses.fields(data)] + ["dgtt", "cov_t_g", "rm_l", "rm_g", "killing"]
+    for b in range(len(pts)):
+        alone = structure_data(structure, pts[b : b + 1])
+        for name in names:
+            assert getattr(alone, name)[0].tobytes() == getattr(data, name)[b].tobytes(), (b, name)
 
 
 def test_frame_components_is_row(batch):
