@@ -255,11 +255,12 @@ def _jet_product(x, y, mul=np.matmul):
     elementwise one when x is a scalar jet of shape (B,1,1).  By the product rule
 
         d_a (xy) = (d_a x) y + x (d_a y),
-        d_a d_c (xy) = ((d_a d_c x) y + x (d_a d_c y)) + ((d_a x)(d_c y) + (d_c x)(d_a y)),
+        d_a d_c (xy) = (d_a d_c x) y + x (d_a d_c y) + (d_a x)(d_c y) + (d_c x)(d_a y),
 
-    each term one broadcast product.  The grouping keeps the jets of x x^T
-    exactly symmetric in (i, j), and the second derivatives exactly
-    symmetric in (a, c) wherever those of x and y are.
+    each term one broadcast product, summed left to right as
+    ``expr._Jet.__mul__`` sums them; on S3 that reproduces the composed
+    flip's bits.  With derivatives along one coordinate, the jets of x x^T
+    are exactly symmetric in (i, j).
     """
     x0, x1, x2 = x
     y0, y1, y2 = y
@@ -267,7 +268,7 @@ def _jet_product(x, y, mul=np.matmul):
     return (
         mul(x0, y0),
         mul(x1, y0[:, None]) + mul(x0[:, None], y1),
-        (mul(x2, y0[:, None, None]) + mul(x0[:, None, None], y2)) + (cross + cross.swapaxes(1, 2)),
+        mul(x2, y0[:, None, None]) + mul(x0[:, None, None], y2) + cross + cross.swapaxes(1, 2),
     )
 
 
