@@ -278,8 +278,8 @@ def metric_fields(spec: MetricSpec, pts, cache: dict | None = None):
     """Batched (g, dg, d2g) with shapes (B,n,n), (B,n,n,n), (B,n,n,n,n).
 
     ``cache`` is a jet cache valid for exactly these points; sharing one
-    across the component loop (and with the flipped metric) evaluates
-    common subexpressions once.  Each entry's jet lives on the coordinates
+    across the component loop (and with the Killing field's components)
+    evaluates common subexpressions once.  Each entry's jet lives on the coordinates
     the entry depends on (see ``expr._Jet``), and only that block of
     ``dg`` and ``d2g`` is written; the rest stay zero.
     """
