@@ -279,9 +279,9 @@ def metric_fields(spec: MetricSpec, pts, cache: dict | None = None):
 
     ``cache`` is a jet cache valid for exactly these points; sharing one
     across the component loop (and with the Killing field's components)
-    evaluates common subexpressions once.  Each entry's jet lives on the coordinates
-    the entry depends on (see ``expr._Jet``), and only that block of
-    ``dg`` and ``d2g`` is written; the rest stay zero.
+    evaluates common subexpressions once.  Each entry's jet lives on the
+    coordinates the entry depends on (see ``expr._Jet``), and only that
+    block of ``dg`` and ``d2g`` is written; the rest stay zero.
     """
     pts = np.asarray(pts, dtype=float)
     batch, n = pts.shape

@@ -549,7 +549,11 @@ def test_reports_leave_the_lorentzian_operator_unbuilt(capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "argv",
-    [["analyze", S3, "--all-p", "--grid", "3"], ["verify", S3, "--grid", "3"], ["export", S3, "--grid", "2"]],
+    [
+        ["analyze", S3, "--all-p", "--grid", "3"],
+        ["verify", S3, "--grid", "3"],
+        ["export", S3, "--grid", "2"],
+    ],
 )
 def test_commands_leave_the_flip_uncomposed(capsys, monkeypatch, argv):
     # structure_data builds the flipped metric from the g_L and T jets, so no

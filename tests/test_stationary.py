@@ -266,7 +266,9 @@ _FLIP_CASES = st.one_of(
 )
 
 
-@given(_FLIP_CASES, st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**16))
+@given(
+    _FLIP_CASES, st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**16)
+)
 @example(("two_pair_flat_rotations", 0), 6, 0)
 @example(("rotating_warped_plane", 0), 6, 0)
 @example(("s3_doubled_field", 0), 6, 0)

@@ -123,7 +123,8 @@ def test_structure_data_rows_are_single_point_batches(build):
     structure = build()
     pts = sample_interior(structure.spec, 6, 5)
     data = structure_data(structure, pts)
-    names = [f.name for f in dataclasses.fields(data)] + ["dgtt", "cov_t_g", "rm_l", "rm_g", "killing"]
+    cached = ["dgtt", "cov_t_g", "rm_l", "rm_g", "killing"]
+    names = [f.name for f in dataclasses.fields(data)] + cached
     for b in range(len(pts)):
         alone = structure_data(structure, pts[b : b + 1])
         for name in names:
