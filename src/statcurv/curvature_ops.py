@@ -15,8 +15,9 @@ diagonal and never inverted: 1 on the spatial pairs, and on the mixed pairs
 (T, X_i) -g_L(T,T) for g and g_L(T,T) < 0 for g_L, which makes the Lorentzian
 operator generally non-symmetric.  S = -P^T for the pair components
 P[a, b] = Rm(pair_a; pair_b) that ``lambda2.pair_components`` contracts from
-the coordinate tensor as W Rm W^T (W the (N, n^2) wedge rows E_v (x) E_w of
-the frame), so no n^4 frame tensor is built.
+Rm on coordinate pairs (``StructureData.rm_*``, (B, N, N)) as C Rc C^T, C the
+compound matrix (2x2 minors) of the frame; one C serves Rm_L and Rm_g, so no
+n^4 tensor is built, in coordinates or in the frame.
 
 The symmetrized flavor rebuilds the Riemannian operator purely from
 Lorentzian data: it takes the Rm_g pair components that
@@ -126,9 +127,8 @@ def operators_from_data(s: StationaryStructure, data: StructureData, frames: Fra
     """
     n = s.dimension
     basis = Lambda2Basis.standard(n)
-    vectors = frames.vectors
-    m_r = _operators(pair_components(data.rm_g, vectors, basis), -frames.timelike_norm, basis)
-    p_l = pair_components(data.rm_l, vectors, basis)
+    p_l, p_g = pair_components((data.rm_l, data.rm_g), frames.vectors, basis)
+    m_r = _operators(p_g, -frames.timelike_norm, basis)
     m_s = _symmetrized(p_l, rotation_blocks(frames.f, frames.pair_count, n), basis)
     central = np.abs(m_s - m_r).max(axis=(1, 2))
     return OperatorBatch(frames, basis, m_r, m_s, central, p_l)

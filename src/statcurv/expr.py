@@ -376,9 +376,16 @@ class _Jet:
     result differs.  The pass-through paths share arrays between jets, so
     no jet array is ever written in place.
 
-    Hessians stay exactly symmetric: every constructive term is either a
+    Hessians are symmetric up to rounding, and exactly symmetric on one
+    coordinate, where they are 1 x 1.  Every constructive term is a
     symmetric input, a scalar multiple of one, or an outer product a (x) b
-    added to its transpose (IEEE addition is commutative entrywise).
+    with its transpose, and sums, differences, ``chain`` and the scaled
+    paths keep a symmetric Hessian exactly symmetric.  But ``__mul__`` and
+    ``divide`` add ``cross`` and then ``cross^T`` to the symmetric part, so
+    once a jet spans two or more coordinates the entries [a, c] and [c, a]
+    sum the same three terms in different orders and may differ in their
+    last bits (by up to 4 ulp of the largest entry on the hand-built
+    structures of the tests).
     """
 
     __slots__ = ("sup", "val", "grad", "hess")

@@ -1,4 +1,4 @@
-"""Metric evaluation in coordinates: g, its inverse, Christoffels, Riemann.
+"""Metric evaluation in coordinates: g, its inverse, Christoffels, Riemann on pairs.
 
 A MetricSpec is a single chart: coordinate names with open intervals, a
 symmetric array of component expressions (only i <= j stored), a declared
@@ -18,6 +18,10 @@ Gamma_{m,ij} = 1/2 (d_i g_jm + d_j g_im - d_m g_ij) and Gamma^m_ij = g^{mk} Gamm
 
     Rm_ijkl = 1/2 (d_i d_k g_jl - d_i d_l g_jk - d_j d_k g_il + d_j d_l g_ik)
               + Gamma_{m,jl} Gamma^m_ik - Gamma_{m,il} Gamma^m_jk
+
+``riemann_batch`` evaluates it only with (i, j) and (k, l) pairs of the
+Lambda^2 basis (N^2 = (n(n-1)/2)^2 values, which fix the tensor), and
+``lambda2.pair_components`` takes those into a frame.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import numpy as np
 
 from .errors import ChartDomainError, EvalDomainError, NearSingularError, SpecFormatError, SignatureError
 from .expr import Expression, _eval_jet, _parse_interned, _unparse
+from .lambda2 import Lambda2Basis
 from .linalg import eigvalsh, invert
 from .tolerances import DEFAULT, Tolerances
 
@@ -327,35 +332,54 @@ def metric_batch(spec: MetricSpec, pts, tol: Tolerances = DEFAULT, cache: dict |
     return g, g_inv, dg, d2g
 
 
-def _first_kind(dg: np.ndarray) -> np.ndarray:
-    """First-kind symbols Gamma_{m,ij} as [b,m,i,j], from dg[b,k,i,j] = d_k g_ij."""
+def first_kind(dg: np.ndarray) -> np.ndarray:
+    """First-kind symbols Gamma_{m,ij} as [b,m,i,j], from dg[b,k,i,j] = d_k g_ij.
+
+    Built once per metric: ``christoffel_batch`` raises them and
+    ``riemann_batch`` pairs them with the raised ones.
+    """
     return 0.5 * (dg.transpose(0, 3, 1, 2) + dg.transpose(0, 2, 3, 1) - dg)
 
 
-def christoffel_batch(g_inv: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    """Levi-Civita symbols Gamma[b,k,i,j] = g^{km} Gamma_{m,ij}, one batched matmul."""
-    b, n = dg.shape[:2]
-    return (g_inv @ _first_kind(dg).reshape(b, n, n * n)).reshape(b, n, n, n)
+def christoffel_batch(g_inv: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Levi-Civita symbols Gamma[b,k,i,j] = g^{km} Gamma_{m,ij}, one batched matmul.
+
+    ``first`` holds the first-kind symbols, ``first_kind(dg)``.
+    """
+    b, n = first.shape[:2]
+    return (g_inv @ first.reshape(b, n, n * n)).reshape(b, n, n, n)
 
 
-def riemann_batch(gamma: np.ndarray, dg: np.ndarray, d2g: np.ndarray) -> np.ndarray:
-    """Lowered Riemann tensor Rm[b,i,j,k,l] = g(R(d_i,d_j)d_k, d_l) from gamma = christoffel_batch.
+def riemann_batch(gamma: np.ndarray, first: np.ndarray, d2g: np.ndarray) -> np.ndarray:
+    """Rm on coordinate pairs, Rc[b, A, C] = g(R(d_i,d_j)d_k, d_l) for A = (i, j), C = (k, l), (B, N, N).
+
+    The pairs are those of ``Lambda2Basis.standard(n)`` read as coordinate
+    indices; ``gamma`` = ``christoffel_batch(g_inv, first)``,
+    ``first`` = ``first_kind(dg)`` and d2g[b,i,k,j,l] = d_i d_k g_jl.  With
 
     Rm_ijkl = 1/2 (d_i d_k g_jl - d_i d_l g_jk - d_j d_k g_il + d_j d_l g_ik)
               + Gamma_{m,jl} Gamma^m_ik - Gamma_{m,il} Gamma^m_jk
 
-    Differentiating the lowered symbols needs no derivative of g^-1 and no
+    differentiating the lowered symbols needs no derivative of g^-1 and no
     final lowering by g.  Rm_ijkl = S_ijkl - S_jikl, where
-    S_ijkl = 1/2 (d_i d_k g_jl - d_i d_l g_jk) + Gamma^m_ik Gamma_{m,jl} is built
-    in the [b,i,k,j,l] layout of the one batched product Q[b,ik,jl] =
-    Gamma^m_ik Gamma_{m,jl}, in which the second-derivative part is d2g minus
-    d2g with k and l swapped.
+    S_ijkl = Q[ik, jl] + 1/2 (d_i d_k g_jl - d_i d_l g_jk) and
+    Q[b,ik,jl] = Gamma^m_ik Gamma_{m,jl} is one batched product.  Only the
+    N^2 entries on pairs are read out of Q and d2g, by ``take`` on their
+    flat layout at ``Lambda2Basis.riemann_gathers``, so no n^4 Riemann tensor
+    is built; each entry goes through the same operations as in the full
+    tensor, so it holds the same bits.
     """
-    b, n = dg.shape[:2]
-    s = gamma.reshape(b, n, n * n).swapaxes(1, 2) @ _first_kind(dg).reshape(b, n, n * n)
-    # rebinding s frees Q as S is built; d2g[b,i,k,j,l] = d_i d_k g_jl
-    s = s.reshape(b, n, n, n, n) + 0.5 * (d2g - d2g.swapaxes(2, 4))
-    return s.transpose(0, 1, 3, 2, 4) - s.transpose(0, 3, 1, 2, 4)
+    b, n = gamma.shape[:2]
+    basis = Lambda2Basis.standard(n)
+    size = basis.size
+    q_at, h_at = basis.riemann_gathers
+    q = (gamma.reshape(b, n, n * n).swapaxes(1, 2) @ first.reshape(b, n, n * n)).reshape(b, n**4)
+    # one take per array: at n = 8 it runs about 1.6x faster than a take per block
+    q = q.take(q_at, axis=1).reshape(b, 2, size * size)  # Q at [i,k,j,l], [j,k,i,l]
+    h = d2g.reshape(b, n**4).take(h_at, axis=1).reshape(b, 4, size * size)
+    rc = q[:, 0] + 0.5 * (h[:, 0] - h[:, 1])
+    rc -= q[:, 1] + 0.5 * (h[:, 2] - h[:, 3])
+    return rc.reshape(b, size, size)
 
 
 def frame_components_batch(comps: np.ndarray, frames: np.ndarray) -> np.ndarray:

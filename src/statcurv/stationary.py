@@ -19,9 +19,11 @@ checked from the coordinate Christoffels of g and g_L.
 The three curvature identity classes are written once, in
 ``flipped_curvature``: ``curvature_residual_batch`` checks its prediction
 against Rm_g, and ``curvature_ops`` builds the symmetrized operator from it.
-Both work on the Lambda^2 pair components of the curvature tensors
-(``lambda2.pair_components``), N^2 = (n(n-1)/2)^2 values per point instead
-of the n^4 frame components.
+Both work on the Lambda^2 pair components of the curvature tensors,
+N^2 = (n(n-1)/2)^2 values per point instead of n^4: ``StructureData`` holds
+Rm_L and Rm_g on coordinate pairs (``metric.riemann_batch``), and each
+consumer takes both into its frames with one compound matrix
+(``lambda2.pair_components``).
 
 Frame-level quantities never require differentiating frame fields: the
 identities below only involve connection *differences* (where the frame
@@ -55,6 +57,7 @@ from .metric import (
     MetricSpec,
     check_signature,
     christoffel_batch,
+    first_kind,
     metric_batch,
     metric_fields,
     require_finite,
@@ -177,10 +180,13 @@ def flipped_curvature(p_l: np.ndarray, omega: np.ndarray, gtt, basis: Lambda2Bas
 class StructureData:
     """Everything the identity checks and operators need, batched over points.
 
-    Index conventions: dg[b,k,i,j] = d_k g_ij; dt[b,i,k] = d_i T^k;
-    dgtt[b,k] = d_k g_L(T,T); cov_*[b,k,i] = (nab_{d_i} T)^k; rm_*[b,i,j,k,l]
-    lowered Riemann.  ``dgtt``, ``cov_t_g`` and the rm_* are built on first
-    read from the stored jets and Christoffel symbols.
+    Index conventions: dg[b,k,i,j] = d_k g_ij; d2g[b,i,k,j,l] = d_i d_k g_jl;
+    first_*[b,m,i,j] = Gamma_{m,ij} (first kind); gamma_*[b,k,i,j] =
+    Gamma^k_ij; dt[b,i,k] = d_i T^k; dgtt[b,k] = d_k g_L(T,T);
+    cov_*[b,k,i] = (nab_{d_i} T)^k; rm_*[b,A,C] = Rm(d_i, d_j, d_k, d_l)
+    on the coordinate pairs A = (i, j), C = (k, l) of
+    ``Lambda2Basis.standard(n)``, (B, N, N).  ``dgtt``, ``cov_t_g`` and the
+    rm_* are built on first read from the stored jets and symbols.
     """
 
     points: np.ndarray
@@ -188,11 +194,13 @@ class StructureData:
     gl_inv: np.ndarray
     dgl: np.ndarray
     d2gl: np.ndarray
+    first_l: np.ndarray
     gamma_l: np.ndarray
     g: np.ndarray
     g_inv: np.ndarray
     dg: np.ndarray
     d2g: np.ndarray
+    first_g: np.ndarray
     gamma_g: np.ndarray
     t: np.ndarray
     dt: np.ndarray
@@ -212,11 +220,11 @@ class StructureData:
 
     @cached_property
     def rm_l(self) -> np.ndarray:
-        return riemann_batch(self.gamma_l, self.dgl, self.d2gl)
+        return riemann_batch(self.gamma_l, self.first_l, self.d2gl)
 
     @cached_property
     def rm_g(self) -> np.ndarray:
-        return riemann_batch(self.gamma_g, self.dg, self.d2g)
+        return riemann_batch(self.gamma_g, self.first_g, self.d2g)
 
     @cached_property
     def killing(self) -> np.ndarray:
@@ -345,11 +353,14 @@ def structure_data(s: StationaryStructure, pts, tol: Tolerances = DEFAULT) -> St
     g, dg, d2g = _flipped_metric(gl, dgl, d2gl, t, dt, d2t, s.read_coordinates)
     g_inv = invert(g)
     check_signature("riemannian", g, tol)
-    gamma_l = christoffel_batch(gl_inv, dgl)
-    gamma_g = christoffel_batch(g_inv, dg)
+    first_l = first_kind(dgl)
+    first_g = first_kind(dg)
+    gamma_l = christoffel_batch(gl_inv, first_l)
+    gamma_g = christoffel_batch(g_inv, first_g)
     cov_l = dt.transpose(0, 2, 1) + np.einsum("bkim,bm->bki", gamma_l, t)
     data = StructureData(
-        pts, gl, gl_inv, dgl, d2gl, gamma_l, g, g_inv, dg, d2g, gamma_g, t, dt, gtt, cov_l
+        pts, gl, gl_inv, dgl, d2gl, first_l, gamma_l,
+        g, g_inv, dg, d2g, first_g, gamma_g, t, dt, gtt, cov_l,
     )
     s.__dict__[_LAST_DATA] = (tol, pts.shape, pts.tobytes(), weakref.ref(data))
     return data
@@ -425,8 +436,7 @@ def curvature_residual_batch(data: StructureData, frames: np.ndarray) -> np.ndar
     like Rm(X,X,.,.), which are zero up to rounding.
     """
     basis = Lambda2Basis.standard(frames.shape[1])
-    p_l = pair_components(data.rm_l, frames, basis)
-    p_g = pair_components(data.rm_g, frames, basis)
+    p_l, p_g = pair_components((data.rm_l, data.rm_g), frames, basis)
     omega = nabla_t_form(data, frames)
     omega[:, 0] = omega[:, :, 0] = 0.0
     res = np.abs(p_g - flipped_curvature(p_l, omega, data.gtt, basis))

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, settings
 from statcurv.curvature_ops import operators_from_data
 from statcurv.frames import adapted_frames_batch
 from statcurv.generators import battery_recipe, generate
-from statcurv.metric import christoffel_batch, load_spec_file
+from statcurv.metric import christoffel_batch, first_kind, load_spec_file
 from statcurv.stationary import (
     StationaryStructure,
     connection_residual_batch,
@@ -24,7 +24,7 @@ from statcurv.stationary import (
     structure_data,
 )
 
-from oracles import fd_metric_derivative, riemann_residuals
+from oracles import fd_metric_derivative, riemann_residuals, riemann_tensors
 
 settings.register_profile(
     "suite", max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -85,7 +85,7 @@ def summarize_structure(structure: StationaryStructure, seed: int, count: int = 
 
     # finite-difference Christoffel oracle against the jet-based symbols
     fd_dg = fd_metric_derivative(structure.spec, pts)
-    gamma_fd = christoffel_batch(data.gl_inv, fd_dg)
+    gamma_fd = christoffel_batch(data.gl_inv, first_kind(fd_dg))
     scale = np.maximum(np.abs(data.gamma_l), 1.0)
     fd_err = float((np.abs(gamma_fd - data.gamma_l) / scale).max())
 
@@ -93,8 +93,9 @@ def summarize_structure(structure: StationaryStructure, seed: int, count: int = 
         float(np.abs(data.gl @ data.gl_inv - np.eye(structure.dimension)).max()),
         float(np.abs(data.g @ data.g_inv - np.eye(structure.dimension)).max()),
     )
-    riem_inv = riemann_residuals(data.rm_l)
-    for key, value in riemann_residuals(data.rm_g).items():
+    rm_l, rm_g = riemann_tensors(data)
+    riem_inv = riemann_residuals(rm_l)
+    for key, value in riemann_residuals(rm_g).items():
         riem_inv[key] = max(riem_inv[key], value)
 
     eigs = [v for f in frames for v in f.nabla_sq_eigenvalues]

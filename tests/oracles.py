@@ -10,7 +10,7 @@ import numpy as np
 from statcurv.expr import Add, Call, Div, Expression, Mul, Neg, Num, Pow, Sub, Var, eval_jet_batch
 from statcurv.lambda2 import compound
 from statcurv.linalg import invert
-from statcurv.metric import MetricSpec, christoffel_batch, frame_components_batch
+from statcurv.metric import MetricSpec, christoffel_batch, first_kind, frame_components_batch
 
 
 def _central_differences(value, point: np.ndarray, step: float):
@@ -120,7 +120,7 @@ def fd_christoffel_oracle(spec: MetricSpec, point, step: float = 1e-4) -> np.nda
     point = np.asarray(point, dtype=float)
     dg = fd_metric_derivative(spec, point[None, :], step)
     g = _metric_values(spec, point[None, :])
-    return christoffel_batch(invert(g), dg)[0]
+    return christoffel_batch(invert(g), first_kind(dg))[0]
 
 
 def constant_curvature_oracle(n: int, kappa: float) -> np.ndarray:
@@ -158,11 +158,54 @@ def riemann_residuals(comps: np.ndarray) -> dict[str, float]:
     }
 
 
-# --- the n^4 frame-tensor formulation of the curvature layer ------------------
+# --- the n^4 formulation of the curvature layer ------------------------------
 #
-# The library works on Lambda^2 pair components (``lambda2.pair_components``);
-# these build the full (B, n, n, n, n) frame tensors instead, flip them
-# component by component and gather the operator entries from them.
+# The library works on Lambda^2 pairs: ``metric.riemann_batch`` reads Rm on
+# coordinate pairs and ``lambda2.pair_components`` takes them into a frame.
+# These build the full (B, n, n, n, n) tensors instead, in coordinates and in
+# frames, flip them component by component and gather the operator entries
+# from them.
+
+
+def riemann_tensor(gamma: np.ndarray, dg: np.ndarray, d2g: np.ndarray) -> np.ndarray:
+    """Lowered Riemann tensor Rm[b,i,j,k,l] = g(R(d_i,d_j)d_k, d_l), (B, n, n, n, n).
+
+    Rm_ijkl = S_ijkl - S_jikl with S_ijkl = Q[ik, jl] + 1/2 (d_i d_k g_jl -
+    d_i d_l g_jk), Q[b,ik,jl] = Gamma^m_ik Gamma_{m,jl}, built in full in the
+    [b,i,k,j,l] layout and transposed; ``metric.riemann_batch`` reads the
+    pair entries of this formula, in the same order of operations.
+    """
+    b, n = dg.shape[:2]
+    s = gamma.reshape(b, n, n * n).swapaxes(1, 2) @ first_kind(dg).reshape(b, n, n * n)
+    # d2g[b,i,k,j,l] = d_i d_k g_jl
+    s = s.reshape(b, n, n, n, n) + 0.5 * (d2g - d2g.swapaxes(2, 4))
+    return s.transpose(0, 1, 3, 2, 4) - s.transpose(0, 3, 1, 2, 4)
+
+
+def riemann_tensors(data) -> tuple[np.ndarray, np.ndarray]:
+    """(Rm_L, Rm_g) of a ``StructureData`` as (B, n, n, n, n) coordinate tensors."""
+    return (
+        riemann_tensor(data.gamma_l, data.dgl, data.d2gl),
+        riemann_tensor(data.gamma_g, data.dg, data.d2g),
+    )
+
+
+def pair_entries(rm: np.ndarray, basis) -> np.ndarray:
+    """Rm[..., A, C] = rm[..., i, j, k, l] (..., N, N) over the pairs A = (i, j), C = (k, l) of ``basis``."""
+    iv, iw = basis.legs
+    return rm[..., iv[:, None], iw[:, None], iv[None, :], iw[None, :]]
+
+
+def wedge_pair_components(comps: np.ndarray, frames: np.ndarray, basis) -> np.ndarray:
+    """P[b, a, c] = Rm(E_v, E_w, E_v', E_w') (B, N, N) from coordinate components (B, n, n, n, n).
+
+    With the wedge rows W[b, a] = E[b, v] (x) E[b, w] (B, N, n^2) this is
+    W Rm W^T, two batched products over the flattened index pairs.
+    """
+    b, n = frames.shape[:2]
+    iv, iw = basis.legs
+    wedge = (frames[:, iv, :, None] * frames[:, iw, None, :]).reshape(b, len(iv), n * n)
+    return wedge @ comps.reshape(b, n * n, n * n) @ wedge.swapaxes(1, 2)
 
 
 def flipped_curvature_tensor(rm_l_frame: np.ndarray, omega: np.ndarray, gtt) -> np.ndarray:
@@ -215,8 +258,7 @@ def frame_tensor_operators(data, vectors: np.ndarray, omega: np.ndarray, pairs) 
     ``vectors`` (B, n, n) are the adapted frames as rows and ``omega`` their
     rotation blocks.
     """
-    rm_g = frame_components_batch(data.rm_g, vectors)
-    rm_l = frame_components_batch(data.rm_l, vectors)
+    rm_l, rm_g = (frame_components_batch(rm, vectors) for rm in riemann_tensors(data))
 
     def operator(rm_frame, metric):
         gram = np.einsum("bai,bij,bcj->bac", vectors, metric, vectors)
@@ -235,8 +277,7 @@ def frame_tensor_operators(data, vectors: np.ndarray, omega: np.ndarray, pairs) 
 
 def frame_tensor_curvature_residuals(data, frames: np.ndarray) -> np.ndarray:
     """Residuals (B, 3): max |Rm_g - prediction| over (X,Y,T,Z), (T,X,T,Y) and (X,Y,Z,W) components."""
-    rml = frame_components_batch(data.rm_l, frames)
-    rmg = frame_components_batch(data.rm_g, frames)
+    rml, rmg = (frame_components_batch(rm, frames) for rm in riemann_tensors(data))
     omega = np.einsum("bai,bki,bkl,bcl->bac", frames, data.cov_t_l, data.gl, frames)
     omega[:, 0] = omega[:, :, 0] = 0.0
     res = np.abs(rmg - flipped_curvature_tensor(rml, omega, data.gtt))

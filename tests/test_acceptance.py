@@ -23,7 +23,7 @@ from statcurv.topology import (
 )
 
 from conftest import SPEC_DIR, sample_interior, summarize_structure
-from oracles import riemann_residuals
+from oracles import riemann_residuals, riemann_tensors
 from structures import two_pair_flat_rotations
 
 S3_PATH = str(SPEC_DIR / "s3.spec")
@@ -119,8 +119,7 @@ def test_criterion_4_curvature_identities(battery, s3_summary, s3):
     point = np.array([0.55, 1.0, 2.0])
     frame = orthonormal_completion(s3, point)
     data = structure_data(s3, point[None, :])
-    rml = frame_components_batch(data.rm_l, frame.vectors[None])[0]
-    rmg = frame_components_batch(data.rm_g, frame.vectors[None])[0]
+    rml, rmg = (frame_components_batch(rm, frame.vectors[None])[0] for rm in riemann_tensors(data))
     assert abs(-rml[1, 2, 1, 2] - 7.0) < 1e-9
     assert abs(-rmg[1, 2, 1, 2] - 1.0) < 1e-9
     print(
@@ -199,7 +198,7 @@ def test_criterion_8_degenerate_paths(flat_torus):
     assert result.min_margin == 0.0
     assert result.verdict.vanishing == ()
     data = structure_data(flat_torus, sample_interior(flat_torus.spec, 5, 0))
-    assert max(riemann_residuals(data.rm_l).values()) == 0.0
+    assert max(riemann_residuals(riemann_tensors(data)[0]).values()) == 0.0
     print(
         "ACCEPTANCE 8: PASS — flat torus: zero operator, not 2-positive, "
         "empty verdict, parallel-T fallback with zero pairs"

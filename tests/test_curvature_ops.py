@@ -29,7 +29,13 @@ from statcurv.stationary import (
 from statcurv.tolerances import DEFAULT
 
 from conftest import SPEC_DIR, sample_interior
-from oracles import frame_tensor_curvature_residuals, frame_tensor_operators, gram_operators
+from oracles import (
+    frame_tensor_curvature_residuals,
+    frame_tensor_operators,
+    gram_operators,
+    pair_entries,
+    riemann_tensors,
+)
 from structures import s3_times_torus, two_pair_flat_rotations
 
 
@@ -172,7 +178,7 @@ def symmetrized(rm, blocks):
     for i, j, f in blocks:
         omega[0, i, j], omega[0, j, i] = f, -f
     basis = Lambda2Basis.standard(n)
-    return _symmetrized(pair_components(rm[None], np.eye(n)[None], basis), omega, basis)[0]
+    return _symmetrized(pair_entries(rm, basis)[None], omega, basis)[0]
 
 
 class TestSymmetrizedTemplates:
@@ -246,7 +252,7 @@ class TestSymmetrizedTemplates:
         data = structure_data(structure, sample_interior(structure.spec, 8, seed))
         frames = adapted_frames_batch(structure, data)
         ops = operators_from_data(structure, data, frames)
-        rml = frame_components_batch(data.rm_l, np.stack([f.vectors for f in frames]))
+        rml = frame_components_batch(riemann_tensors(data)[0], np.stack([f.vectors for f in frames]))
         n = structure.dimension
         basis = Lambda2Basis.standard(n)
         iv = np.array([p[0] for p in basis.pairs])
@@ -360,9 +366,10 @@ class TestBasisEquivariance:
         data = structure_data(structure, [point])
         batch = adapted_frames_batch(structure, data)
         frames = batch.vectors
-        op1 = riemannian_in(structure, data, frames)[0]
-        op2 = _operators(pair_components(data.rm_g, frames, permuted), -batch.timelike_norm, permuted)[0]
         perm = [base.pairs.index(p) for p in permuted.pairs]
+        rc = data.rm_g[:, perm][:, :, perm]  # the coordinate pairs in the permuted order
+        op1 = riemannian_in(structure, data, frames)[0]
+        op2 = _operators(pair_components(rc, frames, permuted), -batch.timelike_norm, permuted)[0]
         assert np.abs(op2 - op1[np.ix_(perm, perm)]).max() < 1e-12
         v1, _ = jacobi_eigh(op1)
         v2, _ = jacobi_eigh(op2)

@@ -31,7 +31,7 @@ from statcurv.generators import GeneratorRecipe, generate
 
 from conftest import SPEC_DIR, sample_interior
 from oracles import fd_gradient_hessian, tree_unparse
-from structures import s3_times_torus, two_pair_flat_rotations
+from structures import rotating_warped_plane, s3_times_torus, two_pair_flat_rotations
 
 COORDS = ("t", "theta1", "theta2")
 
@@ -986,6 +986,25 @@ def test_structure_data_matches_dense_reference(build, widest, monkeypatch):
         assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
     for name in ("rm_l", "rm_g", "dgtt", "cov_t_g"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@pytest.mark.parametrize("build", [two_pair_flat_rotations, rotating_warped_plane])
+def test_hessian_symmetry_is_exact_on_one_coordinate(build, monkeypatch):
+    # __mul__ and divide add cross and cross^T to the symmetric part one
+    # after the other, so on two or more coordinates the entries [a, c] and
+    # [c, a] sum the same terms in another order; on these structures they
+    # differ by at most 4 ulp of the point's largest Hessian entry (3 to 4
+    # ulp at 400 points of two_pair_flat_rotations, 0 on rotating_warped_plane)
+    s = build()
+    _, cache = _structure_data_and_cache(s, sample_interior(s.spec, 50, 7), monkeypatch)
+    for _, jet in cache.values():
+        if jet.hess is None:
+            continue
+        asym = np.abs(jet.hess - jet.hess.swapaxes(1, 2)).max(axis=(1, 2))
+        if len(jet.sup) == 1:
+            assert not asym.any()
+        else:
+            assert np.all(asym <= 4 * np.spacing(np.abs(jet.hess).max(axis=(1, 2))))
 
 
 def test_jets_hold_only_their_support(monkeypatch):

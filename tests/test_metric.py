@@ -6,7 +6,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from statcurv.curvature_ops import operators_at
 from statcurv.errors import ChartDomainError, NearSingularError, SignatureError, SpecFormatError
@@ -14,8 +14,10 @@ from statcurv import expr as ex
 from statcurv.expr import Expression, eval_jet_batch
 from statcurv.generators import GeneratorRecipe, battery_recipe, generate
 from statcurv.frames import orthonormal_completion
+from statcurv.lambda2 import Lambda2Basis, pair_components
 from statcurv.metric import (
     christoffel_batch,
+    first_kind,
     frame_components_batch,
     load_spec,
     load_spec_file,
@@ -29,7 +31,11 @@ from oracles import (
     constant_curvature_oracle,
     fd_christoffel_oracle,
     fd_metric_derivative,
+    pair_entries,
     riemann_residuals,
+    riemann_tensor,
+    riemann_tensors,
+    wedge_pair_components,
 )
 
 
@@ -42,13 +48,19 @@ def metric_point(spec, point):
 
 def christoffel_point(spec, point):
     _, g_inv, dg, _ = metric_batch(spec, [point])
-    return christoffel_batch(g_inv, dg)[0]
+    return christoffel_batch(g_inv, first_kind(dg))[0]
 
 
 def riemann_point(spec, point):
-    """Coordinate components of the lowered Riemann tensor at one point."""
+    """Coordinate components (n, n, n, n) of the lowered Riemann tensor at one point (the n^4 oracle)."""
     _, g_inv, dg, d2g = metric_batch(spec, [point])
-    return riemann_batch(christoffel_batch(g_inv, dg), dg, d2g)[0]
+    return riemann_tensor(christoffel_batch(g_inv, first_kind(dg)), dg, d2g)[0]
+
+
+def riemann_pairs(g_inv, dg, d2g):
+    """``riemann_batch`` (B, N, N) from a metric's inverse and jets."""
+    first = first_kind(dg)
+    return riemann_batch(christoffel_batch(g_inv, first), first, d2g)
 
 
 def frame_point(comps, vectors):
@@ -78,8 +90,14 @@ def einsum_riemann(g, g_inv, dg, d2g):
 
 
 def first_kind_riemann(spec, pts):
+    """Rm on coordinate pairs (B, N, N) of ``spec`` at ``pts``, as ``riemann_batch`` computes it."""
     _, g_inv, dg, d2g = metric_batch(spec, pts)
-    return riemann_batch(christoffel_batch(g_inv, dg), dg, d2g)
+    return riemann_pairs(g_inv, dg, d2g)
+
+
+def on_pairs(rm):
+    """The coordinate-pair entries (B, N, N) of full tensors (B, n, n, n, n)."""
+    return pair_entries(rm, Lambda2Basis.standard(rm.shape[-1]))
 
 
 def assert_close_per_point(rm, ref, rel):
@@ -387,7 +405,7 @@ class TestChristoffel:
         pts = sample_interior(structure.spec, 8, seed)
         for spec in (structure.spec, structure.counterpart_spec):
             _, g_inv, dg, _ = metric_batch(spec, pts)
-            gamma = christoffel_batch(g_inv, dg)
+            gamma = christoffel_batch(g_inv, first_kind(dg))
             for b in (0, 3, 7):
                 fd = fd_christoffel_oracle(spec, pts[b])
                 scale = np.maximum(np.abs(gamma[b]), 1.0)
@@ -412,7 +430,7 @@ class TestChristoffel:
 
 class TestRiemann:
     def test_flat_torus_zero(self, flat_torus):
-        rm = riemann_point(flat_torus.spec, [1.0, 2.0, 3.0])
+        rm = first_kind_riemann(flat_torus.spec, [[1.0, 2.0, 3.0]])
         assert np.abs(rm).max() == 0.0
 
     def test_round_s3_constant_curvature(self, s3):
@@ -442,7 +460,7 @@ class TestRiemann:
         pts = sample_interior(structure.spec, 10, seed + 50)
         for spec in (structure.spec, structure.counterpart_spec):
             _, g_inv, dg, d2g = metric_batch(spec, pts)
-            rm = riemann_batch(christoffel_batch(g_inv, dg), dg, d2g)
+            rm = riemann_tensor(christoffel_batch(g_inv, first_kind(dg)), dg, d2g)
             res = riemann_residuals(rm)
             assert res["antisymmetry_first_pair"] < 1e-9
             assert res["antisymmetry_second_pair"] < 1e-9
@@ -452,8 +470,8 @@ class TestRiemann:
     @pytest.mark.parametrize("n", range(3, 9))
     def test_matches_einsum_reference_on_random_jets(self, n):
         g, g_inv, dg, d2g = random_jets(np.random.default_rng(20 + n), 6, n)
-        rm = riemann_batch(christoffel_batch(g_inv, dg), dg, d2g)
-        assert_close_per_point(rm, einsum_riemann(g, g_inv, dg, d2g), 1e-13)
+        rm = riemann_pairs(g_inv, dg, d2g)
+        assert_close_per_point(rm, on_pairs(einsum_riemann(g, g_inv, dg, d2g)), 1e-13)
 
     @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3, 4])
     def test_matches_einsum_reference_on_structures(self, s3, seed):
@@ -463,30 +481,31 @@ class TestRiemann:
             pts[:2, 0] = [1e-3, math.pi / 2 - 1e-3]
         for spec in (structure.spec, structure.counterpart_spec):
             g, g_inv, dg, d2g = metric_batch(spec, pts)
-            rm = riemann_batch(christoffel_batch(g_inv, dg), dg, d2g)
-            assert_close_per_point(rm, einsum_riemann(g, g_inv, dg, d2g), 1e-13)
+            rm = riemann_pairs(g_inv, dg, d2g)
+            assert_close_per_point(rm, on_pairs(einsum_riemann(g, g_inv, dg, d2g)), 1e-13)
 
     @pytest.mark.parametrize("n", [3, 5, 8])
     def test_riemann_is_batch_invariant(self, n):
         _, g_inv, dg, d2g = random_jets(np.random.default_rng(30 + n), 2, n)
-        gamma = christoffel_batch(g_inv, dg)
+        first = first_kind(dg)
+        gamma = christoffel_batch(g_inv, first)
         gamma[1] *= 1e8
-        dg[1] *= 1e8
+        first[1] *= 1e8
         d2g[1] *= 1e8
-        batch = riemann_batch(gamma, dg, d2g)
+        batch = riemann_batch(gamma, first, d2g)
         for b in range(2):
-            alone = riemann_batch(gamma[b : b + 1], dg[b : b + 1], d2g[b : b + 1])[0]
+            alone = riemann_batch(gamma[b : b + 1], first[b : b + 1], d2g[b : b + 1])[0]
             assert np.array_equal(alone, batch[b])
 
     @pytest.mark.parametrize("flipped", [False, True])
     def test_s3_matches_exact_symbolic_oracle(self, s3, flipped):
         spec = s3.counterpart_spec if flipped else s3.spec
         pts = np.array([[1e-3, 0.3, 0.4], [0.7, 1.0, 2.0], [math.pi / 2 - 1e-3, 6.0, 6.0]])
-        assert_close_per_point(first_kind_riemann(spec, pts), exact_riemann(spec, pts), 1e-12)
+        assert_close_per_point(first_kind_riemann(spec, pts), on_pairs(exact_riemann(spec, pts)), 1e-12)
 
     def test_flat_torus_matches_exact_symbolic_oracle(self, flat_torus):
         spec, pts = flat_torus.spec, np.array([[0.5, 1.0, 2.0]])
-        assert_close_per_point(first_kind_riemann(spec, pts), exact_riemann(spec, pts), 1e-12)
+        assert_close_per_point(first_kind_riemann(spec, pts), on_pairs(exact_riemann(spec, pts)), 1e-12)
 
     @pytest.mark.parametrize("seed", [0, 1, 3])
     def test_battery_matches_exact_symbolic_oracle(self, seed):
@@ -494,7 +513,7 @@ class TestRiemann:
         # longer than the rest of the suite
         spec = generate(battery_recipe(seed)).spec
         pts = sample_interior(spec, 3, seed + 90)
-        assert_close_per_point(first_kind_riemann(spec, pts), exact_riemann(spec, pts), 1e-12)
+        assert_close_per_point(first_kind_riemann(spec, pts), on_pairs(exact_riemann(spec, pts)), 1e-12)
 
     def test_s3_operators_stay_identity_toward_chart_ends(self, s3):
         # the flipped S3 is the round sphere, so both the Riemannian and the
@@ -512,7 +531,7 @@ class TestRiemann:
         # the identities intact even at the extreme interior points
         pts = np.array([[1e-3, 0.1, 0.1], [math.pi / 2 - 1e-3, 6.0, 6.0]])
         data = structure_data(s3, pts)
-        for rm in (data.rm_l, data.rm_g):
+        for rm in riemann_tensors(data):
             res = riemann_residuals(rm)
             assert max(res.values()) < 1e-8
 
@@ -570,6 +589,27 @@ class TestFrameComponents:
         # the contraction is multilinear, so c * I scales every component by c^4
         rm = riemann_point(s3.spec, [0.7, 1.0, 2.0]) if n == 3 else constant_curvature_oracle(n, 1.0)
         assert np.allclose(frame_point(rm, c * np.eye(n)), c**4 * rm, rtol=1e-12, atol=0.0)
+
+
+@given(st.integers(min_value=3, max_value=8), st.integers(min_value=0, max_value=2**31 - 1))
+@example(4, 0)  # the reversed (3, 1) pair
+@example(8, 0)
+def test_pair_riemann_is_the_tensor_on_pairs(n, seed):
+    # riemann_batch reads the n^4 formula's pair entries in its order of
+    # operations, so they agree bitwise; C Rc C^T and W Rm W^T are the same
+    # contraction summed in another order, and the n^4 tensor's entries off
+    # the pairs (Rm_ijkk, Rm_ijlk) are antisymmetric only up to rounding
+    rng = np.random.default_rng(seed)
+    _, g_inv, dg, d2g = random_jets(rng, 3, n)
+    first = first_kind(dg)
+    gamma = christoffel_batch(g_inv, first)
+    basis = Lambda2Basis.standard(n)
+    rc = riemann_batch(gamma, first, d2g)
+    rm = riemann_tensor(gamma, dg, d2g)
+    assert rc.tobytes() == pair_entries(rm, basis).tobytes()
+    frames = rng.standard_normal((3, n, n))
+    want = wedge_pair_components(rm, frames, basis)
+    assert_close_per_point(pair_components(rc, frames, basis), want, 1e-13)
 
 
 @given(

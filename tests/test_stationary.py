@@ -35,7 +35,7 @@ from statcurv.stationary import (
 from statcurv.tolerances import DEFAULT
 
 from conftest import SPEC_DIR, sample_interior
-from oracles import inverse_nabla_t_frames
+from oracles import inverse_nabla_t_frames, riemann_tensors
 from structures import rotating_warped_plane, s3_times_torus, two_pair_flat_rotations
 
 
@@ -404,8 +404,7 @@ class TestCurvatureRelations:
         assert curvature_residual_batch(data, frames).max() < 1e-9
         # spatial identity at f = -1: the correction moves -7 to -1, i.e. the
         # operator entries 7 and 1 of the worked example
-        rml = frame_components_batch(data.rm_l, frames)[0]
-        rmg = frame_components_batch(data.rm_g, frames)[0]
+        rml, rmg = (frame_components_batch(rm, frames)[0] for rm in riemann_tensors(data))
         assert -rml[1, 2, 1, 2] == pytest.approx(7.0, abs=1e-9)
         assert -rmg[1, 2, 1, 2] == pytest.approx(1.0, abs=1e-9)
         assert rmg[1, 2, 1, 2] - rml[1, 2, 1, 2] == pytest.approx(6.0, abs=1e-9)
@@ -431,7 +430,7 @@ class TestCurvatureRelations:
         pts = sample_interior(raw.spec, 20, seed + 80)
         data = structure_data(raw, pts)
         frames = orthonormal_completions(data, DEFAULT, require_unit=False)
-        rml = frame_components_batch(data.rm_l, frames)
+        rml = frame_components_batch(riemann_tensors(data)[0], frames)
         x = frames[:, 1:]
         u = np.einsum("bki,bai->bka", data.cov_t_l, x)  # column a: nab^L_{X_a} T
         ip = np.einsum("bka,bkl,blc->bac", u, data.gl, u)

@@ -29,11 +29,12 @@ from statcurv.frames import (
 )
 from statcurv.generators import battery_recipe, generate
 from statcurv.lambda2 import pair_components
-from statcurv.metric import frame_components_batch
+from statcurv.metric import frame_components_batch, riemann_batch
 from statcurv.stationary import nabla_t_form, structure_data
 from statcurv.tolerances import DEFAULT
 
 from conftest import sample_interior
+from oracles import riemann_tensors
 from structures import rotating_warped_plane, two_pair_flat_rotations
 
 
@@ -134,9 +135,10 @@ def test_structure_data_rows_are_single_point_batches(build):
 def test_frame_components_is_row(batch):
     _, pts, data, frames = batch
     stack = frames.vectors
-    rows = frame_components_batch(data.rm_l, stack)
+    rm_l = riemann_tensors(data)[0]
+    rows = frame_components_batch(rm_l, stack)
     for b in range(len(pts)):
-        alone = frame_components_batch(data.rm_l[b : b + 1], stack[b : b + 1])[0]
+        alone = frame_components_batch(rm_l[b : b + 1], stack[b : b + 1])[0]
         assert np.array_equal(alone, rows[b])
 
 
@@ -147,6 +149,26 @@ def test_pair_components_is_row(batch):
     for b in range(len(pts)):
         alone = pair_components(data.rm_g[b : b + 1], frames.vectors[b : b + 1], basis)[0]
         assert np.array_equal(alone, rows[b])
+
+
+def test_riemann_pairs_are_rows(batch):
+    # Rm on coordinate pairs, and its contraction with one compound matrix
+    # shared by Rm_L and Rm_g, give row [0] of a one-row call the bytes of
+    # the matching row of the batch
+    structure, pts, data, frames = batch
+    basis = Lambda2Basis.standard(structure.dimension)
+    vectors = frames.vectors
+    shared = pair_components((data.rm_l, data.rm_g), vectors, basis)
+    metrics = (
+        (data.gamma_l, data.first_l, data.d2gl, data.rm_l),
+        (data.gamma_g, data.first_g, data.d2g, data.rm_g),
+    )
+    for b in range(len(pts)):
+        row = slice(b, b + 1)
+        for k, (gamma, first, d2g, rc) in enumerate(metrics):
+            alone = riemann_batch(gamma[row], first[row], d2g[row])
+            assert alone[0].tobytes() == rc[b].tobytes()
+            assert pair_components(alone, vectors[row], basis)[0].tobytes() == shared[k][b].tobytes()
 
 
 def test_orthonormal_completion_is_row(batch):
