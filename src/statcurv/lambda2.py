@@ -6,8 +6,8 @@ every other component up to sign, or zero.  The curvature layer holds only
 those N^2 = (n(n-1)/2)^2 values, first on pairs of coordinate indices
 (``metric.riemann_batch`` reads them through ``Lambda2Basis.riemann_gathers``)
 and then in a frame: ``pair_components`` contracts them through the frame's
-compound matrix, C Rc C^T, one C for Rm_L and Rm_g.  No n^4 Riemann tensor is built, in coordinates
-or in a frame.
+compound matrix, C Rc C^T, one C for Rm_L and Rm_g.  No n^4 Riemann tensor
+is built, in coordinates or in a frame.
 """
 
 from __future__ import annotations

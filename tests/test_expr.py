@@ -989,7 +989,7 @@ def test_structure_data_matches_dense_reference(build, widest, monkeypatch):
 
 
 @pytest.mark.parametrize("build", [two_pair_flat_rotations, rotating_warped_plane])
-def test_hessian_symmetry_is_exact_on_one_coordinate(build, monkeypatch):
+def test_hessians_are_symmetric_to_the_stated_bound(build, monkeypatch):
     # __mul__ and divide add cross and cross^T to the symmetric part one
     # after the other, so on two or more coordinates the entries [a, c] and
     # [c, a] sum the same terms in another order; on these structures they
