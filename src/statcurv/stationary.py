@@ -164,13 +164,20 @@ def flipped_curvature(p_l: np.ndarray, omega: np.ndarray, gtt, basis: Lambda2Bas
     """
     iv, iw = basis.legs
     w_pair = omega[:, iv, iw]  # w_XY of each pair
-    pred = compound(basis, omega) + 2.0 * w_pair[:, :, None] * w_pair[:, None, :]
+    # built in pred and one scratch array, term: at n = 8 fresh (B, N, N)
+    # temporaries cost more in first-touch page faults than in arithmetic
+    pred = compound(basis, omega)
+    term = np.empty_like(pred)
+    pred += np.multiply(2.0 * w_pair[:, :, None], w_pair[:, None, :], out=term)
     pred *= (-2.0 / np.asarray(gtt))[..., None, None]
     x, sign = basis.t_legs
     spatial = sign == 0.0
-    pred += np.where(spatial[:, None] & spatial[None, :], p_l, -p_l)
+    pred += np.multiply(p_l, np.where(spatial[:, None] & spatial[None, :], 1.0, -1.0), out=term)
     tt = -2.0 * omega @ omega.swapaxes(1, 2)
-    pred += (sign[:, None] * sign[None, :]) * tt[:, x[:, None], x[None, :]]
+    n = omega.shape[1]
+    np.take(tt.reshape(len(tt), n * n), x[:, None] * n + x, axis=1, out=term)
+    term *= sign[:, None] * sign[None, :]
+    pred += term
     return pred
 
 
