@@ -216,14 +216,16 @@ class StructureData:
 
     @cached_property
     def dgtt(self) -> np.ndarray:
-        t = self.t
-        return np.einsum("bkij,bi,bj->bk", self.dgl, t, t) + 2.0 * np.einsum(
-            "bij,bki,bj->bk", self.gl, self.dt, t
-        )
+        b, n = self.t.shape
+        t = self.t[:, :, None]
+        dgl_t = (self.dgl.reshape(b, n * n, n) @ t).reshape(b, n, n)  # [b,k,i] = d_k g_ij T^j
+        return (dgl_t @ t)[:, :, 0] + 2.0 * (self.dt @ (self.gl @ t))[:, :, 0]
 
     @cached_property
     def cov_t_g(self) -> np.ndarray:
-        return self.dt.transpose(0, 2, 1) + np.einsum("bkim,bm->bki", self.gamma_g, self.t)
+        b, n = self.t.shape
+        gamma_t = (self.gamma_g.reshape(b, n * n, n) @ self.t[:, :, None]).reshape(b, n, n)
+        return self.dt.transpose(0, 2, 1) + gamma_t
 
     @cached_property
     def rm_l(self) -> np.ndarray:
@@ -240,12 +242,14 @@ class StructureData:
 
 
 def _lie_defect(gl, dgl, t, dt) -> np.ndarray:
-    """max_ij |(Lie_T g_L)_ij| (B,) from g_L, T and their first derivatives."""
-    lie = (
-        np.einsum("bk,bkij->bij", t, dgl)
-        + np.einsum("bkj,bik->bij", gl, dt)
-        + np.einsum("bik,bjk->bij", gl, dt)
-    )
+    """max_ij |(Lie_T g_L)_ij| (B,) from g_L, T and their first derivatives.
+
+    (Lie_T g_L)_ij = T^k d_k g_ij + (dt g_L)_ij + (dt g_L)_ji, the last
+    term by the symmetry of g_L.
+    """
+    b, n = t.shape
+    dt_gl = dt @ gl  # [b,i,j] = d_i T^k g_kj
+    lie = (t[:, None, :] @ dgl.reshape(b, n, n * n)).reshape(b, n, n) + dt_gl + dt_gl.swapaxes(1, 2)
     return np.abs(lie).max(axis=(1, 2))
 
 
@@ -405,29 +409,40 @@ def killing_defect_batch(s: StationaryStructure, pts, tol: Tolerances = DEFAULT)
 
 # --- identity verification ---------------------------------------------------
 
-def connection_residual_batch(data: StructureData, frames: np.ndarray) -> np.ndarray:
-    """Residuals (B, 4) of the connection identities for per-point frames."""
-    t = data.t
+def connection_residuals(data: StructureData, frames: np.ndarray):
+    """The four connection identities' residual arrays for per-point frames.
+
+    With X_a = ``frames[:, a]`` (a >= 1), u[b,k,a] = (nab_{X_a} T)^k,
+    Delta = Gamma_g - Gamma_L and l_a = X_a(g_L(T,T)) / g_L(T,T):
+
+        r1[b,k]     = (nab^g_T T + nab^L_T T)^k,
+        r2[b,k,a]   = (u_g + u_L)^k_a - T^k l_a,
+        r3[b,k,a,c] = Delta^k(X_a, X_c),
+        r4[b,k,a]   = Delta^k(T, X_a) + 2 u_L^k_a - T^k l_a.
+
+    Each contraction is one batched matmul; Delta X^T is formed once and
+    read by r3 and r4.
+    """
+    b, n = data.t.shape
+    t = data.t[:, :, None]
     x = frames[:, 1:, :]
-    dln = np.einsum("bai,bi->ba", x, data.dgtt) / data.gtt[:, None]
-    delta = data.gamma_g - data.gamma_l
-    u_g = np.einsum("bki,bai->bka", data.cov_t_g, x)
-    u_l = np.einsum("bki,bai->bka", data.cov_t_l, x)
-    r1 = np.einsum("bki,bi->bk", data.cov_t_g + data.cov_t_l, t)
-    r2 = u_g + u_l - t[:, :, None] * dln[:, None, :]
-    r3 = np.einsum("bai,bkij,bcj->bkac", x, delta, x)
-    r4 = (
-        np.einsum("bi,bkij,baj->bka", t, delta, x)
-        + 2.0 * u_l
-        - t[:, :, None] * dln[:, None, :]
-    )
+    x_t = x.swapaxes(1, 2)  # (B, n, n-1), column a is X_a
+    dln = (x @ data.dgtt[:, :, None])[:, :, 0] / data.gtt[:, None]
+    t_dln = t * dln[:, None, :]
+    u_l = data.cov_t_l @ x_t
+    r1 = ((data.cov_t_g + data.cov_t_l) @ t)[:, :, 0]
+    r2 = data.cov_t_g @ x_t + u_l - t_dln
+    delta_x = ((data.gamma_g - data.gamma_l).reshape(b, n * n, n) @ x_t).reshape(b, n, n, n - 1)
+    r3 = x[:, None] @ delta_x
+    r4 = (t.swapaxes(1, 2)[:, None] @ delta_x)[:, :, 0] + 2.0 * u_l - t_dln
+    return r1, r2, r3, r4
+
+
+def connection_residual_batch(data: StructureData, frames: np.ndarray) -> np.ndarray:
+    """Residuals (B, 4) of the connection identities for per-point frames:
+    the largest |entry| of each of ``connection_residuals``."""
     return np.stack(
-        [
-            np.abs(r1).max(axis=1),
-            np.abs(r2).max(axis=(1, 2)),
-            np.abs(r3).max(axis=(1, 2, 3)),
-            np.abs(r4).max(axis=(1, 2)),
-        ],
+        [np.abs(r).max(axis=tuple(range(1, r.ndim))) for r in connection_residuals(data, frames)],
         axis=1,
     )
 

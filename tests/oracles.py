@@ -291,6 +291,47 @@ def frame_tensor_curvature_residuals(data, frames: np.ndarray) -> np.ndarray:
     )
 
 
+
+# --- einsum forms of the flip's identity contractions ------------------------
+#
+# The library writes these contractions as batched matmuls on reshaped views;
+# here each is the unordered einsum it replaced, index for index.  Called
+# with every input replaced by its magnitude (and a negative g_L(T,T) and
+# Gamma_L, so that every difference becomes a sum), each returns the sum of
+# |terms| that bounds the rounding of both forms.
+
+
+def dgtt_einsum(gl, dgl, t, dt) -> np.ndarray:
+    """d_k g_L(T,T) (B, n) = d_k g_ij T^i T^j + 2 g_ij d_k T^i T^j."""
+    return np.einsum("bkij,bi,bj->bk", dgl, t, t) + 2.0 * np.einsum("bij,bki,bj->bk", gl, dt, t)
+
+
+def cov_t_einsum(gamma, t, dt) -> np.ndarray:
+    """(nab_{d_i} T)^k as [b, k, i] (B, n, n) from the Christoffels Gamma[b,k,i,m]."""
+    return dt.transpose(0, 2, 1) + np.einsum("bkim,bm->bki", gamma, t)
+
+
+def lie_einsum(gl, dgl, t, dt) -> np.ndarray:
+    """(Lie_T g_L)_ij (B, n, n) = T^k d_k g_ij + g_kj d_i T^k + g_ik d_j T^k."""
+    return (
+        np.einsum("bk,bkij->bij", t, dgl)
+        + np.einsum("bkj,bik->bij", gl, dt)
+        + np.einsum("bik,bjk->bij", gl, dt)
+    )
+
+
+def connection_residuals_einsum(t, x, dgtt, gtt, gamma_g, gamma_l, cov_t_g, cov_t_l):
+    """(r1, r2, r3, r4) of ``stationary.connection_residuals`` for frame rows x = X_a (B, n-1, n)."""
+    dln = np.einsum("bai,bi->ba", x, dgtt) / gtt[:, None]
+    delta = gamma_g - gamma_l
+    u_g = np.einsum("bki,bai->bka", cov_t_g, x)
+    u_l = np.einsum("bki,bai->bka", cov_t_l, x)
+    r1 = np.einsum("bki,bi->bk", cov_t_g + cov_t_l, t)
+    r2 = u_g + u_l - t[:, :, None] * dln[:, None, :]
+    r3 = np.einsum("bai,bkij,bcj->bkac", x, delta, x)
+    r4 = np.einsum("bi,bkij,baj->bka", t, delta, x) + 2.0 * u_l - t[:, :, None] * dln[:, None, :]
+    return r1, r2, r3, r4
+
 # --- solved forms of what the library reads off an orthonormal frame ----------
 #
 # The library relies on its frames being orthonormal for g_L (checked by

@@ -26,6 +26,7 @@ from statcurv.stationary import (
     conformal_normalize,
     flip_spec,
     connection_residual_batch,
+    connection_residuals,
     curvature_residual_batch,
     flipped_curvature,
     killing_defect_batch,
@@ -35,7 +36,14 @@ from statcurv.stationary import (
 from statcurv.tolerances import DEFAULT
 
 from conftest import SPEC_DIR, sample_interior
-from oracles import inverse_nabla_t_frames, riemann_tensors
+from oracles import (
+    connection_residuals_einsum,
+    cov_t_einsum,
+    dgtt_einsum,
+    inverse_nabla_t_frames,
+    lie_einsum,
+    riemann_tensors,
+)
 from structures import rotating_warped_plane, s3_times_torus, two_pair_flat_rotations
 
 
@@ -60,6 +68,94 @@ def completions(s, pts, require_unit=True):
     """StructureData at ``pts`` (B, n) and the completion frames (B, n, n) of its rows."""
     data = structure_data(s, pts)
     return data, orthonormal_completions(data, DEFAULT, require_unit)
+
+
+EPS = np.finfo(float).eps
+
+
+def assert_within_rounding(got, want, terms, n):
+    """|got - want| <= 4 n^2 eps times the sum of |terms|, entry by entry.
+
+    Each form rounds an entry by at most about m eps times the sum of the
+    magnitudes of its terms, m <= n^2 + 4 here (the longest chain is a sum
+    of n^2 three-factor products); 4 n^2 eps covers both forms for n >= 3.
+    """
+    assert np.all(np.abs(got - want) <= 4 * n * n * EPS * terms)
+
+
+def einsum_args(*arrays, signs=None):
+    """The einsum oracle's arguments, then their magnitudes: with each
+    difference made a sum by ``signs`` (-1 on a subtrahend or divisor), the
+    oracle on the magnitudes is the sum of |terms| of every entry."""
+    signs = signs or (1,) * len(arrays)
+    return arrays, tuple(s * np.abs(a) for s, a in zip(signs, arrays))
+
+
+def assert_contractions_match_einsum(data, frames):
+    """dgtt, cov_t_g, the Lie derivative behind the Killing defect and the
+    connection residual arrays against their einsum oracles."""
+    n = data.t.shape[1]
+    fields = (data.gl, data.dgl, data.t, data.dt)
+    want, terms = (dgtt_einsum(*a) for a in einsum_args(*fields))
+    assert_within_rounding(data.dgtt, want, terms, n)
+    want, terms = (cov_t_einsum(*a) for a in einsum_args(data.gamma_g, data.t, data.dt))
+    assert_within_rounding(data.cov_t_g, want, terms, n)
+    want, terms = (np.abs(lie_einsum(*a)).max(axis=(1, 2)) for a in einsum_args(*fields))
+    assert_within_rounding(data.killing, want, terms, n)
+    args = (data.t, frames[:, 1:], data.dgtt, data.gtt, data.gamma_g, data.gamma_l, data.cov_t_g, data.cov_t_l)
+    want, terms = (
+        connection_residuals_einsum(*a)
+        for a in einsum_args(*args, signs=(1, 1, 1, -1, 1, -1, 1, 1))
+    )
+    for got, w, m in zip(connection_residuals(data, frames), want, terms):
+        assert got.shape == w.shape
+        assert_within_rounding(got, w, m, n)
+
+
+def random_structure_data(rng, batch, n):
+    """StructureData with random fields: symmetric g_L and dg_L, T, dt and a
+    negative g_L(T,T) of its own (the contractions take it as given);
+    Christoffels without their (i, j) symmetry, so that a contraction that
+    reads X_c for X_a shows.  Fields no identity contraction reads are zero."""
+    a = rng.standard_normal((batch, n, n))
+    gl = a + a.swapaxes(1, 2)
+    dgl = rng.standard_normal((batch, n, n, n))
+    dgl = dgl + dgl.swapaxes(2, 3)
+    t, dt = rng.standard_normal((batch, n)), rng.standard_normal((batch, n, n))
+    gamma_l, gamma_g = rng.standard_normal((2, batch, n, n, n))
+    zero2, zero3, zero4 = (np.zeros((batch,) + (n,) * k) for k in (2, 3, 4))
+    return stationary.StructureData(
+        np.zeros((batch, n)), gl, zero2, dgl, zero4, zero3, gamma_l,
+        zero2, zero2, zero3, zero4, zero3, gamma_g, t, dt, -0.5 - rng.random(batch),
+        cov_t_einsum(gamma_l, t, dt),
+    )
+
+
+@given(st.integers(min_value=3, max_value=8), st.integers(min_value=0, max_value=2**31 - 1))
+@example(3, 0)
+@example(8, 0)
+def test_identity_contractions_match_einsum_on_random_fields(n, seed):
+    rng = np.random.default_rng(seed)
+    data = random_structure_data(rng, 4, n)
+    assert_contractions_match_einsum(data, rng.standard_normal((4, n, n)))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: torus_with_field("1", "-0.05*y", "0.05*x"),
+        rotating_warped_plane,
+        # not Killing, and d2t != 0: T's second derivatives reach g, dg and d2g
+        lambda: torus_with_field("1", "0.05*sin(y)", "0.01*x*y"),
+    ],
+    ids=["rotating", "warped", "curved-field"],
+)
+def test_identity_contractions_match_einsum_on_structures(build):
+    structure = build()
+    pts = sample_interior(structure.spec, 16, 11, buffer=1e-3)
+    data, frames = completions(structure, pts, require_unit=False)
+    assert np.abs(data.dt).max() > 0.01
+    assert_contractions_match_einsum(data, frames)
 
 
 class TestKillingDefect:
@@ -113,20 +209,22 @@ class TestKillingDefect:
         with pytest.raises(NearSingularError):
             killing_defect_batch(structure, np.array([[0.0, 1.0, 2.0]]))
 
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
-    def test_batch_matches_the_validated_metric(self, seed):
-        # reference: g_L and its derivatives from metric_batch, which also inverts g_L
-        structure = generate(battery_recipe(seed))
-        pts = sample_interior(structure.spec, 20, seed)
+    @pytest.mark.parametrize("case", [0, 1, 2, 3, 4, 5, "rotating_warped_plane"])
+    def test_batch_matches_the_validated_metric(self, case):
+        # reference: g_L and its derivatives from metric_batch, which also
+        # inverts g_L; battery fields are constant (dt = 0), the warped
+        # plane's T reads x and y (dt != 0)
+        structure = rotating_warped_plane() if isinstance(case, str) else generate(battery_recipe(case))
+        pts = sample_interior(structure.spec, 20, 7 if isinstance(case, str) else case)
         cache = {}
         gl, _, dgl, _ = metric_batch(structure.spec, pts, cache=cache)
         t, dt, _ = stationary._t_jets(structure, pts, cache)
-        lie = (
-            np.einsum("bk,bkij->bij", t, dgl)
-            + np.einsum("bkj,bik->bij", gl, dt)
-            + np.einsum("bik,bjk->bij", gl, dt)
-        )
-        assert np.array_equal(killing_defect_batch(structure, pts), np.abs(lie).max(axis=(1, 2)))
+        got = killing_defect_batch(structure, pts)
+        assert np.array_equal(got, stationary._lie_defect(gl, dgl, t, dt))
+        want, terms = (np.abs(lie_einsum(*a)).max(axis=(1, 2)) for a in einsum_args(gl, dgl, t, dt))
+        assert_within_rounding(got, want, terms, structure.dimension)
+        if isinstance(case, str):
+            assert np.abs(dt).max() > 0.1
 
     def test_single_point_is_a_batch_of_one(self, s3):
         point = np.array([0.7, 1.0, 2.0])
@@ -463,14 +561,20 @@ def test_verify_only_fields_on_first_read(build):
     pts = sample_interior(raw.spec, 12, 90, buffer=1e-3)
     data = structure_data(raw, pts)
     assert "dgtt" not in vars(data) and "cov_t_g" not in vars(data)
-    # the formulas structure_data once evaluated for every batch
-    t, dt = data.t, data.dt
-    dgtt = np.einsum("bkij,bi,bj->bk", data.dgl, t, t) + 2.0 * np.einsum(
-        "bij,bki,bj->bk", data.gl, dt, t
-    )
-    cov_t_g = dt.transpose(0, 2, 1) + np.einsum("bkim,bm->bki", data.gamma_g, t)
+    # the formulas, as batched matmuls, and their einsum oracles
+    b, n = pts.shape
+    t, dt = data.t[:, :, None], data.dt
+    dgl_t = (data.dgl.reshape(b, n * n, n) @ t).reshape(b, n, n)
+    dgtt = (dgl_t @ t)[:, :, 0] + 2.0 * (dt @ (data.gl @ t))[:, :, 0]
+    gamma_t = (data.gamma_g.reshape(b, n * n, n) @ t).reshape(b, n, n)
+    cov_t_g = dt.transpose(0, 2, 1) + gamma_t
     assert np.array_equal(data.dgtt, dgtt)
     assert np.array_equal(data.cov_t_g, cov_t_g)
+    fields = (data.gl, data.dgl, data.t, dt)
+    want, terms = (dgtt_einsum(*a) for a in einsum_args(*fields))
+    assert_within_rounding(dgtt, want, terms, n)
+    want, terms = (cov_t_einsum(*a) for a in einsum_args(data.gamma_g, data.t, dt))
+    assert_within_rounding(cov_t_g, want, terms, n)
     # and central differences of g_L(T,T) as an oracle for dt and dgtt
     h = 1e-5
     fd = np.stack(
