@@ -120,7 +120,7 @@ def test_out_file_bytes(case, workdir, golden, monkeypatch):
 
 
 WALKTHROUGH = HERE.parent / "scripts" / "reproduce_hopf_example.py"
-WALKTHROUGH_SHA256 = "728874fd00d65029fc3c9c2b5589fd9f7c7aae0fd12743fb2dda441d2cabdd86"
+WALKTHROUGH_SHA256 = "66ced293bf39355d12fc7c6bd200dbc11132ccf0d08f5ad8030a961231ab2d58"
 
 
 def test_walkthrough_script_bytes():
