@@ -16,6 +16,7 @@ stays as the composed flip, the tests' oracle for the arrays.
 
 Four connection identities relate the two Levi-Civita connections; they are
 checked from the coordinate Christoffels of g and g_L.
+
 The three curvature identity classes are written once, in
 ``flipped_curvature``: ``curvature_residual_batch`` checks its prediction
 against Rm_g, and ``curvature_ops`` builds the symmetrized operator from it.
@@ -24,6 +25,17 @@ N^2 = (n(n-1)/2)^2 values per point instead of n^4: ``StructureData`` holds
 Rm_L and Rm_g on coordinate pairs (``metric.riemann_batch``), and each
 consumer takes both into its frames with one compound matrix
 (``lambda2.pair_components``).
+
+Contractions are written as batched ``@`` products on reshaped views, such
+as ``gamma.reshape(B, n * n, n) @ t[:, :, None]``: numpy runs an ``einsum``
+without ``optimize`` in one generic sum-of-products loop over every index,
+several times slower here than its matmul kernels.  The identity checks read
+``dgtt``, ``cov_t_g``, the Lie derivative of ``_lie_defect`` and
+``connection_residuals``, all written so; ``tests/oracles.py`` keeps their
+einsum forms as oracles.  ``structure_data``'s g_L(T,T) and nab^L T keep
+einsum: they feed the frames, and there the matmul forms round differently
+enough to move report bytes (on the n = 5 golden spec, the export report
+for g_L(T,T), and the analyze, export and verify reports for nab^L T).
 
 Frame-level quantities never require differentiating frame fields: the
 identities below only involve connection *differences* (where the frame
@@ -164,8 +176,8 @@ def flipped_curvature(p_l: np.ndarray, omega: np.ndarray, gtt, basis: Lambda2Bas
     """
     iv, iw = basis.legs
     w_pair = omega[:, iv, iw]  # w_XY of each pair
-    # built in pred and one scratch array, term: at n = 8 fresh (B, N, N)
-    # temporaries cost more in first-touch page faults than in arithmetic
+    # every step writes into pred or the one scratch array term: at n = 8, a
+    # fresh (B, N, N) temporary per step made the call about three times slower
     pred = compound(basis, omega)
     term = np.empty_like(pred)
     pred += np.multiply(2.0 * w_pair[:, :, None], w_pair[:, None, :], out=term)

@@ -84,9 +84,12 @@ def assert_within_rounding(got, want, terms, n):
 
 
 def einsum_args(*arrays, signs=None):
-    """The einsum oracle's arguments, then their magnitudes: with each
-    difference made a sum by ``signs`` (-1 on a subtrahend or divisor), the
-    oracle on the magnitudes is the sum of |terms| of every entry."""
+    """The einsum oracle's arguments, then their magnitudes times ``signs``.
+
+    With -1 on each array that puts a minus sign on its terms (Gamma_L, and
+    g_L(T,T), which divides the subtracted T^k l_a), every term of the
+    oracle on the second tuple is a |term|: it returns each entry's sum of
+    |terms|."""
     signs = signs or (1,) * len(arrays)
     return arrays, tuple(s * np.abs(a) for s, a in zip(signs, arrays))
 
