@@ -409,15 +409,14 @@ class _Jet:
             hess[:, pos[:, None], pos] = self.hess
         return grad, hess
 
-    def scatter(self, grad_out, hess_out=None):
+    def scatter(self, grad_out, hess_out):
         """Write the derivatives into the support's entries of ``grad_out``
         (B,n) and ``hess_out`` (B,n,n); entries off the support are not
         touched."""
         if self.sup:
             sup = np.array(self.sup)
             grad_out[:, sup] = self.grad
-            if hess_out is not None:
-                hess_out[:, sup[:, None], sup] = self.hess
+            hess_out[:, sup[:, None], sup] = self.hess
 
     def _scaled(self, val, c):
         """Value ``val`` and this jet's derivatives times ``c``."""
@@ -759,15 +758,29 @@ def coordinates_read(exprs) -> tuple[int, ...]:
 
 
 def eval_jet_batch(
-    e: Expression, pts, cache: dict | None = None
+    exprs, pts, cache: dict | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched jets; ``pts`` has shape (B, n).  Returns (B,), (B,n), (B,n,n),
-    scattered once from the jet's support (zeros elsewhere).
+    """Batched jets of the m expressions ``exprs`` at ``pts`` (B, n).
 
-    Passing one ``cache`` dict across several calls at the same points lets
-    expressions that share subtree objects evaluate those only once; without
-    one, the call uses a cache of its own.
+    Returns val (B, m), grad (B, n, m) and hess (B, n, n, m): column k holds
+    the jet of ``exprs[k]``, scattered once from its support (zeros
+    elsewhere), so grad[b, i, k] = d_i exprs[k] and hess[b, i, j, k] =
+    d_i d_j exprs[k].  This is the one place jets become arrays.
+
+    One cache serves all m expressions, so subtree objects they share
+    evaluate once; passing one ``cache`` dict across several calls at the
+    same points extends that to those calls.  Without one, the call uses a
+    cache of its own.
     """
     pts = np.asarray(pts, dtype=float)
-    jet = _eval_jet(e.root, pts, {} if cache is None else cache)
-    return (jet.val, *jet.widened(tuple(range(pts.shape[1]))))
+    batch, n = pts.shape
+    m = len(exprs)
+    cache = {} if cache is None else cache
+    val = np.empty((batch, m))
+    grad = np.zeros((batch, n, m))
+    hess = np.zeros((batch, n, n, m))
+    for k, e in enumerate(exprs):
+        jet = _eval_jet(e.root, pts, cache)
+        val[:, k] = jet.val
+        jet.scatter(grad[..., k], hess[..., k])
+    return val, grad, hess

@@ -26,7 +26,7 @@ def gauss_inverse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Raises NearSingularError if LAPACK finds an exactly singular matrix;
     callers apply their own |det| thresholds.
     """
-    return invert(a), determinant(a)
+    return invert(a), np.linalg.det(a)  # invert has checked that a is finite
 
 
 def invert(a: np.ndarray) -> np.ndarray:
@@ -36,11 +36,6 @@ def invert(a: np.ndarray) -> np.ndarray:
         return np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
         raise NearSingularError(f"singular matrix: {exc}") from exc
-
-
-def determinant(a: np.ndarray) -> np.ndarray:
-    """Determinant of ``a`` (..., m, m), without an inverse."""
-    return np.linalg.det(_finite(a))
 
 
 def eigvalsh(a: np.ndarray) -> np.ndarray:

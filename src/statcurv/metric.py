@@ -34,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ChartDomainError, EvalDomainError, NearSingularError, SpecFormatError, SignatureError
-from .expr import Expression, _eval_jet, _parse_interned, _unparse
+from .expr import Expression, _parse_interned, _unparse, eval_jet_batch
 from .lambda2 import Lambda2Basis
 from .linalg import eigvalsh, invert
 from .tolerances import DEFAULT, Tolerances
@@ -158,7 +158,8 @@ def _parse_float(value: str, lineno: int) -> float:
         number = float(value)
     except ValueError:
         number = math.nan
-    if not (value.isascii() and math.isfinite(number)):
+    # float() also reads non-ASCII digits and '_' digit separators
+    if "_" in value or not (value.isascii() and math.isfinite(number)):
         raise SpecFormatError(f"line {lineno}: expected a finite number, found '{value}'")
     return number
 
@@ -282,23 +283,23 @@ def require_interior(spec: MetricSpec, pts: np.ndarray) -> None:
 def metric_fields(spec: MetricSpec, pts, cache: dict | None = None):
     """Batched (g, dg, d2g) with shapes (B,n,n), (B,n,n,n), (B,n,n,n,n).
 
-    ``cache`` is a jet cache valid for exactly these points; sharing one
-    across the component loop (and with the Killing field's components)
-    evaluates common subexpressions once.  Each entry's jet lives on the
-    coordinates the entry depends on (see ``expr._Jet``), and only that
-    block of ``dg`` and ``d2g`` is written; the rest stay zero.
+    One ``expr.eval_jet_batch`` call evaluates every stored entry (i <= j),
+    and each column goes to both [i, j] and [j, i].  ``cache`` is a jet cache
+    valid for exactly these points; sharing one with the Killing field's
+    components evaluates their common subexpressions once.  Derivatives off
+    an entry's support are exact zeros.
     """
     pts = np.asarray(pts, dtype=float)
     batch, n = pts.shape
-    cache = {} if cache is None else cache
+    i = np.array([a for a, _, _ in spec.entries], dtype=int)
+    j = np.array([b for _, b, _ in spec.entries], dtype=int)
+    val, grad, hess = eval_jet_batch([e for _, _, e in spec.entries], pts, cache)
     g = np.zeros((batch, n, n))
     dg = np.zeros((batch, n, n, n))
     d2g = np.zeros((batch, n, n, n, n))
-    for i, j, expr in spec.entries:
-        jet = _eval_jet(expr.root, pts, cache)
-        for a, b in {(i, j), (j, i)}:
-            g[:, a, b] = jet.val
-            jet.scatter(dg[:, :, a, b], d2g[:, :, :, a, b])
+    g[:, i, j] = g[:, j, i] = val
+    dg[:, :, i, j] = dg[:, :, j, i] = grad
+    d2g[:, :, :, i, j] = d2g[:, :, :, j, i] = hess
     require_finite(g, dg, d2g)
     return g, dg, d2g
 

@@ -61,7 +61,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NonTimelikeError, SpecFormatError
-from .expr import Expression, _eval_jet, coordinates_read
+from .expr import Expression, coordinates_read, eval_jet_batch
 from .lambda2 import Lambda2Basis, compound, pair_components
 from .linalg import invert
 from .metric import (
@@ -265,19 +265,6 @@ def _lie_defect(gl, dgl, t, dt) -> np.ndarray:
     return np.abs(lie).max(axis=(1, 2))
 
 
-def _t_jets(s: StationaryStructure, pts: np.ndarray, cache: dict):
-    """T, dt[b,i,k] = d_i T^k and d2t[b,i,j,k] = d_i d_j T^k, from the shared jet cache."""
-    batch, n = pts.shape
-    t = np.zeros((batch, n))
-    dt = np.zeros((batch, n, n))
-    d2t = np.zeros((batch, n, n, n))
-    for k, expr in enumerate(s.t):
-        jet = _eval_jet(expr.root, pts, cache)
-        t[:, k] = jet.val
-        jet.scatter(dt[:, :, k], d2t[:, :, :, k])
-    return t, dt, d2t
-
-
 def _jet_product(x, y, mul=np.matmul):
     """Jet of the batched product ``mul(x, y)`` from the jets of x and y.
 
@@ -369,7 +356,7 @@ def structure_data(s: StationaryStructure, pts, tol: Tolerances = DEFAULT) -> St
     pts = _as_batch(pts)
     cache: dict = {}  # one jet cache for these points, shared by g_L and T
     gl, gl_inv, dgl, d2gl = metric_batch(s.spec, pts, tol, cache)
-    t, dt, d2t = _t_jets(s, pts, cache)
+    t, dt, d2t = eval_jet_batch(s.t, pts, cache)  # dt[b,i,k] = d_i T^k
     gtt = np.einsum("bij,bi,bj->b", gl, t, t)
     if np.any(gtt >= 0.0):  # checked before the flip, which divides by g_L(T,T)
         raise NonTimelikeError("g_L(T,T) >= 0 at a sampled point")
@@ -415,7 +402,7 @@ def killing_defect_batch(s: StationaryStructure, pts, tol: Tolerances = DEFAULT)
     cache: dict = {}
     gl, dgl, _ = metric_fields(s.spec, pts, cache)
     check_signature(s.spec.signature, gl, tol)
-    t, dt, _ = _t_jets(s, pts, cache)
+    t, dt, _ = eval_jet_batch(s.t, pts, cache)
     return _lie_defect(gl, dgl, t, dt)
 
 

@@ -26,8 +26,7 @@ class Tolerances:
     # relative gap that merges eigenvalues into one eigenspace
     cluster_rel: float = 1e-7
     # singular: smallest |eigenvalue| of g below this times the largest
-    # (unchanged by g -> c^2 g); frame |det| at most this times the product
-    # of its row lengths (unchanged by E -> c E)
+    # (unchanged by g -> c^2 g)
     near_singular: float = 1e-12
     # strict positivity margin for eigenvalue sums
     positivity: float = 1e-10

@@ -52,7 +52,7 @@ def fd_gradient_hessian(e: Expression, point, step: float = 1e-3):
     point = np.asarray(point, dtype=float)
 
     def value(p):
-        return float(eval_jet_batch(e, p[None, :])[0][0])
+        return float(eval_jet_batch([e], p[None, :])[0][0, 0])
 
     grad_h, hess_h = _central_differences(value, point, step)
     grad_half, hess_half = _central_differences(value, point, step / 2)
@@ -93,13 +93,10 @@ def tree_unparse(node, parent_prec: int = 0) -> str:
 
 def _metric_values(spec: MetricSpec, pts: np.ndarray) -> np.ndarray:
     n = spec.dimension
-    cache: dict = {}
+    vals = eval_jet_batch([e for _, _, e in spec.entries], pts)[0]
     g = np.zeros((pts.shape[0], n, n))
-    for i, j, expr in spec.entries:
-        val = eval_jet_batch(expr, pts, cache)[0]
-        g[:, i, j] = val
-        if i != j:
-            g[:, j, i] = val
+    for k, (i, j, _) in enumerate(spec.entries):
+        g[:, i, j] = g[:, j, i] = vals[:, k]
     return g
 
 

@@ -59,4 +59,6 @@ def test_battery_operation_runs_traced(tracing, workloads):
     metrics = tracer.layer_metrics()
     assert metrics["curvature_ops.operators_from_data.calls"] == 1
     assert metrics["frames.adapted_frames_batch.calls"] == 1
+    # one jet evaluation each for g_L's entries and T's components
+    assert metrics["expr.eval_jet_batch.calls"] == 2
     assert metrics["frames.pairs"] == rec["pairs"]

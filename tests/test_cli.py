@@ -589,6 +589,7 @@ def test_out_of_memory_exits_3(capsys, monkeypatch):
         ("margin = 0.001", "margin = 0.00\u0661"),
         ("x = 0, 6.283185307179586", "x = 0, inf"),
         ("x = 0, 6.283185307179586", "x = 0, 1e400"),
+        ("x = 0, 6.283185307179586", "x = 0, 6_283.185307179586"),
         ('g_2_2 = "1"', 'g_\u0662_\u0662 = "1"'),
     ],
 )

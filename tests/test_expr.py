@@ -38,8 +38,8 @@ COORDS = ("t", "theta1", "theta2")
 
 def jet_at(e, point):
     """(value, gradient, hessian) of ``e`` at one point: row 0 of a (1, n) batch."""
-    val, grad, hess = eval_jet_batch(e, [point])
-    return float(val[0]), grad[0], hess[0]
+    val, grad, hess = eval_jet_batch([e], [point])
+    return float(val[0, 0]), grad[0, :, 0], hess[0, :, :, 0]
 
 
 class TestParsing:
@@ -177,13 +177,13 @@ class TestJets:
 
     def test_hessian_exactly_symmetric(self):
         e = parse_expression("sin(t*theta1)*exp(theta2)/(1+t^2)", COORDS)
-        _, _, hess = eval_jet_batch(e, np.array([[0.3, 1.2, 0.4], [1.1, 0.2, 0.9]]))
+        _, _, hess = eval_jet_batch([e], np.array([[0.3, 1.2, 0.4], [1.1, 0.2, 0.9]]))
         assert np.array_equal(hess, hess.swapaxes(1, 2))
 
     def test_batch_matches_scalar(self):
         e = parse_expression("cos(t)*theta1^3-sqrt(theta2)", COORDS)
         pts = np.array([[0.1, 2.0, 4.0], [1.4, -1.0, 0.25]])
-        vals, grads, hesses = eval_jet_batch(e, pts)
+        vals, grads, hesses = (a[..., 0] for a in eval_jet_batch([e], pts))
         for b in range(2):
             value, grad, hess = jet_at(e, pts[b])
             assert vals[b] == value
@@ -804,38 +804,13 @@ def _reference_eval(node, pts, cache):
     return jet
 
 
-def _reference_metric_fields(spec, pts, cache=None):
-    """``metric.metric_fields`` on the dense reference jets: each entry's
-    full (B,n) gradient and (B,n,n) Hessian are written whole."""
+def _reference_jets(exprs, pts, cache=None):
+    """``expr.eval_jet_batch`` on the dense reference jets: each expression's
+    full (B,n) gradient and (B,n,n) Hessian are written whole into its column."""
     pts = np.asarray(pts, dtype=float)
-    batch, n = pts.shape
     cache = {} if cache is None else cache
-    g = np.zeros((batch, n, n))
-    dg = np.zeros((batch, n, n, n))
-    d2g = np.zeros((batch, n, n, n, n))
-    for i, j, e in spec.entries:
-        jet = _reference_eval(e.root, pts, cache)
-        for a, b in {(i, j), (j, i)}:
-            g[:, a, b] = jet.val
-            dg[:, :, a, b] = jet.grad
-            d2g[:, :, :, a, b] = jet.hess
-    if not np.all(np.isfinite(g)) or not np.all(np.isfinite(dg)) or not np.all(np.isfinite(d2g)):
-        raise EvalDomainError("non-finite metric component", "metric evaluation")
-    return g, dg, d2g
-
-
-def _reference_t_jets(s, pts, cache):
-    """``stationary._t_jets`` on the dense reference jets."""
-    batch, n = pts.shape
-    t = np.zeros((batch, n))
-    dt = np.zeros((batch, n, n))
-    d2t = np.zeros((batch, n, n, n))
-    for k, e in enumerate(s.t):
-        jet = _reference_eval(e.root, pts, cache)
-        t[:, k] = jet.val
-        dt[:, :, k] = jet.grad
-        d2t[:, :, :, k] = jet.hess
-    return t, dt, d2t
+    jets = [_reference_eval(e.root, pts, cache) for e in exprs]
+    return tuple(np.stack([getattr(jet, a) for jet in jets], axis=-1) for a in ("val", "grad", "hess"))
 
 
 def _depends_on(node) -> set:
@@ -927,7 +902,7 @@ def test_jets_match_dense_reference(case):
             return str(err)
 
     with np.errstate(all="ignore"):
-        got = outcome(lambda: eval_jet_batch(e, pts))
+        got = outcome(lambda: tuple(a[..., 0] for a in eval_jet_batch([e], pts)))
         ref = outcome(lambda: _reference_eval(e.root, pts, {}))
     if isinstance(ref, str):
         assert got == ref
@@ -943,25 +918,21 @@ def test_jets_match_dense_reference(case):
 
 
 def _structure_data_and_cache(s, pts, monkeypatch):
-    """``structure_data(s, pts)`` and the one jet cache it shared across g_L
-    and T; the flip is built from their arrays and evaluates no jet."""
+    """``structure_data(s, pts)`` and the one jet cache its two
+    ``eval_jet_batch`` calls, g_L's entries and T's components, shared; the
+    flip is built from their arrays and evaluates no jet."""
     caches = []
-    real_metric, real_t = stationary.metric_batch, stationary._t_jets
 
-    def recording_metric(spec, pts, tol, cache):
+    def recording(exprs, pts, cache=None):
         caches.append(cache)
-        return real_metric(spec, pts, tol, cache)
+        return eval_jet_batch(exprs, pts, cache)
 
-    def recording_t(s, pts, cache):
-        caches.append(cache)
-        return real_t(s, pts, cache)
-
-    monkeypatch.setattr(stationary, "metric_batch", recording_metric)
-    monkeypatch.setattr(stationary, "_t_jets", recording_t)
+    monkeypatch.setattr(metric, "eval_jet_batch", recording)
+    monkeypatch.setattr(stationary, "eval_jet_batch", recording)
     data = stationary.structure_data(s, pts)
-    monkeypatch.setattr(stationary, "metric_batch", real_metric)
-    monkeypatch.setattr(stationary, "_t_jets", real_t)
-    assert len(caches) == 2 and caches[0] is caches[1]
+    monkeypatch.setattr(metric, "eval_jet_batch", eval_jet_batch)
+    monkeypatch.setattr(stationary, "eval_jet_batch", eval_jet_batch)
+    assert len(caches) == 2 and caches[0] is caches[1] is not None
     return data, caches[0]
 
 
@@ -979,8 +950,8 @@ def test_structure_data_matches_dense_reference(build, widest, monkeypatch):
     got, cache = _structure_data_and_cache(s, pts, monkeypatch)
     # a jet on two or more coordinates comes only from widening two supports
     assert {len(jet.sup) for _, jet in cache.values()} == set(range(widest + 1))
-    monkeypatch.setattr(metric, "metric_fields", _reference_metric_fields)
-    monkeypatch.setattr(stationary, "_t_jets", _reference_t_jets)
+    monkeypatch.setattr(metric, "eval_jet_batch", _reference_jets)
+    monkeypatch.setattr(stationary, "eval_jet_batch", _reference_jets)
     want = stationary.structure_data(s, pts)
     for field in dataclasses.fields(got):
         assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from statcurv import cli
 from statcurv.errors import LinearAlgebraError, NearSingularError
-from statcurv.linalg import determinant, eigvalsh, gauss_inverse, invert, jacobi_eigh
+from statcurv.linalg import eigvalsh, gauss_inverse, invert, jacobi_eigh
 from statcurv.metric import load_spec_file
 from statcurv.stationary import StationaryStructure
 from statcurv.topology import grid_scan
@@ -62,12 +62,6 @@ def test_inverse_property(a):
 def test_inverse_non_finite_raises(bad):
     with pytest.raises(LinearAlgebraError):
         gauss_inverse(np.array([[1.0, bad], [0.0, 1.0]]))
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_determinant_non_finite_raises(bad):
-    with pytest.raises(LinearAlgebraError):
-        determinant(np.array([[1.0, bad], [0.0, 1.0]]))
 
 
 def test_determinant_of_permutation():

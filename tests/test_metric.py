@@ -332,9 +332,9 @@ class TestLoadSpec:
         shared_cache: dict = {}
         for e in exprs:
             tree = Expression(unshare(e.root), e.coords)
-            got = eval_jet_batch(e, pts, shared_cache)
-            want = eval_jet_batch(tree, pts, {})
-            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+            got = eval_jet_batch([e], pts, shared_cache)
+            want = eval_jet_batch([tree], pts, {})
+            assert [a[..., 0].tobytes() for a in got] == [a[..., 0].tobytes() for a in want]
 
 
 class TestMetricAt:

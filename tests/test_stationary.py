@@ -10,6 +10,7 @@ from hypothesis import example, given, strategies as st
 
 from statcurv import stationary
 from statcurv.errors import ChartDomainError, NearSingularError, NonTimelikeError, SpecFormatError
+from statcurv.expr import eval_jet_batch
 from statcurv.frames import adapted_frames_batch, orthonormal_completion, orthonormal_completions
 from statcurv.generators import GeneratorRecipe, battery_recipe, generate
 from statcurv.lambda2 import Lambda2Basis, pair_components
@@ -221,7 +222,7 @@ class TestKillingDefect:
         pts = sample_interior(structure.spec, 20, 7 if isinstance(case, str) else case)
         cache = {}
         gl, _, dgl, _ = metric_batch(structure.spec, pts, cache=cache)
-        t, dt, _ = stationary._t_jets(structure, pts, cache)
+        t, dt, _ = eval_jet_batch(structure.t, pts, cache)
         got = killing_defect_batch(structure, pts)
         assert np.array_equal(got, stationary._lie_defect(gl, dgl, t, dt))
         want, terms = (np.abs(lie_einsum(*a)).max(axis=(1, 2)) for a in einsum_args(gl, dgl, t, dt))
