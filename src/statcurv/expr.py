@@ -13,24 +13,22 @@ NUMBER and INTEGER are ASCII digits.  Functions: sin, cos, tan, cot, exp,
 log, sqrt.  Power binds tighter than unary minus (``-t^2`` is ``-(t^2)``)
 and chains left-associatively.  Exponents must be integer literals;
 fractional powers are written with sqrt/exp/log.  Angles are raw radians.
+Nesting is bounded by ``MAX_NESTING``; a long sum or product is not.
 
-Evaluation propagates (value, gradient, hessian) triples forward through
-the tree, so first and second derivatives are exact up to rounding; finite
-differences exist only as a test oracle.  Each jet lives on its support,
-the coordinates its node depends on: its gradient and Hessian hold only
-those entries, and a constant carries no derivatives at all.  Nodes are
-immutable and evaluation is pure, so expressions are safe to share across
-threads.  The parser hash-conses nodes, so a parsed expression is a DAG in
-which each structurally distinct subexpression is one object.  Its node
-table also maps the text of each parenthesized group (of 16 characters or
-more) to the node it parsed to, so a group that repeats verbatim is parsed
-once and later copies are skipped: the text of a group parses to the same
-structure wherever it stands, and the table holds one object per structure,
-so a skipped copy yields the very node a full parse would build.
+One iterative walk over the expression DAG hands each node out once,
+children first, to evaluation, unparsing and ``coordinates_read``, so no
+depth of DAG exhausts the recursion limit.  Evaluation propagates (value,
+gradient, hessian) triples along it, so first and second derivatives are
+exact up to rounding; finite differences exist only as a test oracle.  Each
+jet lives on its support, the coordinates its node depends on: its gradient
+and Hessian hold only those entries, and a constant carries no derivatives
+at all.  Nodes are immutable and evaluation is pure, so expressions are safe
+to share across threads.  The parser hash-conses nodes, so a parsed
+expression is a DAG in which each structurally distinct subexpression is one
+object, and a group that repeats verbatim is parsed once (see ``_Parser``).
 
-Unparsing is the inverse walk over the same DAG: the text still spells
-every shared subexpression out in full at each use, but each distinct node
-object's text is built once and reused, with parentheses added at each use
+Unparsing spells every shared subexpression out in full at each use but
+builds each distinct node object's text once, adding parentheses at each use
 from that parent's precedence.  ``MetricSpec.to_text`` shares one such memo
 across a whole spec, as ``load_spec`` shares one node table.
 """
@@ -128,6 +126,28 @@ def _const_value(node: Node):
     return None
 
 
+def _postorder(roots, done):
+    """Each node under ``roots`` whose id is not filed in ``done``, children
+    before parents, left before right: the order of a memoized recursive
+    descent, kept on an explicit stack.  The caller files each yielded node
+    before the next.  A node waits under a None marker while its children
+    are handed out above it."""
+    stack = list(reversed(roots))
+    while stack:
+        node = stack.pop()
+        if node is None:
+            yield stack.pop()
+        elif id(node) not in done:
+            stack += (node, None)
+            kind = type(node)
+            if kind is Neg or kind is Call:
+                stack.append(node.arg)
+            elif kind is Pow:
+                stack.append(node.base)
+            elif kind is not Num and kind is not Var:
+                stack += (node.right, node.left)
+
+
 # --- tokenizer / parser ----------------------------------------------------
 
 _TOKEN_RE = re.compile(
@@ -169,6 +189,11 @@ def _tokenize(text: str):
 # characters from a group's '(' that key the table entry listing its text
 _GROUP_PREFIX = 16
 
+# Deepest nesting the parser accepts: each group or function argument, unary
+# minus and exponent parenthesis opens a level (a group costs six frames of
+# the default recursion limit of 1000); sums and products are loops.
+MAX_NESTING = 100
+
 
 class _Parser:
     """Recursive-descent parser that builds every node through ``table``.
@@ -181,17 +206,19 @@ class _Parser:
     table holds every node it hands out, so those ids stay valid while it
     lives.
 
-    The same table also maps the text of each parenthesized group of at
-    least ``_GROUP_PREFIX`` characters, from its ``(`` to the ``)`` that
-    closed its parse, to the node it parsed to: the entry under the first
-    ``_GROUP_PREFIX`` characters lists each such (text, node) pair.  A string
-    key never equals a node key, which is a tuple.  When a listed text recurs
-    at a ``(``, the parser jumps past it and returns its node.  That is
-    exact: parsing a group reads nothing beyond its ``)``, so the same text
-    parses to the same structure wherever it stands, and the table holds one
-    object per structure, the very node a full parse would have built.
-    Tokens are scanned lazily, so a skipped group costs no tokenizing.
-    Exponent parentheses (``t^(2)``) are not groups.
+    The same table lists, under the first ``_GROUP_PREFIX`` characters (a
+    string key, never equal to a node key), each parenthesized group at least
+    that long as (text from its ``(`` to its ``)``, node, height).  When a
+    listed text recurs at a ``(``, the parser jumps past it and returns its
+    node.  That is exact: parsing a group reads nothing beyond its ``)``, so
+    the text parses to the same structure wherever it stands, the very node
+    a full parse would build.  Tokens are scanned lazily, so a skipped group
+    costs no tokenizing.  Exponent parentheses (``t^(2)``) are not groups.
+
+    ``depth`` counts the open levels and ``peak`` the deepest since the
+    innermost open group began; a group's height is its peak less the depth
+    outside it, and it is skipped only where a full parse stays within
+    ``MAX_NESTING``, so the bound does not depend on what the table holds.
     """
 
     def __init__(self, text: str, coords, table: dict):
@@ -199,6 +226,7 @@ class _Parser:
         self.coords = tuple(coords)
         self.table = table
         self.tok, self.pos = _scan(text, 0)
+        self.depth = self.peak = 0
 
     def intern(self, key: tuple, *fields) -> Node:
         """The node filed under ``key``, built as ``key[0](*fields)`` on first sight."""
@@ -218,6 +246,13 @@ class _Parser:
     def error(self, message, tok):
         raise ExprSyntaxError(message, _byte_offset(self.text, tok[2]))
 
+    def nest(self, tok):
+        """Open one more level of nesting, at ``tok``."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.error(f"nesting deeper than {MAX_NESTING} levels", tok)
+        self.peak = max(self.peak, self.depth)
+
     def expect_op(self, op):
         tok = self.advance()
         if tok[0] != "op" or tok[1] != op:
@@ -236,14 +271,20 @@ class _Parser:
         start = open_tok[2]
         text = self.text
         prefix = text[start : start + _GROUP_PREFIX]
-        for key, node in self.table.get(prefix, ()):
-            if text.startswith(key, start):
+        base = self.depth
+        for key, node, height in self.table.get(prefix, ()):
+            if text.startswith(key, start) and base + height <= MAX_NESTING:
                 self.tok, self.pos = _scan(text, start + len(key))
+                self.peak = max(self.peak, base + height)
                 return node
+        outer_peak, self.peak = self.peak, base
+        self.nest(open_tok)
         node = self.expr()
         end = self.expect_op(")")[2] + 1
+        self.depth = base
         if end - start >= _GROUP_PREFIX:  # a shorter one is a few tokens to parse again
-            self.table.setdefault(prefix, []).append((text[start:end], node))
+            self.table.setdefault(prefix, []).append((text[start:end], node, self.peak - base))
+        self.peak = max(self.peak, outer_peak)
         return node
 
     def expr(self) -> Node:
@@ -265,8 +306,9 @@ class _Parser:
     def factor(self) -> Node:
         tok = self.peek()
         if tok[0] == "op" and tok[1] == "-":
-            self.advance()
+            self.nest(self.advance())
             arg = self.factor()
+            self.depth -= 1
             return self.intern((Neg, id(arg)), arg)
         return self.power()
 
@@ -281,9 +323,10 @@ class _Parser:
     def exponent(self) -> int:
         tok = self.peek()
         if tok[0] == "op" and tok[1] == "(":
-            self.advance()
+            self.nest(self.advance())
             value = self.exponent()
             self.expect_op(")")
+            self.depth -= 1
             return value
         sign = 1
         if tok[0] == "op" and tok[1] == "-":
@@ -321,40 +364,38 @@ _PREC = {Add: 1, Sub: 1, Mul: 2, Div: 2, Neg: 3, Pow: 4, Num: 5, Var: 5, Call: 5
 def _unparse(node: Node, parent_prec: int = 0, memo: dict | None = None) -> str:
     """The text of ``node``, in parentheses if it binds looser than ``parent_prec``.
 
-    ``memo`` maps id(node) to (node, bare text): each distinct node object's
-    text is built once, so a shared DAG costs its edges rather than the size
-    of the tree it spells out, and one memo passed across several calls
-    shares that work between them.  Holding the node keeps its id valid, as
-    in the jet cache.  Only the parentheses depend on the parent, so they
-    are added here, at each use.  Num is never memoized or wrapped.
-    """
-    if isinstance(node, Num):
-        text = repr(node.value)
-        return text[:-2] if text.endswith(".0") else text
-    if memo is None:
-        memo = {}
-    hit = memo.get(id(node))
-    if hit is None:
-        hit = memo[id(node)] = (node, _bare_text(node, memo))
-    if _PREC[type(node)] < parent_prec:
-        return f"({hit[1]})"
-    return hit[1]
+    The walk files each distinct node's bare text in ``memo`` as (node, text)
+    under id(node), so a DAG costs its edges, not the tree it spells out, and
+    a memo passed to several calls shares that work."""
+    memo = {} if memo is None else memo
+    for sub in _postorder((node,), memo):
+        memo[id(sub)] = (sub, _bare_text(sub, memo))
+    return _text(node, parent_prec, memo)
+
+
+def _text(node: Node, parent_prec: int, memo: dict) -> str:
+    """The filed text of ``node``, in parentheses if it binds looser than ``parent_prec``."""
+    text = memo[id(node)][1]
+    return f"({text})" if _PREC[type(node)] < parent_prec else text
 
 
 def _bare_text(node: Node, memo: dict) -> str:
-    """The text of a non-Num ``node`` without enclosing parentheses."""
-    prec = _PREC[type(node)]
-    if isinstance(node, Var):
+    """The text of ``node`` without enclosing parentheses, from its children's filed texts."""
+    kind = type(node)
+    prec = _PREC[kind]
+    if kind is Num:
+        return repr(node.value).removesuffix(".0")
+    if kind is Var:
         return node.name
-    if isinstance(node, Call):
-        return f"{node.func}({_unparse(node.arg, 0, memo)})"
-    if isinstance(node, Neg):
-        return f"-{_unparse(node.arg, prec, memo)}"
-    if isinstance(node, Pow):
-        return f"{_unparse(node.base, prec + 1, memo)}^{node.exponent}"
-    op = {Add: "+", Sub: "-", Mul: "*", Div: "/"}[type(node)]
+    if kind is Call:
+        return f"{node.func}({_text(node.arg, 0, memo)})"
+    if kind is Neg:
+        return f"-{_text(node.arg, prec, memo)}"
+    if kind is Pow:
+        return f"{_text(node.base, prec + 1, memo)}^{node.exponent}"
+    op = {Add: "+", Sub: "-", Mul: "*", Div: "/"}[kind]
     # right side gets a stricter bound so a-(b+c) and a/(b*c) keep parens
-    return f"{_unparse(node.left, prec, memo)}{op}{_unparse(node.right, prec + 1, memo)}"
+    return f"{_text(node.left, prec, memo)}{op}{_text(node.right, prec + 1, memo)}"
 
 
 # --- jets ------------------------------------------------------------------
@@ -408,15 +449,6 @@ class _Jet:
             grad[:, pos] = self.grad
             hess[:, pos[:, None], pos] = self.hess
         return grad, hess
-
-    def scatter(self, grad_out, hess_out):
-        """Write the derivatives into the support's entries of ``grad_out``
-        (B,n) and ``hess_out`` (B,n,n); entries off the support are not
-        touched."""
-        if self.sup:
-            sup = np.array(self.sup)
-            grad_out[:, sup] = self.grad
-            hess_out[:, sup[:, None], sup] = self.hess
 
     def _scaled(self, val, c):
         """Value ``val`` and this jet's derivatives times ``c``."""
@@ -546,43 +578,6 @@ def _jet_call(func: str, jet: _Jet, where: Node) -> _Jet:
     raise AssertionError(f"unhandled function {func}")
 
 
-def _eval_jet(node: Node, pts: np.ndarray, cache: dict) -> _Jet:
-    # Composed expressions (metric flips, conformal rescaling) share subtree
-    # objects; caching per object identity makes those shared scalars
-    # evaluate once per batch instead of once per occurrence.
-    hit = cache.get(id(node))
-    if hit is not None:
-        return hit[1]
-    jet = _eval_jet_uncached(node, pts, cache)
-    cache[id(node)] = (node, jet)  # keep the node alive while its id is a key
-    return jet
-
-
-def _eval_jet_uncached(node: Node, pts: np.ndarray, cache: dict) -> _Jet:
-    batch = len(pts)
-    if isinstance(node, Num):
-        return _Jet((), np.full(batch, node.value))
-    if isinstance(node, Var):
-        return _Jet(
-            (node.index,), pts[:, node.index].copy(), np.ones((batch, 1)), np.zeros((batch, 1, 1))
-        )
-    if isinstance(node, Neg):
-        return -_eval_jet(node.arg, pts, cache)
-    if isinstance(node, Add):
-        return _eval_jet(node.left, pts, cache) + _eval_jet(node.right, pts, cache)
-    if isinstance(node, Sub):
-        return _eval_jet(node.left, pts, cache) - _eval_jet(node.right, pts, cache)
-    if isinstance(node, Mul):
-        return _eval_jet(node.left, pts, cache) * _eval_jet(node.right, pts, cache)
-    if isinstance(node, Div):
-        return _eval_jet(node.left, pts, cache).divide(_eval_jet(node.right, pts, cache), node)
-    if isinstance(node, Pow):
-        return _jet_pow(_eval_jet(node.base, pts, cache), node.exponent, node)
-    if isinstance(node, Call):
-        return _jet_call(node.func, _eval_jet(node.arg, pts, cache), node)
-    raise AssertionError(f"unhandled node {node!r}")
-
-
 # --- public types ----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -706,12 +701,8 @@ def parse_expression(text: str, coords) -> Expression:
 
 def _parse_interned(text: str, coords, table: dict) -> Expression:
     """parse_expression through a node table shared with other texts over the
-    same coords, so equal subexpressions across those texts are one object.
-
-    The table also maps the text of each parenthesized group of 16 or more
-    characters to its node, so a group repeated anywhere in those texts is
-    parsed once; skipping a repeat is exact because its text parses to the
-    same structure, which the table holds as one object (see ``_Parser``)."""
+    same coords, so equal subexpressions, and repeated parenthesized groups
+    (see ``_Parser``), across those texts are one object parsed once."""
     if not text or not text.strip():
         raise ExprSyntaxError("empty expression", 0)
     coords = tuple(coords)
@@ -732,29 +723,15 @@ def _parse_interned(text: str, coords, table: dict) -> Expression:
 def coordinates_read(exprs) -> tuple[int, ...]:
     """Sorted indices of the chart coordinates that any of ``exprs`` reads.
 
-    A walk over the expression DAG that visits each node object once, with
-    an explicit stack, so a hash-consed spec costs its distinct nodes rather
-    than the length of its text and a deep tree cannot exhaust the recursion
-    limit.  Nothing is evaluated: a coordinate counts as read wherever a Var
-    of it is reachable, even if its terms cancel.
+    One iterative walk over the DAG visits each node object once, so a spec
+    costs its distinct nodes, at any depth.  Nothing is evaluated: a
+    coordinate counts as read wherever a Var of it is reachable, even if its
+    terms cancel.
     """
-    stack = [e.root for e in exprs]
-    seen: set[int] = set()
-    read: set[int] = set()
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:  # the roots keep every node alive, so ids stay valid
-            continue
-        seen.add(id(node))
-        if isinstance(node, Var):
-            read.add(node.index)
-        elif isinstance(node, (Add, Sub, Mul, Div)):
-            stack += (node.left, node.right)
-        elif isinstance(node, Pow):
-            stack.append(node.base)
-        elif isinstance(node, (Neg, Call)):
-            stack.append(node.arg)
-    return tuple(sorted(read))
+    seen: dict = {}
+    for node in _postorder([e.root for e in exprs], seen):
+        seen[id(node)] = node
+    return tuple(sorted({node.index for node in seen.values() if type(node) is Var}))
 
 
 def eval_jet_batch(
@@ -767,20 +744,45 @@ def eval_jet_batch(
     elsewhere), so grad[b, i, k] = d_i exprs[k] and hess[b, i, j, k] =
     d_i d_j exprs[k].  This is the one place jets become arrays.
 
-    One cache serves all m expressions, so subtree objects they share
-    evaluate once; passing one ``cache`` dict across several calls at the
-    same points extends that to those calls.  Without one, the call uses a
-    cache of its own.
+    One iterative walk over the DAG of all m expressions files each node's
+    jet, from its children's, in ``cache`` as (node, jet) under id(node), so
+    shared subtrees evaluate once, also across calls at the same points that
+    pass one ``cache``.  Without one, the call uses its own.
     """
     pts = np.asarray(pts, dtype=float)
     batch, n = pts.shape
     m = len(exprs)
     cache = {} if cache is None else cache
+    for node in _postorder([e.root for e in exprs], cache):
+        kind = type(node)  # most frequent first
+        if kind is Mul:
+            jet = cache[id(node.left)][1] * cache[id(node.right)][1]
+        elif kind is Add:
+            jet = cache[id(node.left)][1] + cache[id(node.right)][1]
+        elif kind is Num:
+            jet = _Jet((), np.full(batch, node.value))
+        elif kind is Neg:
+            jet = -cache[id(node.arg)][1]
+        elif kind is Div:
+            jet = cache[id(node.left)][1].divide(cache[id(node.right)][1], node)
+        elif kind is Var:
+            i = node.index
+            jet = _Jet((i,), pts[:, i].copy(), np.ones((batch, 1)), np.zeros((batch, 1, 1)))
+        elif kind is Call:
+            jet = _jet_call(node.func, cache[id(node.arg)][1], node)
+        elif kind is Sub:
+            jet = cache[id(node.left)][1] - cache[id(node.right)][1]
+        else:
+            jet = _jet_pow(cache[id(node.base)][1], node.exponent, node)
+        cache[id(node)] = (node, jet)
     val = np.empty((batch, m))
     grad = np.zeros((batch, n, m))
     hess = np.zeros((batch, n, n, m))
     for k, e in enumerate(exprs):
-        jet = _eval_jet(e.root, pts, cache)
+        jet = cache[id(e.root)][1]
         val[:, k] = jet.val
-        jet.scatter(grad[..., k], hess[..., k])
+        if jet.sup:
+            sup = np.array(jet.sup)
+            grad[:, sup, k] = jet.grad
+            hess[:, sup[:, None], sup, k] = jet.hess
     return val, grad, hess

@@ -283,23 +283,20 @@ def require_interior(spec: MetricSpec, pts: np.ndarray) -> None:
 def metric_fields(spec: MetricSpec, pts, cache: dict | None = None):
     """Batched (g, dg, d2g) with shapes (B,n,n), (B,n,n,n), (B,n,n,n,n).
 
-    One ``expr.eval_jet_batch`` call evaluates every stored entry (i <= j),
-    and each column goes to both [i, j] and [j, i].  ``cache`` is a jet cache
-    valid for exactly these points; sharing one with the Killing field's
-    components evaluates their common subexpressions once.  Derivatives off
-    an entry's support are exact zeros.
+    One ``expr.eval_jet_batch`` call, one iterative walk over the DAG,
+    evaluates the row-major ``expression_matrix`` (symmetric partners and
+    zeros are shared objects, evaluated once), so g, dg[b,k,i,j] = d_k g_ij
+    and d2g[b,k,l,i,j] = d_k d_l g_ij are reshapes of its arrays.  ``cache``
+    is a jet cache valid for exactly these points; sharing one with the
+    Killing field's components evaluates their common subexpressions once.
+    Derivatives off an entry's support are exact zeros.
     """
     pts = np.asarray(pts, dtype=float)
     batch, n = pts.shape
-    i = np.array([a for a, _, _ in spec.entries], dtype=int)
-    j = np.array([b for _, b, _ in spec.entries], dtype=int)
-    val, grad, hess = eval_jet_batch([e for _, _, e in spec.entries], pts, cache)
-    g = np.zeros((batch, n, n))
-    dg = np.zeros((batch, n, n, n))
-    d2g = np.zeros((batch, n, n, n, n))
-    g[:, i, j] = g[:, j, i] = val
-    dg[:, :, i, j] = dg[:, :, j, i] = grad
-    d2g[:, :, :, i, j] = d2g[:, :, :, j, i] = hess
+    val, grad, hess = eval_jet_batch([e for row in spec.expression_matrix for e in row], pts, cache)
+    g = val.reshape(batch, n, n)
+    dg = grad.reshape(batch, n, n, n)
+    d2g = hess.reshape(batch, n, n, n, n)
     require_finite(g, dg, d2g)
     return g, dg, d2g
 

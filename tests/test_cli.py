@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from statcurv import cli, curvature_ops, stationary, topology
+from statcurv.expr import MAX_NESTING
 from statcurv.generators import battery_recipe, generate
 from statcurv.linalg import eigvalsh
 from statcurv.metric import load_spec_file
@@ -626,6 +627,55 @@ def test_cli_integers_must_be_ascii(capsys, tmp_path, monkeypatch, argv):
     assert code == 2
     assert capsys.readouterr().out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+def _edited_torus(tmp_path, old, new):
+    text = Path(TORUS).read_text(encoding="utf-8")
+    assert old in text
+    path = tmp_path / "edited.spec"
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "--grid", "3"], ["analyze", "--p", "1", "--grid", "3"], ["export", "--grid", "2"]]
+)
+def test_long_sums_have_no_depth_limit(capsys, tmp_path, argv):
+    # -1+0*x+...+0*x: a chain of 2,000 sums, as deep as it is long, is
+    # parsed by a loop and evaluated and scanned by an iterative walk
+    long = _edited_torus(tmp_path, 'g_0_0 = "-1"', 'g_0_0 = "-1' + "+0*x" * 2000 + '"')
+    code, out, err = run(capsys, argv[0], long, *argv[1:])
+    want = run(capsys, argv[0], TORUS, *argv[1:])
+    assert (code, out.replace(long, TORUS), err) == want
+    assert err == ""
+
+
+@pytest.mark.parametrize("argv", [["verify", "--grid", "3"], ["export", "--grid", "2"]])
+def test_nesting_past_the_limit_is_an_input_error(capsys, tmp_path, argv):
+    levels = 300
+    deep = _edited_torus(tmp_path, 'g_1_1 = "1"', 'g_1_1 = "' + "(" * levels + "1" + ")" * levels + '"')
+    code, out, err = run(capsys, argv[0], deep, *argv[1:])
+    assert (code, out) == (2, "")
+    # the '(' that opens level MAX_NESTING + 1
+    assert err == f"input error: nesting deeper than {MAX_NESTING} levels (byte offset {MAX_NESTING})\n"
+
+
+def test_nesting_at_the_limit_loads(capsys, tmp_path):
+    levels = MAX_NESTING
+    deep = _edited_torus(tmp_path, 'g_1_1 = "1"', 'g_1_1 = "' + "(" * levels + "1" + ")" * levels + '"')
+    assert load_spec_file(deep).to_text() == load_spec_file(TORUS).to_text()
+    code, out, _ = run(capsys, "verify", deep, "--grid", "3")
+    assert code == 0 and "all identities verified" in out
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "statcurv.cli", "verify", deep, "--grid", "3"],
+        env=env,
+        capture_output=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()[-2000:]
+    assert b"all identities verified" in proc.stdout
 
 
 def test_grid_parsing_errors(capsys):

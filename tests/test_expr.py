@@ -542,6 +542,43 @@ def test_repeated_groups_are_not_rescanned(monkeypatch):
     assert e.unparse() == "(sin(t)*cos(t)+1)*(sin(t)*cos(t)+1)-sin(sin(t)*cos(t)+1)"
 
 
+@pytest.mark.parametrize(
+    "prefix, opener, core, closer",
+    [("", "(", "t", ")"), ("", "sin(", "t", ")"), ("", "-", "t", ""), ("t^", "(", "2", ")")],
+    ids=["groups", "arguments", "unary minus", "exponent"],
+)
+def test_nesting_is_bounded(prefix, opener, core, closer):
+    def nested(levels):
+        return prefix + opener * levels + core + closer * levels
+
+    parse_expression(nested(ex.MAX_NESTING), ("t",))
+    with pytest.raises(ExprSyntaxError, match=f"nesting deeper than {ex.MAX_NESTING} levels") as err:
+        parse_expression(nested(ex.MAX_NESTING + 1), ("t",))
+    # at the last character of the opener that crosses the limit
+    assert err.value.offset == len(prefix) + ex.MAX_NESTING * len(opener) + len(opener) - 1
+
+
+def test_nesting_bound_covers_repeated_groups():
+    # a listed group is skipped only where its full parse would stay
+    # within the bound, so a text is accepted or refused whatever the
+    # table has seen before
+    group = "(" * 40 + "sin(t)*cos(t)+1" + ")" * 40  # 41 levels, with sin's
+    table: dict = {}
+    ex._parse_interned(group, ("t",), table)
+    outer = ex.MAX_NESTING - 41
+    fits = "(" * outer + group + ")" * outer
+    assert ex._parse_interned(fits, ("t",), table).root is ex._parse_interned(group, ("t",), table).root
+    # skipped, not parsed and listed again
+    assert [key for key, _, _ in table[group[: ex._GROUP_PREFIX]]].count(group) == 1
+    too_deep = "(" + fits + ")"
+    with pytest.raises(ExprSyntaxError) as alone:
+        parse_expression(too_deep, ("t",))
+    with pytest.raises(ExprSyntaxError) as shared:
+        ex._parse_interned(too_deep, ("t",), table)
+    # at sin's '(', after MAX_NESTING parentheses and "sin"
+    assert shared.value.offset == alone.value.offset == ex.MAX_NESTING + 3
+
+
 @given(expressions())
 def test_repeated_subtree_is_one_object(expr):
     a = expr.unparse()
@@ -604,17 +641,17 @@ def test_unparse_calls_are_bounded_by_the_dag(monkeypatch):
     e = _doubling_chain(12)
     nodes, edges = _dag_edges(e.root)
     assert (nodes, edges) == (37, 60)
-    calls = []
-    unparse = ex._unparse
+    built = []
+    bare_text = ex._bare_text
 
-    def counting(node, *rest):
-        calls.append(node)
-        return unparse(node, *rest)
+    def counting(node, memo):
+        built.append(node)
+        return bare_text(node, memo)
 
-    monkeypatch.setattr(ex, "_unparse", counting)
+    monkeypatch.setattr(ex, "_bare_text", counting)
     text = e.unparse()
-    # the root once, then each edge once: the tree would take about 3^12 calls
-    assert len(calls) == edges + 1
+    # one text build per distinct node: the tree would take about 3^12
+    assert len(built) == len({id(node) for node in built}) == nodes
     assert len(text) > 3**12
     monkeypatch.undo()
     small = _doubling_chain(5)
@@ -859,6 +896,58 @@ def test_coordinates_read_walks_deep_trees_without_recursion():
     assert coordinates_read([Expression(node, coords)]) == (2,)
 
 
+def test_deep_dags_evaluate_unparse_and_scan():
+    depth = 5 * sys.getrecursionlimit()
+    coords = ("x", "y")
+    x, y = Var("x", 0), Var("y", 1)
+    # left-deep: x + depth * (x*y - x^2/2), whose text nests one level deep
+    term = Sub(Mul(x, y), Div(Pow(x, 2), Num(2.0)))
+    node = x
+    for _ in range(depth):
+        node = Add(node, term)
+    deep = Expression(node, coords)
+    # half-integers keep every partial sum exact
+    pts = np.array([[1.0, 2.0], [-3.0, 0.5]])
+    px, py = pts[:, 0], pts[:, 1]
+    want_val = px + depth * (px * py - px * px / 2)
+    want_grad = np.stack([1 + depth * (py - px), depth * px], axis=1)
+    want_hess = np.broadcast_to(np.array([[-depth, depth], [depth, 0.0]]), (2, 2, 2))
+
+    def check(e):
+        val, grad, hess = eval_jet_batch([e], pts)
+        assert np.array_equal(val[:, 0], want_val)
+        assert np.array_equal(grad[..., 0], want_grad)
+        assert np.array_equal(hess[..., 0], want_hess)
+
+    check(deep)
+    assert coordinates_read([deep]) == (0, 1)
+    text = deep.unparse()
+    assert text == "x" + "+(x*y-x^2/2)" * depth
+    spec = metric.MetricSpec(
+        coords, ((0.0, 1.0), (0.0, 1.0)), 1e-3, "riemannian",
+        ((0, 0, deep), (1, 1, Expression.constant(1.0, coords))),
+    )
+    spec_text = spec.to_text()
+    again = metric.load_spec(spec_text)
+    assert again.to_text() == spec_text
+    check(again.entries[0][2])
+    # right-deep, as in the scan test above: 1 - (1 - (... - x2)), an even
+    # number of flips of x2.  Its text nests two levels per node, past what
+    # the parser accepts, and the parser says so
+    node = Var("x2", 2)
+    for _ in range(depth):
+        node = Add(Num(1.0), Neg(node))
+    flips = Expression(node, ("x0", "x1", "x2"))
+    val, grad, hess = eval_jet_batch([flips], pts[:, [0, 1, 1]])
+    assert np.array_equal(val[:, 0], pts[:, 1])
+    assert np.array_equal(grad[..., 0], np.broadcast_to([0.0, 0.0, 1.0], (2, 3)))
+    assert not hess.any()
+    text = flips.unparse()
+    assert text == "1+-(" * (depth - 1) + "1+-x2" + ")" * (depth - 1)
+    with pytest.raises(ExprSyntaxError, match=f"nesting deeper than {ex.MAX_NESTING} levels"):
+        parse_expression(text, flips.coords)
+
+
 # exact zeros and small integers reach every domain check; the floats the rest
 _COORDINATE = st.one_of(
     st.sampled_from([0.0, 1.0, -1.0, 2.0]), st.floats(min_value=-2.0, max_value=2.0)
@@ -890,6 +979,13 @@ def _trees_and_points(draw):
     (
         Expression(Sub(Num(1.0), Mul(Var("x0", 0), Var("x1", 1))), ("x0", "x1")),
         np.array([[0.5, 1.0], [1.5, -1.0]]),
+    )
+)
+@example(
+    # two failing subexpressions: the left one is named
+    (
+        Expression(Add(Call("log", Var("x0", 0)), Call("sqrt", Var("x1", 1))), ("x0", "x1")),
+        np.array([[0.0, -1.0]]),
     )
 )
 def test_jets_match_dense_reference(case):
