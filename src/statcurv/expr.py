@@ -392,7 +392,8 @@ def _bare_text(node: Node, memo: dict) -> str:
     if kind is Neg:
         return f"-{_text(node.arg, prec, memo)}"
     if kind is Pow:
-        return f"{_text(node.base, prec + 1, memo)}^{node.exponent}"
+        # ^ chains to the left, so a power base keeps no parentheses: t^2^3 is (t^2)^3
+        return f"{_text(node.base, prec, memo)}^{node.exponent}"
     op = {Add: "+", Sub: "-", Mul: "*", Div: "/"}[kind]
     # right side gets a stricter bound so a-(b+c) and a/(b*c) keep parens
     return f"{_text(node.left, prec, memo)}{op}{_text(node.right, prec + 1, memo)}"
@@ -492,12 +493,12 @@ class _Jet:
             self.val[:, None, None] * hb
             + other.val[:, None, None] * ha
             + cross
-            + np.swapaxes(cross, 1, 2)
+            + cross.swapaxes(1, 2)
         )
         return _Jet(sup, val, grad, hess)
 
     def divide(self, other, where):
-        if np.any(other.val == 0.0):
+        if (other.val == 0.0).any():
             raise EvalDomainError("division by zero", _unparse(where))
         val = self.val / other.val
         if not other.sup:
@@ -509,7 +510,7 @@ class _Jet:
         grad = (ga - val[:, None] * gb) / other.val[:, None]
         cross = grad[:, :, None] * gb[:, None, :]
         hess = (
-            ha - val[:, None, None] * hb - cross - np.swapaxes(cross, 1, 2)
+            ha - val[:, None, None] * hb - cross - cross.swapaxes(1, 2)
         ) / other.val[:, None, None]
         return _Jet(sup, val, grad, hess)
 
@@ -534,7 +535,7 @@ def _common(a: _Jet, b: _Jet):
 def _jet_pow(jet: _Jet, k: int, where: Node) -> _Jet:
     if k == 0:
         return _Jet((), np.ones_like(jet.val))
-    if k < 0 and np.any(jet.val == 0.0):
+    if k < 0 and (jet.val == 0.0).any():
         raise EvalDomainError("zero raised to a negative power", _unparse(where))
     u = jet.val
     val = u**k
@@ -551,14 +552,14 @@ def _jet_call(func: str, jet: _Jet, where: Node) -> _Jet:
         return jet.chain(np.cos(u), -np.sin(u), -np.cos(u))
     if func == "tan":
         c = np.cos(u)
-        if np.any(c == 0.0):
+        if (c == 0.0).any():
             raise EvalDomainError("tan at a pole", _unparse(where))
         t = np.tan(u)
         sec2 = 1.0 + t * t
         return jet.chain(t, sec2, 2.0 * t * sec2)
     if func == "cot":
         s = np.sin(u)
-        if np.any(s == 0.0):
+        if (s == 0.0).any():
             raise EvalDomainError("cot at a pole", _unparse(where))
         ct = np.cos(u) / s
         csc2 = 1.0 + ct * ct
@@ -567,11 +568,11 @@ def _jet_call(func: str, jet: _Jet, where: Node) -> _Jet:
         e = np.exp(u)
         return jet.chain(e, e, e)
     if func == "log":
-        if np.any(u <= 0.0):
+        if (u <= 0.0).any():
             raise EvalDomainError("log of a nonpositive value", _unparse(where))
         return jet.chain(np.log(u), 1.0 / u, -1.0 / (u * u))
     if func == "sqrt":
-        if np.any(u <= 0.0):
+        if (u <= 0.0).any():
             raise EvalDomainError("sqrt of a nonpositive value", _unparse(where))
         r = np.sqrt(u)
         return jet.chain(r, 0.5 / r, -0.25 / (u * r))

@@ -174,7 +174,7 @@ def orthonormal_completions(data: StructureData, tol: Tolerances, require_unit: 
     """
     if require_unit:
         off = np.abs(data.gtt + 1.0) > tol.unit_timelike
-        if np.any(off):
+        if off.any():
             gtt = float(data.gtt[np.argmax(off)])
             raise FrameError(f"T is not unit at this point: g_L(T,T) = {gtt}")
     g, t = data.g, data.t
@@ -185,7 +185,7 @@ def orthonormal_completions(data: StructureData, tol: Tolerances, require_unit: 
     norms[:, 0] = _form(t, g, t)
     count = np.ones(batch, dtype=int)  # rows accepted so far
     for axis in range(n):
-        if np.all(count == n):
+        if (count == n).all():
             break
         cand = np.zeros((batch, n))
         cand[:, axis] = 1.0
@@ -193,10 +193,10 @@ def orthonormal_completions(data: StructureData, tol: Tolerances, require_unit: 
         norm_sq = _form(cand, g, cand)
         accept = (count < n) & ~(norm_sq <= 1e-24 * g[:, axis, axis])
         cand = cand / np.sqrt(np.where(accept, norm_sq, 1.0))[:, None]
-        rows = np.flatnonzero(accept)
+        rows = accept.nonzero()[0]
         basis[rows, count[rows]] = cand[rows]
         count += accept
-    if np.any(count < n):
+    if (count < n).any():
         raise FrameError("rank-deficient seed basis: could not complete the frame")
     check_orthonormal(basis, data, tol)
     return basis
@@ -208,7 +208,7 @@ def check_orthonormal(frames: np.ndarray, data: StructureData, tol: Tolerances) 
     off[:, 0, 0] -= data.gtt - 1.0
     off = np.abs(off).max(axis=(1, 2))
     bad = off > tol.antisymmetry * np.maximum(1.0, np.abs(data.gtt))
-    if np.any(bad):
+    if bad.any():
         raise FrameError(f"frame failed the orthonormality check (residual {float(off[np.argmax(bad)])})")
 
 
@@ -236,8 +236,8 @@ def _cluster_starts(vals: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.n
     eigenvalues, and a cluster starts wherever the gap to the previous value
     exceeds ``cluster_rel`` times that value.
     """
-    positive = np.any(vals > tol.eigen_error, axis=1)
-    if np.any(positive):
+    positive = (vals > tol.eigen_error).any(axis=1)
+    if positive.any():
         raise EigenstructureError(
             f"positive eigenvalue {float(vals[np.argmax(positive)].max())} of the squared map "
             "(Killing or unit-length precondition broken)"
@@ -261,10 +261,10 @@ def _pair_clusters(vecs: np.ndarray, spatial: np.ndarray, kernel, starts):
     and to v.  Pairs come out in eigenspace order.
     """
     batch, m, _ = vecs.shape
-    ids = np.cumsum(starts, axis=1)
+    ids = starts.cumsum(axis=1)
     sizes = ((ids[:, :, None] == ids[:, None, :]) & ~kernel[:, None, :]).sum(axis=2)
-    odd = np.any(starts & (sizes % 2 == 1), axis=1)
-    if np.any(odd):
+    odd = (starts & (sizes % 2 == 1)).any(axis=1)
+    if odd.any():
         b = np.argmax(odd)
         raise EigenstructureError(
             f"odd-dimensional nonzero eigenspace (cluster sizes {sizes[b][starts[b]].tolist()}); "
@@ -279,7 +279,7 @@ def _pair_clusters(vecs: np.ndarray, spatial: np.ndarray, kernel, starts):
     for i in range(m):
         taken[starts[:, i]] = 0
         live = ~kernel[:, i] & (taken < sizes[:, i])
-        if not np.any(live):
+        if not live.any():
             continue
         within = np.where(live, taken, 0)
         # a contiguous copy: a strided column would take another dot kernel
@@ -289,18 +289,18 @@ def _pair_clusters(vecs: np.ndarray, spatial: np.ndarray, kernel, starts):
         v = v / np.where(live, nrm, 1.0)[:, None]
         u = (spatial @ v[:, :, None])[:, :, 0]
         nrm_u = np.sqrt(_dot(u, u))
-        if np.any(live & (nrm_u == 0.0)):
+        if (live & (nrm_u == 0.0)).any():
             raise EigenstructureError("vanishing image inside a nonzero eigenspace")
         w = _project_off(-u / np.where(live, nrm_u, 1.0)[:, None], chosen, within, along)
         w = w - _dot(v, w)[:, None] * v
         w = w / np.sqrt(np.where(live, _dot(w, w), 1.0))[:, None]
-        rows = np.flatnonzero(live)
+        rows = live.nonzero()[0]
         chosen[rows, taken[rows]], chosen[rows, taken[rows] + 1] = v[rows], w[rows]
         slot = count[rows]
         v_out[rows, slot], w_out[rows, slot], f_out[rows, slot] = v[rows], w[rows], -nrm_u[rows]
         taken[rows] += 2
         count[rows] += 1
-    if np.any(2 * count != (~kernel).sum(axis=1)):
+    if (2 * count != (~kernel).sum(axis=1)).any():
         raise EigenstructureError("failed to exhaust an eigenspace by pairs")
     return v_out, w_out, f_out, count
 
@@ -315,7 +315,7 @@ def _adapt(e: np.ndarray, spatial: np.ndarray, tol: Tolerances):
     squared = spatial @ spatial
     asym = np.abs(squared - squared.swapaxes(1, 2)).max(axis=(1, 2))
     skew = asym > tol.antisymmetry * np.maximum(1.0, np.abs(squared).max(axis=(1, 2)))
-    if np.any(skew):
+    if skew.any():
         raise EigenstructureError(
             f"squared map is not self-adjoint (residual {float(asym[np.argmax(skew)])}); "
             "Killing or unit-length precondition broken"
@@ -324,9 +324,8 @@ def _adapt(e: np.ndarray, spatial: np.ndarray, tol: Tolerances):
     v, w, f, count = _pair_clusters(vecs, spatial, *_cluster_starts(vals, tol))
     # |f| descending; stable, so equal |f| keep their eigenspace order
     slots = np.arange(f.shape[1])
-    order = np.argsort(np.where(slots < count[:, None], -np.abs(f), np.inf), axis=1, kind="stable")
-    v, w = (np.take_along_axis(x, order[:, :, None], axis=1) for x in (v, w))
-    f = np.take_along_axis(f, order, axis=1)
+    order = np.where(slots < count[:, None], -np.abs(f), np.inf).argsort(axis=1, kind="stable")
+    v, w, f = (x[np.arange(batch)[:, None], order] for x in (v, w, f))
     # rows: T, the pairs in order, then the kernel eigenvectors; kernel
     # eigenvector i lands on row i + 1 because the pairs fill rows 1..2k
     rows = np.empty((batch, n, n))
@@ -337,7 +336,8 @@ def _adapt(e: np.ndarray, spatial: np.ndarray, tol: Tolerances):
             src = np.where((i < 2 * count)[:, None], (v if i % 2 == 0 else w)[:, i // 2], src)
         rows[:, i + 1] = (src[:, None, :] @ e[:, 1:])[:, 0]
     # the T direction contributes an exact zero, placed as a stable sort places it
-    eigs = np.sort(np.concatenate([vals, np.zeros((batch, 1))], axis=1), axis=1, kind="stable")
+    eigs = np.concatenate([vals, np.zeros((batch, 1))], axis=1)
+    eigs.sort(axis=1, kind="stable")
     return rows, f, count, eigs
 
 
@@ -354,11 +354,11 @@ def adapted_frames_batch(
     # nab^L_{E_i} T has components omega[i, j] / diag(-1, 1, ..., 1)_j
     omega = nabla_t_form(data, completions)
     t_block = np.maximum(np.abs(omega[:, 0, :]).max(axis=1), np.abs(omega[:, :, 0]).max(axis=1))
-    if np.any(t_block > tol.pairing):
+    if (t_block > tol.pairing).any():
         first = float(t_block[np.argmax(t_block > tol.pairing)])
         raise EigenstructureError(f"nab T does not annihilate the T direction (residual {first})")
     # parallel T: defined fallback, every spatial direction fixed, spectrum zero
-    moving = np.flatnonzero(np.abs(omega[:, 1:, 1:]).max(axis=(1, 2)) > tol.pairing)
+    moving = (np.abs(omega[:, 1:, 1:]).max(axis=(1, 2)) > tol.pairing).nonzero()[0]
     vectors = completions.copy()
     f = np.zeros((batch, (n - 1) // 2))
     count = np.zeros(batch, dtype=int)
@@ -369,7 +369,7 @@ def adapted_frames_batch(
     check_orthonormal(vectors, data, tol)
     # rotation-block pattern residual on the final frames
     residual = np.abs(nabla_t_form(data, vectors) - rotation_blocks(f, count, n)).max(axis=(1, 2))
-    if np.any(residual > tol.pairing):
+    if (residual > tol.pairing).any():
         first = float(residual[np.argmax(residual > tol.pairing)])
         raise FrameError(f"adapted frame residual {first} above tolerance {tol.pairing}")
     return FrameBatch(data.points.copy(), vectors, f, count, residual, eigs, data.gtt.copy())

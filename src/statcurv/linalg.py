@@ -8,6 +8,8 @@ raise instead of returning numbers.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import LinearAlgebraError, NearSingularError
@@ -15,7 +17,7 @@ from .errors import LinearAlgebraError, NearSingularError
 
 def _finite(a) -> np.ndarray:
     a = np.asarray(a, dtype=float)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise LinearAlgebraError("non-finite matrix entry")
     return a
 
@@ -62,7 +64,9 @@ def jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         vals, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise LinearAlgebraError(f"eigendecomposition failed: {exc}") from exc
-    anchor = np.argmax(np.abs(v), axis=-2)
-    signs = np.sign(np.take_along_axis(v, anchor[..., None, :], axis=-2))
+    m = v.shape[-1]
+    flat = v.reshape(math.prod(v.shape[:-2]), m, m)
+    # flat[k, anchor[k, j], j]: the largest-magnitude entry of each column
+    signs = np.sign(flat[np.arange(len(flat))[:, None], np.abs(flat).argmax(axis=1), np.arange(m)])
     signs[signs == 0.0] = 1.0
-    return vals, v * signs
+    return vals, v * signs.reshape(vals.shape)[..., None, :]

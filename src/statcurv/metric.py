@@ -268,12 +268,14 @@ def outside_chart(spec: MetricSpec, pts: np.ndarray) -> np.ndarray:
     lo = np.array([iv[0] for iv in spec.intervals]) + spec.margin
     hi = np.array([iv[1] for iv in spec.intervals]) - spec.margin
     slack = 1e-12
-    return ~np.all((pts >= lo - slack) & (pts <= hi + slack), axis=-1)  # NaN is outside
+    inside = (pts >= lo - slack) & (pts <= hi + slack)  # NaN is outside
+    # reduced along B as (n, B) rows: .all(axis=-1) over a short last axis runs row by row
+    return ~np.ascontiguousarray(inside.T).all(axis=0)
 
 
 def require_interior(spec: MetricSpec, pts: np.ndarray) -> None:
     outside = outside_chart(spec, pts)
-    if np.any(outside):
+    if outside.any():
         bad = pts[outside][0]
         raise ChartDomainError(
             f"point {bad.tolist()} is not interior to the chart by the margin {spec.margin}"
@@ -303,7 +305,7 @@ def metric_fields(spec: MetricSpec, pts, cache: dict | None = None):
 
 def require_finite(g: np.ndarray, dg: np.ndarray, d2g: np.ndarray) -> None:
     """Raise EvalDomainError unless the metric and its derivatives are all finite."""
-    if not np.all(np.isfinite(g)) or not np.all(np.isfinite(dg)) or not np.all(np.isfinite(d2g)):
+    if not np.isfinite(g).all() or not np.isfinite(dg).all() or not np.isfinite(d2g).all():
         raise EvalDomainError("non-finite metric component", "metric evaluation")
 
 
@@ -312,11 +314,11 @@ def check_signature(signature: str, g: np.ndarray, tol: Tolerances) -> None:
     vals = eigvalsh(g)
     size = np.abs(vals)
     # <=, so that an all-zero g, where both sides are 0, counts as singular
-    if np.any(size.min(axis=-1) <= tol.near_singular * size.max(axis=-1)):
+    if (size.min(axis=-1) <= tol.near_singular * size.max(axis=-1)).any():
         raise NearSingularError(f"smallest |eigenvalue| of g below {tol.near_singular} times the largest")
-    negatives = np.count_nonzero(vals < 0.0, axis=-1)
+    negatives = (vals < 0.0).sum(axis=-1)
     expected = 1 if signature == "lorentzian" else 0
-    if np.any(negatives != expected):
+    if (negatives != expected).any():
         raise SignatureError(f"eigenvalue signs disagree with declared signature '{signature}'")
 
 

@@ -358,7 +358,7 @@ def structure_data(s: StationaryStructure, pts, tol: Tolerances = DEFAULT) -> St
     gl, gl_inv, dgl, d2gl = metric_batch(s.spec, pts, tol, cache)
     t, dt, d2t = eval_jet_batch(s.t, pts, cache)  # dt[b,i,k] = d_i T^k
     gtt = np.einsum("bij,bi,bj->b", gl, t, t)
-    if np.any(gtt >= 0.0):  # checked before the flip, which divides by g_L(T,T)
+    if (gtt >= 0.0).any():  # checked before the flip, which divides by g_L(T,T)
         raise NonTimelikeError("g_L(T,T) >= 0 at a sampled point")
     g, dg, d2g = _flipped_metric(gl, dgl, d2gl, t, dt, d2t, s.read_coordinates)
     g_inv = invert(g)
@@ -461,8 +461,8 @@ def curvature_residual_batch(data: StructureData, frames: np.ndarray) -> np.ndar
     omega = nabla_t_form(data, frames)
     omega[:, 0] = omega[:, :, 0] = 0.0
     res = np.abs(p_g - flipped_curvature(p_l, omega, data.gtt, basis))
-    t = np.flatnonzero(basis.t_legs[1])
-    x = np.flatnonzero(basis.t_legs[1] == 0.0)
+    t = basis.t_legs[1].nonzero()[0]
+    x = (basis.t_legs[1] == 0.0).nonzero()[0]
     return np.stack(
         [
             res[:, x[:, None], t].max(axis=(1, 2)),

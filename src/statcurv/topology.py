@@ -29,6 +29,7 @@ the CLI's ``export`` records all run through it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,9 +133,11 @@ def build_grid(spec, sizes) -> tuple[np.ndarray, tuple[int, ...]]:
     shape = tuple(len(a) for a in axes)
     if 0 in shape:
         return np.empty((0, len(axes))), shape
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    return pts, shape
+    n = len(axes)
+    pts = np.empty(shape + (n,))
+    for i, a in enumerate(axes):  # axis i varies along grid dimension i, as np.meshgrid "ij" lays it
+        pts[..., i] = a.reshape((len(a),) + (1,) * (n - 1 - i))
+    return pts.reshape(math.prod(shape), n), shape
 
 
 def orbits(s: StationaryStructure, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -154,13 +157,30 @@ def orbits(s: StationaryStructure, pts: np.ndarray) -> tuple[np.ndarray, np.ndar
     Rows are grouped by the bits of the coordinates read, so 0.0 and -0.0
     stay apart.  The chart-interior check reads every coordinate, so each
     row outside the chart is an orbit of its own and is checked itself.
+
+    The key columns are the int64 bits of each coordinate read and the
+    row number of a row outside the chart (-1 inside).  One stable
+    ``np.lexsort`` over them brings equal keys together, each run starting
+    at its first row; ``tests/oracles.py`` ``orbits_by_unique``, the same
+    keys grouped by ``np.unique(axis=0)``, pins ``first`` and ``inverse``
+    to this bit for bit.
     """
-    read = list(s.read_coordinates)
-    outside = np.where(outside_chart(s.spec, pts), np.arange(len(pts)), -1)
-    key = np.column_stack([np.ascontiguousarray(pts[:, read]).view(np.int64), outside])
-    _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    return first[order], np.argsort(order)[inverse.reshape(-1)]
+    batch = len(pts)
+    outside = np.where(outside_chart(s.spec, pts), np.arange(batch), -1)
+    columns = [pts[:, i].view(np.int64) for i in s.read_coordinates] + [outside]
+    perm = np.lexsort(columns)
+    opens = np.zeros(batch, dtype=bool)  # sorted position that opens a run of equal keys
+    opens[:1] = True
+    for column in columns:
+        ordered = column[perm]
+        opens[1:] |= ordered[1:] != ordered[:-1]
+    heads = perm[opens]  # the first row of each run
+    is_first = np.zeros(batch, dtype=bool)
+    is_first[heads] = True
+    rank = is_first.cumsum() - 1  # at a first row: its orbit's number in order of occurrence
+    inverse = np.empty(batch, dtype=np.intp)
+    inverse[perm] = rank[heads][opens.cumsum() - 1]
+    return is_first.nonzero()[0], inverse
 
 
 def chunked(s: StationaryStructure, pts: np.ndarray, step) -> tuple[np.ndarray, ...]:
@@ -279,17 +299,26 @@ def grid_scans(
     if pts.shape[0] == 0:
         raise ValueError("empty grid")
     vals, central = scan_points(s, pts, tol)
-    sums = np.cumsum(vals, axis=1)
     residual = float(central.max())
     results = []
     for p in ps:
-        margins = sums[:, n - p - 1]
+        margins = _margins(vals, n - p)
         min_margin = float(margins.min()) + 0.0  # folds -0.0 into 0.0
         verdict = betti_conclusions(n, p, bool(min_margin > tol.positivity))
         window = tol.identity * float(np.abs(margins).max())
         argmin_point = tuple(float(x) for x in pts[near_argmin(margins, window)])
         results.append(GridScanResult(verdict, shape, min_margin, argmin_point, residual, pts, vals))
     return results
+
+
+def _margins(vals: np.ndarray, k: int) -> np.ndarray:
+    """Sum (B,) of the first k entries of each row of ``vals`` (B, N), added left to
+    right, so the bits of ``vals.cumsum(axis=1)[:, k - 1]``; a cumsum along a
+    short last axis runs row by row, about 8x slower at B = 1000."""
+    total = vals[:, 0].copy()
+    for j in range(1, k):
+        total += vals[:, j]
+    return total
 
 
 def grid_scan(
@@ -299,13 +328,52 @@ def grid_scan(
     return grid_scans(s, grid_sizes, [p], tol)[0]
 
 
+_QUANTILES = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+def _linear_quantiles(rows: np.ndarray) -> np.ndarray:
+    """``_QUANTILES`` (R, 5) of each row of ``rows`` (R, m), m >= 1, by numpy's default 'linear' rule.
+
+    One sort, then numpy's own arithmetic: quantile q sits at the virtual
+    index v = (m - 1) q between a = sorted[floor v] and b = sorted[floor v + 1]
+    with weight gamma = v - floor v, and is a + (b - a) gamma, or
+    b - (b - a)(1 - gamma) where gamma >= 0.5.  At v >= m - 1 numpy takes
+    a = b = the maximum with gamma = v + 1, and a row holding NaN gives its
+    NaN.  So the result is ``np.quantile(rows, _QUANTILES, axis=1).T`` up to the
+    sign of a zero (a sort and numpy's partition may order 0.0 and -0.0
+    apart); ``tests/oracles.py`` ``quantiles_by_numpy`` pins it, with
+    ``+ 0.0`` applied to both.
+    """
+    ordered = np.sort(rows, axis=1)
+    last = ordered.shape[1] - 1
+    picks = []  # (index of a, index of b, gamma) per quantile
+    for q in _QUANTILES:  # Python floats round as numpy's float64 arrays do
+        v = last * q
+        if v < last:
+            below = math.floor(v)
+            picks.append((below, below + 1, v - below))
+        else:  # numpy reads the maximum (its index -1) for both, with gamma = v - (-1)
+            picks.append((last, last, v + 1))
+    lo, hi, gamma = zip(*picks)
+    gamma = np.array(gamma)
+    a, b = ordered[:, lo], ordered[:, hi]
+    diff = b - a
+    out = np.where(gamma >= 0.5, b - diff * (1.0 - gamma), a + diff * gamma)
+    nan_rows = np.isnan(ordered[:, -1])
+    out[nan_rows] = ordered[nan_rows, -1:]
+    return out
+
+
 def margin_quantiles(result: GridScanResult) -> dict[str, list[float]]:
-    """Grid quantiles (min/quartiles/max) of the margin and extreme eigenvalues."""
+    """Grid quantiles (min/quartiles/max) of the margin and extreme eigenvalues.
+
+    ``_linear_quantiles`` of the three rows, the values ``np.quantile`` gives.
+    """
     k = result.verdict.dimension - result.verdict.p
-    margins = np.cumsum(result.eigenvalues, axis=1)[:, k - 1]
+    margins = _margins(result.eigenvalues, k)
     rows = np.stack([margins, result.eigenvalues[:, 0], result.eigenvalues[:, -1]])
     # + 0.0 folds -0.0 into 0.0, as grid_scans does for min_margin
-    quantiles = (np.quantile(rows, (0.0, 0.25, 0.5, 0.75, 1.0), axis=1) + 0.0).T.tolist()
+    quantiles = (_linear_quantiles(rows) + 0.0).tolist()
     return dict(zip(("margin", "smallest_eigenvalue", "largest_eigenvalue"), quantiles))
 
 

@@ -10,7 +10,7 @@ import numpy as np
 from statcurv.expr import Add, Call, Div, Expression, Mul, Neg, Num, Pow, Sub, Var, eval_jet_batch
 from statcurv.lambda2 import compound
 from statcurv.linalg import invert
-from statcurv.metric import MetricSpec, christoffel_batch, first_kind, frame_components_batch
+from statcurv.metric import MetricSpec, christoffel_batch, first_kind, frame_components_batch, outside_chart
 
 
 def _central_differences(value, point: np.ndarray, step: float):
@@ -81,7 +81,8 @@ def tree_unparse(node, parent_prec: int = 0) -> str:
     elif isinstance(node, Neg):
         text = f"-{tree_unparse(node.arg, prec)}"
     elif isinstance(node, Pow):
-        text = f"{tree_unparse(node.base, prec + 1)}^{node.exponent}"
+        # ^ chains to the left: t^2^3 reads back as (t^2)^3
+        text = f"{tree_unparse(node.base, prec)}^{node.exponent}"
     else:
         op = {Add: "+", Sub: "-", Mul: "*", Div: "/"}[type(node)]
         # right side gets a stricter bound so a-(b+c) and a/(b*c) keep parens
@@ -351,3 +352,22 @@ def gram_operators(p: np.ndarray, metric: np.ndarray, frames: np.ndarray, basis)
     """
     gram = np.einsum("bai,bij,bcj->bac", frames, metric, frames)
     return np.linalg.inv(compound(basis, gram)) @ -p.swapaxes(1, 2)
+
+
+def orbits_by_unique(s, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``topology.orbits`` by ``np.unique(axis=0)`` over the same keys: the bits
+    of the coordinates read, and the row number of each row outside the chart
+    (-1 inside).  Returns the first row of each orbit, in order of first
+    occurrence, and each row's orbit."""
+    read = list(s.read_coordinates)
+    outside = np.where(outside_chart(s.spec, pts), np.arange(len(pts)), -1)
+    key = np.column_stack([np.ascontiguousarray(pts[:, read]).view(np.int64), outside])
+    _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inverse.reshape(-1)]
+
+
+def quantiles_by_numpy(rows: np.ndarray) -> np.ndarray:
+    """Min, quartiles and max (R, 5) of each row of ``rows`` (R, m) by ``np.quantile``,
+    with -0.0 folded into 0.0 as ``topology.margin_quantiles`` folds it."""
+    return (np.quantile(rows, (0.0, 0.25, 0.5, 0.75, 1.0), axis=1) + 0.0).T

@@ -305,6 +305,22 @@ def test_roundtrip_on_shipped_forms():
         assert parse_expression(e.unparse(), COORDS).root == e.root
 
 
+def test_power_chains_are_written_flat():
+    # ^ chains to the left, so a power of a power needs no parentheses; one
+    # level per power would put a long chain past the parser's nesting bound
+    chain = parse_expression("t" + "^1" * 150, COORDS)
+    text = chain.unparse()
+    assert text == "t" + "^1" * 150
+    assert parse_expression(text, COORDS).root == chain.root
+    assert parse_expression("(t^2)^3", COORDS).unparse() == "t^2^3"
+    assert parse_expression("(t^-1)^2", COORDS).unparse() == "t^-1^2"
+    # a negated base still needs its parentheses: -t^2 is -(t^2)
+    assert parse_expression("(-t)^2^3", COORDS).unparse() == "(-t)^2^3"
+    spec_text = (SPEC_DIR / "flat_torus.spec").read_text().replace('"-1"', '"-1+0*x' + "^1" * 150 + '"', 1)
+    written = metric.load_spec(spec_text).to_text()
+    assert metric.load_spec(written).to_text() == written
+
+
 class TestComposition:
     def test_arithmetic(self):
         t = Expression.coordinate(0, ("t",))

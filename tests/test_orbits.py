@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from statcurv import cli, topology
 from statcurv.errors import GridPointError
@@ -19,6 +20,7 @@ from statcurv.stationary import StationaryStructure, conformal_normalize, flip_s
 from statcurv.tolerances import DEFAULT
 
 from conftest import SPEC_DIR
+from oracles import orbits_by_unique
 
 
 def every_point(s, pts):
@@ -217,3 +219,32 @@ def test_empty_grid_keeps_the_step_shapes():
     vals, central = topology.scan_points(s, pts)
     assert vals.shape == (0, 3) and central.shape == (0,)
     assert topology.verify_points(s, s, pts, DEFAULT).shape == (0, len(topology.VERIFY_LINES))
+
+
+# coordinate values for the orbit keys: both signed zeros, repeats, values
+# outside the chart on a read and on an unread coordinate, and NaN (outside)
+_ORBIT_VALUES = st.sampled_from([0.0, -0.0, 0.5, 0.25, 1.0, 3.0, -3.0, 9.0, math.nan])
+
+
+@pytest.mark.parametrize("name", ["read_by_t_only", "two_of_three", "s3", "flat_torus"])
+@given(data=st.data())
+def test_orbits_match_unique_oracle(name, data):
+    s = _structure(CASES[name][0])
+    n = s.dimension
+    # rows drawn from a small pool, so equal rows repeat across the batch
+    pool = data.draw(st.lists(st.lists(_ORBIT_VALUES, min_size=n, max_size=n), min_size=1, max_size=6))
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=40))
+    pts = np.array([pool[i] for i in picks], dtype=float).reshape(len(picks), n)
+    first, inverse = topology.orbits(s, pts)
+    want_first, want_inverse = orbits_by_unique(s, pts)
+    assert first.dtype == want_first.dtype and inverse.dtype == want_inverse.dtype
+    assert np.array_equal(first, want_first) and np.array_equal(inverse, want_inverse)
+
+
+def test_orbits_of_no_row_and_of_one_row():
+    s = _structure(CASES["two_of_three"][0])
+    for pts in (np.empty((0, 3)), np.array([[0.5, 1.0, -0.0]])):
+        first, inverse = topology.orbits(s, pts)
+        want_first, want_inverse = orbits_by_unique(s, pts)
+        assert first.shape == want_first.shape and inverse.shape == want_inverse.shape
+        assert np.array_equal(first, want_first) and np.array_equal(inverse, want_inverse)

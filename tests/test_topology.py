@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from statcurv import topology
 from statcurv.curvature_ops import CurvatureOperatorMatrix, operators_at
@@ -23,6 +23,7 @@ from statcurv.topology import (
     verdict_json_dict,
 )
 
+from oracles import quantiles_by_numpy
 from structures import s3_times_torus
 
 
@@ -290,6 +291,9 @@ def test_build_grid_shape(s3):
     assert pts.shape == (24, 3)
     assert pts[0, 0] == pytest.approx(s3.spec.intervals[0][0] + s3.spec.margin)
     assert pts[-1, 0] == pytest.approx(s3.spec.intervals[0][1] - s3.spec.margin)
+    # the rows np.meshgrid lays out in "ij" order, bit for bit
+    mesh = np.meshgrid(*s3.spec.interior_linspace([4, 3, 2]), indexing="ij")
+    assert pts.tobytes() == np.stack([m.reshape(-1) for m in mesh], axis=1).tobytes()
 
 
 def _reference_margin_quantiles(result: GridScanResult) -> dict[str, list[float]]:
@@ -325,3 +329,39 @@ def test_margin_quantiles_match_per_q_loop(n, p_index, batch, levels, seed):
     verdict = betti_conclusions(n, p, False)
     result = GridScanResult(verdict, (batch,), 0.0, (0.0,) * n, 0.0, np.zeros((batch, n)), vals)
     assert margin_quantiles(result) == _reference_margin_quantiles(result)
+
+
+@settings(max_examples=100)
+@given(
+    count=st.integers(1, 3),
+    length=st.integers(1, 2000),
+    levels=st.integers(1, 8),
+    tie_share=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(count=3, length=1, levels=1, tie_share=0.0, seed=0)
+@example(count=1, length=2, levels=1, tie_share=1.0, seed=1)
+def test_linear_quantiles_match_np_quantile_bitwise(count, length, levels, tie_share, seed):
+    # magnitudes from 1e-300 to 1e300 with either sign, a share of each row
+    # drawn from a few values (ties), and exact zeros of both signs among them
+    rng = np.random.default_rng(seed)
+    rows = rng.choice((-1.0, 1.0), size=(count, length)) * 10.0 ** rng.uniform(-300, 300, (count, length))
+    pool = rng.choice((-1.0, 1.0), size=levels) * 10.0 ** rng.uniform(-300, 300, levels)
+    pool[: levels // 2] = rng.choice((0.0, -0.0), size=levels // 2)
+    tied = rng.random((count, length)) < tie_share
+    rows[tied] = rng.choice(pool, size=int(tied.sum()))
+    got = topology._linear_quantiles(rows) + 0.0
+    assert got.tobytes() == quantiles_by_numpy(rows).tobytes()
+
+
+@given(
+    batch=st.integers(0, 1200),
+    width=st.integers(1, 28),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_margins_are_cumsum_columns_bitwise(batch, width, seed):
+    rng = np.random.default_rng(seed)
+    vals = np.sort(rng.normal(size=(batch, width)) * 10.0 ** rng.integers(-8, 9, (batch, 1)), axis=1)
+    sums = vals.cumsum(axis=1)
+    for k in range(1, width + 1):
+        assert topology._margins(vals, k).tobytes() == sums[:, k - 1].tobytes()
