@@ -61,6 +61,26 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _nested(encoded: str) -> str:
+    """JSON text from ``json.dumps(..., indent=2)`` as it reads one level deeper.
+
+    JSON text holds no raw newline, so each one is a line break of the layout.
+    """
+    return encoded.replace("\n", "\n  ")
+
+
+def _json_array(items: list[str]) -> str:
+    """``json.dumps(values, indent=2)`` of the values encoded as ``items``, at least one."""
+    return "[\n  " + ",\n  ".join(map(_nested, items)) + "\n]"
+
+
+def _json_object(fields: dict[str, str]) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` of an object with ``fields``' keys,
+    whose values encode as the texts ``fields`` maps them to."""
+    lines = (f"{json.dumps(key)}: {_nested(text)}" for key, text in sorted(fields.items()))
+    return "{\n  " + ",\n  ".join(lines) + "\n}"
+
+
 def _normalized(structure: StationaryStructure, notes: list[str]) -> StationaryStructure:
     if structure.unit:
         return structure
@@ -156,16 +176,18 @@ def cmd_analyze(args, spec: MetricSpec, grid: list[int], tol: Tolerances) -> int
     strongest = results[best]
 
     if args.fmt == "json":
-        dicts = [topology.verdict_json_dict(r) for r in results]
-        payload = {
-            "schema_version": 1,
-            "command": "analyze",
-            "spec": args.spec,
-            "notes": notes,
-            "results": dicts,
-            "strongest": dicts[best],
+        # each verdict is encoded once and spliced under "results" and
+        # "strongest"; the bytes are json.dumps(payload, sort_keys=True, indent=2)
+        verdicts = [json.dumps(topology.verdict_json_dict(r), sort_keys=True, indent=2) for r in results]
+        fields = {
+            "schema_version": json.dumps(1),
+            "command": json.dumps("analyze"),
+            "spec": json.dumps(args.spec),
+            "notes": json.dumps(notes, indent=2),
+            "results": _json_array(verdicts),
+            "strongest": verdicts[best],
         }
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+        _emit(_json_object(fields) + "\n", args.out)
     else:
         lines = [f"statcurv analyze: {args.spec}"]
         lines += notes

@@ -150,53 +150,80 @@ def _postorder(roots, done):
 
 # --- tokenizer / parser ----------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>[-+*/^()]))"
-)
+# A token is (kind, text, start, stop): "op" for one of _OPERATORS, "num",
+# "name", "eof" at the end, and "bad" for a character no token starts with.
+# It is dispatched on its first character: an operator is that character,
+# and a number or a name runs as far as its pattern matches.
+_OPERATORS = frozenset("+-*/^()")
+_LEADS = {
+    **dict.fromkeys("0123456789", ("num", re.compile(r"[0-9]+\.?[0-9]*(?:[eE][+-]?[0-9]+)?"))),
+    ".": ("num", re.compile(r"\.[0-9]+(?:[eE][+-]?[0-9]+)?")),
+    **dict.fromkeys(
+        "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", ("name", re.compile(r"[A-Za-z_][A-Za-z0-9_]*"))
+    ),
+}
+_SPACE_RE = re.compile(r"\s*")  # \s is exactly str.isspace, what str.strip removes
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
-
-def _byte_offset(text: str, pos: int) -> int:
-    return len(text[:pos].encode("utf-8"))
-
-
-def _scan(text: str, pos: int):
-    """The token at ``pos`` (after whitespace) and the offset just past it."""
-    m = _TOKEN_RE.match(text, pos)
-    if m is None:
-        stripped = text[pos:].lstrip()
-        if stripped:
-            bad = len(text) - len(stripped)
-            raise ExprSyntaxError(f"unexpected character '{text[bad]}'", _byte_offset(text, bad))
-        return ("eof", "", len(text)), len(text)
-    kind = m.lastgroup
-    return (kind, m.group(kind), m.start(kind)), m.end()
+# binary operator -> (precedence, node class); both levels associate to the left
+_BINARY = {"+": (1, Add), "-": (1, Sub), "*": (2, Mul), "/": (2, Div)}
 
 
-def _tokenize(text: str):
+def _byte_offset(text: str, pos: int, start: int = 0) -> int:
+    """``pos`` as a byte offset into the UTF-8 expression that begins at ``start``."""
+    return len(text[start:pos].encode("utf-8"))
+
+
+def _scan(text: str, pos: int, end: int):
+    """The token at ``pos``, after any whitespace, in ``text[:end]``."""
+    while pos < end:
+        c = text[pos]
+        if c in _OPERATORS:
+            return ("op", c, pos, pos + 1)
+        lead = _LEADS.get(c)
+        if lead is not None:
+            m = lead[1].match(text, pos, end)
+            if m is not None:  # only a '.' with no digit after it fails
+                return (lead[0], m.group(), pos, m.end())
+        if not c.isspace():
+            return ("bad", c, pos, pos + 1)
+        pos = _SPACE_RE.match(text, pos, end).end()
+    return ("eof", "", end, end)
+
+
+def _tokenize(text: str, start: int = 0, end: int | None = None):
+    """Every token of ``text[start:end]``, the last one "eof"; raises at a bad character."""
+    end = len(text) if end is None else end
     tokens = []
-    pos = 0
+    pos = start
     while True:
-        tok, pos = _scan(text, pos)
+        tok = _scan(text, pos, end)
+        if tok[0] == "bad":
+            raise ExprSyntaxError(f"unexpected character '{tok[1]}'", _byte_offset(text, tok[2], start))
         tokens.append(tok)
         if tok[0] == "eof":
             return tokens
+        pos = tok[3]
 
 
 # characters from a group's '(' that key the table entry listing its text
 _GROUP_PREFIX = 16
 
 # Deepest nesting the parser accepts: each group or function argument, unary
-# minus and exponent parenthesis opens a level (a group costs six frames of
+# minus and exponent parenthesis opens a level (a group costs three frames of
 # the default recursion limit of 1000); sums and products are loops.
 MAX_NESTING = 100
 
 
 class _Parser:
-    """Recursive-descent parser that builds every node through ``table``.
+    """Operator-precedence parser that builds every node through ``table``.
+
+    It reads the expression ``text[start:end]`` in place, one ``_scan`` per
+    token, and its error offsets are bytes from ``start``.  ``expr`` climbs
+    the two binary precedence levels in one loop (Pratt, "Top Down Operator
+    Precedence", POPL 1973); ``operand`` reads unary minus, or an atom and
+    its powers.
 
     ``table`` hash-conses nodes (Filliatre & Conchon, "Type-Safe Modular
     Hash-Consing", 2006): structurally equal subexpressions come back as one
@@ -221,11 +248,13 @@ class _Parser:
     ``MAX_NESTING``, so the bound does not depend on what the table holds.
     """
 
-    def __init__(self, text: str, coords, table: dict):
+    def __init__(self, text: str, start: int, end: int, coords, table: dict):
         self.text = text
-        self.coords = tuple(coords)
+        self.start = start
+        self.end = end
+        self.coords = coords
         self.table = table
-        self.tok, self.pos = _scan(text, 0)
+        self.tok = _scan(text, start, end)  # the next token, not yet consumed
         self.depth = self.peak = 0
 
     def intern(self, key: tuple, *fields) -> Node:
@@ -235,16 +264,13 @@ class _Parser:
             node = self.table[key] = key[0](*fields)
         return node
 
-    def peek(self):
-        return self.tok
-
     def advance(self):
         tok = self.tok
-        self.tok, self.pos = _scan(self.text, self.pos)
+        self.tok = _scan(self.text, tok[3], self.end)
         return tok
 
     def error(self, message, tok):
-        raise ExprSyntaxError(message, _byte_offset(self.text, tok[2]))
+        raise ExprSyntaxError(message, _byte_offset(self.text, tok[2], self.start))
 
     def nest(self, tok):
         """Open one more level of nesting, at ``tok``."""
@@ -261,7 +287,7 @@ class _Parser:
 
     def parse(self) -> Node:
         node = self.expr()
-        tok = self.peek()
+        tok = self.tok
         if tok[0] != "eof":
             self.error(f"trailing input '{tok[1]}'", tok)
         return node
@@ -269,59 +295,83 @@ class _Parser:
     def group(self, open_tok) -> Node:
         """The ``expr ')'`` after ``open_tok``, a '(' already consumed."""
         start = open_tok[2]
-        text = self.text
+        text, end = self.text, self.end
+        # a prefix that runs past ``end`` lists only texts that do not fit
         prefix = text[start : start + _GROUP_PREFIX]
         base = self.depth
         for key, node, height in self.table.get(prefix, ()):
-            if text.startswith(key, start) and base + height <= MAX_NESTING:
-                self.tok, self.pos = _scan(text, start + len(key))
+            if text.startswith(key, start, end) and base + height <= MAX_NESTING:
+                self.tok = _scan(text, start + len(key), end)
                 self.peak = max(self.peak, base + height)
                 return node
         outer_peak, self.peak = self.peak, base
         self.nest(open_tok)
         node = self.expr()
-        end = self.expect_op(")")[2] + 1
+        close = self.expect_op(")")[3]
         self.depth = base
-        if end - start >= _GROUP_PREFIX:  # a shorter one is a few tokens to parse again
-            self.table.setdefault(prefix, []).append((text[start:end], node, self.peak - base))
+        if close - start >= _GROUP_PREFIX:  # a shorter one is a few tokens to parse again
+            self.table.setdefault(prefix, []).append((text[start:close], node, self.peak - base))
         self.peak = max(self.peak, outer_peak)
         return node
 
     def expr(self) -> Node:
-        node = self.term()
-        while self.peek()[0] == "op" and self.peek()[1] in "+-":
-            op = self.advance()[1]
-            rhs = self.term()
-            node = self.intern((Add if op == "+" else Sub, id(node), id(rhs)), node, rhs)
-        return node
+        """Operands joined by binary operators: a sum of products.
 
-    def term(self) -> Node:
-        node = self.factor()
-        while self.peek()[0] == "op" and self.peek()[1] in "*/":
-            op = self.advance()[1]
-            rhs = self.factor()
-            node = self.intern((Mul if op == "*" else Div, id(node), id(rhs)), node, rhs)
-        return node
+        ``node`` is the product being read; ``total``, if any, is the sum
+        before it, which the '+' or '-' class ``join`` joins to it.
+        """
+        total = join = None
+        node = self.operand()
+        while True:
+            tok = self.tok
+            op = _BINARY.get(tok[1])  # only an operator token has an operator's text
+            if op is not None and op[0] == 2:
+                self.tok = _scan(self.text, tok[3], self.end)
+                rhs = self.operand()
+                node = self.intern((op[1], id(node), id(rhs)), node, rhs)
+                continue
+            if join is not None:
+                node = self.intern((join, id(total), id(node)), total, node)
+            if op is None:
+                return node
+            self.tok = _scan(self.text, tok[3], self.end)
+            total, join = node, op[1]
+            node = self.operand()
 
-    def factor(self) -> Node:
-        tok = self.peek()
-        if tok[0] == "op" and tok[1] == "-":
-            self.nest(self.advance())
-            arg = self.factor()
+    def operand(self) -> Node:
+        """``'-' operand``, or an atom and its powers: ``atom ('^' exponent)*``."""
+        tok = self.tok
+        self.tok = _scan(self.text, tok[3], self.end)
+        kind = tok[0]
+        if kind == "num":
+            value = float(tok[1])
+            node = self.intern((Num, value.hex()), value)
+        elif tok[1] == "(":
+            node = self.group(tok)
+        elif kind == "name":
+            name = tok[1]
+            if name in FUNCTIONS:
+                arg = self.group(self.expect_op("("))
+                node = self.intern((Call, name, id(arg)), name, arg)
+            elif name in self.coords:
+                node = self.intern((Var, name), name, self.coords.index(name))
+            else:
+                raise UnknownIdentifierError(name, _byte_offset(self.text, tok[2], self.start))
+        elif tok[1] == "-":
+            self.nest(tok)
+            arg = self.operand()
             self.depth -= 1
             return self.intern((Neg, id(arg)), arg)
-        return self.power()
-
-    def power(self) -> Node:
-        node = self.atom()
-        while self.peek()[0] == "op" and self.peek()[1] == "^":
+        else:
+            self.error(f"unexpected '{tok[1] or 'end of input'}'", tok)
+        while self.tok[1] == "^":
             self.advance()
             exponent = self.exponent()
             node = self.intern((Pow, id(node), exponent), node, exponent)
         return node
 
     def exponent(self) -> int:
-        tok = self.peek()
+        tok = self.tok
         if tok[0] == "op" and tok[1] == "(":
             self.nest(self.advance())
             value = self.exponent()
@@ -332,28 +382,11 @@ class _Parser:
         if tok[0] == "op" and tok[1] == "-":
             self.advance()
             sign = -1
-            tok = self.peek()
+            tok = self.tok
         if tok[0] != "num" or any(c in tok[1] for c in ".eE"):
             self.error("exponent must be an integer literal", tok)
         self.advance()
         return sign * int(tok[1])
-
-    def atom(self) -> Node:
-        tok = self.advance()
-        if tok[0] == "num":
-            value = float(tok[1])
-            return self.intern((Num, value.hex()), value)
-        if tok[0] == "name":
-            name = tok[1]
-            if name in FUNCTIONS:
-                arg = self.group(self.expect_op("("))
-                return self.intern((Call, name, id(arg)), name, arg)
-            if name in self.coords:
-                return self.intern((Var, name), name, self.coords.index(name))
-            raise UnknownIdentifierError(name, _byte_offset(self.text, tok[2]))
-        if tok[0] == "op" and tok[1] == "(":
-            return self.group(tok)
-        self.error(f"unexpected '{tok[1] or 'end of input'}'", tok)
 
 
 # --- unparse ---------------------------------------------------------------
@@ -700,23 +733,27 @@ def parse_expression(text: str, coords) -> Expression:
     return _parse_interned(text, coords, {})
 
 
-def _parse_interned(text: str, coords, table: dict) -> Expression:
-    """parse_expression through a node table shared with other texts over the
-    same coords, so equal subexpressions, and repeated parenthesized groups
-    (see ``_Parser``), across those texts are one object parsed once."""
-    if not text or not text.strip():
+def _parse_interned(text: str, coords, table: dict, start: int = 0, end: int | None = None) -> Expression:
+    """parse_expression of ``text[start:end]``, read in place, through a node
+    table shared with other texts over the same coords, so equal
+    subexpressions, and repeated parenthesized groups (see ``_Parser``),
+    across those texts are one object parsed once.  Error offsets count
+    bytes from ``start``."""
+    end = len(text) if end is None else end
+    if _SPACE_RE.match(text, start, end).end() == end:
         raise ExprSyntaxError("empty expression", 0)
     coords = tuple(coords)
     for name in coords:
         if name in FUNCTIONS or not _NAME_RE.match(name):
             raise ValueError(f"invalid coordinate name '{name}'")
     try:
-        root = _Parser(text, coords, table).parse()
+        root = _Parser(text, start, end, coords, table).parse()
     except (ExprSyntaxError, UnknownIdentifierError):
-        # the scan is lazy, but a bad character anywhere in the text still
-        # outranks an earlier syntax error, as when all of it was tokenized
+        # no rule accepts a "bad" token, so a bad character ends the parse in
+        # some error; the scan is lazy, but the first bad character anywhere
+        # in the text outranks that error, as when all of it was tokenized
         # before parsing
-        _tokenize(text)
+        _tokenize(text, start, end)
         raise
     return Expression(root, coords)
 

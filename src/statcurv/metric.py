@@ -112,18 +112,64 @@ class MetricSpec:
 
 
 # --- spec file parsing -------------------------------------------------------
+# The file text is read in place: lines, sections, keys and values are found
+# by offset, and each expression is parsed between its quotes, never copied.
+
+_METRIC_KEY_RE = re.compile(r"g_([0-9]+)_([0-9]+)\Z")
+# str.splitlines ends a line at each of these, and at "\r\n" as one break
+_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _lines(text: str):
+    """(start, stop) of each line of ``text.splitlines()``, found with ``str.find``."""
+    # the next offset at or after ``start`` of each break character text holds
+    ahead = {c: at for c in _BREAKS if (at := text.find(c)) >= 0}
+    start = 0
+    while len(ahead) > 1:
+        stop = min(ahead.values())
+        yield start, stop
+        start = stop + (2 if text.startswith("\r\n", stop) else 1)
+        for c, at in list(ahead.items()):
+            if at < start:
+                at = text.find(c, start)
+                if at < 0:
+                    del ahead[c]
+                else:
+                    ahead[c] = at
+    for c, stop in ahead.items():  # one break character is left
+        while stop >= 0:
+            yield start, stop
+            start = stop + 1
+            stop = text.find(c, start)
+    if start < len(text):
+        yield start, len(text)
+
 
 def _parse_sections(text: str):
-    sections: dict[str, list[tuple[str, str, int]]] = {}
+    """Section name -> [(key, start, end, lineno)], one per 'key = value' line.
+
+    ``text[start:end]`` is the value: the line up to any '#', after the
+    first '=', stripped of whitespace.  Lines are numbered as by
+    ``str.splitlines``; blank and comment-only lines count but hold nothing.
+    """
+    sections: dict[str, list[tuple[str, int, int, int]]] = {}
     current = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    for lineno, (start, stop) in enumerate(_lines(text), start=1):
+        cut = text.find("#", start, stop)
+        if cut < 0:
+            cut = stop
+        first = start
+        while first < cut and text[first].isspace():
+            first += 1
+        if first == cut:
             continue
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise SpecFormatError(f"line {lineno}: malformed section header '{raw.strip()}'")
-            name = line[1:-1].strip()
+        last = cut  # text[first] is no space, so this stops after it
+        while text[last - 1].isspace():
+            last -= 1
+        if text[first] == "[":
+            if text[last - 1] != "]":
+                raise SpecFormatError(f"line {lineno}: malformed section header '{text[start:stop].strip()}'")
+            name = text[first + 1 : last - 1].strip()
             if name in sections:
                 raise SpecFormatError(f"line {lineno}: duplicate section [{name}]")
             sections[name] = []
@@ -131,26 +177,31 @@ def _parse_sections(text: str):
             continue
         if current is None:
             raise SpecFormatError(f"line {lineno}: content before any section header")
-        if "=" not in line:
+        eq = text.find("=", first, last)
+        if eq < 0:
             raise SpecFormatError(f"line {lineno}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        sections[current].append((key.strip(), value.strip(), lineno))
+        value = eq + 1
+        while value < last and text[value].isspace():
+            value += 1
+        sections[current].append((text[first:eq].strip(), value, last, lineno))
     return sections
 
 
 def _as_mapping(pairs, section):
+    """key -> (start, end, lineno) of one section's pairs; a key may appear once."""
     out = {}
-    for key, value, lineno in pairs:
+    for key, start, end, lineno in pairs:
         if key in out:
             raise SpecFormatError(f"line {lineno}: duplicate key '{key}' in [{section}]")
-        out[key] = (value, lineno)
+        out[key] = (start, end, lineno)
     return out
 
 
-def _unquote(value: str, lineno: int) -> str:
-    if len(value) < 2 or value[0] != '"' or value[-1] != '"':
+def _quoted(text: str, start: int, end: int, lineno: int) -> tuple[int, int]:
+    """(start, end) of the expression inside the value ``text[start:end]``'s double quotes."""
+    if end - start < 2 or text[start] != '"' or text[end - 1] != '"':
         raise SpecFormatError(f"line {lineno}: expression values must be double-quoted")
-    return value[1:-1]
+    return start + 1, end - 1
 
 
 def _parse_float(value: str, lineno: int) -> float:
@@ -176,10 +227,15 @@ def load_spec(data) -> MetricSpec:
     if unknown:
         raise SpecFormatError(f"unknown sections: {sorted(unknown)}")
 
+    def value(entry):
+        """(text, lineno) of a short value, one that is no expression."""
+        start, end, lineno = entry
+        return data[start:end], lineno
+
     chart = _as_mapping(sections["chart"], "chart")
     if "coords" not in chart:
         raise SpecFormatError("[chart] is missing the 'coords' key")
-    coords = tuple(name.strip() for name in chart["coords"][0].split(","))
+    coords = tuple(name.strip() for name in value(chart["coords"])[0].split(","))
     if any(not _KEY_RE.match(name) for name in coords):
         raise SpecFormatError(f"invalid coordinate names {coords}")
     if len(set(coords)) != len(coords):
@@ -190,15 +246,15 @@ def load_spec(data) -> MetricSpec:
 
     margin = DEFAULT_MARGIN
     if "margin" in chart:
-        margin = _parse_float(*chart["margin"])
+        margin = _parse_float(*value(chart["margin"]))
         if margin <= 0:
             raise SpecFormatError("margin must be positive")
     intervals = []
     for name in coords:
         if name not in chart:
             raise SpecFormatError(f"[chart] is missing the interval for '{name}'")
-        value, lineno = chart[name]
-        parts = value.split(",")
+        interval, lineno = value(chart[name])
+        parts = interval.split(",")
         if len(parts) != 2:
             raise SpecFormatError(f"line {lineno}: interval must be 'lo, hi'")
         lo, hi = (_parse_float(p.strip(), lineno) for p in parts)
@@ -212,7 +268,7 @@ def load_spec(data) -> MetricSpec:
     signature = _as_mapping(sections["signature"], "signature")
     if set(signature) != {"kind"}:
         raise SpecFormatError("[signature] must contain exactly the 'kind' key")
-    kind = signature["kind"][0]
+    kind = value(signature["kind"])[0]
     if kind not in SIGNATURES:
         raise SpecFormatError(f"invalid signature tag '{kind}'")
 
@@ -220,14 +276,14 @@ def load_spec(data) -> MetricSpec:
     # the file become one object, which the id-keyed jet cache evaluates once.
     nodes: dict = {}
     raw_entries: dict[tuple[int, int], Expression] = {}
-    for key, value, lineno in sections["metric"]:
-        m = re.match(r"g_([0-9]+)_([0-9]+)\Z", key)
+    for key, start, end, lineno in sections["metric"]:
+        m = _METRIC_KEY_RE.match(key)
         if not m:
             raise SpecFormatError(f"line {lineno}: metric keys look like g_i_j, found '{key}'")
         i, j = int(m.group(1)), int(m.group(2))
         if i >= n or j >= n:
             raise SpecFormatError(f"line {lineno}: index out of range in '{key}' (dimension {n})")
-        expr = _parse_interned(_unquote(value, lineno), coords, nodes)
+        expr = _parse_interned(data, coords, nodes, *_quoted(data, start, end, lineno))
         lo, hi = min(i, j), max(i, j)
         if (lo, hi) in raw_entries:
             if raw_entries[(lo, hi)].root is not expr.root:
@@ -246,9 +302,9 @@ def load_spec(data) -> MetricSpec:
         if set(km) != {f"T_{i}" for i in range(n)} | {"unit"}:
             raise SpecFormatError(f"[killing] must define T_0..T_{n-1} and 'unit'")
         comps = tuple(
-            _parse_interned(_unquote(*km[f"T_{i}"]), coords, nodes) for i in range(n)
+            _parse_interned(data, coords, nodes, *_quoted(data, *km[f"T_{i}"])) for i in range(n)
         )
-        unit_text = km["unit"][0]
+        unit_text = value(km["unit"])[0]
         if unit_text not in ("true", "false"):
             raise SpecFormatError("killing 'unit' must be true or false")
         killing = KillingField(comps, unit_text == "true")

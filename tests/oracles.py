@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from statcurv.errors import SpecFormatError
 from statcurv.expr import Add, Call, Div, Expression, Mul, Neg, Num, Pow, Sub, Var, eval_jet_batch
 from statcurv.lambda2 import compound
 from statcurv.linalg import invert
@@ -371,3 +372,35 @@ def quantiles_by_numpy(rows: np.ndarray) -> np.ndarray:
     """Min, quartiles and max (R, 5) of each row of ``rows`` (R, m) by ``np.quantile``,
     with -0.0 folded into 0.0 as ``topology.margin_quantiles`` folds it."""
     return (np.quantile(rows, (0.0, 0.25, 0.5, 0.75, 1.0), axis=1) + 0.0).T
+
+
+def sections_by_splitlines(text: str) -> dict[str, list[tuple[str, str, int]]]:
+    """Section name -> [(key, value, lineno)] of a spec file's text, by copies.
+
+    The section splitter ``metric._parse_sections`` replaced, kept as its
+    reference: it copies each line out with ``str.splitlines`` and cuts it
+    with ``split`` and ``strip``, where the scanner finds the same values by
+    offset.  Errors are the same SpecFormatError messages.
+    """
+    sections: dict[str, list[tuple[str, str, int]]] = {}
+    current = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("["):
+            if not line.endswith("]"):
+                raise SpecFormatError(f"line {lineno}: malformed section header '{raw.strip()}'")
+            name = line[1:-1].strip()
+            if name in sections:
+                raise SpecFormatError(f"line {lineno}: duplicate section [{name}]")
+            sections[name] = []
+            current = name
+            continue
+        if current is None:
+            raise SpecFormatError(f"line {lineno}: content before any section header")
+        if "=" not in line:
+            raise SpecFormatError(f"line {lineno}: expected 'key = value'")
+        key, value = line.split("=", 1)
+        sections[current].append((key.strip(), value.strip(), lineno))
+    return sections

@@ -264,6 +264,11 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", str(spec_path), "--p", "1", "--grid", "4")
         assert "conformally normalized" in out
         assert code in (0, 1)
+        # the notice is a JSON note too, spliced in with the verdicts
+        _, out, _ = run(capsys, "analyze", str(spec_path), "--all-p", "--grid", "2", "--format", "json")
+        payload = json.loads(out)
+        assert "conformally normalized" in payload["notes"][0]
+        assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     def test_json_deterministic(self, capsys, tmp_path):
         out_a = tmp_path / "a.json"
@@ -310,6 +315,8 @@ class TestAnalyze:
         payload = json.loads(out)
         (entry,) = [r for r in payload["results"] if r["p"] == best_p]
         assert payload["strongest"] == entry
+        # each verdict is encoded once and spliced in twice, to the same bytes
+        assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
         _, out, _ = run(capsys, "analyze", spec_path, "--all-p", "--grid", "2")
         assert f"strongest verdict: p={best_p}:" in out
 

@@ -2,11 +2,12 @@
 
 import dataclasses
 import math
+import re
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from statcurv import expr as ex
 from statcurv import metric, stationary
@@ -350,16 +351,64 @@ class TestComposition:
 
 # --- token-list reference parser ----------------------------------------------
 # The parser the group-skipping one replaced, kept as the reference: it
-# tokenizes the whole text up front and parses every token.  The current
-# parser must build the same DAG, node for node and with the same sharing,
-# and fail with the same error at the same offset.
+# tokenizes the whole text up front, with the one alternation regex the
+# first-character scanner replaced, and parses every token by recursive
+# descent.  The current parser must build the same DAG, node for node and
+# with the same sharing, and fail with the same error at the same offset.
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<num>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<op>[-+*/^()]))"
+)
+
+
+def _reference_tokenize(text: str):
+    """Every (kind, text, offset) token of ``text``, the last one "eof"."""
+    tokens = []
+    pos = 0
+    while True:
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
+        if m is None:
+            stripped = text[pos:].lstrip()
+            if stripped:
+                bad = len(text) - len(stripped)
+                raise ExprSyntaxError(f"unexpected character '{text[bad]}'", ex._byte_offset(text, bad))
+            tokens.append(("eof", "", len(text)))
+            return tokens
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind)))
+        pos = m.end()
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return [tok[:3] for tok in tokenize(text)]
+    except ExprSyntaxError as err:
+        return str(err), err.offset
+
+
+@settings(max_examples=300)
+@given(st.text(st.sampled_from("019.eE+-*/^()_tx \t\xa0\u3000$é٣"), max_size=12))
+@example(".e1 .5e-3 1.e+2 1..2 t_1x")
+def test_scanner_matches_reference_tokenizer(text):
+    # the first character picks the token's kind, and only a number or a
+    # name runs a regex; tokens, bad characters and offsets are unchanged
+    assert _tokens_or_error(ex._tokenize, text) == _tokens_or_error(_reference_tokenize, text)
+    # read in place between text that would extend a number or a name, the
+    # tokens stop at the end and the offsets move with the start
+    inner = _tokens_or_error(lambda t: ex._tokenize(f"é7{t}9e1_", 2, 2 + len(t)), text)
+    if isinstance(inner, tuple):
+        assert inner == _tokens_or_error(_reference_tokenize, text)
+    else:
+        assert [(kind, tok, at - 2) for kind, tok, at in inner] == _tokens_or_error(_reference_tokenize, text)
 
 
 class _ReferenceParser:
     def __init__(self, text: str, coords, table: dict):
         self.text = text
         self.coords = tuple(coords)
-        self.tokens = ex._tokenize(text)
+        self.tokens = _reference_tokenize(text)
         self.i = 0
         self.table = table
 
@@ -484,8 +533,10 @@ class _ReferenceParser:
         self.error(f"unexpected '{tok[1] or 'end of input'}'", tok)
 
 
-def _reference_parse(text, coords, table):
-    """``expr._parse_interned`` through the reference parser."""
+def _reference_parse(text, coords, table, start=0, end=None):
+    """``expr._parse_interned`` through the reference parser, which reads a
+    copy of ``text[start:end]`` where the production parser reads in place."""
+    text = text[start:end]
     if not text or not text.strip():
         raise ExprSyntaxError("empty expression", 0)
     return Expression(_ReferenceParser(text, coords, table).parse(), tuple(coords))
@@ -544,9 +595,9 @@ def test_repeated_groups_are_not_rescanned(monkeypatch):
     scanned = []
     scan = ex._scan
 
-    def counting(text, pos):
+    def counting(text, pos, end):
         scanned.append(pos)
-        return scan(text, pos)
+        return scan(text, pos, end)
 
     monkeypatch.setattr(ex, "_scan", counting)
     e = parse_expression(text, ("t",))

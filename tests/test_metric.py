@@ -6,16 +6,24 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from statcurv.curvature_ops import operators_at
-from statcurv.errors import ChartDomainError, NearSingularError, SignatureError, SpecFormatError
+from statcurv.errors import (
+    ChartDomainError,
+    ExprSyntaxError,
+    NearSingularError,
+    SignatureError,
+    SpecFormatError,
+    UnknownIdentifierError,
+)
 from statcurv import expr as ex
-from statcurv.expr import Expression, eval_jet_batch
+from statcurv.expr import Expression, eval_jet_batch, parse_expression
 from statcurv.generators import GeneratorRecipe, battery_recipe, generate
 from statcurv.frames import orthonormal_completion
 from statcurv.lambda2 import Lambda2Basis, pair_components
 from statcurv.metric import (
+    _parse_sections,
     christoffel_batch,
     first_kind,
     frame_components_batch,
@@ -35,6 +43,7 @@ from oracles import (
     riemann_residuals,
     riemann_tensor,
     riemann_tensors,
+    sections_by_splitlines,
     wedge_pair_components,
 )
 
@@ -285,6 +294,23 @@ class TestLoadSpec:
         with pytest.raises(SpecFormatError, match="double-quoted"):
             load_spec(text)
 
+    @pytest.mark.parametrize("tail", [")", "*q", "*$"], ids=["syntax", "identifier", "character"])
+    def test_error_deep_in_a_value_counts_bytes_from_its_quote(self, tail):
+        # read in place, far into a long value (past groups skipped as
+        # repeats and two non-ASCII spaces) and after a non-ASCII comment,
+        # the error has the offset the value alone gives it
+        value = "(sin(t)*cos(x)+1)*" * 200 + "x\u00a0*\u3000t" + tail
+        text = (
+            "# métrique\n[chart]\ncoords = t, x\nt = 0, 1\nx = 0, 1\n"
+            f'[metric]\ng_0_0 = "-1"\ng_1_1 = "{value}"  # ünit\n[signature]\nkind = lorentzian\n'
+        )
+        with pytest.raises((ExprSyntaxError, UnknownIdentifierError)) as in_file:
+            load_spec(text)
+        with pytest.raises(type(in_file.value)) as alone:
+            parse_expression(value, ("t", "x"))
+        assert str(in_file.value) == str(alone.value)
+        assert in_file.value.offset == alone.value.offset == len(value.encode("utf-8")) - 1
+
     def test_missing_section(self):
         with pytest.raises(SpecFormatError, match=r"missing section \[metric\]"):
             load_spec("[chart]\ncoords = t, x\nt = 0, 1\nx = 0, 1\n[signature]\nkind = lorentzian\n")
@@ -335,6 +361,68 @@ class TestLoadSpec:
             got = eval_jet_batch([e], pts, shared_cache)
             want = eval_jet_batch([tree], pts, {})
             assert [a[..., 0].tobytes() for a in got] == [a[..., 0].tobytes() for a in want]
+
+
+# every line break of str.splitlines, and whitespace that breaks no line
+_LINE_BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_SPACES = st.text(st.sampled_from(" \t\x1f\xa0\u3000"), max_size=2)
+_WORDS = st.sampled_from(["chart", "metric", "g_0_1", "T_0", "a b", "x", ""])
+_VALUES = st.sampled_from(['"t*x"', '"a # b"', '"t = x"', "0, 1", "= =", '"', "", "[x]"])
+
+
+@st.composite
+def _spec_line(draw):
+    """A header, a 'key = value' pair, or a line that is neither, each with
+    optional surrounding whitespace and trailing comment."""
+    pad = draw(_SPACES), draw(_SPACES), draw(_SPACES)
+    # most lines are well formed, so that most texts reach their end
+    form = draw(st.sampled_from(["header"] * 2 + ["pair"] * 10 + ["blank"] * 2 + ["malformed", "bare"]))
+    if form == "header":
+        body = f"[{pad[1]}{draw(st.text('abc', min_size=1, max_size=2))}{pad[2]}]"
+    elif form == "pair":
+        body = f"{draw(_WORDS)}{pad[1]}={pad[2]}{draw(_VALUES)}"
+    elif form == "malformed":
+        body = draw(st.sampled_from(["[chart", "[a]b", "[a # ]", "[", "]"]))
+    elif form == "bare":
+        body = draw(_WORDS)
+    else:
+        body = ""
+    comment = draw(st.sampled_from(["", "#", "# x = [y]", '#"q"']))
+    return f"{pad[0]}{body}{pad[2]}{comment}"
+
+
+@st.composite
+def _spec_texts(draw):
+    lines = draw(st.lists(_spec_line(), max_size=8))
+    if draw(st.integers(0, 4)):
+        lines.insert(0, "[chart]")
+    breaks = draw(st.lists(st.sampled_from(_LINE_BREAKS), min_size=len(lines), max_size=len(lines)))
+    if draw(st.booleans()):
+        breaks = ["\n"] * len(lines)  # only "\n", as a spec file usually has
+    text = "".join(line + brk for line, brk in zip(lines, breaks))
+    # with or without a last line break
+    return text[: len(text) - len(breaks[-1])] if lines and draw(st.booleans()) else text
+
+
+def _sections_outcome(split, text):
+    try:
+        return split(text)
+    except SpecFormatError as err:
+        return str(err)
+
+
+@settings(max_examples=300)
+@given(_spec_texts())
+@example('[chart]\r\nx = "a # b" = c\r\n\x85[metric]\u2028 g = 1 #\n')
+@example("[chart]\n \x1c=\x1d[a # ]")
+def test_section_scanner_matches_splitlines(text):
+    by_offset = _sections_outcome(_parse_sections, text)
+    if isinstance(by_offset, dict):
+        by_offset = {
+            name: [(key, text[start:end], lineno) for key, start, end, lineno in pairs]
+            for name, pairs in by_offset.items()
+        }
+    assert by_offset == _sections_outcome(sections_by_splitlines, text)
 
 
 class TestMetricAt:
