@@ -247,7 +247,7 @@ def cmd_export(args, spec: MetricSpec, grid: list[int], tol: Tolerances) -> int:
         ops = operators_at(structure, chunk, tol)
         frames = ops.frames
         # + 0.0 folds -0.0 into 0.0, as the riemannian and lorentzian
-        # matrices are folded; analyze's spectra keep reading ops.m_s
+        # matrices are folded
         m_s = ops.m_s + 0.0
         vals = eigvalsh(m_s)
         asymmetry = np.abs(ops.m_l - ops.m_l.swapaxes(1, 2)).max(axis=(1, 2))

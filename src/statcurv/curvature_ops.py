@@ -9,8 +9,8 @@ against the h-induced inner product on Lambda^2,
     < v ^ w, x ^ y >_h = det [[h(v,x), h(v,y)], [h(w,x), h(w,y)]].
 
 In matrix form over an ordered basis of wedge pairs this is M = G^{-1} S
-with S[a, b] = -Rm(pair_b; pair_a) and G the Lambda^2 Gram matrix.  The
-adapted frames are checked orthonormal for g_L (see ``frames``), so G is
+with S[a, b] = -Rm(pair_b; pair_a) and G the Lambda^2 Gram matrix.  Every
+frame is checked orthonormal for g_L (see ``frames``), so G is
 diagonal and never inverted: 1 on the spatial pairs, and on the mixed pairs
 (T, X_i) -g_L(T,T) for g and g_L(T,T) < 0 for g_L, which makes the Lorentzian
 operator generally non-symmetric.  S = -P^T for the pair components
@@ -21,11 +21,15 @@ n^4 tensor is built, in coordinates or in the frame.
 
 The symmetrized flavor rebuilds the Riemannian operator purely from
 Lorentzian data: it takes the Rm_g pair components that
-``stationary.flipped_curvature`` predicts from those of Rm_L and the
-adapted frame's rotation blocks (unit T).
-``tests/test_curvature_ops.py`` checks it against the explicit n = 3 and
-n = 4 matrices, with their +2f^2 / -6f^2 diagonal corrections, and against
-the off-diagonal corrections of two blocks at n = 5.
+``stationary.flipped_curvature`` predicts from those of Rm_L and
+omega = g_L(nab^L_{X_i} T, X_j) (unit T).  ``operator_arrays`` is the one
+assembly: ``operators_from_data`` feeds it the adapted frames and their
+rotation blocks, ``topology.scan_points`` the completions and their
+``nabla_t_form``.  The two frames differ by an orthogonal change that keeps
+T first, so the spectra agree up to rounding.
+``tests/test_curvature_ops.py`` checks the symmetrized matrix against the
+explicit n = 3 and n = 4 matrices, with their +2f^2 / -6f^2 diagonal
+corrections, and against the off-diagonal corrections of two blocks at n = 5.
 """
 
 from __future__ import annotations
@@ -119,18 +123,30 @@ class OperatorBatch(Sequence):
         return PointOperators(self, range(len(self))[b])
 
 
+def operator_arrays(data: StructureData, vectors: np.ndarray, omega: np.ndarray, basis: Lambda2Basis):
+    """``m_r``, ``m_s`` (B, N, N), ``central`` (B,) and ``p_l`` (B, N, N) in the frames ``vectors`` (B, n, n).
+
+    The frames (T, then g_L-orthonormal X_i) are built from ``data``, and
+    ``omega`` (B, n, n) holds g_L(nab^L_{X_i} T, X_j) in them, T row and
+    column zero.  One ``pair_components`` call serves Rm_L and Rm_g.
+    """
+    p_l, p_g = pair_components((data.rm_l, data.rm_g), vectors, basis)
+    m_r = _operators(p_g, -data.gtt, basis)
+    m_s = _symmetrized(p_l, omega, basis)
+    return m_r, m_s, np.abs(m_s - m_r).max(axis=(1, 2)), p_l
+
+
 def operators_from_data(s: StationaryStructure, data: StructureData, frames: FrameBatch) -> OperatorBatch:
     """Assemble the operators per point from precomputed batched data; ``m_l`` on first read.
 
-    ``frames`` come from ``adapted_frames_batch``, which has already checked
-    each rotation-block residual.
+    ``frames`` come from ``adapted_frames_batch`` on the same ``data``, which
+    has already checked each rotation-block residual; the operators read
+    omega as those rotation blocks.
     """
     n = s.dimension
     basis = Lambda2Basis.standard(n)
-    p_l, p_g = pair_components((data.rm_l, data.rm_g), frames.vectors, basis)
-    m_r = _operators(p_g, -frames.timelike_norm, basis)
-    m_s = _symmetrized(p_l, rotation_blocks(frames.f, frames.pair_count, n), basis)
-    central = np.abs(m_s - m_r).max(axis=(1, 2))
+    omega = rotation_blocks(frames.f, frames.pair_count, n)
+    m_r, m_s, central, p_l = operator_arrays(data, frames.vectors, omega, basis)
     return OperatorBatch(frames, basis, m_r, m_s, central, p_l)
 
 

@@ -738,14 +738,17 @@ def _parse_interned(text: str, coords, table: dict, start: int = 0, end: int | N
     table shared with other texts over the same coords, so equal
     subexpressions, and repeated parenthesized groups (see ``_Parser``),
     across those texts are one object parsed once.  Error offsets count
-    bytes from ``start``."""
+    bytes from ``start``.  The first parse into a table checks the
+    coordinate names, after its text's emptiness; later texts share them.
+    """
     end = len(text) if end is None else end
     if _SPACE_RE.match(text, start, end).end() == end:
         raise ExprSyntaxError("empty expression", 0)
     coords = tuple(coords)
-    for name in coords:
-        if name in FUNCTIONS or not _NAME_RE.match(name):
-            raise ValueError(f"invalid coordinate name '{name}'")
+    if not table:
+        for name in coords:
+            if name in FUNCTIONS or not _NAME_RE.match(name):
+                raise ValueError(f"invalid coordinate name '{name}'")
     try:
         root = _Parser(text, start, end, coords, table).parse()
     except (ExprSyntaxError, UnknownIdentifierError):

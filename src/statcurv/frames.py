@@ -1,4 +1,4 @@
-"""Orthonormal frames containing T, and the adapted frames with rotation blocks.
+"""Orthonormal frames containing T, the checks on nab T, and the adapted frames with rotation blocks.
 
 The map v -> nab_{nab_v T} T (computed with the flipped Riemannian metric g,
 for which T is also Killing) is g-self-adjoint with nonpositive eigenvalues,
@@ -14,6 +14,9 @@ deterministic: LAPACK eigenvectors with fixed signs, pairs sorted by
 Every frame handed out, completion or adapted, passes ``check_orthonormal``, so
 consumers read nab^L T (``stationary.nabla_t_form``) and the Lambda^2 Grams with no solve.
 
+``analyze`` reads its spectra in the completions of ``checked_completions``,
+which builds no eigenvector; the adapted frames serve ``verify`` and ``export``.
+
 Every point of a batch goes through the same array operations, in the
 operation order of a single-point construction, so a frame does not depend
 on the batch it was built in.
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EigenstructureError, FrameError
-from .linalg import jacobi_eigh
+from .linalg import eigvalsh, jacobi_eigh
 from .stationary import StationaryStructure, StructureData, nabla_t_form, structure_data
 from .tolerances import DEFAULT, Tolerances
 
@@ -229,19 +232,73 @@ def orthonormal_completion(
     )
 
 
-def _cluster_starts(vals: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """Kernel mask and cluster-start flags (B, m) of ascending squared-map spectra (B, m).
+def spatial_nabla_t(data: StructureData, frames: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """``nabla_t_form`` of ``frames`` (B, n, n) with its T row and column zeroed.
 
-    The kernel is a suffix; the rest is an ascending prefix of negative
-    eigenvalues, and a cluster starts wherever the gap to the previous value
-    exceeds ``cluster_rel`` times that value.
+    EigenstructureError unless nab^L T annihilates the T direction: every
+    entry of that row and column within ``tol.pairing`` of zero.
     """
+    omega = nabla_t_form(data, frames)
+    t_block = np.maximum(np.abs(omega[:, 0, :]).max(axis=1), np.abs(omega[:, :, 0]).max(axis=1))
+    if (t_block > tol.pairing).any():
+        first = float(t_block[np.argmax(t_block > tol.pairing)])
+        raise EigenstructureError(f"nab T does not annihilate the T direction (residual {first})")
+    omega[:, 0] = omega[:, :, 0] = 0.0
+    return omega
+
+
+def squared_map(spatial: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """The symmetrized squared map (B, m, m) of ``spatial`` (B, m, m), whose
+    column i holds the components of nab^L_{X_i} T along the spatial rows.
+
+    EigenstructureError unless the square is self-adjoint to ``tol.antisymmetry``
+    of its largest entry (at least 1).
+    """
+    squared = spatial @ spatial
+    asym = np.abs(squared - squared.swapaxes(1, 2)).max(axis=(1, 2))
+    skew = asym > tol.antisymmetry * np.maximum(1.0, np.abs(squared).max(axis=(1, 2)))
+    if skew.any():
+        raise EigenstructureError(
+            f"squared map is not self-adjoint (residual {float(asym[np.argmax(skew)])}); "
+            "Killing or unit-length precondition broken"
+        )
+    return 0.5 * (squared + squared.swapaxes(1, 2))
+
+
+def check_nonpositive(vals: np.ndarray, tol: Tolerances) -> None:
+    """EigenstructureError if a squared-map spectrum (B, m) has an eigenvalue above ``tol.eigen_error``."""
     positive = (vals > tol.eigen_error).any(axis=1)
     if positive.any():
         raise EigenstructureError(
             f"positive eigenvalue {float(vals[np.argmax(positive)].max())} of the squared map "
             "(Killing or unit-length precondition broken)"
         )
+
+
+def checked_completions(data: StructureData, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """Completions (B, n, n) of unit T and their ``spatial_nabla_t``, through the
+    guards ``adapted_frames_batch`` applies before it pairs eigenvectors.
+
+    The squared map is checked at every point, by ``eigvalsh``.  Where
+    ``adapted_frames_batch`` skips it (T parallel: spatial omega within
+    ``tol.pairing``), its entries are within (n - 1) pairing^2 of zero,
+    which neither check refuses.
+    """
+    completions = orthonormal_completions(data, tol)
+    omega = spatial_nabla_t(data, completions, tol)
+    check_nonpositive(eigvalsh(squared_map(omega[:, 1:, 1:].swapaxes(1, 2), tol)), tol)
+    return completions, omega
+
+
+def _cluster_starts(vals: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel mask and cluster-start flags (B, m) of ascending squared-map spectra (B, m).
+
+    The spectra first pass ``check_nonpositive``.  The kernel is a suffix;
+    the rest is an ascending prefix of negative eigenvalues, and a cluster
+    starts wherever the gap to the previous value exceeds ``cluster_rel``
+    times that value.
+    """
+    check_nonpositive(vals, tol)
     # the kernel cut is on f^2, so it is the square of the cut on |f| that the
     # parallel-T fallback and the rotation-block residual use
     zero_cut = np.maximum(tol.pairing**2, tol.cluster_rel * np.abs(vals[:, :1]))
@@ -312,15 +369,7 @@ def _adapt(e: np.ndarray, spatial: np.ndarray, tol: Tolerances):
     holds the components of nab^L_{X_i} T along their spatial rows.
     """
     batch, n, _ = e.shape
-    squared = spatial @ spatial
-    asym = np.abs(squared - squared.swapaxes(1, 2)).max(axis=(1, 2))
-    skew = asym > tol.antisymmetry * np.maximum(1.0, np.abs(squared).max(axis=(1, 2)))
-    if skew.any():
-        raise EigenstructureError(
-            f"squared map is not self-adjoint (residual {float(asym[np.argmax(skew)])}); "
-            "Killing or unit-length precondition broken"
-        )
-    vals, vecs = jacobi_eigh(0.5 * (squared + squared.swapaxes(1, 2)))
+    vals, vecs = jacobi_eigh(squared_map(spatial, tol))
     v, w, f, count = _pair_clusters(vecs, spatial, *_cluster_starts(vals, tol))
     # |f| descending; stable, so equal |f| keep their eigenspace order
     slots = np.arange(f.shape[1])
@@ -352,11 +401,7 @@ def adapted_frames_batch(
     completions = orthonormal_completions(data, tol)
     batch, n = data.points.shape
     # nab^L_{E_i} T has components omega[i, j] / diag(-1, 1, ..., 1)_j
-    omega = nabla_t_form(data, completions)
-    t_block = np.maximum(np.abs(omega[:, 0, :]).max(axis=1), np.abs(omega[:, :, 0]).max(axis=1))
-    if (t_block > tol.pairing).any():
-        first = float(t_block[np.argmax(t_block > tol.pairing)])
-        raise EigenstructureError(f"nab T does not annihilate the T direction (residual {first})")
+    omega = spatial_nabla_t(data, completions, tol)
     # parallel T: defined fallback, every spatial direction fixed, spectrum zero
     moving = (np.abs(omega[:, 1:, 1:]).max(axis=(1, 2)) > tol.pairing).nonzero()[0]
     vectors = completions.copy()

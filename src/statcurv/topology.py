@@ -22,9 +22,10 @@ Every grid goes through one driver, ``chunked``: it computes one point per
 orbit of the coordinates no expression reads (``orbits``), runs a step on
 chunks of at most ``CHUNK`` of those points, re-localizes a failure to its
 grid point, and spreads the step's arrays back over the grid.
-``scan_points`` (the spectra ``analyze`` reads), ``verify_points`` (the
-identity table of ``verify``, one column per ``VERIFY_LINES`` check) and
-the CLI's ``export`` records all run through it.
+``scan_points`` (the spectra ``analyze`` reads, in the completion frames),
+``verify_points`` (the identity table of ``verify``, one column per
+``VERIFY_LINES`` check, in the adapted frames) and the CLI's ``export``
+records (adapted-frame matrices) all run through it.
 """
 
 from __future__ import annotations
@@ -34,9 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature_ops import CurvatureOperatorMatrix, operators_at, operators_from_data
+from .curvature_ops import CurvatureOperatorMatrix, operator_arrays, operators_from_data
 from .errors import GridPointError, StatcurvError
-from .frames import adapted_frames_batch, orthonormal_completions
+from .frames import adapted_frames_batch, checked_completions, orthonormal_completions
+from .lambda2 import Lambda2Basis
 from .linalg import eigvalsh
 from .metric import outside_chart
 from .stationary import (
@@ -216,13 +218,19 @@ def scan_points(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Ascending spectra (B, N) of the symmetrized matrices and central-identity residuals (B,).
 
-    Only one point per orbit (see ``orbits``) is computed, and each chunk's
-    operators are reduced to these two arrays before the next chunk is built.
+    Both are read in the completions of T (``checked_completions``), with no
+    eigenvector, clustering or pairing; the adapted frames of ``operators_at``
+    give the same spectra up to rounding.  Only one point per orbit (see
+    ``orbits``) is computed, and each chunk's matrices are reduced to these
+    two arrays before the next chunk is built.
     """
 
     def step(chunk):
-        ops = operators_at(s, chunk, tol)
-        return eigvalsh(ops.m_s), ops.central
+        data = structure_data(s, chunk, tol)
+        vectors, omega = checked_completions(data, tol)
+        basis = Lambda2Basis.standard(s.dimension)
+        _, m_s, central, _ = operator_arrays(data, vectors, omega, basis)
+        return eigvalsh(m_s), central
 
     return chunked(s, np.asarray(pts, dtype=float), step)
 
@@ -324,7 +332,7 @@ def _margins(vals: np.ndarray, k: int) -> np.ndarray:
 def grid_scan(
     s: StationaryStructure, grid_sizes, p: int, tol: Tolerances = DEFAULT
 ) -> GridScanResult:
-    """Adapted frame -> symmetrized matrix -> (n-p)-positivity over a grid."""
+    """Completion frame -> symmetrized matrix -> (n-p)-positivity over a grid."""
     return grid_scans(s, grid_sizes, [p], tol)[0]
 
 

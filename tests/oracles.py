@@ -404,3 +404,18 @@ def sections_by_splitlines(text: str) -> dict[str, list[tuple[str, str, int]]]:
         key, value = line.split("=", 1)
         sections[current].append((key.strip(), value.strip(), lineno))
     return sections
+
+
+# the spectra of one operator in two g_L-orthonormal frames with T first, such
+# as analyze's completions and the adapted frames, agree to rounding: within
+# 16 eps of each point's largest |eigenvalue| on the seed-3, -4 and -11 specs
+# up to n = 8 at 300 points, 14 eps over the first two battery seeds
+ROUTE_ULPS = 32
+
+
+def assert_spectra_agree(got: np.ndarray, want: np.ndarray) -> None:
+    """Ascending spectra (B, N) equal within ``ROUTE_ULPS`` eps of each row's largest
+    |eigenvalue|; a row of exact zeros in ``want`` must be exact zeros in ``got``."""
+    bound = ROUTE_ULPS * np.finfo(float).eps * np.abs(want).max(axis=1, keepdims=True)
+    gap = np.abs(got - want)
+    assert (gap <= bound).all(), float((gap / np.where(bound > 0, bound, 1.0)).max())

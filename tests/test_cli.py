@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from statcurv import cli, curvature_ops, stationary, topology
+from statcurv import cli, curvature_ops, frames, stationary, topology
 from statcurv.expr import MAX_NESTING
 from statcurv.generators import battery_recipe, generate
 from statcurv.linalg import eigvalsh
@@ -526,30 +526,35 @@ def test_reports_do_not_depend_on_chunk_size(capsys, monkeypatch, tmp_path, whic
 
 
 def test_reports_leave_the_lorentzian_operator_unbuilt(capsys, monkeypatch):
-    # analyze and verify read only m_s, m_r and central, and verify-only
-    # fields of StructureData stay unbuilt on the analyze path
-    built = {"operators": [], "data": []}
+    # analyze reads its spectra in the completion frames, so it builds no
+    # adapted frame and no OperatorBatch; verify reads only m_s, m_r and
+    # central, so only export builds m_l; verify-only fields of StructureData
+    # stay unbuilt on the analyze path
+    built = {"adapted": [], "operators": [], "data": []}
 
-    def recording(module, name, kind):
-        real = getattr(module, name)
+    def recording(modules, name, kind):
+        real = getattr(modules[0], name)
 
         def wrapper(*args, **kwargs):
             out = real(*args, **kwargs)
             built[kind].append(out)
             return out
 
-        monkeypatch.setattr(module, name, wrapper)
+        for module in modules:
+            monkeypatch.setattr(module, name, wrapper)
 
-    recording(topology, "operators_at", "operators")  # analyze
-    recording(topology, "operators_from_data", "operators")  # verify
-    recording(cli, "operators_at", "operators")  # export
-    recording(curvature_ops, "structure_data", "data")
+    # every module that binds each function
+    recording([frames, topology, curvature_ops], "adapted_frames_batch", "adapted")
+    recording([curvature_ops, topology], "operators_from_data", "operators")
+    recording([cli], "operators_at", "operators")  # export
+    recording([stationary, topology, curvature_ops, frames], "structure_data", "data")
     assert run(capsys, "analyze", S3, "--all-p", "--grid", "3", "--format", "json")[0] == 0
     assert run(capsys, "analyze", S3, "--p", "1", "--grid", "3")[0] == 0
+    assert built["adapted"] == [] and built["operators"] == []
     assert len(built["data"]) == 2
     assert all("dgtt" not in vars(d) and "cov_t_g" not in vars(d) for d in built["data"])
     assert run(capsys, "verify", S3, "--grid", "3")[0] == 0
-    assert len(built["operators"]) == 3
+    assert len(built["adapted"]) == len(built["operators"]) == 1
     assert all("m_l" not in vars(ops) for ops in built["operators"])
     assert run(capsys, "export", S3, "--grid", "2")[0] == 0
     assert "m_l" in vars(built["operators"][-1])
@@ -576,6 +581,45 @@ def test_commands_leave_the_flip_uncomposed(capsys, monkeypatch, argv):
     monkeypatch.setattr(stationary.StationaryStructure, "from_spec", staticmethod(recording))
     assert run(capsys, *argv)[0] == 0
     assert made and all("counterpart_spec" not in vars(s) for s in made)
+
+
+def _three_coordinate_spec(g_0_0="-1", g_1_1="1", t_1="0", unit="true", x="0, 1"):
+    return (
+        f"[chart]\ncoords = t, x, y\nt = 0, 1\nx = {x}\ny = 0, 1\nmargin = 0.001\n"
+        f'[metric]\ng_0_0 = "{g_0_0}"\ng_1_1 = "{g_1_1}"\ng_2_2 = "1"\n'
+        "[signature]\nkind = lorentzian\n"
+        f'[killing]\nT_0 = "1"\nT_1 = "{t_1}"\nT_2 = "0"\nunit = {unit}\n'
+    )
+
+
+# the guards on analyze's completions, each the one implementation the
+# adapted frames share, with the message the adapted route gives
+_GUARD_CASES = {
+    "not-killing": (
+        _three_coordinate_spec(g_1_1="1+t"),
+        "failure at grid point [0.001, 0.001, 0.001]: positive eigenvalue 0.24950074900124852 "
+        "of the squared map (Killing or unit-length precondition broken)",
+    ),
+    "not-unit": (
+        _three_coordinate_spec(g_0_0="-2"),
+        "failure at grid point [0.001, 0.001, 0.001]: T is not unit at this point: g_L(T,T) = -2.0",
+    ),
+    "t-block": (
+        _three_coordinate_spec(t_1="0.1*t", unit="false", x="0.5, 2"),
+        "failure at grid point [0.001, 0.501, 0.001]: nab T does not annihilate the T direction "
+        "(residual 0.10000000200000003)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GUARD_CASES))
+def test_analyze_guards_exit_3(capsys, tmp_path, case):
+    text, message = _GUARD_CASES[case]
+    spec = tmp_path / "guard.spec"
+    spec.write_text(text)
+    code, out, err = run(capsys, "analyze", str(spec), "--all-p", "--grid", "3")
+    assert (code, out) == (3, "")
+    assert err.splitlines()[0] == f"numerical failure: {message}"
 
 
 def test_out_of_memory_exits_3(capsys, monkeypatch):

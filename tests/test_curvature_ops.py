@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from statcurv import curvature_ops, topology
+from statcurv import curvature_ops, frames, topology
 from statcurv.curvature_ops import (
     Lambda2Basis,
     _operators,
@@ -434,17 +434,29 @@ def test_orthonormal_grams_match_the_inverted_grams(name, recipe, request):
 
 
 def test_scan_points_leaves_the_lorentzian_operator_unbuilt(s3, monkeypatch):
+    # scan_points reads its spectra in the completion frames: no adapted
+    # frame, no OperatorBatch, and no eigenvector of the squared map
+    def refused(*args, **kwargs):
+        raise AssertionError("called on the scan_points path")
+
+    for module, name in (
+        (topology, "adapted_frames_batch"),
+        (topology, "operators_from_data"),
+        (curvature_ops, "operators_from_data"),
+        (frames, "jacobi_eigh"),
+    ):
+        monkeypatch.setattr(module, name, refused)
     built = []
 
     def recording(*args, **kwargs):
-        built.append(operators_at(*args, **kwargs))
+        built.append(structure_data(*args, **kwargs))
         return built[-1]
 
-    monkeypatch.setattr(topology, "operators_at", recording)
+    monkeypatch.setattr(topology, "structure_data", recording)
     monkeypatch.setattr(topology, "CHUNK", 4)
     topology.scan_points(s3, sample_interior(s3.spec, 10, 5))
     assert len(built) == 3
-    assert all("m_l" not in vars(ops) for ops in built)
+    assert all("dgtt" not in vars(d) and "cov_t_g" not in vars(d) for d in built)
 
 
 @st.composite

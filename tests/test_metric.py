@@ -237,6 +237,33 @@ class TestLoadSpec:
         assert spec.dimension == 3
         assert spec.signature == "lorentzian"
 
+    def test_coordinate_names_are_checked_where_the_first_expression_parses(self, monkeypatch):
+        text = (
+            "[chart]\ncoords = t, sin, y\nt = 0, 1\nsin = 0, 1\ny = 0, 1\n[metric]\n"
+            'g_0_0 = "-1"\ng_1_1 = "1"\ng_2_2 = "1"\n[signature]\nkind = lorentzian\n'
+        )
+        with pytest.raises(ValueError) as err:
+            load_spec(text)
+        assert type(err.value) is ValueError and str(err.value) == "invalid coordinate name 'sin'"
+        # the first metric line's key is read before its expression parses
+        with pytest.raises(SpecFormatError) as err:
+            load_spec(text.replace("g_0_0", "h_0_0"))
+        assert str(err.value) == "line 7: metric keys look like g_i_j, found 'h_0_0'"
+        # one check per name per spec, however many expressions it holds
+        checked = []
+        pattern = ex._NAME_RE
+
+        class Counting:
+            def match(self, name):
+                checked.append(name)
+                return pattern.match(name)
+
+        spec = generate(GeneratorRecipe(3, 8)).spec
+        text = spec.to_text()
+        monkeypatch.setattr(ex, "_NAME_RE", Counting())
+        load_spec(text)
+        assert checked == list(spec.coords)
+
     def test_asymmetric_entries_rejected(self):
         text = (
             "[chart]\ncoords = t, x\nt = 0, 1\nx = 0, 1\n"

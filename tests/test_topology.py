@@ -7,6 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 from statcurv import topology
 from statcurv.curvature_ops import CurvatureOperatorMatrix, operators_at
 from statcurv.errors import GridPointError
+from statcurv.generators import GeneratorRecipe, battery_recipe, generate
+from statcurv.linalg import eigvalsh
 from statcurv.metric import load_spec
 from statcurv.stationary import StationaryStructure
 from statcurv.topology import (
@@ -23,7 +25,8 @@ from statcurv.topology import (
     verdict_json_dict,
 )
 
-from oracles import quantiles_by_numpy
+from conftest import sample_interior
+from oracles import assert_spectra_agree, quantiles_by_numpy
 from structures import s3_times_torus
 
 
@@ -365,3 +368,31 @@ def test_margins_are_cumsum_columns_bitwise(batch, width, seed):
     sums = vals.cumsum(axis=1)
     for k in range(1, width + 1):
         assert topology._margins(vals, k).tobytes() == sums[:, k - 1].tobytes()
+
+
+# the golden specs, the tier-1 battery and the seed-3 random specs at the top
+# of the range: (structure, sample seed) pairs, or a fixture's name
+_ROUTE_CASES = {
+    "s3": "s3",
+    "torus": "flat_torus",
+    "r4": lambda: [(generate(GeneratorRecipe(5, 4)), 7)],
+    "r5": lambda: [(generate(GeneratorRecipe(0, 5)), 7)],
+    "battery0": lambda: [(generate(battery_recipe(seed)), seed) for seed in range(100)],
+    "n6": lambda: [(generate(GeneratorRecipe(3, 6)), 3)],
+    "n8": lambda: [(generate(GeneratorRecipe(3, 8)), 3)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ROUTE_CASES))
+def test_scan_points_spectra_match_the_adapted_frames(case, request):
+    # scan_points reads the symmetrized matrices in the Gram-Schmidt
+    # completions, operators_at in the adapted frames: the same operators
+    # conjugated by an orthogonal matrix, so equal spectra up to rounding
+    source = _ROUTE_CASES[case]
+    pairs = [(request.getfixturevalue(source), 7)] if isinstance(source, str) else source()
+    for structure, seed in pairs:
+        pts = sample_interior(structure.spec, 50, seed)
+        vals, _ = topology.scan_points(structure, pts)
+        assert_spectra_agree(vals, eigvalsh(operators_at(structure, pts).m_s))
+        if case == "torus":  # parallel T: both routes give exact zeros
+            assert not vals.any()
