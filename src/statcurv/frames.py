@@ -275,18 +275,29 @@ def check_nonpositive(vals: np.ndarray, tol: Tolerances) -> None:
         )
 
 
+def check_rotation_residual(residual: np.ndarray, tol: Tolerances) -> None:
+    """FrameError if a residual (B,) of nab^L T against rotation blocks exceeds ``tol.pairing``."""
+    bad = residual > tol.pairing
+    if bad.any():
+        first = float(residual[np.argmax(bad)])
+        raise FrameError(f"adapted frame residual {first} above tolerance {tol.pairing}")
+
+
 def checked_completions(data: StructureData, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     """Completions (B, n, n) of unit T and their ``spatial_nabla_t``, through the
-    guards ``adapted_frames_batch`` applies before it pairs eigenvectors.
+    guards of ``adapted_frames_batch``.
 
     The squared map is checked at every point, by ``eigvalsh``.  Where
     ``adapted_frames_batch`` skips it (T parallel: spatial omega within
     ``tol.pairing``), its entries are within (n - 1) pairing^2 of zero,
-    which neither check refuses.
+    which neither check refuses.  Rotation blocks are antisymmetric, so the
+    symmetric part of omega is the part no adapted frame's blocks can take
+    up; it is held to the rotation residual's bound, after the squared map.
     """
     completions = orthonormal_completions(data, tol)
     omega = spatial_nabla_t(data, completions, tol)
     check_nonpositive(eigvalsh(squared_map(omega[:, 1:, 1:].swapaxes(1, 2), tol)), tol)
+    check_rotation_residual(0.5 * np.abs(omega + omega.swapaxes(1, 2)).max(axis=(1, 2)), tol)
     return completions, omega
 
 
@@ -414,7 +425,5 @@ def adapted_frames_batch(
     check_orthonormal(vectors, data, tol)
     # rotation-block pattern residual on the final frames
     residual = np.abs(nabla_t_form(data, vectors) - rotation_blocks(f, count, n)).max(axis=(1, 2))
-    if (residual > tol.pairing).any():
-        first = float(residual[np.argmax(residual > tol.pairing)])
-        raise FrameError(f"adapted frame residual {first} above tolerance {tol.pairing}")
+    check_rotation_residual(residual, tol)
     return FrameBatch(data.points.copy(), vectors, f, count, residual, eigs, data.gtt.copy())

@@ -609,6 +609,12 @@ _GUARD_CASES = {
         "failure at grid point [0.001, 0.501, 0.001]: nab T does not annihilate the T direction "
         "(residual 0.10000000200000003)",
     ),
+    # a symmetric part of nab T too small for the squared-map checks to see
+    "weakly-not-killing": (
+        _three_coordinate_spec(g_1_1="1+0.00001*t"),
+        "failure at grid point [0.001, 0.001, 0.001]: adapted frame residual 4.999999950000001e-06 "
+        "above tolerance 1e-07",
+    ),
 }
 
 
