@@ -24,9 +24,10 @@ Lorentzian data: it takes the Rm_g pair components that
 ``stationary.flipped_curvature`` predicts from those of Rm_L and
 omega = g_L(nab^L_{X_i} T, X_j) (unit T).  ``operator_arrays`` is the one
 assembly: ``operators_from_data`` feeds it the adapted frames and their
-rotation blocks, ``topology.scan_points`` the completions and their
-``nabla_t_form``.  The two frames differ by an orthogonal change that keeps
-T first, so the spectra agree up to rounding.
+rotation blocks (``export`` prints them), ``topology.scan_points`` and
+``topology.verify_points`` the checked completions and their ``nabla_t_form``.
+The two frames differ by an orthogonal change that keeps T first, so the
+spectra agree up to rounding.
 ``tests/test_curvature_ops.py`` checks the symmetrized matrix against the
 explicit n = 3 and n = 4 matrices, with their +2f^2 / -6f^2 diagonal
 corrections, and against the off-diagonal corrections of two blocks at n = 5.

@@ -14,8 +14,9 @@ deterministic: LAPACK eigenvectors with fixed signs, pairs sorted by
 Every frame handed out, completion or adapted, passes ``check_orthonormal``, so
 consumers read nab^L T (``stationary.nabla_t_form``) and the Lambda^2 Grams with no solve.
 
-``analyze`` reads its spectra in the completions of ``checked_completions``,
-which builds no eigenvector; the adapted frames serve ``verify`` and ``export``.
+``analyze`` and ``verify`` read every row in the completions of ``checked_completions``,
+which builds no eigenvector; of the CLI commands only ``export``, which prints
+adapted-frame matrices and f values, reads the adapted frames.
 
 Every point of a batch goes through the same array operations, in the
 operation order of a single-point construction, so a frame does not depend
@@ -232,8 +233,8 @@ def orthonormal_completion(
     )
 
 
-def spatial_nabla_t(data: StructureData, frames: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """``nabla_t_form`` of ``frames`` (B, n, n) with its T row and column zeroed.
+def spatial_nabla_t(data: StructureData, frames: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, ...]:
+    """``nabla_t_form`` of ``frames`` (B, n, n), its T row and column zeroed, and their max |entry| (B,).
 
     EigenstructureError unless nab^L T annihilates the T direction: every
     entry of that row and column within ``tol.pairing`` of zero.
@@ -244,7 +245,7 @@ def spatial_nabla_t(data: StructureData, frames: np.ndarray, tol: Tolerances) ->
         first = float(t_block[np.argmax(t_block > tol.pairing)])
         raise EigenstructureError(f"nab T does not annihilate the T direction (residual {first})")
     omega[:, 0] = omega[:, :, 0] = 0.0
-    return omega
+    return omega, t_block
 
 
 def squared_map(spatial: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -283,22 +284,25 @@ def check_rotation_residual(residual: np.ndarray, tol: Tolerances) -> None:
         raise FrameError(f"adapted frame residual {first} above tolerance {tol.pairing}")
 
 
-def checked_completions(data: StructureData, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """Completions (B, n, n) of unit T and their ``spatial_nabla_t``, through the
-    guards of ``adapted_frames_batch``.
+def checked_completions(data: StructureData, tol: Tolerances) -> tuple[np.ndarray, ...]:
+    """Completions (B, n, n) of unit T, their ``spatial_nabla_t``, ascending squared-map
+    spectra (B, n - 1) and rotation residuals (B,), through ``adapted_frames_batch``'s guards.
 
     The squared map is checked at every point, by ``eigvalsh``.  Where
     ``adapted_frames_batch`` skips it (T parallel: spatial omega within
     ``tol.pairing``), its entries are within (n - 1) pairing^2 of zero,
-    which neither check refuses.  Rotation blocks are antisymmetric, so the
-    symmetric part of omega is the part no adapted frame's blocks can take
-    up; it is held to the rotation residual's bound, after the squared map.
+    which neither check refuses.  A skew spatial block is block-diagonal in
+    some orthonormal frame, so no rotation-block frame takes up the T block or
+    the symmetric part of omega: the larger is the rotation residual, held to
+    the adapted frames' bound after the squared map.
     """
     completions = orthonormal_completions(data, tol)
-    omega = spatial_nabla_t(data, completions, tol)
-    check_nonpositive(eigvalsh(squared_map(omega[:, 1:, 1:].swapaxes(1, 2), tol)), tol)
-    check_rotation_residual(0.5 * np.abs(omega + omega.swapaxes(1, 2)).max(axis=(1, 2)), tol)
-    return completions, omega
+    omega, t_block = spatial_nabla_t(data, completions, tol)
+    vals = eigvalsh(squared_map(omega[:, 1:, 1:].swapaxes(1, 2), tol))
+    check_nonpositive(vals, tol)
+    residual = np.maximum(t_block, 0.5 * np.abs(omega + omega.swapaxes(1, 2)).max(axis=(1, 2)))
+    check_rotation_residual(residual, tol)
+    return completions, omega, vals, residual
 
 
 def _cluster_starts(vals: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
@@ -412,7 +416,7 @@ def adapted_frames_batch(
     completions = orthonormal_completions(data, tol)
     batch, n = data.points.shape
     # nab^L_{E_i} T has components omega[i, j] / diag(-1, 1, ..., 1)_j
-    omega = spatial_nabla_t(data, completions, tol)
+    omega, _ = spatial_nabla_t(data, completions, tol)
     # parallel T: defined fallback, every spatial direction fixed, spectrum zero
     moving = (np.abs(omega[:, 1:, 1:]).max(axis=(1, 2)) > tol.pairing).nonzero()[0]
     vectors = completions.copy()

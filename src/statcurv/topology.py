@@ -22,10 +22,10 @@ Every grid goes through one driver, ``chunked``: it computes one point per
 orbit of the coordinates no expression reads (``orbits``), runs a step on
 chunks of at most ``CHUNK`` of those points, re-localizes a failure to its
 grid point, and spreads the step's arrays back over the grid.
-``scan_points`` (the spectra ``analyze`` reads, in the completion frames),
-``verify_points`` (the identity table of ``verify``, one column per
-``VERIFY_LINES`` check, in the adapted frames) and the CLI's ``export``
-records (adapted-frame matrices) all run through it.
+``scan_points`` (the spectra ``analyze`` reads), ``verify_points`` (the
+identity table of ``verify``, one column per ``VERIFY_LINES`` check), both
+in the completions of ``frames.checked_completions``, and the CLI's
+``export`` records (adapted-frame matrices) all run through it.
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature_ops import CurvatureOperatorMatrix, operator_arrays, operators_from_data
+from .curvature_ops import CurvatureOperatorMatrix, operator_arrays
 from .errors import GridPointError, StatcurvError
-from .frames import adapted_frames_batch, checked_completions, orthonormal_completions
+from .frames import checked_completions, orthonormal_completions
 from .lambda2 import Lambda2Basis
 from .linalg import eigvalsh
 from .metric import outside_chart
@@ -227,16 +227,17 @@ def scan_points(
 
     def step(chunk):
         data = structure_data(s, chunk, tol)
-        vectors, omega = checked_completions(data, tol)
-        basis = Lambda2Basis.standard(s.dimension)
-        _, m_s, central, _ = operator_arrays(data, vectors, omega, basis)
+        vectors, omega, _, _ = checked_completions(data, tol)
+        _, m_s, central, _ = operator_arrays(data, vectors, omega, Lambda2Basis.standard(s.dimension))
         return eigvalsh(m_s), central
 
     return chunked(s, np.asarray(pts, dtype=float), step)
 
 
 # one column of ``verify_points`` per line: the check's label and the
-# Tolerances field that bounds its residual
+# Tolerances field that bounds its residual.  The last three are read in the checked
+# completions: the part of nab T no rotation-block frame takes up (T block, symmetric
+# part), the positive part of the top squared-map eigenvalue, and max |m_s - m_r|
 VERIFY_LINES = (
     ("connection nabla_T_T", "pairing"),
     ("connection nabla_X_T", "pairing"),
@@ -258,27 +259,20 @@ def verify_points(
 
     The connection and curvature identities are checked for ``s`` in
     frames that complete T at its own scale; the frame and operator checks
-    use ``unit``, which is ``s`` itself when T is unit and its conformal
-    normalization otherwise.  Only one point per orbit is computed.
+    read ``checked_completions`` of ``unit``, which is ``s`` itself when T is
+    unit (one completion then serves every column: ``require_unit`` changes no
+    bit) and its conformal normalization otherwise.  Only one point per orbit is computed.
     """
 
     def step(chunk):
         data = structure_data(s, chunk, tol)
-        frames = orthonormal_completions(data, tol, require_unit=False)
         data_u = data if unit is s else structure_data(unit, chunk, tol)
-        adapted = adapted_frames_batch(unit, data_u, tol)
-        ops = operators_from_data(unit, data_u, adapted)
-        top = adapted.nabla_sq_eigenvalues.max(axis=1)
-        table = np.column_stack(
-            [
-                connection_residual_batch(data, frames),
-                curvature_residual_batch(data, frames),
-                adapted.rotation_residual,
-                np.where(top > 0.0, top, 0.0),
-                ops.central,
-            ]
-        )
-        return (table,)
+        vectors, omega, vals, residual = checked_completions(data_u, tol)
+        frames = vectors if unit is s else orthonormal_completions(data, tol, require_unit=False)
+        central = operator_arrays(data_u, vectors, omega, Lambda2Basis.standard(s.dimension))[2]
+        top = vals[:, -1]
+        identities = (connection_residual_batch(data, frames), curvature_residual_batch(data, frames))
+        return (np.column_stack([*identities, residual, np.where(top > 0.0, top, 0.0), central]),)
 
     return chunked(s, np.asarray(pts, dtype=float), step)[0]
 

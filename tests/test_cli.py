@@ -526,11 +526,11 @@ def test_reports_do_not_depend_on_chunk_size(capsys, monkeypatch, tmp_path, whic
 
 
 def test_reports_leave_the_lorentzian_operator_unbuilt(capsys, monkeypatch):
-    # analyze reads its spectra in the completion frames, so it builds no
-    # adapted frame and no OperatorBatch; verify reads only m_s, m_r and
-    # central, so only export builds m_l; verify-only fields of StructureData
-    # stay unbuilt on the analyze path
-    built = {"adapted": [], "operators": [], "data": []}
+    # analyze and verify read their rows in the completion frames, so they
+    # build no adapted frame and no OperatorBatch, and for unit T one
+    # completion per chunk; only export builds them, and m_l; verify-only
+    # fields of StructureData stay unbuilt on the analyze path
+    built = {"adapted": [], "operators": [], "data": [], "completions": []}
 
     def recording(modules, name, kind):
         real = getattr(modules[0], name)
@@ -544,18 +544,19 @@ def test_reports_leave_the_lorentzian_operator_unbuilt(capsys, monkeypatch):
             monkeypatch.setattr(module, name, wrapper)
 
     # every module that binds each function
-    recording([frames, topology, curvature_ops], "adapted_frames_batch", "adapted")
-    recording([curvature_ops, topology], "operators_from_data", "operators")
+    recording([frames, curvature_ops], "adapted_frames_batch", "adapted")
+    recording([curvature_ops], "operators_from_data", "operators")
     recording([cli], "operators_at", "operators")  # export
     recording([stationary, topology, curvature_ops, frames], "structure_data", "data")
+    recording([frames, topology], "orthonormal_completions", "completions")
     assert run(capsys, "analyze", S3, "--all-p", "--grid", "3", "--format", "json")[0] == 0
     assert run(capsys, "analyze", S3, "--p", "1", "--grid", "3")[0] == 0
     assert built["adapted"] == [] and built["operators"] == []
-    assert len(built["data"]) == 2
+    assert len(built["data"]) == len(built["completions"]) == 2
     assert all("dgtt" not in vars(d) and "cov_t_g" not in vars(d) for d in built["data"])
     assert run(capsys, "verify", S3, "--grid", "3")[0] == 0
-    assert len(built["adapted"]) == len(built["operators"]) == 1
-    assert all("m_l" not in vars(ops) for ops in built["operators"])
+    assert built["adapted"] == [] and built["operators"] == []
+    assert len(built["data"]) == len(built["completions"]) == 3
     assert run(capsys, "export", S3, "--grid", "2")[0] == 0
     assert "m_l" in vars(built["operators"][-1])
 
@@ -626,6 +627,22 @@ def test_analyze_guards_exit_3(capsys, tmp_path, case):
     code, out, err = run(capsys, "analyze", str(spec), "--all-p", "--grid", "3")
     assert (code, out) == (3, "")
     assert err.splitlines()[0] == f"numerical failure: {message}"
+
+
+@pytest.mark.parametrize("command", ["verify", "export"])
+@pytest.mark.parametrize("case", sorted(_GUARD_CASES))
+def test_verify_and_export_guards_match_analyze(capsys, tmp_path, case, command):
+    # the same guards refuse the same point with analyze's message; export
+    # writes its notes to stderr before it computes, verify into its report
+    text, message = _GUARD_CASES[case]
+    spec = tmp_path / "guard.spec"
+    spec.write_text(text)
+    code, out, err = run(capsys, command, str(spec), "--grid", "3")
+    assert (code, out) == (3, "")
+    *notes, failure = err.splitlines()
+    assert failure == f"numerical failure: {message}"
+    assert len(notes) == (command == "export" and "unit = false" in text)
+    assert all(note.startswith("notice: ") for note in notes)
 
 
 def test_out_of_memory_exits_3(capsys, monkeypatch):

@@ -435,13 +435,15 @@ def test_orthonormal_grams_match_the_inverted_grams(name, recipe, request):
 
 def test_scan_points_leaves_the_lorentzian_operator_unbuilt(s3, monkeypatch):
     # scan_points reads its spectra in the completion frames: no adapted
-    # frame, no OperatorBatch, and no eigenvector of the squared map
+    # frame, no OperatorBatch, and no eigenvector of the squared map;
+    # topology does not even bind the adapted-frame and operator builders
     def refused(*args, **kwargs):
         raise AssertionError("called on the scan_points path")
 
+    assert not hasattr(topology, "adapted_frames_batch") and not hasattr(topology, "operators_from_data")
     for module, name in (
-        (topology, "adapted_frames_batch"),
-        (topology, "operators_from_data"),
+        (frames, "adapted_frames_batch"),
+        (curvature_ops, "adapted_frames_batch"),
         (curvature_ops, "operators_from_data"),
         (frames, "jacobi_eigh"),
     ):

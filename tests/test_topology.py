@@ -11,6 +11,7 @@ from statcurv.generators import GeneratorRecipe, battery_recipe, generate
 from statcurv.linalg import eigvalsh
 from statcurv.metric import load_spec
 from statcurv.stationary import StationaryStructure
+from statcurv.tolerances import DEFAULT
 from statcurv.topology import (
     REASON_MIDDLE,
     REASON_PARITY,
@@ -26,7 +27,7 @@ from statcurv.topology import (
 )
 
 from conftest import sample_interior
-from oracles import assert_spectra_agree, quantiles_by_numpy
+from oracles import ROUTE_ULPS, assert_spectra_agree, quantiles_by_numpy
 from structures import s3_times_torus
 
 
@@ -385,14 +386,32 @@ _ROUTE_CASES = {
 
 @pytest.mark.parametrize("case", sorted(_ROUTE_CASES))
 def test_scan_points_spectra_match_the_adapted_frames(case, request):
-    # scan_points reads the symmetrized matrices in the Gram-Schmidt
-    # completions, operators_at in the adapted frames: the same operators
-    # conjugated by an orthogonal matrix, so equal spectra up to rounding
+    # scan_points and verify_points read the symmetrized matrices in the
+    # Gram-Schmidt completions, operators_at in the adapted frames: the same
+    # operators conjugated by an orthogonal matrix, so equal spectra up to
+    # rounding.  verify's eigen_nonpositive and central_identity rows agree
+    # with the adapted route within ROUTE_ULPS eps of each point's largest
+    # |squared-map eigenvalue| and largest |m_r| entry (1.7 and 27 eps over
+    # these cases), and its rotation row stays within tol.pairing
     source = _ROUTE_CASES[case]
     pairs = [(request.getfixturevalue(source), 7)] if isinstance(source, str) else source()
+    eps = np.finfo(float).eps
     for structure, seed in pairs:
         pts = sample_interior(structure.spec, 50, seed)
         vals, _ = topology.scan_points(structure, pts)
-        assert_spectra_agree(vals, eigvalsh(operators_at(structure, pts).m_s))
+        ops = operators_at(structure, pts)
+        assert_spectra_agree(vals, eigvalsh(ops.m_s))
         if case == "torus":  # parallel T: both routes give exact zeros
             assert not vals.any()
+        assert structure.unit
+        table = topology.verify_points(structure, structure, pts, DEFAULT)
+        row = {name.split()[-1]: table[:, i] for i, (name, _) in enumerate(topology.VERIFY_LINES)}
+        eigs = ops.frames.nabla_sq_eigenvalues
+        top = eigs[:, -1]
+        adapted = {
+            "eigen_nonpositive": (np.where(top > 0.0, top, 0.0), np.abs(eigs).max(axis=1)),
+            "central_identity": (ops.central, np.abs(ops.m_r).max(axis=(1, 2))),
+        }
+        for name, (want, scale) in adapted.items():
+            assert (np.abs(row[name] - want) <= ROUTE_ULPS * eps * scale).all(), name
+        assert row["rotation_blocks"].max() <= DEFAULT.pairing
