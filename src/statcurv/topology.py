@@ -228,7 +228,8 @@ def scan_points(
     def step(chunk):
         data = structure_data(s, chunk, tol)
         vectors, omega, _, _ = checked_completions(data, tol)
-        _, m_s, central, _ = operator_arrays(data, vectors, omega, Lambda2Basis.standard(s.dimension))
+        basis = Lambda2Basis.standard(s.dimension)
+        _, m_s, central, _ = operator_arrays(data, vectors, omega, basis)
         return eigvalsh(m_s), central
 
     return chunked(s, np.asarray(pts, dtype=float), step)

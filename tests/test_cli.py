@@ -621,28 +621,18 @@ _GUARD_CASES = {
 
 @pytest.mark.parametrize("case", sorted(_GUARD_CASES))
 def test_analyze_guards_exit_3(capsys, tmp_path, case):
+    # verify and export refuse the same point with analyze's message; export
+    # writes its notes to stderr before it computes, the others into the report
     text, message = _GUARD_CASES[case]
     spec = tmp_path / "guard.spec"
     spec.write_text(text)
-    code, out, err = run(capsys, "analyze", str(spec), "--all-p", "--grid", "3")
-    assert (code, out) == (3, "")
-    assert err.splitlines()[0] == f"numerical failure: {message}"
-
-
-@pytest.mark.parametrize("command", ["verify", "export"])
-@pytest.mark.parametrize("case", sorted(_GUARD_CASES))
-def test_verify_and_export_guards_match_analyze(capsys, tmp_path, case, command):
-    # the same guards refuse the same point with analyze's message; export
-    # writes its notes to stderr before it computes, verify into its report
-    text, message = _GUARD_CASES[case]
-    spec = tmp_path / "guard.spec"
-    spec.write_text(text)
-    code, out, err = run(capsys, command, str(spec), "--grid", "3")
-    assert (code, out) == (3, "")
-    *notes, failure = err.splitlines()
-    assert failure == f"numerical failure: {message}"
-    assert len(notes) == (command == "export" and "unit = false" in text)
-    assert all(note.startswith("notice: ") for note in notes)
+    for command, *flags in (["analyze", "--all-p"], ["verify"], ["export"]):
+        code, out, err = run(capsys, command, str(spec), *flags, "--grid", "3")
+        assert (code, out) == (3, ""), command
+        *notes, failure = err.splitlines()
+        assert failure == f"numerical failure: {message}", command
+        assert len(notes) == (command == "export" and "unit = false" in text), command
+        assert all(note.startswith("notice: ") for note in notes)
 
 
 def test_out_of_memory_exits_3(capsys, monkeypatch):
