@@ -238,8 +238,6 @@ def _encode_around_point(record: dict) -> tuple[str, str]:
 def cmd_export(args, spec: MetricSpec, grid: list[int], tol: Tolerances) -> int:
     notes: list[str] = []
     structure = _normalized(StationaryStructure.from_spec(spec), notes)
-    for note in notes:
-        sys.stderr.write(note + "\n")
     pts, _ = topology.build_grid(structure.spec, grid)
 
     def records(chunk):
@@ -269,8 +267,11 @@ def cmd_export(args, spec: MetricSpec, grid: list[int], tol: Tolerances) -> int:
         heads, tails = zip(*map(_encode_around_point, rows)) if rows else ((), ())
         return np.array(heads, dtype=object), np.array(tails, dtype=object)
 
-    # every chunk is built before anything is written, so a failure emits nothing
+    # every chunk is built before anything is written, so a failure emits
+    # nothing but its reason, on the first line of stderr as in analyze and verify
     heads, tails = topology.chunked(structure, pts, records)
+    for note in notes:
+        sys.stderr.write(note + "\n")
     lines = (head + json.dumps(point) + tail for head, tail, point in zip(heads, tails, pts.tolist()))
     _emit("".join(lines), args.out)
     return EXIT_OK

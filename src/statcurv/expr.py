@@ -115,15 +115,22 @@ def _num(value: float) -> Node:
 
 
 def _is_const(node: Node, value: float) -> bool:
-    return isinstance(node, Num) and node.value == value
+    return type(node) is Num and node.value == value
 
 
 def _const_value(node: Node):
-    if isinstance(node, Num):
+    if type(node) is Num:
         return node.value
-    if isinstance(node, Neg) and isinstance(node.arg, Num):
+    if type(node) is Neg and type(node.arg) is Num:
         return -node.arg.value
     return None
+
+
+def _rules_apply(left: Node, right: Node) -> bool:
+    """Whether a folding rule of a binary operator can fire on these operands:
+    each rule needs a Num operand, or two constants, which are Num or Neg(Num)."""
+    kl, kr = type(left), type(right)
+    return kl is Num or kr is Num or (kl is Neg and kr is Neg)
 
 
 def _postorder(roots, done):
@@ -639,13 +646,18 @@ class Expression:
 
     def _coerce(self, other) -> Node:
         if isinstance(other, Expression):
-            if other.coords != self.coords:
+            if other.coords is not self.coords and other.coords != self.coords:
                 raise ValueError("cannot combine expressions over different charts")
             return other.root
         return _num(other)
 
+    # Each binary operator builds its node at once where no folding rule can
+    # fire (see ``_rules_apply``); otherwise it tries its rules in order.
+
     def __add__(self, other):
         rhs = self._coerce(other)
+        if not _rules_apply(self.root, rhs):
+            return Expression(Add(self.root, rhs), self.coords)
         if _is_const(rhs, 0.0):
             return self
         if _is_const(self.root, 0.0):
@@ -660,6 +672,8 @@ class Expression:
 
     def __sub__(self, other):
         rhs = self._coerce(other)
+        if not _rules_apply(self.root, rhs):
+            return Expression(Sub(self.root, rhs), self.coords)
         if _is_const(rhs, 0.0):
             return self
         folded = _const_value(self.root)
@@ -675,6 +689,8 @@ class Expression:
 
     def __mul__(self, other):
         rhs = self._coerce(other)
+        if not _rules_apply(self.root, rhs):
+            return Expression(Mul(self.root, rhs), self.coords)
         if _is_const(self.root, 0.0) or _is_const(rhs, 0.0):
             return Expression(Num(0.0), self.coords)
         if _is_const(rhs, 1.0):
@@ -691,6 +707,9 @@ class Expression:
 
     def __truediv__(self, other):
         rhs = self._coerce(other)
+        # a Neg divisor takes the rules: it may be -0, which must raise
+        if type(rhs) is not Neg and not _rules_apply(self.root, rhs):
+            return Expression(Div(self.root, rhs), self.coords)
         if _is_const(rhs, 1.0):
             return self
         if _is_const(self.root, 0.0):
@@ -720,6 +739,10 @@ class Expression:
 
     def is_zero(self) -> bool:
         return _is_const(self.root, 0.0)
+
+    def constant_value(self) -> float | None:
+        """The value of a constant expression (a literal, or minus one), else None."""
+        return _const_value(self.root)
 
     def unparse(self) -> str:
         return _unparse(self.root)

@@ -42,14 +42,13 @@ class GeneratorRecipe:
     normalize: bool = True
 
 
-def _warp_expression(rng: random.Random, coords) -> Expression:
+def _warp_expression(rng: random.Random, coords, sin_t: Expression, cos_t: Expression) -> Expression:
+    """c0 + c1 sin(t) + c2 cos(t), on the structure's one ``sin_t`` and ``cos_t``."""
     c0 = rng.uniform(*WARP_BASE)
     amp = rng.uniform(0.1, WARP_OSC) * c0
     phase = rng.uniform(0.0, TWO_PI)
     c1 = amp * math.cos(phase)
     c2 = amp * math.sin(phase)
-    sin_t = parse_expression("sin(t)", coords)
-    cos_t = parse_expression("cos(t)", coords)
     return Expression.constant(c0, coords) + c1 * sin_t + c2 * cos_t
 
 
@@ -76,7 +75,9 @@ def _riemannian_base(recipe: GeneratorRecipe) -> tuple[MetricSpec, tuple[Express
         )
         intervals = ((0.0, math.pi),) + ((0.0, TWO_PI),) * (n - 1)
         rng = random.Random(recipe.seed)
-        warps = [_warp_expression(rng, coords) for _ in range(rotational)]
+        sin_t = parse_expression("sin(t)", coords)
+        cos_t = parse_expression("cos(t)", coords)
+        warps = [_warp_expression(rng, coords, sin_t, cos_t) for _ in range(rotational)]
 
     one = Expression.constant(1.0, coords)
     entries = [(0, 0, one)]

@@ -80,21 +80,36 @@ from .tolerances import DEFAULT, Tolerances
 
 
 def flip_spec(spec: MetricSpec, t_exprs) -> MetricSpec:
-    """Symbolic metric flip; swaps the declared signature tag."""
+    """Symbolic metric flip g_L - 2 T_flat (x) T_flat / g_L(T,T); swaps the declared signature tag.
+
+    Each sum takes only its terms with no literally zero factor, in index
+    order, and an entry (i, j) with T_flat_i or T_flat_j zero is g_L's own
+    entry.  A zero factor folds its term to 0, and x + 0 and 0 + x to x, so
+    these are the trees of the dense sums term by term, without the zero
+    products.  2 T_flat_i is built once per row.
+    """
     t_exprs = tuple(t_exprs)
     n = spec.dimension
     grid = spec.expression_matrix
+    zero = Expression.constant(0.0, spec.coords)
     t_flat = [
-        sum((grid[i][k] * t_exprs[k] for k in range(n)), Expression.constant(0.0, spec.coords))
+        sum(
+            (grid[i][k] * t_exprs[k] for k in range(n) if not (grid[i][k].is_zero() or t_exprs[k].is_zero())),
+            zero,
+        )
         for i in range(n)
     ]
     gtt = sum(
-        (t_exprs[i] * t_flat[i] for i in range(n)), Expression.constant(0.0, spec.coords)
+        (t_exprs[i] * t_flat[i] for i in range(n) if not (t_exprs[i].is_zero() or t_flat[i].is_zero())), zero
     )
     entries = []
     for i in range(n):
+        twice = 2.0 * t_flat[i]
         for j in range(i, n):
-            e = grid[i][j] - 2.0 * t_flat[i] * t_flat[j] / gtt
+            if t_flat[i].is_zero() or t_flat[j].is_zero():
+                e = grid[i][j]
+            else:
+                e = grid[i][j] - twice * t_flat[j] / gtt
             if not e.is_zero():
                 entries.append((i, j, e))
     signature = "riemannian" if spec.signature == "lorentzian" else "lorentzian"
@@ -134,20 +149,38 @@ class StationaryStructure:
 
     @cached_property
     def gtt_expression(self) -> Expression:
+        """g_L(T,T) as the sum over i, j of g_L_ij T_i T_j, in row-major order,
+        of the terms with no literally zero factor (see ``flip_spec``)."""
         grid = self.spec.expression_matrix
+        t = self.t
         n = self.dimension
         return sum(
-            (grid[i][j] * self.t[i] * self.t[j] for i in range(n) for j in range(n)),
+            (
+                grid[i][j] * t[i] * t[j]
+                for i in range(n)
+                if not t[i].is_zero()
+                for j in range(n)
+                if not (t[j].is_zero() or grid[i][j].is_zero())
+            ),
             Expression.constant(0.0, self.spec.coords),
         )
 
 
 def conformal_normalize(s: StationaryStructure) -> StationaryStructure:
-    """Rescale g_L by 1/(-g_L(T,T)) so T becomes unit length."""
+    """Rescale g_L by 1/(-g_L(T,T)) so T becomes unit length.
+
+    Every entry is divided by one shared divisor node -g_L(T,T).  A
+    g_L(T,T) that folds to a constant >= 0 (T null or spacelike by the
+    algebra of constants alone) is refused before any division.
+    """
     gtt = s.gtt_expression
+    value = gtt.constant_value()
+    if value is not None and value >= 0.0:
+        raise NonTimelikeError(f"g_L(T,T) >= 0 everywhere: it folds to the constant {value!r}")
+    divisor = -gtt
     entries = []
     for i, j, e in s.spec.entries:
-        entries.append((i, j, e / (-gtt)))
+        entries.append((i, j, e / divisor))
     spec = MetricSpec(
         s.spec.coords,
         s.spec.intervals,

@@ -5,13 +5,23 @@ Test-only: nothing under ``src/statcurv`` imports this module.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from statcurv.errors import SpecFormatError
 from statcurv.expr import Add, Call, Div, Expression, Mul, Neg, Num, Pow, Sub, Var, eval_jet_batch
 from statcurv.lambda2 import compound
 from statcurv.linalg import invert
-from statcurv.metric import MetricSpec, christoffel_batch, first_kind, frame_components_batch, outside_chart
+from statcurv.metric import (
+    KillingField,
+    MetricSpec,
+    christoffel_batch,
+    first_kind,
+    frame_components_batch,
+    outside_chart,
+)
+from statcurv.stationary import StationaryStructure
 
 
 def _central_differences(value, point: np.ndarray, step: float):
@@ -91,6 +101,211 @@ def tree_unparse(node, parent_prec: int = 0) -> str:
     if prec < parent_prec:
         return f"({text})"
     return text
+
+
+# --- composition by the folding rules alone -----------------------------------
+
+
+def _rule_num(value: float):
+    value = float(value)
+    if value == 0.0:
+        return Num(0.0)
+    if value < 0.0:
+        return Neg(Num(-value))
+    return Num(value)
+
+
+def _rule_is_const(node, value: float) -> bool:
+    return isinstance(node, Num) and node.value == value
+
+
+def _rule_const_value(node):
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Neg) and isinstance(node.arg, Num):
+        return -node.arg.value
+    return None
+
+
+@dataclass(frozen=True)
+class RuleExpression:
+    """An expression composed by the folding rules alone.
+
+    Each operator tries every rule, in order, on every operation: the
+    operator bodies ``Expression`` had before it built a node at once where
+    no rule can fire.  The reference for the trees, and the exceptions, of
+    ``Expression``'s operators.
+    """
+
+    root: object
+    coords: tuple
+
+    @staticmethod
+    def of(e: Expression) -> "RuleExpression":
+        return RuleExpression(e.root, e.coords)
+
+    def expression(self) -> Expression:
+        return Expression(self.root, self.coords)
+
+    def _coerce(self, other):
+        if isinstance(other, RuleExpression):
+            if other.coords != self.coords:
+                raise ValueError("cannot combine expressions over different charts")
+            return other.root
+        return _rule_num(other)
+
+    def __add__(self, other):
+        rhs = self._coerce(other)
+        if _rule_is_const(rhs, 0.0):
+            return self
+        if _rule_is_const(self.root, 0.0):
+            return RuleExpression(rhs, self.coords)
+        folded = _rule_const_value(self.root)
+        folded_r = _rule_const_value(rhs)
+        if folded is not None and folded_r is not None:
+            return RuleExpression(_rule_num(folded + folded_r), self.coords)
+        return RuleExpression(Add(self.root, rhs), self.coords)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        rhs = self._coerce(other)
+        if _rule_is_const(rhs, 0.0):
+            return self
+        folded = _rule_const_value(self.root)
+        folded_r = _rule_const_value(rhs)
+        if folded is not None and folded_r is not None:
+            return RuleExpression(_rule_num(folded - folded_r), self.coords)
+        if _rule_is_const(self.root, 0.0):
+            return RuleExpression(Neg(rhs), self.coords)
+        return RuleExpression(Sub(self.root, rhs), self.coords)
+
+    def __rsub__(self, other):
+        return RuleExpression(self._coerce(other), self.coords) - self
+
+    def __mul__(self, other):
+        rhs = self._coerce(other)
+        if _rule_is_const(self.root, 0.0) or _rule_is_const(rhs, 0.0):
+            return RuleExpression(Num(0.0), self.coords)
+        if _rule_is_const(rhs, 1.0):
+            return self
+        if _rule_is_const(self.root, 1.0):
+            return RuleExpression(rhs, self.coords)
+        folded = _rule_const_value(self.root)
+        folded_r = _rule_const_value(rhs)
+        if folded is not None and folded_r is not None:
+            return RuleExpression(_rule_num(folded * folded_r), self.coords)
+        return RuleExpression(Mul(self.root, rhs), self.coords)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        rhs = self._coerce(other)
+        if _rule_is_const(rhs, 1.0):
+            return self
+        if _rule_is_const(self.root, 0.0):
+            return self
+        folded_r = _rule_const_value(rhs)
+        if folded_r == 0.0:
+            raise ZeroDivisionError("division by constant zero expression")
+        folded = _rule_const_value(self.root)
+        if folded is not None and folded_r is not None:
+            return RuleExpression(_rule_num(folded / folded_r), self.coords)
+        return RuleExpression(Div(self.root, rhs), self.coords)
+
+    def __rtruediv__(self, other):
+        return RuleExpression(self._coerce(other), self.coords) / self
+
+    def __neg__(self):
+        if isinstance(self.root, Neg):
+            return RuleExpression(self.root.arg, self.coords)
+        if _rule_is_const(self.root, 0.0):
+            return self
+        return RuleExpression(Neg(self.root), self.coords)
+
+    def pow_int(self, exponent: int) -> "RuleExpression":
+        return RuleExpression(Pow(self.root, int(exponent)), self.coords)
+
+    def is_zero(self) -> bool:
+        return _rule_is_const(self.root, 0.0)
+
+
+def _rule_grid(spec: MetricSpec):
+    return [[RuleExpression.of(e) for e in row] for row in spec.expression_matrix]
+
+
+def dense_flip_spec(spec: MetricSpec, t_exprs) -> MetricSpec:
+    """``stationary.flip_spec`` with every sum over all its terms, zero
+    products included, and 2 T_flat_i T_flat_j / g_L(T,T) composed again for
+    each entry, all by the rules alone."""
+    t_exprs = tuple(t_exprs)
+    t = [RuleExpression.of(e) for e in t_exprs]
+    n = spec.dimension
+    grid = _rule_grid(spec)
+    zero = RuleExpression(Num(0.0), spec.coords)
+    t_flat = [sum((grid[i][k] * t[k] for k in range(n)), zero) for i in range(n)]
+    gtt = sum((t[i] * t_flat[i] for i in range(n)), zero)
+    entries = []
+    for i in range(n):
+        for j in range(i, n):
+            e = grid[i][j] - 2.0 * t_flat[i] * t_flat[j] / gtt
+            if not e.is_zero():
+                entries.append((i, j, e.expression()))
+    signature = "riemannian" if spec.signature == "lorentzian" else "lorentzian"
+    killing = KillingField(t_exprs, spec.killing.unit) if spec.killing else None
+    return MetricSpec(spec.coords, spec.intervals, spec.margin, signature, tuple(entries), killing)
+
+
+def dense_gtt_expression(s: StationaryStructure) -> Expression:
+    """g_L(T,T) as the rules sum all n^2 terms g_L_ij T_i T_j, zeros included."""
+    grid = _rule_grid(s.spec)
+    t = [RuleExpression.of(e) for e in s.t]
+    n = s.dimension
+    zero = RuleExpression(Num(0.0), s.spec.coords)
+    return sum((grid[i][j] * t[i] * t[j] for i in range(n) for j in range(n)), zero).expression()
+
+
+def dense_conformal_normalize(s: StationaryStructure) -> StationaryStructure:
+    """``stationary.conformal_normalize`` with a divisor -g_L(T,T) built again
+    for every entry, by the rules alone; T must be timelike."""
+    gtt = RuleExpression.of(dense_gtt_expression(s))
+    entries = tuple((i, j, (RuleExpression.of(e) / (-gtt)).expression()) for i, j, e in s.spec.entries)
+    killing = KillingField(s.t, True)
+    spec = MetricSpec(s.spec.coords, s.spec.intervals, s.spec.margin, "lorentzian", entries, killing)
+    return StationaryStructure(spec, s.t, True)
+
+
+def tree_numbers(roots, table: dict) -> list[int]:
+    """A number for the tree under each of ``roots``, the same for equal
+    trees however their subtrees are shared: each node is numbered by its
+    class, its fields and its children's numbers, through ``table``, which
+    calls sharing ``roots`` may pass on.  Num is keyed on its float bits."""
+    numbers: dict = {}
+    stack = list(roots)
+    while stack:
+        node = stack[-1]
+        if id(node) in numbers:
+            stack.pop()
+            continue
+        kind = type(node)
+        if kind is Num:
+            key = (Num, node.value.hex())
+        elif kind is Var:
+            key = (Var, node.name, node.index)
+        else:
+            if kind is Neg or kind is Call:
+                children = [node.arg]
+            else:
+                children = [node.base] if kind is Pow else [node.left, node.right]
+            pending = [c for c in children if id(c) not in numbers]
+            if pending:
+                stack += pending
+                continue
+            extra = (node.func,) if kind is Call else (node.exponent,) if kind is Pow else ()
+            key = (kind, *extra, *(numbers[id(c)] for c in children))
+        stack.pop()
+        numbers[id(node)] = table.setdefault(key, len(table))
+    return [numbers[id(r)] for r in roots]
 
 
 def _metric_values(spec: MetricSpec, pts: np.ndarray) -> np.ndarray:

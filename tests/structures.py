@@ -19,6 +19,12 @@ def two_pair_flat_rotations(alpha: float = 1.0, beta: float = 0.6, gamma: float 
     this is the example that exercises the off-diagonal f-corrections of
     the symmetrized matrix in dimension >= 5.
     """
+    riem, t_exprs = two_pair_flat_base(alpha, beta, gamma)
+    return conformal_normalize(StationaryStructure(flip_spec(riem, t_exprs), t_exprs, False))
+
+
+def two_pair_flat_base(alpha: float, beta: float, gamma: float) -> tuple[MetricSpec, tuple[Expression, ...]]:
+    """The flat Riemannian R^5 and the T that ``two_pair_flat_rotations`` flips."""
     coords = ("t", "x", "y", "u", "v")
     one = Expression.constant(1.0, coords)
     entries = tuple((i, i, one) for i in range(5))
@@ -38,7 +44,7 @@ def two_pair_flat_rotations(alpha: float = 1.0, beta: float = 0.6, gamma: float 
         entries,
         KillingField(t_exprs, False),
     )
-    return conformal_normalize(StationaryStructure(flip_spec(riem, t_exprs), t_exprs, False))
+    return riem, t_exprs
 
 
 def s3_times_torus() -> StationaryStructure:

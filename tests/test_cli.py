@@ -621,18 +621,34 @@ _GUARD_CASES = {
 
 @pytest.mark.parametrize("case", sorted(_GUARD_CASES))
 def test_analyze_guards_exit_3(capsys, tmp_path, case):
-    # verify and export refuse the same point with analyze's message; export
-    # writes its notes to stderr before it computes, the others into the report
+    # verify and export refuse the same point with analyze's message, the
+    # first and only line of stderr: export writes its notices to stderr only
+    # once every chunk is computed, the others write theirs into the report
     text, message = _GUARD_CASES[case]
     spec = tmp_path / "guard.spec"
     spec.write_text(text)
     for command, *flags in (["analyze", "--all-p"], ["verify"], ["export"]):
         code, out, err = run(capsys, command, str(spec), *flags, "--grid", "3")
         assert (code, out) == (3, ""), command
-        *notes, failure = err.splitlines()
-        assert failure == f"numerical failure: {message}", command
-        assert len(notes) == (command == "export" and "unit = false" in text), command
-        assert all(note.startswith("notice: ") for note in notes)
+        assert err.splitlines() == [f"numerical failure: {message}"], command
+
+
+@pytest.mark.parametrize("components, gtt", [("1, 1, 0", "0.0"), ("0, 0, 0", "0.0"), ("0, 1, 0", "1.0")])
+def test_constant_non_timelike_t_exits_3(capsys, tmp_path, components, gtt):
+    # on the flat torus g_L(T,T) = -T_0^2 + T_1^2 + T_2^2 folds to a constant
+    # >= 0 (T null, zero or spacelike); conformal normalization refuses it
+    # before it divides by it
+    killing = 'T_0 = "1"\nT_1 = "0"\nT_2 = "0"\nunit = true\n'
+    text = Path(TORUS).read_text()
+    assert killing in text
+    lines = "".join(f'T_{i} = "{c}"\n' for i, c in enumerate(components.split(", ")))
+    spec = tmp_path / "constant-t.spec"
+    spec.write_text(text.replace(killing, lines + "unit = false\n"))
+    for command, *flags in (["analyze", "--all-p"], ["verify"], ["export"]):
+        code, out, err = run(capsys, command, str(spec), *flags, "--grid", "3")
+        assert (code, out) == (3, ""), command
+        first = err.splitlines()[0]
+        assert first == f"numerical failure: g_L(T,T) >= 0 everywhere: it folds to the constant {gtt}", command
 
 
 def test_out_of_memory_exits_3(capsys, monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from statcurv.generators import (
+    FAMILIES,
     FLAT_TORUS_SPEC_TEXT,
     S3_SPEC_TEXT,
     GeneratorRecipe,
@@ -114,13 +115,25 @@ class TestShippedFiles:
         assert entries[(2, 2)] == "cos(t)^2*(1-2*cos(t)^2)"
 
 
-@given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(min_value=3, max_value=5))
-def test_text_round_trip_keeps_jet_bytes(seed, dimension):
+@st.composite
+def recipes(draw):
+    """A recipe of any family, dimension and number of flat directions."""
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    family = draw(st.sampled_from(FAMILIES))
+    if family == "s3-squashed":
+        return GeneratorRecipe(seed, 3, family, squash=draw(st.floats(min_value=0.5, max_value=1.5)))
+    dimension = draw(st.integers(min_value=3, max_value=8))
+    flat = draw(st.integers(min_value=0, max_value=dimension - 2)) if family == "product-with-flat" else 0
+    return GeneratorRecipe(seed, dimension, family, flat_dims=flat)
+
+
+@given(recipes())
+def test_text_round_trip_keeps_jet_bytes(recipe):
     # a generated structure shares subtrees through composition, its reload
     # through the parser's node table; the jets must not see the difference
-    structure = generate(GeneratorRecipe(seed, dimension))
+    structure = generate(recipe)
     reloaded = load_spec(structure.spec.to_text())
-    pts = sample_interior(structure.spec, 3, seed)
+    pts = sample_interior(structure.spec, 3, recipe.seed)
     generated = [e for _, _, e in structure.spec.entries] + list(structure.t)
     loaded = [e for _, _, e in reloaded.entries] + list(reloaded.killing.components)
     assert len(loaded) == len(generated)
