@@ -48,53 +48,55 @@ FUNCTIONS = ("sin", "cos", "tan", "cot", "exp", "log", "sqrt")
 
 # --- AST -------------------------------------------------------------------
 
-@dataclass(frozen=True)
+# The nodes keep object's repr: a generated one spells out the tree, not the
+# DAG, so its length doubles with each level of shared subexpressions.
+@dataclass(frozen=True, repr=False)
 class Num:
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Var:
     name: str
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Neg:
     arg: "Node"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Add:
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Sub:
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Mul:
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Div:
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Pow:
     base: "Node"
     exponent: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Call:
     func: str
     arg: "Node"

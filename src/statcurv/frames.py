@@ -14,9 +14,10 @@ deterministic: LAPACK eigenvectors with fixed signs, pairs sorted by
 Every frame handed out, completion or adapted, passes ``check_orthonormal``, so
 consumers read nab^L T (``stationary.nabla_t_form``) and the Lambda^2 Grams with no solve.
 
-``analyze`` and ``verify`` read every row in the completions of ``checked_completions``,
-which builds no eigenvector; of the CLI commands only ``export``, which prints
-adapted-frame matrices and f values, reads the adapted frames.
+``checked_completions`` is the one gate for the hypotheses.  ``analyze`` and
+``verify`` read every row in its completions, which build no eigenvector;
+``adapted_frames_batch``, which of the CLI commands only ``export`` reads,
+starts from them and takes its eigenvectors from the squared maps it checked.
 
 Every point of a batch goes through the same array operations, in the
 operation order of a single-point construction, so a frame does not depend
@@ -285,35 +286,34 @@ def check_rotation_residual(residual: np.ndarray, tol: Tolerances) -> None:
 
 
 def checked_completions(data: StructureData, tol: Tolerances) -> tuple[np.ndarray, ...]:
-    """Completions (B, n, n) of unit T, their ``spatial_nabla_t``, ascending squared-map
-    spectra (B, n - 1) and rotation residuals (B,), through ``adapted_frames_batch``'s guards.
+    """Completions (B, n, n) of unit T, their ``spatial_nabla_t``, the checked squared
+    maps (B, n - 1, n - 1), their ascending spectra and the rotation residuals (B,).
 
-    The squared map is checked at every point, by ``eigvalsh``.  Where
-    ``adapted_frames_batch`` skips it (T parallel: spatial omega within
-    ``tol.pairing``), its entries are within (n - 1) pairing^2 of zero,
-    which neither check refuses.  A skew spatial block is block-diagonal in
-    some orthonormal frame, so no rotation-block frame takes up the T block or
-    the symmetric part of omega: the larger is the rotation residual, held to
-    the adapted frames' bound after the squared map.
+    The one gate for the hypotheses: T unit, nab^L T annihilating T, a
+    self-adjoint squared map, no positive eigenvalue (by ``eigvalsh``) and a
+    rotation residual within ``tol.pairing``, checked at every point and in
+    that order; ``analyze``, ``verify`` and ``adapted_frames_batch`` all pass
+    through it.  A skew spatial block is block-diagonal in some orthonormal
+    frame, so no rotation-block frame takes up the T block or the symmetric
+    part of omega: the larger is the rotation residual.
     """
     completions = orthonormal_completions(data, tol)
     omega, t_block = spatial_nabla_t(data, completions, tol)
-    vals = eigvalsh(squared_map(omega[:, 1:, 1:].swapaxes(1, 2), tol))
+    squared = squared_map(omega[:, 1:, 1:].swapaxes(1, 2), tol)
+    vals = eigvalsh(squared)
     check_nonpositive(vals, tol)
     residual = np.maximum(t_block, 0.5 * np.abs(omega + omega.swapaxes(1, 2)).max(axis=(1, 2)))
     check_rotation_residual(residual, tol)
-    return completions, omega, vals, residual
+    return completions, omega, squared, vals, residual
 
 
 def _cluster_starts(vals: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     """Kernel mask and cluster-start flags (B, m) of ascending squared-map spectra (B, m).
 
-    The spectra first pass ``check_nonpositive``.  The kernel is a suffix;
-    the rest is an ascending prefix of negative eigenvalues, and a cluster
-    starts wherever the gap to the previous value exceeds ``cluster_rel``
-    times that value.
+    The kernel is a suffix; the rest is an ascending prefix of negative
+    eigenvalues, and a cluster starts wherever the gap to the previous value
+    exceeds ``cluster_rel`` times that value.
     """
-    check_nonpositive(vals, tol)
     # the kernel cut is on f^2, so it is the square of the cut on |f| that the
     # parallel-T fallback and the rotation-block residual use
     zero_cut = np.maximum(tol.pairing**2, tol.cluster_rel * np.abs(vals[:, :1]))
@@ -377,14 +377,15 @@ def _pair_clusters(vecs: np.ndarray, spatial: np.ndarray, kernel, starts):
     return v_out, w_out, f_out, count
 
 
-def _adapt(e: np.ndarray, spatial: np.ndarray, tol: Tolerances):
+def _adapt(e: np.ndarray, spatial: np.ndarray, squared: np.ndarray, tol: Tolerances):
     """Rotation-block rows, f values, pair counts and squared-map spectra of non-parallel points.
 
-    ``e`` (B, n, n) are completions and column i of ``spatial`` (B, n-1, n-1)
-    holds the components of nab^L_{X_i} T along their spatial rows.
+    ``e`` (B, n, n) are completions, column i of ``spatial`` (B, n-1, n-1) holds
+    the components of nab^L_{X_i} T along their spatial rows, and ``squared``
+    is its checked squared map.
     """
     batch, n, _ = e.shape
-    vals, vecs = jacobi_eigh(squared_map(spatial, tol))
+    vals, vecs = jacobi_eigh(squared)
     v, w, f, count = _pair_clusters(vecs, spatial, *_cluster_starts(vals, tol))
     # |f| descending; stable, so equal |f| keep their eigenspace order
     slots = np.arange(f.shape[1])
@@ -410,13 +411,12 @@ def adapted_frames_batch(
 ) -> FrameBatch:
     """Adapted frames for every point of a precomputed StructureData.
 
-    Each check raises for the first point that fails it, with that point's
-    own numbers in the message.
+    The points first pass ``checked_completions``.  Each check raises for the
+    first point that fails it, with that point's own numbers in the message.
     """
-    completions = orthonormal_completions(data, tol)
-    batch, n = data.points.shape
     # nab^L_{E_i} T has components omega[i, j] / diag(-1, 1, ..., 1)_j
-    omega, _ = spatial_nabla_t(data, completions, tol)
+    completions, omega, squared, _, _ = checked_completions(data, tol)
+    batch, n = data.points.shape
     # parallel T: defined fallback, every spatial direction fixed, spectrum zero
     moving = (np.abs(omega[:, 1:, 1:]).max(axis=(1, 2)) > tol.pairing).nonzero()[0]
     vectors = completions.copy()
@@ -424,7 +424,7 @@ def adapted_frames_batch(
     count = np.zeros(batch, dtype=int)
     eigs = np.zeros((batch, n))
     if moving.size:
-        parts = _adapt(completions[moving], omega[moving, 1:, 1:].swapaxes(1, 2), tol)
+        parts = _adapt(completions[moving], omega[moving, 1:, 1:].swapaxes(1, 2), squared[moving], tol)
         vectors[moving], f[moving], count[moving], eigs[moving] = parts
     check_orthonormal(vectors, data, tol)
     # rotation-block pattern residual on the final frames

@@ -48,8 +48,8 @@ on the structure, the points and tolerances of the data it last returned
 (through a weak reference, so the data lives no longer than its caller's
 reference to it), and ``killing_defect_batch`` reads ``StructureData.killing``
 from that data while it is alive and was built for the same point bytes and
-the same tolerances; otherwise it evaluates the g_L and T jets itself.  Both
-routes give the same bits.
+the same tolerances; otherwise from a new ``structure_data``.  There is one
+route to the defect, and every input it accepts has passed the flip.
 """
 
 from __future__ import annotations
@@ -71,12 +71,21 @@ from .metric import (
     christoffel_batch,
     first_kind,
     metric_batch,
-    metric_fields,
     require_finite,
-    require_interior,
     riemann_batch,
 )
 from .tolerances import DEFAULT, Tolerances
+
+
+def _require_timelike(gtt: Expression, signature: str) -> None:
+    """NonTimelikeError if g(T,T) folds to a constant of the wrong sign for ``signature``
+    (T null or spacelike by the algebra of constants alone): >= 0 for a
+    Lorentzian metric, <= 0 for a Riemannian one."""
+    value = gtt.constant_value()
+    lorentzian = signature == "lorentzian"
+    if value is not None and (value >= 0.0 if lorentzian else value <= 0.0):
+        sign = "g_L(T,T) >= 0" if lorentzian else "g(T,T) <= 0"
+        raise NonTimelikeError(f"{sign} everywhere: it folds to the constant {value!r}")
 
 
 def flip_spec(spec: MetricSpec, t_exprs) -> MetricSpec:
@@ -86,7 +95,8 @@ def flip_spec(spec: MetricSpec, t_exprs) -> MetricSpec:
     order, and an entry (i, j) with T_flat_i or T_flat_j zero is g_L's own
     entry.  A zero factor folds its term to 0, and x + 0 and 0 + x to x, so
     these are the trees of the dense sums term by term, without the zero
-    products.  2 T_flat_i is built once per row.
+    products.  2 T_flat_i is built once per row.  ``_require_timelike``
+    refuses a g(T,T) that folds to a constant before any division.
     """
     t_exprs = tuple(t_exprs)
     n = spec.dimension
@@ -102,6 +112,7 @@ def flip_spec(spec: MetricSpec, t_exprs) -> MetricSpec:
     gtt = sum(
         (t_exprs[i] * t_flat[i] for i in range(n) if not (t_exprs[i].is_zero() or t_flat[i].is_zero())), zero
     )
+    _require_timelike(gtt, spec.signature)
     entries = []
     for i in range(n):
         twice = 2.0 * t_flat[i]
@@ -169,14 +180,11 @@ class StationaryStructure:
 def conformal_normalize(s: StationaryStructure) -> StationaryStructure:
     """Rescale g_L by 1/(-g_L(T,T)) so T becomes unit length.
 
-    Every entry is divided by one shared divisor node -g_L(T,T).  A
-    g_L(T,T) that folds to a constant >= 0 (T null or spacelike by the
-    algebra of constants alone) is refused before any division.
+    Every entry is divided by one shared divisor node -g_L(T,T), once
+    ``_require_timelike`` has refused a constant g_L(T,T) >= 0.
     """
     gtt = s.gtt_expression
-    value = gtt.constant_value()
-    if value is not None and value >= 0.0:
-        raise NonTimelikeError(f"g_L(T,T) >= 0 everywhere: it folds to the constant {value!r}")
+    _require_timelike(gtt, s.spec.signature)
     divisor = -gtt
     entries = []
     for i, j, e in s.spec.entries:
@@ -417,26 +425,15 @@ def nabla_t_form(data: StructureData, frames: np.ndarray) -> np.ndarray:
 # --- pointwise operations ----------------------------------------------------
 
 def killing_defect_batch(s: StationaryStructure, pts, tol: Tolerances = DEFAULT) -> np.ndarray:
-    """max_ij |(Lie_T g_L)_ij| per point; one point (n,) is a (1, n) batch.
+    """max_ij |(Lie_T g_L)_ij| per point, ``StructureData.killing``; one point (n,) is a (1, n) batch.
 
-    While the ``StructureData`` that ``structure_data(s, pts, tol)`` last
-    returned for this structure object is still referenced, and the points
-    hold the same bytes and ``tol`` is equal, the defect is read from its
-    ``killing``; the checks it passed are the ones below.  Otherwise only
-    g_L and T are evaluated here, with the interior and g_L signature checks,
-    so a non-Killing T need not pass the flip.  Both routes evaluate g_L's
-    jets first in a fresh cache and give the same bits.
+    Read from the data ``structure_data(s, pts, tol)`` last returned for this
+    structure object while it is still referenced and was built for the same
+    point bytes and an equal ``tol``, otherwise from a new ``structure_data``:
+    either way the input has passed the checks of ``structure_data``.
     """
     pts = _as_batch(pts)
-    data = _live_data(s, pts, tol)
-    if data is not None:
-        return data.killing.copy()
-    require_interior(s.spec, pts)
-    cache: dict = {}
-    gl, dgl, _ = metric_fields(s.spec, pts, cache)
-    check_signature(s.spec.signature, gl, tol)
-    t, dt, _ = eval_jet_batch(s.t, pts, cache)
-    return _lie_defect(gl, dgl, t, dt)
+    return (_live_data(s, pts, tol) or structure_data(s, pts, tol)).killing.copy()
 
 
 # --- identity verification ---------------------------------------------------

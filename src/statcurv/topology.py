@@ -227,7 +227,7 @@ def scan_points(
 
     def step(chunk):
         data = structure_data(s, chunk, tol)
-        vectors, omega, _, _ = checked_completions(data, tol)
+        vectors, omega, _, _, _ = checked_completions(data, tol)
         basis = Lambda2Basis.standard(s.dimension)
         _, m_s, central, _ = operator_arrays(data, vectors, omega, basis)
         return eigvalsh(m_s), central
@@ -268,7 +268,7 @@ def verify_points(
     def step(chunk):
         data = structure_data(s, chunk, tol)
         data_u = data if unit is s else structure_data(unit, chunk, tol)
-        vectors, omega, vals, residual = checked_completions(data_u, tol)
+        vectors, omega, _, vals, residual = checked_completions(data_u, tol)
         frames = vectors if unit is s else orthonormal_completions(data, tol, require_unit=False)
         central = operator_arrays(data_u, vectors, omega, Lambda2Basis.standard(s.dimension))[2]
         top = vals[:, -1]

@@ -593,8 +593,21 @@ def _three_coordinate_spec(g_0_0="-1", g_1_1="1", t_1="0", unit="true", x="0, 1"
     )
 
 
-# the guards on analyze's completions, each the one implementation the
-# adapted frames share, with the message the adapted route gives
+def _four_torus_spec():
+    # the flat 4-torus with g_1_2 = g_1_3 = g_2_3 = 0.00001*t: T = d_t is
+    # unit but not Killing
+    side = "0, 6.283185307179586"
+    return (
+        f"[chart]\ncoords = t, x, y, z\nt = {side}\nx = {side}\ny = {side}\nz = {side}\nmargin = 0.001\n"
+        '[metric]\ng_0_0 = "-1"\ng_1_1 = "1"\ng_2_2 = "1"\ng_3_3 = "1"\n'
+        'g_1_2 = "0.00001*t"\ng_1_3 = "0.00001*t"\ng_2_3 = "0.00001*t"\n'
+        "[signature]\nkind = lorentzian\n"
+        '[killing]\nT_0 = "1"\nT_1 = "0"\nT_2 = "0"\nT_3 = "0"\nunit = true\n'
+    )
+
+
+# the guards on analyze's completions, the one gate the adapted frames also
+# pass through, so every command refuses a point with the same message
 _GUARD_CASES = {
     "not-killing": (
         _three_coordinate_spec(g_1_1="1+t"),
@@ -614,6 +627,12 @@ _GUARD_CASES = {
     "weakly-not-killing": (
         _three_coordinate_spec(g_1_1="1+0.00001*t"),
         "failure at grid point [0.001, 0.001, 0.001]: adapted frame residual 4.999999950000001e-06 "
+        "above tolerance 1e-07",
+    ),
+    # the same on the 4-torus, where the residual of the final adapted frames is twice this
+    "weakly-not-killing-4": (
+        _four_torus_spec(),
+        "failure at grid point [0.001, 0.001, 0.001, 0.001]: adapted frame residual 5.000000000000001e-06 "
         "above tolerance 1e-07",
     ),
 }

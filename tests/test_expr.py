@@ -348,6 +348,15 @@ class TestComposition:
         e = Expression.constant(2.0, ("t",)) * 3.0 - t
         assert parse_expression(e.unparse(), ("t",)).root == e.root
 
+    def test_repr_does_not_spell_out_the_tree(self):
+        # x = x + x twenty times: 21 nodes, a tree of 2^21 - 1; a repr that
+        # walked the tree would run to tens of megabytes
+        x = Expression.coordinate(0, ("x",))
+        for _ in range(20):
+            x = x + x
+        assert len(repr(x)) < 200
+        assert len(repr(x.root)) < 100
+
 
 # --- token-list reference parser ----------------------------------------------
 # The parser the group-skipping one replaced, kept as the reference: it

@@ -12,6 +12,7 @@ from statcurv.frames import (
     _cluster_starts,
     _pair_clusters,
     adapted_frames_batch,
+    check_nonpositive,
     check_orthonormal,
     orthonormal_completion,
 )
@@ -221,7 +222,7 @@ class TestEigenSplitting:
 
     def test_positive_eigenvalue_error(self):
         with pytest.raises(EigenstructureError, match="positive eigenvalue"):
-            _cluster_starts(np.array([[-1.0, 0.5]]), DEFAULT)
+            check_nonpositive(np.array([[-1.0, 0.5]]), DEFAULT)
 
     def test_small_positive_folded_into_kernel(self):
         kernel, starts = _cluster_starts(np.array([[-1.0, 1e-12]]), DEFAULT)
@@ -478,7 +479,7 @@ class TestBatchedErrors:
         # the first failing row's largest eigenvalue, never the batch-wide one
         vals = np.array([[-1.0, -1.0], [-1.0, 5e-6], [-1.0, 0.25]])
         with pytest.raises(EigenstructureError, match=r"positive eigenvalue 5e-06 of"):
-            _cluster_starts(vals, DEFAULT)
+            check_nonpositive(vals, DEFAULT)
 
     def test_batch_reports_first_failing_point(self):
         # symmetric spatial maps square to positive eigenvalues: 1e-4 at row 1

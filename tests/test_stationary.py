@@ -10,7 +10,7 @@ from hypothesis import example, given, strategies as st
 
 from statcurv import stationary
 from statcurv.errors import ChartDomainError, NearSingularError, NonTimelikeError, SpecFormatError
-from statcurv.expr import eval_jet_batch
+from statcurv.expr import Expression, eval_jet_batch
 from statcurv.frames import adapted_frames_batch, orthonormal_completion, orthonormal_completions
 from statcurv.generators import GeneratorRecipe, battery_recipe, generate
 from statcurv.lambda2 import Lambda2Basis, pair_components
@@ -260,7 +260,8 @@ class TestDefectFromLiveData:
         pts = sample_interior(structure.spec, 20, seed)
         fresh = killing_defect_batch(generate(battery_recipe(seed)), pts)
         data = structure_data(structure, pts)
-        monkeypatch.setattr(stationary, "metric_fields", _no_jets)
+        # a miss builds new data, whose g_L jets come from metric_batch
+        monkeypatch.setattr(stationary, "metric_batch", _no_jets)
         got = killing_defect_batch(structure, pts)
         assert got.tobytes() == fresh.tobytes()
         got[:] = -1.0  # the caller owns the returned array
@@ -323,6 +324,20 @@ class TestFlip:
         structure = torus_with_field("0", "1", "0")  # spacelike T
         with pytest.raises(NonTimelikeError):
             structure_data(structure, [[1.0, 2.0, 3.0]])
+
+    def test_constant_non_timelike_flip_refused(self, flat_torus):
+        # T = d_t + d_x on the flat torus is null: g_L(T,T) folds to the
+        # constant 0, which the flip refuses before it divides by it
+        text = (SPEC_DIR / "flat_torus.spec").read_text().replace('T_1 = "0"', 'T_1 = "1"')
+        structure = StationaryStructure.from_spec(load_spec(text))
+        assert structure.unit
+        with pytest.raises(NonTimelikeError, match=r"g_L\(T,T\) >= 0 everywhere: it folds to the constant 0.0"):
+            structure.counterpart_spec
+        # the flipped, Riemannian torus with T = 0: g(T,T) folds to 0 as well
+        flipped = flat_torus.counterpart_spec
+        zero = (Expression.constant(0.0, flipped.coords),) * 3
+        with pytest.raises(NonTimelikeError, match=r"g\(T,T\) <= 0 everywhere: it folds to the constant 0.0"):
+            flip_spec(flipped, zero)
 
     def test_lorentzian_spec_required(self, s3):
         with pytest.raises(SpecFormatError):
