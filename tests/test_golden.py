@@ -2,8 +2,11 @@
 
 ``golden_outputs.json`` holds the exit code, byte count and SHA-256 of every
 ``analyze`` (text and JSON, ``--all-p`` and each ``--p``), ``export`` and
-``verify`` report on the shipped specs and on two seeded random specs, over
-small grids.  Each report is checked on stdout; ``--out`` writes the same
+``verify`` report on the shipped specs, on two seeded random specs and on
+the rotating warped plane of ``structures``, over small grids.  The plane is
+the one spec whose T is not unit and reads coordinates, so ``verify`` checks
+its identities at T's own length and its frames and operators on the
+conformal normalization.  Each report is checked on stdout; ``--out`` writes the same
 bytes, which is checked on every case whose spec is cheap to evaluate and on
 one case per command for the n = 5 spec.
 
@@ -33,15 +36,19 @@ import pytest
 from statcurv import cli
 from statcurv.generators import battery_recipe, generate
 
+from structures import rotating_warped_plane
+
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden_outputs.json"
 
-# id -> (path the CLI is given, `examples --random` args or None, dimension, grid)
+# id -> (path the CLI is given, source, dimension, grid); the source is None
+# for a shipped spec, `examples --random` args, or a function returning the text
 SPECS = {
     "s3": ("specs/s3.spec", None, 3, "4"),
     "torus": ("specs/flat_torus.spec", None, 3, "3"),
     "r4": ("random_seed5_n4.spec", ["--seed", "5", "--dimension", "4"], 4, "3"),
     "r5": ("random_seed0_n5.spec", ["--seed", "0", "--dimension", "5"], 5, "3"),
+    "plane": ("plane.spec", lambda: rotating_warped_plane().spec.to_text(), 3, "4"),
 }
 # n = 5 reports take seconds each; --out is checked once per command there
 OUT_CHECKED_R5 = {"r5-analyze-all-json", "r5-export", "r5-verify-text"}
@@ -62,13 +69,16 @@ def cases() -> dict[str, list[str]]:
 
 
 def make_workdir(root: Path) -> None:
-    """Shipped specs under specs/, random specs written by `examples --random`."""
+    """Shipped specs under specs/, random specs written by `examples --random`,
+    the others as their functions write them."""
     (root / "specs").mkdir()
-    for path, random_args, _, _ in SPECS.values():
-        if random_args is None:
+    for path, source, _, _ in SPECS.values():
+        if source is None:
             shutil.copy(HERE.parent / path, root / path)
+        elif callable(source):
+            (root / path).write_text(source(), encoding="utf-8")
         else:
-            run_cli(["examples", "--random", *random_args, "--out", str(root / path)])
+            run_cli(["examples", "--random", *source, "--out", str(root / path)])
 
 
 def run_cli(argv: list[str]) -> tuple[int, str]:
