@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .expr import Expression, parse_expression
 from .metric import MetricSpec, load_spec, load_spec_file
 from .stationary import StationaryStructure, conformal_normalize
-from .frames import OrthonormalFrame, orthonormal_completion
+from .frames import orthonormal_completion
 from .curvature_ops import CurvatureOperatorMatrix, Lambda2Basis
 from .topology import BettiVerdict, betti_conclusions, grid_scan, k_positivity
 from .generators import GeneratorRecipe, generate
@@ -18,7 +18,6 @@ __all__ = [
     "load_spec_file",
     "StationaryStructure",
     "conformal_normalize",
-    "OrthonormalFrame",
     "orthonormal_completion",
     "CurvatureOperatorMatrix",
     "Lambda2Basis",

@@ -81,13 +81,16 @@ def _json_object(fields: dict[str, str]) -> str:
     return "{\n  " + ",\n  ".join(lines) + "\n}"
 
 
+_NOT_UNIT = (
+    "notice: T is not declared unit; analyzing the conformally normalized "
+    "metric g_L / (-g_L(T,T)) (curvature changes under rescaling)"
+)
+
+
 def _normalized(structure: StationaryStructure, notes: list[str]) -> StationaryStructure:
     if structure.unit:
         return structure
-    notes.append(
-        "notice: T is not declared unit; analyzing the conformally normalized "
-        "metric g_L / (-g_L(T,T)) (curvature changes under rescaling)"
-    )
+    notes.append(_NOT_UNIT)
     return conformal_normalize(structure)
 
 
@@ -106,10 +109,9 @@ def _betti_text(verdict: topology.BettiVerdict) -> str:
 
 def cmd_verify(args, spec: MetricSpec, grid: list[int], tol: Tolerances) -> int:
     structure = StationaryStructure.from_spec(spec)
-    pts, shape = topology.build_grid(structure.spec, grid)
-    notes: list[str] = []
-    unit_structure = _normalized(structure, notes)
-    table = topology.verify_points(structure, unit_structure, pts, tol)
+    pts, shape = topology.build_grid(spec, grid)
+    notes = [] if structure.unit else [_NOT_UNIT]
+    table = topology.verify_points(structure, pts, tol)
     lines = [f"statcurv verify: {args.spec}"]
     lines += notes
     lines.append(f"grid: {'x'.join(str(m) for m in shape)}")

@@ -16,7 +16,8 @@ fractional powers are written with sqrt/exp/log.  Angles are raw radians.
 Nesting is bounded by ``MAX_NESTING``; a long sum or product is not.
 
 One iterative walk over the expression DAG hands each node out once,
-children first, to evaluation, unparsing and ``coordinates_read``, so no
+children first, to evaluation, unparsing and ``coordinates_read``, and
+``==`` compares two DAGs in one iterative walk over pairs of nodes, so no
 depth of DAG exhausts the recursion limit.  Evaluation propagates (value,
 gradient, hessian) triples along it, so first and second derivatives are
 exact up to rounding; finite differences exist only as a test oracle.  Each
@@ -48,56 +49,89 @@ FUNCTIONS = ("sin", "cos", "tan", "cot", "exp", "log", "sqrt")
 
 # --- AST -------------------------------------------------------------------
 
-# The nodes keep object's repr: a generated one spells out the tree, not the
-# DAG, so its length doubles with each level of shared subexpressions.
-@dataclass(frozen=True, repr=False)
-class Num:
+class _Node:
+    """Base of the node classes.  ``==`` compares the trees two nodes spell out,
+    in one walk over pairs of nodes that takes each pair of objects once,
+    however often the DAGs share it.  The hash reads a node's own fields and
+    its children's classes, so equal nodes hash alike without a walk."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        matched = set()
+        stack = [(self, other)]
+        while stack:
+            x, y = stack.pop()
+            if x is y or (id(x), id(y)) in matched:
+                continue
+            if type(x) is not type(y):
+                return False
+            matched.add((id(x), id(y)))
+            for name in x.__match_args__:
+                u, v = getattr(x, name), getattr(y, name)
+                if isinstance(u, _Node):
+                    stack.append((u, v))
+                elif u != v:
+                    return False
+        return True
+
+    def __hash__(self):
+        fields = (getattr(self, name) for name in self.__match_args__)
+        return hash((type(self), *(type(v) if isinstance(v, _Node) else v for v in fields)))
+
+
+# The nodes keep object's repr and _Node's equality: the generated ones walk
+# the tree, not the DAG, so their cost doubles with each level of sharing.
+@dataclass(frozen=True, repr=False, eq=False)
+class Num(_Node):
     value: float
 
 
-@dataclass(frozen=True, repr=False)
-class Var:
+@dataclass(frozen=True, repr=False, eq=False)
+class Var(_Node):
     name: str
     index: int
 
 
-@dataclass(frozen=True, repr=False)
-class Neg:
+@dataclass(frozen=True, repr=False, eq=False)
+class Neg(_Node):
     arg: "Node"
 
 
-@dataclass(frozen=True, repr=False)
-class Add:
+@dataclass(frozen=True, repr=False, eq=False)
+class Add(_Node):
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True, repr=False)
-class Sub:
+@dataclass(frozen=True, repr=False, eq=False)
+class Sub(_Node):
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True, repr=False)
-class Mul:
+@dataclass(frozen=True, repr=False, eq=False)
+class Mul(_Node):
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True, repr=False)
-class Div:
+@dataclass(frozen=True, repr=False, eq=False)
+class Div(_Node):
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True, repr=False)
-class Pow:
+@dataclass(frozen=True, repr=False, eq=False)
+class Pow(_Node):
     base: "Node"
     exponent: int
 
 
-@dataclass(frozen=True, repr=False)
-class Call:
+@dataclass(frozen=True, repr=False, eq=False)
+class Call(_Node):
     func: str
     arg: "Node"
 

@@ -14,7 +14,8 @@ deterministic: LAPACK eigenvectors with fixed signs, pairs sorted by
 Every frame handed out, completion or adapted, passes ``check_orthonormal``, so
 consumers read nab^L T (``stationary.nabla_t_form``) and the Lambda^2 Grams with no solve.
 
-``checked_completions`` is the one gate for the hypotheses.  ``analyze`` and
+A completion is an array and keeps T at its own length; ``checked_completions``
+is the one gate for the hypotheses, unit length of T first.  ``analyze`` and
 ``verify`` read every row in its completions, which build no eigenvector;
 ``adapted_frames_batch``, which of the CLI commands only ``export`` reads,
 starts from them and takes its eigenvectors from the squared maps it checked.
@@ -46,39 +47,6 @@ class FramePair:
     f: float
 
 
-class Frame:
-    """Frame rows E_0 = T, E_1..E_{n-1} spatial, in coordinate components.
-
-    ``pairing``/``fixed_indices`` describe the adapted structure of a row of
-    ``adapted_frames_batch``; a plain completion claims neither.
-    ``nabla_sq_eigenvalues`` is the full spectrum of the squared map,
-    ascending (the T direction contributes the exact zero).
-    """
-
-    __slots__ = ()
-
-    @property
-    def dimension(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def f_values(self) -> tuple[float, ...]:
-        return tuple(p.f for p in self.pairing)
-
-
-@dataclass(frozen=True)
-class OrthonormalFrame(Frame):
-    """A frame held by value: completions and hand-built frames."""
-
-    point: np.ndarray
-    vectors: np.ndarray
-    pairing: tuple[FramePair, ...] = ()
-    fixed_indices: tuple[int, ...] = ()
-    timelike_norm: float = -1.0
-    rotation_residual: float | None = None
-    nabla_sq_eigenvalues: tuple[float, ...] = ()
-
-
 class BatchRow:
     """Row b of a batch: holds only (batch, b) and reads each field when it is accessed."""
 
@@ -93,8 +61,10 @@ def row_field(name: str, convert=lambda x: x) -> property:
     return property(lambda row: convert(getattr(row.batch, name)[row.b]))
 
 
-class FrameRow(Frame, BatchRow):
-    """Row b of a FrameBatch, with the attributes, types and values of an OrthonormalFrame."""
+class FrameRow(BatchRow):
+    """Row b of a FrameBatch: frame rows ``vectors`` (E_0 = T, then spatial), rotation
+    blocks ``pairing``, kernel rows ``fixed_indices`` and the ascending squared-map
+    spectrum ``nabla_sq_eigenvalues`` (the T direction contributes the exact zero)."""
 
     __slots__ = ()
     point = row_field("points")
@@ -102,6 +72,14 @@ class FrameRow(Frame, BatchRow):
     timelike_norm = row_field("timelike_norm", float)
     rotation_residual = row_field("rotation_residual", float)
     nabla_sq_eigenvalues = row_field("nabla_sq_eigenvalues", lambda x: tuple(x.tolist()))
+
+    @property
+    def dimension(self) -> int:
+        return self.batch.vectors.shape[1]
+
+    @property
+    def f_values(self) -> tuple[float, ...]:
+        return tuple(p.f for p in self.pairing)
 
     @property
     def pairing(self) -> tuple[FramePair, ...]:
@@ -170,18 +148,14 @@ def _project_off(x: np.ndarray, basis: np.ndarray, count: np.ndarray, coef) -> n
     return x
 
 
-def orthonormal_completions(data: StructureData, tol: Tolerances, require_unit: bool = True) -> np.ndarray:
+def orthonormal_completions(data: StructureData, tol: Tolerances) -> np.ndarray:
     """Frames (B, n, n) {T, X_1..X_{n-1}} orthonormal for g and g_L, one per row of ``data``.
 
-    Modified Gram-Schmidt against g over the whole batch: rows T, then unit
-    spatial vectors from the coordinate axes, skipping an axis already
-    spanned; the loop runs over the axes, never over the points.
+    T keeps its own length.  Modified Gram-Schmidt against g over the whole
+    batch: rows T, then unit spatial vectors from the coordinate axes,
+    skipping an axis already spanned; the loop runs over the axes, never
+    over the points.
     """
-    if require_unit:
-        off = np.abs(data.gtt + 1.0) > tol.unit_timelike
-        if off.any():
-            gtt = float(data.gtt[np.argmax(off)])
-            raise FrameError(f"T is not unit at this point: g_L(T,T) = {gtt}")
     g, t = data.g, data.t
     batch, n = t.shape
     basis = np.zeros((batch, n, n))
@@ -217,21 +191,9 @@ def check_orthonormal(frames: np.ndarray, data: StructureData, tol: Tolerances) 
         raise FrameError(f"frame failed the orthonormality check (residual {float(off[np.argmax(bad)])})")
 
 
-def orthonormal_completion(
-    s: StationaryStructure, point, tol: Tolerances = DEFAULT, require_unit: bool = True
-) -> OrthonormalFrame:
-    """Frame {T, X_1..X_{n-1}} orthonormal for g and g_L simultaneously.
-
-    With ``require_unit`` (the default), g_L(T,T) must equal -1 up to
-    tolerance; identity verification on non-unit structures passes
-    ``require_unit=False`` and keeps T at its own scale.
-    """
-    data = structure_data(s, point, tol)
-    return OrthonormalFrame(
-        point=data.points[0].copy(),
-        vectors=orthonormal_completions(data, tol, require_unit)[0],
-        timelike_norm=float(data.gtt[0]),
-    )
+def orthonormal_completion(s: StationaryStructure, point, tol: Tolerances = DEFAULT) -> np.ndarray:
+    """The completion (n, n) at one point: row 0 of ``orthonormal_completions``."""
+    return orthonormal_completions(structure_data(s, point, tol), tol)[0]
 
 
 def spatial_nabla_t(data: StructureData, frames: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, ...]:
@@ -289,14 +251,18 @@ def checked_completions(data: StructureData, tol: Tolerances) -> tuple[np.ndarra
     """Completions (B, n, n) of unit T, their ``spatial_nabla_t``, the checked squared
     maps (B, n - 1, n - 1), their ascending spectra and the rotation residuals (B,).
 
-    The one gate for the hypotheses: T unit, nab^L T annihilating T, a
-    self-adjoint squared map, no positive eigenvalue (by ``eigvalsh``) and a
-    rotation residual within ``tol.pairing``, checked at every point and in
-    that order; ``analyze``, ``verify`` and ``adapted_frames_batch`` all pass
-    through it.  A skew spatial block is block-diagonal in some orthonormal
-    frame, so no rotation-block frame takes up the T block or the symmetric
-    part of omega: the larger is the rotation residual.
+    The one gate for the hypotheses: T unit (to ``tol.unit_timelike``), nab^L T
+    annihilating T, a self-adjoint squared map, no positive eigenvalue (by
+    ``eigvalsh``) and a rotation residual within ``tol.pairing``, checked at
+    every point and in that order; ``analyze``, ``verify`` and
+    ``adapted_frames_batch`` all pass through it.  A skew spatial block is
+    block-diagonal in some orthonormal frame, so no rotation-block frame
+    takes up the T block or the symmetric part of omega: the larger is the
+    rotation residual.
     """
+    off = np.abs(data.gtt + 1.0) > tol.unit_timelike
+    if off.any():
+        raise FrameError(f"T is not unit at this point: g_L(T,T) = {float(data.gtt[np.argmax(off)])}")
     completions = orthonormal_completions(data, tol)
     omega, t_block = spatial_nabla_t(data, completions, tol)
     squared = squared_map(omega[:, 1:, 1:].swapaxes(1, 2), tol)

@@ -52,7 +52,7 @@ def _warp_expression(rng: random.Random, coords, sin_t: Expression, cos_t: Expre
     return Expression.constant(c0, coords) + c1 * sin_t + c2 * cos_t
 
 
-def _riemannian_base(recipe: GeneratorRecipe) -> tuple[MetricSpec, tuple[Expression, ...]]:
+def _riemannian_base(recipe: GeneratorRecipe) -> MetricSpec:
     n = recipe.dimension
     if recipe.family == "s3-squashed":
         if n != 3:
@@ -96,15 +96,8 @@ def _riemannian_base(recipe: GeneratorRecipe) -> tuple[MetricSpec, tuple[Express
         t_exprs.append(Expression.constant(a, coords))
     t_exprs += [Expression.constant(0.0, coords)] * flat
 
-    spec = MetricSpec(
-        coords,
-        intervals,
-        1e-3,
-        "riemannian",
-        tuple(entries),
-        KillingField(tuple(t_exprs), False),
-    )
-    return spec, tuple(t_exprs)
+    killing = KillingField(tuple(t_exprs), False)
+    return MetricSpec(coords, intervals, 1e-3, "riemannian", tuple(entries), killing)
 
 
 def generate(recipe: GeneratorRecipe) -> StationaryStructure:
@@ -115,12 +108,8 @@ def generate(recipe: GeneratorRecipe) -> StationaryStructure:
         raise ValueError("supported dimensions are 3..8")
     if recipe.flat_dims < 0:
         raise ValueError("flat_dims must be nonnegative")
-    riem, t_exprs = _riemannian_base(recipe)
-    lorentzian = flip_spec(riem, t_exprs)
-    structure = StationaryStructure(lorentzian, t_exprs, False)
-    if recipe.normalize:
-        structure = conformal_normalize(structure)
-    return structure
+    structure = StationaryStructure(flip_spec(_riemannian_base(recipe)))
+    return conformal_normalize(structure) if recipe.normalize else structure
 
 
 # --- shipped example files ---------------------------------------------------

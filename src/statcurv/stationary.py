@@ -1,5 +1,8 @@
 """The pair (g_L, T): Killing checks, the metric flip, and identity verification.
 
+A ``StationaryStructure`` is its Lorentzian spec alone: T and its unit flag
+are read from the [killing] section, without which it is not built.
+
 Given a Lorentzian metric with a timelike Killing field T, the flip
 
     g = g_L - 2 (T_flat (x) T_flat) / g_L(T,T),        T_flat = g_L(T, .)
@@ -55,7 +58,7 @@ route to the defect, and every input it accepts has passed the flip.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -88,8 +91,9 @@ def _require_timelike(gtt: Expression, signature: str) -> None:
         raise NonTimelikeError(f"{sign} everywhere: it folds to the constant {value!r}")
 
 
-def flip_spec(spec: MetricSpec, t_exprs) -> MetricSpec:
-    """Symbolic metric flip g_L - 2 T_flat (x) T_flat / g_L(T,T); swaps the declared signature tag.
+def flip_spec(spec: MetricSpec) -> MetricSpec:
+    """Symbolic metric flip g_L - 2 T_flat (x) T_flat / g_L(T,T), with T read from
+    ``spec.killing``; swaps the declared signature tag and keeps the [killing] section.
 
     Each sum takes only its terms with no literally zero factor, in index
     order, and an entry (i, j) with T_flat_i or T_flat_j zero is g_L's own
@@ -98,7 +102,7 @@ def flip_spec(spec: MetricSpec, t_exprs) -> MetricSpec:
     products.  2 T_flat_i is built once per row.  ``_require_timelike``
     refuses a g(T,T) that folds to a constant before any division.
     """
-    t_exprs = tuple(t_exprs)
+    t_exprs = spec.killing.components
     n = spec.dimension
     grid = spec.expression_matrix
     zero = Expression.constant(0.0, spec.coords)
@@ -124,25 +128,33 @@ def flip_spec(spec: MetricSpec, t_exprs) -> MetricSpec:
             if not e.is_zero():
                 entries.append((i, j, e))
     signature = "riemannian" if spec.signature == "lorentzian" else "lorentzian"
-    killing = KillingField(t_exprs, spec.killing.unit) if spec.killing else None
-    return MetricSpec(spec.coords, spec.intervals, spec.margin, signature, tuple(entries), killing)
+    return replace(spec, signature=signature, entries=tuple(entries))
 
 
 @dataclass(frozen=True)
 class StationaryStructure:
-    """A Lorentzian MetricSpec together with its timelike Killing field."""
+    """A Lorentzian MetricSpec whose [killing] section holds the timelike Killing
+    field T and whether it is declared unit; both are read from there."""
 
     spec: MetricSpec
-    t: tuple[Expression, ...]
-    unit: bool
 
-    @staticmethod
-    def from_spec(spec: MetricSpec) -> "StationaryStructure":
-        if spec.signature != "lorentzian":
+    def __post_init__(self):
+        if self.spec.signature != "lorentzian":
             raise SpecFormatError("stationary structures require a lorentzian spec")
-        if spec.killing is None:
+        if self.spec.killing is None:
             raise SpecFormatError("spec has no [killing] section")
-        return StationaryStructure(spec, spec.killing.components, spec.killing.unit)
+
+    @classmethod
+    def from_spec(cls, spec: MetricSpec) -> "StationaryStructure":
+        return cls(spec)
+
+    @property
+    def t(self) -> tuple[Expression, ...]:
+        return self.spec.killing.components
+
+    @property
+    def unit(self) -> bool:
+        return self.spec.killing.unit
 
     @property
     def dimension(self) -> int:
@@ -151,7 +163,7 @@ class StationaryStructure:
     @cached_property
     def counterpart_spec(self) -> MetricSpec:
         """The flipped (Riemannian) metric as composed expressions."""
-        return flip_spec(self.spec, self.t)
+        return flip_spec(self.spec)
 
     @cached_property
     def read_coordinates(self) -> tuple[int, ...]:
@@ -186,18 +198,8 @@ def conformal_normalize(s: StationaryStructure) -> StationaryStructure:
     gtt = s.gtt_expression
     _require_timelike(gtt, s.spec.signature)
     divisor = -gtt
-    entries = []
-    for i, j, e in s.spec.entries:
-        entries.append((i, j, e / divisor))
-    spec = MetricSpec(
-        s.spec.coords,
-        s.spec.intervals,
-        s.spec.margin,
-        "lorentzian",
-        tuple(entries),
-        KillingField(s.t, True),
-    )
-    return StationaryStructure(spec, s.t, True)
+    entries = tuple((i, j, e / divisor) for i, j, e in s.spec.entries)
+    return StationaryStructure(replace(s.spec, entries=entries, killing=KillingField(s.t, True)))
 
 
 def flipped_curvature(p_l: np.ndarray, omega: np.ndarray, gtt, basis: Lambda2Basis) -> np.ndarray:

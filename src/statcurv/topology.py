@@ -43,6 +43,7 @@ from .linalg import eigvalsh
 from .metric import outside_chart
 from .stationary import (
     StationaryStructure,
+    conformal_normalize,
     connection_residual_batch,
     curvature_residual_batch,
     structure_data,
@@ -253,23 +254,22 @@ VERIFY_LINES = (
 )
 
 
-def verify_points(
-    s: StationaryStructure, unit: StationaryStructure, pts: np.ndarray, tol: Tolerances
-) -> np.ndarray:
+def verify_points(s: StationaryStructure, pts: np.ndarray, tol: Tolerances) -> np.ndarray:
     """Residual table (B, 10), one column per line of ``VERIFY_LINES``.
 
     The connection and curvature identities are checked for ``s`` in
-    frames that complete T at its own scale; the frame and operator checks
-    read ``checked_completions`` of ``unit``, which is ``s`` itself when T is
-    unit (one completion then serves every column: ``require_unit`` changes no
-    bit) and its conformal normalization otherwise.  Only one point per orbit is computed.
+    frames that complete T at its own length; the frame and operator checks
+    read ``checked_completions`` of ``s`` itself when T is declared unit (one
+    completion then serves every column) and of its conformal normalization
+    otherwise.  Only one point per orbit is computed.
     """
+    unit = s if s.unit else conformal_normalize(s)
 
     def step(chunk):
         data = structure_data(s, chunk, tol)
         data_u = data if unit is s else structure_data(unit, chunk, tol)
         vectors, omega, _, vals, residual = checked_completions(data_u, tol)
-        frames = vectors if unit is s else orthonormal_completions(data, tol, require_unit=False)
+        frames = vectors if unit is s else orthonormal_completions(data, tol)
         central = operator_arrays(data_u, vectors, omega, Lambda2Basis.standard(s.dimension))[2]
         top = vals[:, -1]
         identities = (connection_residual_batch(data, frames), curvature_residual_batch(data, frames))

@@ -234,12 +234,11 @@ def _rule_grid(spec: MetricSpec):
     return [[RuleExpression.of(e) for e in row] for row in spec.expression_matrix]
 
 
-def dense_flip_spec(spec: MetricSpec, t_exprs) -> MetricSpec:
+def dense_flip_spec(spec: MetricSpec) -> MetricSpec:
     """``stationary.flip_spec`` with every sum over all its terms, zero
     products included, and 2 T_flat_i T_flat_j / g_L(T,T) composed again for
     each entry, all by the rules alone."""
-    t_exprs = tuple(t_exprs)
-    t = [RuleExpression.of(e) for e in t_exprs]
+    t = [RuleExpression.of(e) for e in spec.killing.components]
     n = spec.dimension
     grid = _rule_grid(spec)
     zero = RuleExpression(Num(0.0), spec.coords)
@@ -252,8 +251,7 @@ def dense_flip_spec(spec: MetricSpec, t_exprs) -> MetricSpec:
             if not e.is_zero():
                 entries.append((i, j, e.expression()))
     signature = "riemannian" if spec.signature == "lorentzian" else "lorentzian"
-    killing = KillingField(t_exprs, spec.killing.unit) if spec.killing else None
-    return MetricSpec(spec.coords, spec.intervals, spec.margin, signature, tuple(entries), killing)
+    return MetricSpec(spec.coords, spec.intervals, spec.margin, signature, tuple(entries), spec.killing)
 
 
 def dense_gtt_expression(s: StationaryStructure) -> Expression:
@@ -272,7 +270,7 @@ def dense_conformal_normalize(s: StationaryStructure) -> StationaryStructure:
     entries = tuple((i, j, (RuleExpression.of(e) / (-gtt)).expression()) for i, j, e in s.spec.entries)
     killing = KillingField(s.t, True)
     spec = MetricSpec(s.spec.coords, s.spec.intervals, s.spec.margin, "lorentzian", entries, killing)
-    return StationaryStructure(spec, s.t, True)
+    return StationaryStructure(spec)
 
 
 def tree_numbers(roots, table: dict) -> list[int]:

@@ -19,12 +19,11 @@ def two_pair_flat_rotations(alpha: float = 1.0, beta: float = 0.6, gamma: float 
     this is the example that exercises the off-diagonal f-corrections of
     the symmetrized matrix in dimension >= 5.
     """
-    riem, t_exprs = two_pair_flat_base(alpha, beta, gamma)
-    return conformal_normalize(StationaryStructure(flip_spec(riem, t_exprs), t_exprs, False))
+    return conformal_normalize(StationaryStructure(flip_spec(two_pair_flat_base(alpha, beta, gamma))))
 
 
-def two_pair_flat_base(alpha: float, beta: float, gamma: float) -> tuple[MetricSpec, tuple[Expression, ...]]:
-    """The flat Riemannian R^5 and the T that ``two_pair_flat_rotations`` flips."""
+def two_pair_flat_base(alpha: float, beta: float, gamma: float) -> MetricSpec:
+    """The flat Riemannian R^5, with the T that ``two_pair_flat_rotations`` flips."""
     coords = ("t", "x", "y", "u", "v")
     one = Expression.constant(1.0, coords)
     entries = tuple((i, i, one) for i in range(5))
@@ -36,7 +35,7 @@ def two_pair_flat_base(alpha: float, beta: float, gamma: float) -> tuple[MetricS
         -beta * v,
         beta * u,
     )
-    riem = MetricSpec(
+    return MetricSpec(
         coords,
         ((0.0, TWO_PI),) + ((0.2, 1.2),) * 4,
         1e-3,
@@ -44,7 +43,6 @@ def two_pair_flat_base(alpha: float, beta: float, gamma: float) -> tuple[MetricS
         entries,
         KillingField(t_exprs, False),
     )
-    return riem, t_exprs
 
 
 def s3_times_torus() -> StationaryStructure:
@@ -75,7 +73,7 @@ def s3_times_torus() -> StationaryStructure:
         entries,
         KillingField(t_exprs, True),
     )
-    return StationaryStructure(flip_spec(riem, t_exprs), t_exprs, True)
+    return StationaryStructure(flip_spec(riem))
 
 
 def rotating_warped_plane(omega: float = 0.5, warp: float = 0.3) -> StationaryStructure:

@@ -119,7 +119,7 @@ def test_criterion_4_curvature_identities(battery, s3_summary, s3):
     point = np.array([0.55, 1.0, 2.0])
     frame = orthonormal_completion(s3, point)
     data = structure_data(s3, point[None, :])
-    rml, rmg = (frame_components_batch(rm, frame.vectors[None])[0] for rm in riemann_tensors(data))
+    rml, rmg = (frame_components_batch(rm, frame[None])[0] for rm in riemann_tensors(data))
     assert abs(-rml[1, 2, 1, 2] - 7.0) < 1e-9
     assert abs(-rmg[1, 2, 1, 2] - 1.0) < 1e-9
     print(

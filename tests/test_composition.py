@@ -89,8 +89,7 @@ def test_operands_over_another_chart_are_refused():
 
 def _dense_generate(recipe: GeneratorRecipe) -> StationaryStructure:
     """``generators.generate`` through the dense oracles."""
-    riem, t_exprs = _riemannian_base(recipe)
-    structure = StationaryStructure(dense_flip_spec(riem, t_exprs), t_exprs, False)
+    structure = StationaryStructure(dense_flip_spec(_riemannian_base(recipe)))
     return dense_conformal_normalize(structure) if recipe.normalize else structure
 
 
@@ -124,7 +123,7 @@ def test_battery_composition_keeps_the_spec_text(block):
         structure = generate(battery_recipe(seed))
         dense = _dense_generate(battery_recipe(seed))
         _assert_same_text(structure.spec.to_text(), dense.spec.to_text(), seed)
-        counterpart = dense_flip_spec(dense.spec, dense.t)
+        counterpart = dense_flip_spec(dense.spec)
         _assert_same_text(structure.counterpart_spec.to_text(), counterpart.to_text(), seed)
 
 
@@ -144,7 +143,7 @@ def test_random_composition_keeps_the_spec_text(recipe):
     structure = generate(recipe)
     dense = _dense_generate(recipe)
     _assert_same_text(structure.spec.to_text(), dense.spec.to_text())
-    counterpart = dense_flip_spec(dense.spec, dense.t)
+    counterpart = dense_flip_spec(dense.spec)
     _assert_same_trees(structure.counterpart_spec, counterpart)
     # the counterpart's text is written out only where it is small: at n = 8
     # it spells out 154 MB, the trees compared above hold its every byte
@@ -153,10 +152,9 @@ def test_random_composition_keeps_the_spec_text(recipe):
 
 
 def test_non_unit_structures_keep_the_spec_text():
-    riem, t_exprs = two_pair_flat_base(1.0, 0.6, 1.0)
+    riem = two_pair_flat_base(1.0, 0.6, 1.0)
     cases = [
-        (StationaryStructure(flip_spec(riem, t_exprs), t_exprs, False),
-         StationaryStructure(dense_flip_spec(riem, t_exprs), t_exprs, False)),
+        (StationaryStructure(flip_spec(riem)), StationaryStructure(dense_flip_spec(riem))),
         (rotating_warped_plane(),) * 2,
     ]
     for structure, dense in cases:
@@ -164,7 +162,7 @@ def test_non_unit_structures_keep_the_spec_text():
         _assert_same_text(structure.spec.to_text(), dense.spec.to_text())
         normalized, dense_normalized = conformal_normalize(structure), dense_conformal_normalize(dense)
         _assert_same_text(normalized.spec.to_text(), dense_normalized.spec.to_text())
-        counterpart = dense_flip_spec(dense_normalized.spec, dense_normalized.t)
+        counterpart = dense_flip_spec(dense_normalized.spec)
         _assert_same_text(normalized.counterpart_spec.to_text(), counterpart.to_text())
 
 

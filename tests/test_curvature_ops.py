@@ -124,11 +124,9 @@ class TestRiemannianOperator:
         from statcurv.stationary import flip_spec
 
         riem = load_spec(text)
-        structure = StationaryStructure(
-            flip_spec(riem, riem.killing.components), riem.killing.components, False
-        )
+        structure = StationaryStructure(flip_spec(riem))
         data = structure_data(structure, [[0.7, 1.0, 1.2, 2.0], [1.1, 3.0, 2.0, 1.0]])
-        frames = orthonormal_completions(data, DEFAULT, require_unit=False)
+        frames = orthonormal_completions(data, DEFAULT)
         assert np.abs(riemannian_in(structure, data, frames) - np.eye(6)).max() < 1e-9
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -501,7 +499,7 @@ def test_pair_space_matches_frame_tensor_oracle(recipe, seed):
     # g_L(T,T) != -1, in frames whose rotation blocks are not normal forms
     raw = generate(replace(recipe, normalize=False))
     data = structure_data(raw, sample_interior(raw.spec, 3, seed))
-    frames = orthonormal_completions(data, DEFAULT, require_unit=False)
+    frames = orthonormal_completions(data, DEFAULT)
     want = frame_tensor_curvature_residuals(data, frames)
     basis = Lambda2Basis.standard(raw.dimension)
     scale = max(1.0, float(np.abs(pair_components(data.rm_g, frames, basis)).max()))

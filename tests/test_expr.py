@@ -4,6 +4,7 @@ import dataclasses
 import math
 import re
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -356,6 +357,37 @@ class TestComposition:
             x = x + x
         assert len(repr(x)) < 200
         assert len(repr(x.root)) < 100
+
+    def test_equality_of_long_chains_built_apart(self):
+        # 5,000 terms of + sin(t), each parsed on its own: no node is shared
+        # between the two chains, and a recursive comparison of the trees
+        # would exhaust the recursion limit
+        def chain(last="sin(t)"):
+            e = Expression.constant(0.0, COORDS)
+            for k in range(5000):
+                e = e + parse_expression(last if k == 4999 else "sin(t)", COORDS)
+            return e
+
+        a, b = chain(), chain()
+        assert a.root is not b.root
+        assert a == b and hash(a) == hash(b)
+        assert a != chain("cos(t)")
+
+    def test_equality_of_shared_dags_built_apart(self):
+        # x = x + x thirty times: 31 nodes each, trees of 2^31 - 1 nodes; the
+        # comparison takes each pair of nodes once
+        def doubled(leaf="t"):
+            x = parse_expression(leaf, COORDS)
+            for _ in range(30):
+                x = x + x
+            return x
+
+        a, b = doubled(), doubled()
+        start = time.perf_counter()
+        assert a == b and hash(a) == hash(b)
+        assert a != doubled("theta1")
+        assert time.perf_counter() - start < 1.0
+        assert Num(1.0) != Neg(Num(1.0)) and Num(0.0) == Num(-0.0) and Num(1.0) != 1.0
 
 
 # --- token-list reference parser ----------------------------------------------

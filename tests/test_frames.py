@@ -14,7 +14,9 @@ from statcurv.frames import (
     adapted_frames_batch,
     check_nonpositive,
     check_orthonormal,
+    checked_completions,
     orthonormal_completion,
+    orthonormal_completions,
 )
 from statcurv.generators import battery_recipe, generate
 from statcurv.linalg import jacobi_eigh
@@ -32,9 +34,9 @@ from conftest import sample_interior
 from structures import s3_times_torus, two_pair_flat_rotations
 
 
-def frame_gram(structure, frame):
-    data = structure_data(structure, frame.point)
-    return frame.vectors @ data.gl[0] @ frame.vectors.T
+def frame_gram(structure, point, frame):
+    """E g_L E^T of a frame (n, n) at ``point``."""
+    return frame @ structure_data(structure, point).gl[0] @ frame.T
 
 
 def adapted_at(s, point):
@@ -46,42 +48,44 @@ class TestCompletion:
     def test_s3_reproduces_hopf_frame(self, s3):
         t = 0.8
         frame = orthonormal_completion(s3, [t, 1.0, 2.0])
-        assert np.array_equal(frame.vectors[0], [0.0, 1.0, 1.0])
-        assert np.abs(frame.vectors[1] - [1.0, 0.0, 0.0]).max() < 1e-14
+        assert np.array_equal(frame[0], [0.0, 1.0, 1.0])
+        assert np.abs(frame[1] - [1.0, 0.0, 0.0]).max() < 1e-14
         x2 = np.array([0.0, 1.0 / math.tan(t), -math.tan(t)])
-        assert min(
-            np.abs(frame.vectors[2] - x2).max(), np.abs(frame.vectors[2] + x2).max()
-        ) < 1e-12
+        assert min(np.abs(frame[2] - x2).max(), np.abs(frame[2] + x2).max()) < 1e-12
 
     def test_flat_torus_axes(self, flat_torus):
         frame = orthonormal_completion(flat_torus, [1.0, 2.0, 3.0])
-        assert np.array_equal(frame.vectors, np.eye(3))
+        assert np.array_equal(frame, np.eye(3))
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
     def test_gram_is_minkowski(self, seed):
         structure = generate(battery_recipe(seed))
         for point in sample_interior(structure.spec, 4, seed + 80):
-            frame = orthonormal_completion(structure, point)
-            gram = frame_gram(structure, frame)
+            gram = frame_gram(structure, point, orthonormal_completion(structure, point))
             expected = np.diag([-1.0] + [1.0] * (structure.dimension - 1))
             assert np.abs(gram - expected).max() < 1e-9
 
     def test_non_unit_rejected_by_default(self):
-        recipe = battery_recipe(0)
-        raw = generate(replace(recipe, normalize=False))
-        point = sample_interior(raw.spec, 1, 0)[0]
-        with pytest.raises(FrameError, match="not unit"):
-            orthonormal_completion(raw, point)
-        frame = orthonormal_completion(raw, point, require_unit=False)
-        gram = frame_gram(raw, frame)
-        assert np.abs(gram[1:, 1:] - np.eye(raw.dimension - 1)).max() < 1e-9
-        assert np.abs(gram[0, 1:]).max() < 1e-9
+        # a completion keeps T at its own length; the gate every command
+        # passes refuses the same data for a T that is not unit
+        raw = generate(replace(battery_recipe(0), normalize=False))
+        pts = sample_interior(raw.spec, 3, 0)
+        data = structure_data(raw, pts)
+        frames = orthonormal_completions(data, DEFAULT)
+        for point, frame, gtt in zip(pts, frames, data.gtt):
+            gram = frame_gram(raw, point, frame)
+            assert abs(gram[0, 0] - gtt) < 1e-9 and abs(gtt + 1.0) > 0.1
+            assert np.abs(gram[1:, 1:] - np.eye(raw.dimension - 1)).max() < 1e-9
+            assert np.abs(gram[0, 1:]).max() < 1e-9
+        with pytest.raises(FrameError, match=r"T is not unit at this point: g_L\(T,T\) = "):
+            checked_completions(data, DEFAULT)
 
     def test_completion_claims_no_structure(self, s3):
-        frame = orthonormal_completion(s3, [0.5, 1.0, 2.0])
-        assert frame.pairing == ()
-        assert frame.fixed_indices == ()
-        assert frame.rotation_residual is None
+        # a completion is the bare (n, n) array: no pairing, kernel or residual
+        point = [0.5, 1.0, 2.0]
+        frame = orthonormal_completion(s3, point)
+        assert type(frame) is np.ndarray and frame.shape == (3, 3)
+        assert frame.tobytes() == orthonormal_completions(structure_data(s3, [point]), DEFAULT)[0].tobytes()
 
 
 class TestAdaptedFrame:

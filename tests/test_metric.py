@@ -554,7 +554,7 @@ class TestRiemann:
         point = [0.6, 1.0, 2.0]
         frame = orthonormal_completion(s3, point)
         counterpart = StationaryStructure.from_spec(s3.spec).counterpart_spec
-        rm_frame = frame_point(riemann_point(counterpart, point), frame.vectors)
+        rm_frame = frame_point(riemann_point(counterpart, point), frame)
         assert np.abs(rm_frame - constant_curvature_oracle(3, 1.0)).max() < 1e-8
         # in particular Rm(X1, X2, X1, X2) = -1 under this sign convention
         assert rm_frame[1, 2, 1, 2] == pytest.approx(-1.0, abs=1e-10)
@@ -670,7 +670,7 @@ class TestFrameComponents:
         # pattern lives in the operator, which negates these)
         point = [0.5, 1.0, 2.0]
         frame = orthonormal_completion(s3, point)
-        comps = frame_point(riemann_point(s3.spec, point), frame.vectors)
+        comps = frame_point(riemann_point(s3.spec, point), frame)
         assert comps[0, 1, 0, 1] == pytest.approx(-1.0, abs=1e-10)
         assert comps[0, 2, 0, 2] == pytest.approx(-1.0, abs=1e-10)
         assert comps[1, 2, 1, 2] == pytest.approx(-7.0, abs=1e-9)

@@ -35,7 +35,7 @@ def _flipped_spec_text(coords, intervals, metric, killing) -> str:
     entries = tuple((i, j, parse_expression(e, coords)) for (i, j), e in sorted(metric.items()))
     t = tuple(parse_expression(e, coords) for e in killing)
     riem = MetricSpec(coords, intervals, 1e-3, "riemannian", entries, KillingField(t, False))
-    return flip_spec(riem, t).to_text()
+    return flip_spec(riem).to_text()
 
 
 _LORENTZIAN_TAIL = "[signature]\nkind = lorentzian\n"
@@ -218,7 +218,7 @@ def test_empty_grid_keeps_the_step_shapes():
     pts, _ = topology.build_grid(s.spec, (0, 3, 3))
     vals, central = topology.scan_points(s, pts)
     assert vals.shape == (0, 3) and central.shape == (0,)
-    assert topology.verify_points(s, s, pts, DEFAULT).shape == (0, len(topology.VERIFY_LINES))
+    assert topology.verify_points(s, pts, DEFAULT).shape == (0, len(topology.VERIFY_LINES))
 
 
 # coordinate values for the orbit keys: both signed zeros, repeats, values

@@ -2,7 +2,7 @@
 
 import functools
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -65,10 +65,10 @@ def defect_at(s, point):
     return float(killing_defect_batch(s, [point])[0])
 
 
-def completions(s, pts, require_unit=True):
+def completions(s, pts):
     """StructureData at ``pts`` (B, n) and the completion frames (B, n, n) of its rows."""
     data = structure_data(s, pts)
-    return data, orthonormal_completions(data, DEFAULT, require_unit)
+    return data, orthonormal_completions(data, DEFAULT)
 
 
 EPS = np.finfo(float).eps
@@ -157,7 +157,7 @@ def test_identity_contractions_match_einsum_on_random_fields(n, seed):
 def test_identity_contractions_match_einsum_on_structures(build):
     structure = build()
     pts = sample_interior(structure.spec, 16, 11, buffer=1e-3)
-    data, frames = completions(structure, pts, require_unit=False)
+    data, frames = completions(structure, pts)
     assert np.abs(data.dt).max() > 0.01
     assert_contractions_match_einsum(data, frames)
 
@@ -309,7 +309,7 @@ class TestFlip:
         assert np.abs(g - np.eye(3)).max() == 0.0
 
     def test_flip_is_involution(self, s3):
-        double = flip_spec(s3.counterpart_spec, s3.t)
+        double = flip_spec(s3.counterpart_spec)
         pts = sample_interior(s3.spec, 30, seed=4)
         g_orig, _, _, _ = metric_batch(s3.spec, pts)
         g_back, _, _, _ = metric_batch(double, pts)
@@ -335,19 +335,27 @@ class TestFlip:
             structure.counterpart_spec
         # the flipped, Riemannian torus with T = 0: g(T,T) folds to 0 as well
         flipped = flat_torus.counterpart_spec
-        zero = (Expression.constant(0.0, flipped.coords),) * 3
+        zero = KillingField((Expression.constant(0.0, flipped.coords),) * 3, False)
         with pytest.raises(NonTimelikeError, match=r"g\(T,T\) <= 0 everywhere: it folds to the constant 0.0"):
-            flip_spec(flipped, zero)
+            flip_spec(replace(flipped, killing=zero))
 
     def test_lorentzian_spec_required(self, s3):
-        with pytest.raises(SpecFormatError):
-            StationaryStructure.from_spec(s3.counterpart_spec)
+        # refused when the structure is built, by the constructor and its alias
+        for build in (StationaryStructure, StationaryStructure.from_spec):
+            with pytest.raises(SpecFormatError, match="stationary structures require a lorentzian spec"):
+                build(s3.counterpart_spec)
+            with pytest.raises(SpecFormatError, match=r"spec has no \[killing\] section"):
+                build(replace(s3.spec, killing=None))
+
+    def test_t_and_unit_are_read_from_the_spec(self, s3):
+        assert s3.t is s3.spec.killing.components and s3.unit is s3.spec.killing.unit
+        assert [f.name for f in fields(StationaryStructure)] == ["spec"]
 
     def test_metric_pairings_with_t(self, s3):
         # g(T,.) = -g_L(T,.) and g(X_i,.) = g_L(X_i,.) on frame vectors
         point = [0.7, 1.0, 2.0]
         data = structure_data(s3, np.array([point]))
-        frame = orthonormal_completion(s3, point).vectors
+        frame = orthonormal_completion(s3, point)
         t_vec = frame[0]
         for v in frame:
             assert np.abs(data.g[0] @ t_vec @ v + data.gl[0] @ t_vec @ v).max() < 1e-10
@@ -413,18 +421,9 @@ class TestConformalNormalize:
 
     def test_constant_rescaling_cancels(self, s3):
         scaled_entries = tuple((i, j, 4.0 * e) for i, j, e in s3.spec.entries)
-        scaled = StationaryStructure(
-            s3.spec.__class__(
-                s3.spec.coords,
-                s3.spec.intervals,
-                s3.spec.margin,
-                "lorentzian",
-                scaled_entries,
-                s3.spec.killing,
-            ),
-            s3.t,
-            False,
-        )
+        killing = KillingField(s3.t, False)
+        scaled = StationaryStructure(replace(s3.spec, entries=scaled_entries, killing=killing))
+        assert not scaled.unit and "unit = false" in scaled.spec.to_text()
         pts = sample_interior(s3.spec, 10, seed=7)
         a, _, _, _ = metric_batch(conformal_normalize(scaled).spec, pts)
         b, _, _, _ = metric_batch(conformal_normalize(s3).spec, pts)
@@ -463,10 +462,10 @@ class TestNablaT:
         # own length, unit completions and adapted frames
         unit = generate(recipe)
         raw = generate(replace(recipe, normalize=False))
-        for structure, require_unit in ((raw, False), (unit, True)):
-            data, frames = completions(structure, sample_interior(structure.spec, 6, recipe.seed), require_unit)
+        for structure in (raw, unit):
+            data, frames = completions(structure, sample_interior(structure.spec, 6, recipe.seed))
             stacks = [frames]
-            if require_unit:
+            if structure.unit:
                 stacks.append(adapted_frames_batch(structure, data).vectors)
             for stack in stacks:
                 diag = np.ones(frames.shape[:2])
@@ -481,7 +480,7 @@ class TestNablaT:
         for point in sample_interior(structure.spec, 5, seed + 20):
             frame = orthonormal_completion(structure, point)
             data = structure_data(structure, np.asarray(point)[None, :])
-            x = frame.vectors[1:]
+            x = frame[1:]
             images = np.einsum("ki,ai->ka", data.cov_t_l[0], x)
             skew = np.einsum("ka,kl,bl->ab", images, data.gl[0], x)
             assert np.abs(skew + skew.T).max() < 1e-9
@@ -507,7 +506,7 @@ class TestConnectionRelations:
         # the identities hold without unit length; X_i(ln g(T,T)) terms active
         recipe = battery_recipe(seed)
         raw = generate(replace(recipe, normalize=False))
-        data, frames = completions(raw, sample_interior(raw.spec, 5, seed + 40), require_unit=False)
+        data, frames = completions(raw, sample_interior(raw.spec, 5, seed + 40))
         assert connection_residual_batch(data, frames).max() < 1e-7
 
 
@@ -535,7 +534,7 @@ class TestCurvatureRelations:
     def test_non_unit_structure(self):
         recipe = battery_recipe(1)
         raw = generate(replace(recipe, normalize=False))
-        data, frames = completions(raw, sample_interior(raw.spec, 4, seed=70), require_unit=False)
+        data, frames = completions(raw, sample_interior(raw.spec, 4, seed=70))
         assert curvature_residual_batch(data, frames).max() < 1e-6
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -546,7 +545,7 @@ class TestCurvatureRelations:
         assert raw.dimension == 3 + seed
         pts = sample_interior(raw.spec, 20, seed + 80)
         data = structure_data(raw, pts)
-        frames = orthonormal_completions(data, DEFAULT, require_unit=False)
+        frames = orthonormal_completions(data, DEFAULT)
         rml = frame_components_batch(riemann_tensors(data)[0], frames)
         x = frames[:, 1:]
         u = np.einsum("bki,bai->bka", data.cov_t_l, x)  # column a: nab^L_{X_a} T

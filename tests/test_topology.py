@@ -404,7 +404,7 @@ def test_scan_points_spectra_match_the_adapted_frames(case, request):
         if case == "torus":  # parallel T: both routes give exact zeros
             assert not vals.any()
         assert structure.unit
-        table = topology.verify_points(structure, structure, pts, DEFAULT)
+        table = topology.verify_points(structure, pts, DEFAULT)
         row = {name.split()[-1]: table[:, i] for i, (name, _) in enumerate(topology.VERIFY_LINES)}
         eigs = ops.frames.nabla_sq_eigenvalues
         top = eigs[:, -1]
